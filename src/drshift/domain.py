@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, ContractError
-from .features import feature_backward_batch, feature_forward_batch, init_mlp
+from .features import _forward_activations, feature_backward_batch, feature_forward_batch, init_mlp
 
 DEFAULT_RATIO_BOUNDS = (1e-3, 1e3)
 
@@ -67,22 +67,29 @@ def domain_forward(clf, x):
     return RatioEstimate(tau_s, 1.0 - tau_s, float(ratio), z, bool(raw < lo or raw > hi))
 
 
-def domain_ratios(clf, X):
-    """Vectorized ratios for a batch: (tau_s, ratio, clamped mask, logits)."""
-    z = domain_logits(clf, X)
-    tau_s = expit(z)
+def _ratios_from_logits(clf, z):
+    """(tau_s, clamped ratio, clamped mask) from domain logits z."""
     lo, hi = clf.ratio_bounds
     raw = np.exp(np.clip(z, -700.0, 700.0))
     clamped = (raw < lo) | (raw > hi)
-    return tau_s, np.clip(raw, lo, hi), clamped, z
+    return expit(z), np.clip(raw, lo, hi), clamped
+
+
+def domain_ratios(clf, X):
+    """Vectorized ratios for a batch: (tau_s, ratio, clamped mask, logits)."""
+    z = domain_logits(clf, X)
+    return (*_ratios_from_logits(clf, z), z)
+
+
+def _bce_from_logits(z, is_source):
+    t = np.asarray(is_source, dtype=float)
+    # stable log(1 + exp(-|z|)) form
+    return float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))))
 
 
 def bce_loss(clf, X, is_source):
     """Mean binary cross-entropy with the source domain as the positive class."""
-    z = domain_logits(clf, np.asarray(X, dtype=float))
-    t = np.asarray(is_source, dtype=float)
-    # stable log(1 + exp(-|z|)) form
-    return float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))))
+    return _bce_from_logits(domain_logits(clf, np.asarray(X, dtype=float)), is_source)
 
 
 def bce_gradient(clf, batch):
@@ -97,10 +104,15 @@ def bce_gradient(clf, batch):
     return bce_gradient_arrays(clf, X, is_source)
 
 
+def _bce_logit_upstream(z, is_source):
+    """Per-sample derivative of the BCE in the domain logit: sigmoid(z) - 1{source}."""
+    return expit(z) - np.asarray(is_source, dtype=float)
+
+
 def bce_gradient_arrays(clf, X, is_source):
-    z = domain_logits(clf, X)
-    dz = expit(z) - np.asarray(is_source, dtype=float)
-    return feature_backward_batch(clf.net, X, dz[:, None])
+    acts = _forward_activations(clf.net, X)
+    dz = _bce_logit_upstream(acts[-1][:, 0], is_source)
+    return feature_backward_batch(clf.net, X, dz[:, None], acts=acts)
 
 
 def drl_density_gradient(theta, phi_x, f_x, est):
@@ -130,11 +142,20 @@ def density_chain_gradient(dom, X, theta, Phi, probs, tau_s, clamped):
     X holds the raw target inputs; Phi and probs come from the robust
     classifier evaluated on the same batch.
     """
-    s = np.einsum("nc,nc->n", probs, Phi @ np.asarray(theta).T)
+    dz = _density_logit_upstream(Phi @ np.asarray(theta).T, probs, tau_s, clamped)
+    return feature_backward_batch(dom.net, X, dz[:, None])
+
+
+def _density_logit_upstream(Z, probs, tau_s, clamped):
+    """Per-sample logit upstream of the target objective term through the ratio.
+
+    Z holds the raw class scores theta . phi(x), probs the test-mode
+    predictions; clamped samples and tau_t < 1e-8 get zero.
+    """
+    s = np.einsum("nc,nc->n", probs, Z)
     tau_t = 1.0 - tau_s
     safe_t = np.maximum(tau_t, 1e-8)
     g_s = s / safe_t
     g_t = -(tau_s / safe_t**2) * s
     sig_prime = tau_s * (1.0 - tau_s)
-    dz = np.where(clamped | (tau_t < 1e-8), 0.0, (g_s - g_t) * sig_prime)
-    return feature_backward_batch(dom.net, X, dz[:, None])
+    return np.where(clamped | (tau_t < 1e-8), 0.0, (g_s - g_t) * sig_prime)

@@ -108,11 +108,11 @@ def _act(z, activation):
     return np.tanh(z) if activation == "tanh" else np.maximum(z, 0.0)
 
 
-def _act_deriv(z, activation):
+def _act_deriv(a, activation):
+    """Activation derivative written in terms of the activation's output a."""
     if activation == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return (z > 0.0).astype(float)
+        return 1.0 - a * a
+    return (a > 0.0).astype(float)
 
 
 def feature_forward(fmap, x):
@@ -125,19 +125,28 @@ def feature_forward(fmap, x):
 
 def feature_forward_batch(fmap, X):
     """Vectorized forward pass; X is (n, in_dim), result is (n, out_dim)."""
+    return _forward_activations(fmap, X)[-1]
+
+
+def _forward_activations(fmap, X):
+    """Forward pass keeping every layer's input: [X, a_1, ..., a_L, phi].
+
+    Passing the list to feature_backward_batch as acts saves it a second
+    forward pass.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != fmap.in_dim:
         raise ConfigError(f"expected (n, {fmap.in_dim}) inputs, got shape {X.shape}")
     if fmap.kind == "identity":
-        return X.copy()
+        return [X, X.copy()]
     if fmap.kind == "bias":
-        return np.hstack([X, np.ones((X.shape[0], 1))])
-    A = X
+        return [X, np.hstack([X, np.ones((X.shape[0], 1))])]
+    acts = [X]
     last = fmap.n_layers - 1
     for i, (W, b) in enumerate(fmap.layers):
-        Z = A @ W.T + b
-        A = Z if i == last else _act(Z, fmap.activation)
-    return A
+        Z = acts[-1] @ W.T + b
+        acts.append(Z if i == last else _act(Z, fmap.activation))
+    return acts
 
 
 def feature_backward(fmap, x, upstream):
@@ -149,36 +158,31 @@ def feature_backward(fmap, x, upstream):
     return feature_backward_batch(fmap, x[None, :], upstream[None, :], weights=np.ones(1))
 
 
-def feature_backward_batch(fmap, X, U, weights=None):
+def feature_backward_batch(fmap, X, U, weights=None, acts=None):
     """Weighted sum over samples of the per-sample parameter gradients.
 
     With weights w_i this returns sum_i w_i * d(u_i . phi(x_i))/dparams;
-    the default is w_i = 1/n, i.e. the batch mean. Parameter-free maps
-    return an empty gradient.
+    the default is w_i = 1/n, i.e. the batch mean. acts, when given, holds the
+    activations of a forward pass over X at the current parameters (from
+    _forward_activations); otherwise the forward pass is run here.
+    Parameter-free maps return an empty gradient.
     """
-    X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
     if fmap.kind in ("identity", "bias"):
         return FeatureGradient([])
-    n = X.shape[0]
+    if acts is None:
+        acts = _forward_activations(fmap, X)
+    n = U.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
-
-    acts = [X]
-    pres = []
-    last = fmap.n_layers - 1
-    for i, (W, b) in enumerate(fmap.layers):
-        Z = acts[-1] @ W.T + b
-        pres.append(Z)
-        acts.append(Z if i == last else _act(Z, fmap.activation))
 
     # The map is linear in upstream, so the weights fold into the first delta.
     delta = U * w[:, None]
     grads = [None] * fmap.n_layers
-    for i in range(last, -1, -1):
+    for i in range(fmap.n_layers - 1, -1, -1):
         W, _ = fmap.layers[i]
         grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ W) * _act_deriv(pres[i - 1], fmap.activation)
+            delta = (delta @ W) * _act_deriv(acts[i], fmap.activation)
     return FeatureGradient(grads)
 
 

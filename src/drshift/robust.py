@@ -24,14 +24,16 @@ from scipy.special import logsumexp, softmax
 from .domain import (
     DEFAULT_RATIO_BOUNDS,
     DomainClassifier,
-    bce_gradient_arrays,
-    bce_loss,
-    density_chain_gradient,
+    _bce_from_logits,
+    _bce_logit_upstream,
+    _density_logit_upstream,
+    _ratios_from_logits,
     domain_ratios,
 )
 from .errors import ConfigError, ContractError, DivergenceError
 from .features import (
     FeatureGradient,
+    _forward_activations,
     feature_backward_batch,
     feature_forward,
     feature_forward_batch,
@@ -109,6 +111,7 @@ class SourceGradient:
     grad_theta: np.ndarray  # (C, m)
     upstream: np.ndarray  # (n, m) per-sample feature upstreams
     feature_grad: FeatureGradient
+    probs: np.ndarray  # (n, C) train-mode predictions at the batch labels
 
 
 def default_classifier(dim, class_count, seed=0, r=0.0, hidden=(16,), feature_dim=16,
@@ -125,9 +128,36 @@ def class_scores(clf, X):
 def _check_ratios(clf, ratios):
     lo, hi = clf.ratio_bounds
     ratios = np.atleast_1d(np.asarray(ratios, dtype=float))
-    if ratios.min() < lo or ratios.max() > hi:
+    # Written so that a NaN ratio fails too: every comparison with NaN is false.
+    if not (lo <= ratios.min() and ratios.max() <= hi):
         raise ContractError(f"ratio outside bounds [{lo}, {hi}]")
     return ratios
+
+
+def _require_finite(values, what, epoch=None):
+    """values unchanged, or DivergenceError if training drove them non-finite.
+
+    The trainers apply this to every ratio they read back from the domain
+    net and to theta after each model step, so a diverged state surfaces as
+    a divergence at that step rather than as the ContractError that
+    _check_ratios raises on a NaN ratio.
+    """
+    if not np.isfinite(values).all():
+        where = "" if epoch is None else f" at epoch {epoch}"
+        raise DivergenceError(f"non-finite {what}{where}", state={"epoch": epoch})
+    return values
+
+
+def _softmax_lse(logits):
+    """Row-wise softmax and log-sum-exp of an (n, C) array.
+
+    Shifting each row by its max keeps exp in range; one exp and one sum
+    serve both results.
+    """
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    s = e.sum(axis=1, keepdims=True)
+    return e / s, m[:, 0] + np.log(s[:, 0])
 
 
 def predict(clf, x, ratio, train_label=None):
@@ -155,19 +185,26 @@ def predict(clf, x, ratio, train_label=None):
 def predict_proba(clf, X, ratios, labels=None):
     """Vectorized prediction; returns (probs (n, C), log-partition (n,))."""
     ratios = _check_ratios(clf, ratios)
-    Z = class_scores(clf, X)
+    return _predict_from_scores(clf, class_scores(clf, X), ratios, labels)
+
+
+def _predict_from_scores(clf, Z, ratios, labels=None):
+    """predict_proba from raw class scores Z (n, C) and checked ratios."""
     if labels is None:
         logits = ratios[:, None] * Z / (1.0 + clf.r)
     else:
         onehot = np.zeros_like(Z)
         onehot[np.arange(Z.shape[0]), np.asarray(labels, dtype=int)] = 1.0
         logits = (ratios[:, None] * Z + clf.r * onehot) / (clf.r * onehot + 1.0)
-    return softmax(logits, axis=1), logsumexp(logits, axis=1)
+    return _softmax_lse(logits)
 
 
 def feature_constraint(fmap, X, y, class_count, weights=None):
     """Empirical feature-matching constraint from labeled source data."""
-    Phi = feature_forward_batch(fmap, X)
+    return _constraint_from_features(feature_forward_batch(fmap, X), y, class_count, weights)
+
+
+def _constraint_from_features(Phi, y, class_count, weights=None):
     n = Phi.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
     c = np.zeros((class_count, Phi.shape[1]))
@@ -191,7 +228,7 @@ def dual_objective(clf, target_inputs, ratios, constraint):
         raise ContractError("dual_objective needs at least one target input")
     ratios = _check_ratios(clf, ratios)
     Z = class_scores(clf, X)
-    logZ = logsumexp(ratios[:, None] * Z, axis=1)
+    _, logZ = _softmax_lse(ratios[:, None] * Z)
     return float(logZ.mean() - np.sum(clf.theta * constraint.c_tilde))
 
 
@@ -213,25 +250,24 @@ def grad_source(clf, batch, ratios, weights=None):
         X, y = batch
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
-        if any(v is None for v in np.atleast_1d(y).tolist()):
+        # Only an object array can hold a missing (None) label.
+        if y.dtype == object and any(v is None for v in y.ravel()):
             raise ContractError("grad_source requires a fully labeled batch")
         y = y.astype(int)
     ratios = _check_ratios(clf, ratios)
     n = X.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
 
-    Phi = feature_forward_batch(clf.feature_map, X)
-    Zs = Phi @ clf.theta.T
-    onehot = np.zeros_like(Zs)
-    onehot[np.arange(n), y] = 1.0
-    logits = (ratios[:, None] * Zs + clf.r * onehot) / (clf.r * onehot + 1.0)
-    probs = softmax(logits, axis=1)
+    acts = _forward_activations(clf.feature_map, X)
+    Phi = acts[-1]
+    probs, _ = _predict_from_scores(clf, Phi @ clf.theta.T, ratios, y)
 
-    diff = probs - onehot
+    diff = probs.copy()
+    diff[np.arange(n), y] -= 1.0
     grad_theta = (diff * w[:, None]).T @ Phi
     upstream = diff @ clf.theta
-    fgrad = feature_backward_batch(clf.feature_map, X, upstream, weights=w)
-    return SourceGradient(grad_theta, upstream, fgrad)
+    fgrad = feature_backward_batch(clf.feature_map, X, upstream, weights=w, acts=acts)
+    return SourceGradient(grad_theta, upstream, fgrad, probs)
 
 
 def target_predictions(clf, dom, dataset, unit_ratio=False):
@@ -280,23 +316,49 @@ def _sgd_step(fmap, fgrad, lr):
 # Trainers
 
 
-def _epoch_metrics(clf, dom, source, target, unit_ratio):
+def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
+    """Domain-net gradient of one domain step: BCE plus the chained density term.
+
+    One forward pass over X_dom = [Xb_s; Xb_t] gives the BCE logits and the
+    target ratios, and one backward pass takes the combined logit upstream:
+    the BCE term divided by n_s + n_t on every row plus the density term
+    divided by n_t on the target rows. The result equals
+    bce_gradient_arrays(dom, X_dom, t) + density_chain_gradient over Xb_t.
+    """
+    n_s, n_t = Xb_s.shape[0], Xb_t.shape[0]
+    X_dom = np.vstack([Xb_s, Xb_t])
+    acts = _forward_activations(dom.net, X_dom)
+    z = acts[-1][:, 0]
+    tau_s_t, ratio_t, clamped_t = _ratios_from_logits(dom, z[n_s:])
+    ratio_t = _check_ratios(clf, _require_finite(ratio_t, "density ratios"))
+    Z_t = class_scores(clf, Xb_t)
+    probs_t, _ = _predict_from_scores(clf, Z_t, ratio_t)
+    t_dom = np.concatenate([is_source_s, np.zeros(n_t)])
+    dz = _bce_logit_upstream(z, t_dom) / (n_s + n_t)
+    dz[n_s:] += _density_logit_upstream(Z_t, probs_t, tau_s_t, clamped_t) / n_t
+    w = np.ones(n_s + n_t)
+    return feature_backward_batch(dom.net, X_dom, dz[:, None], weights=w, acts=acts)
+
+
+def _epoch_metrics(clf, dom, source, target):
+    """Dual objective, domain BCE and source accuracy over the full datasets.
+
+    dom=None means unit ratios and no BCE.
+    """
     Xs, ys, Xt = source.X, source.y, target.X
-    if unit_ratio or dom is None:
-        ratios_t = np.ones(Xt.shape[0])
-        ratios_s = np.ones(Xs.shape[0])
-    else:
-        _, ratios_t, _, _ = domain_ratios(dom, Xt)
-        _, ratios_s, _, _ = domain_ratios(dom, Xs)
-    constraint = feature_constraint(clf.feature_map, Xs, ys, clf.class_count)
-    dual = dual_objective(clf, Xt, ratios_t, constraint)
+    n_s = Xs.shape[0]
     if dom is None:
+        ratios_s, ratios_t = np.ones(n_s), np.ones(Xt.shape[0])
         bce = float("nan")
     else:
-        X_all = np.vstack([Xs, Xt])
-        is_src = np.concatenate([source.is_source.astype(float), np.zeros(Xt.shape[0])])
-        bce = bce_loss(dom, X_all, is_src)
-    probs_s, _ = predict_proba(clf, Xs, ratios_s)
+        _, ratios, _, z = domain_ratios(dom, np.vstack([Xs, Xt]))
+        ratios = _require_finite(ratios, "density ratios")
+        ratios_s, ratios_t = ratios[:n_s], ratios[n_s:]
+        bce = _bce_from_logits(z, np.concatenate([source.is_source, np.zeros(Xt.shape[0])]))
+    Phi_s = feature_forward_batch(clf.feature_map, Xs)
+    constraint = _constraint_from_features(Phi_s, ys, clf.class_count)
+    dual = dual_objective(clf, Xt, ratios_t, constraint)
+    probs_s, _ = _predict_from_scores(clf, Phi_s @ clf.theta.T, _check_ratios(clf, ratios_s))
     acc = float((probs_s.argmax(axis=1) == ys).mean())
     return dual, bce, acc
 
@@ -315,7 +377,8 @@ def train_end_to_end(source, target, clf, dom, cfg, unit_ratio=False):
 
     Returns copies of the models; the inputs are not mutated. History holds
     one record per epoch with the dual objective, domain BCE, and source
-    accuracy, all evaluated on the full datasets.
+    accuracy, all evaluated on the full datasets. A non-finite theta, dual
+    or density ratio raises DivergenceError.
     """
     if not source.labeled:
         raise ContractError("source dataset must be labeled")
@@ -344,24 +407,19 @@ def train_end_to_end(source, target, clf, dom, cfg, unit_ratio=False):
             Xb_t = Xt_all[sl_t]
 
             if not unit_ratio and step % cfg.domain_update_period == 0:
-                X_dom = np.vstack([Xb_s, Xb_t])
-                t_dom = np.concatenate([src_is_source[sl_s], np.zeros(len(sl_t))])
-                g_bce = bce_gradient_arrays(dom, X_dom, t_dom)
-                tau_s_t, ratio_t, clamped_t, _ = domain_ratios(dom, Xb_t)
-                probs_t, _ = predict_proba(clf, Xb_t, ratio_t)
-                Phi_t = feature_forward_batch(clf.feature_map, Xb_t)
-                g_den = density_chain_gradient(dom, Xb_t, clf.theta, Phi_t, probs_t, tau_s_t, clamped_t)
-                _sgd_step(dom.net, g_bce + g_den, cfg.lr_domain)
+                g_dom = _domain_gradient(clf, dom, Xb_s, src_is_source[sl_s], Xb_t)
+                _sgd_step(dom.net, g_dom, cfg.lr_domain)
 
             if unit_ratio:
                 ratios_b = np.ones(len(sl_s))
             else:
-                _, ratios_b, _, _ = domain_ratios(dom, Xb_s)
+                ratios_b = _require_finite(domain_ratios(dom, Xb_s)[1], "density ratios", epoch)
             g = grad_source(clf, (Xb_s, yb_s), ratios_b)
             opt.step(clf, g.grad_theta, g.feature_grad)
+            _require_finite(clf.theta, "theta", epoch)
             step += 1
 
-        dual, bce, acc = _epoch_metrics(clf, None if unit_ratio else dom, source, target, unit_ratio)
+        dual, bce, acc = _epoch_metrics(clf, None if unit_ratio else dom, source, target)
         record = {"epoch": epoch, "dual": dual, "bce": bce, "source_accuracy": acc}
         if not (np.isfinite(dual) and np.isfinite(clf.theta).all()):
             raise DivergenceError(

@@ -8,21 +8,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import softmax
 
 from .data import AugmentationSpec, augment_batch
-from .domain import (
-    bce_gradient_arrays,
-    default_domain_classifier,
-    density_chain_gradient,
-    domain_ratios,
-)
-from .errors import ConfigError, ContractError
-from .features import feature_backward_batch, feature_forward_batch
+from .domain import default_domain_classifier, domain_ratios
+from .errors import ConfigError, ContractError, DivergenceError
+from .features import _forward_activations, feature_backward_batch
 from .robust import (
     TrainConfig,
+    _domain_gradient,
     _Momentum,
+    _require_finite,
     _sgd_step,
+    _softmax_lse,
     default_classifier,
     grad_source,
     predict_proba,
@@ -75,13 +72,14 @@ def _unsup_gradient(clf, X_strong, ratios_strong, pseudo, mask):
     raw class scores is (f_y - 1{y=c}) * R / (r 1{y=c} + 1).
     """
     n = X_strong.shape[0]
-    Phi = feature_forward_batch(clf.feature_map, X_strong)
+    acts = _forward_activations(clf.feature_map, X_strong)
+    Phi = acts[-1]
     Zs = Phi @ clf.theta.T
     onehot = np.zeros_like(Zs)
     onehot[np.arange(n), np.asarray(pseudo, dtype=int)] = 1.0
     denom = clf.r * onehot + 1.0
     logits = (ratios_strong[:, None] * Zs + clf.r * onehot) / denom
-    probs = softmax(logits, axis=1)
+    probs, _ = _softmax_lse(logits)
 
     picked = probs[np.arange(n), np.asarray(pseudo, dtype=int)]
     terms = np.where(mask, -np.log(np.maximum(picked, 1e-300)), 0.0)
@@ -91,7 +89,7 @@ def _unsup_gradient(clf, X_strong, ratios_strong, pseudo, mask):
     G = (probs - onehot) * (ratios_strong[:, None] / denom)
     grad_theta = (G * w[:, None]).T @ Phi
     upstream = G @ clf.theta
-    fgrad = feature_backward_batch(clf.feature_map, X_strong, upstream, weights=w)
+    fgrad = feature_backward_batch(clf.feature_map, X_strong, upstream, weights=w, acts=acts)
     return loss, grad_theta, fgrad
 
 
@@ -102,13 +100,14 @@ def run_drssl(labeled, unlabeled, cfg, r=0.5, clf=None, dom=None, unit_ratio=Fal
     loss_weight times the gradient of the thresholded consistency loss
     (weak-branch predictions are detached pseudo-targets); the domain
     classifier takes its usual periodic step on cross-entropy plus density
-    gradients. With unit_ratio=True all ratios are 1 and the domain
-    classifier stays untouched, which is the plain softmax-confidence
-    baseline.
+    gradients (the domain step shared with train_end_to_end). With
+    unit_ratio=True all ratios are 1 and the domain classifier stays
+    untouched, which is the plain softmax-confidence baseline.
 
     History records per epoch: sup_loss, unsup_loss (already weighted by
     loss_weight), mask_rate, and target_acc when the unlabeled set carries
-    evaluation labels.
+    evaluation labels. A non-finite theta, loss or density ratio raises
+    DivergenceError.
     """
     if len(labeled) == 0:
         raise ContractError("labeled dataset must be non-empty")
@@ -149,40 +148,35 @@ def run_drssl(labeled, unlabeled, cfg, r=0.5, clf=None, dom=None, unit_ratio=Fal
             Xb_l, yb_l, Xb_u = Xl[sl_l], yl[sl_l], Xu[sl_u]
 
             if not unit_ratio and step % cfg.base.domain_update_period == 0:
-                X_dom = np.vstack([Xb_l, Xb_u])
-                t_dom = np.concatenate([np.ones(len(sl_l)), np.zeros(len(sl_u))])
-                g_bce = bce_gradient_arrays(dom, X_dom, t_dom)
-                tau_s_u, ratio_u, clamped_u, _ = domain_ratios(dom, Xb_u)
-                probs_u, _ = predict_proba(clf, Xb_u, ratio_u)
-                Phi_u = feature_forward_batch(clf.feature_map, Xb_u)
-                g_den = density_chain_gradient(dom, Xb_u, clf.theta, Phi_u, probs_u, tau_s_u, clamped_u)
-                _sgd_step(dom.net, g_bce + g_den, cfg.base.lr_domain)
-
-            def ratios_for(X):
-                if unit_ratio:
-                    return np.ones(X.shape[0])
-                return domain_ratios(dom, X)[1]
-
-            ratios_l = ratios_for(Xb_l)
-            g_sup = grad_source(clf, (Xb_l, yb_l), ratios_l)
-            probs_l, _ = predict_proba(clf, Xb_l, ratios_l, labels=yb_l)
-            sup_sum += float(
-                -np.log(np.maximum(probs_l[np.arange(len(yb_l)), yb_l], 1e-300)).mean()
-            )
+                g_dom = _domain_gradient(clf, dom, Xb_l, np.ones(len(sl_l)), Xb_u)
+                _sgd_step(dom.net, g_dom, cfg.base.lr_domain)
 
             Xw = augment_batch(Xb_u, cfg.augmentation, "weak", rng_aug)
             Xst = augment_batch(Xb_u, cfg.augmentation, "strong", rng_aug)
-            Pw, _ = predict_proba(clf, Xw, ratios_for(Xw))
+            X_all = np.vstack([Xb_l, Xw, Xst])
+            if unit_ratio:
+                ratios = np.ones(X_all.shape[0])
+            else:
+                ratios = _require_finite(domain_ratios(dom, X_all)[1], "density ratios", epoch)
+            ratios_l, ratios_w, ratios_st = np.split(ratios, [len(sl_l), len(sl_l) + len(sl_u)])
+
+            g_sup = grad_source(clf, (Xb_l, yb_l), ratios_l)
+            sup_sum += float(
+                -np.log(np.maximum(g_sup.probs[np.arange(len(yb_l)), yb_l], 1e-300)).mean()
+            )
+
+            Pw, _ = predict_proba(clf, Xw, ratios_w)
             conf = Pw.max(axis=1)
             pseudo = Pw.argmax(axis=1)
             mask = conf > cfg.threshold
             masked += int(mask.sum())
-            loss_u, g_theta_u, g_feat_u = _unsup_gradient(clf, Xst, ratios_for(Xst), pseudo, mask)
+            loss_u, g_theta_u, g_feat_u = _unsup_gradient(clf, Xst, ratios_st, pseudo, mask)
             unsup_sum += cfg.loss_weight * loss_u
 
             grad_theta = g_sup.grad_theta + cfg.loss_weight * g_theta_u
             fgrad = g_sup.feature_grad + g_feat_u.scaled(cfg.loss_weight)
             opt.step(clf, grad_theta, fgrad)
+            _require_finite(clf.theta, "theta", epoch)
             step += 1
 
         record = {
@@ -191,6 +185,9 @@ def run_drssl(labeled, unlabeled, cfg, r=0.5, clf=None, dom=None, unit_ratio=Fal
             "unsup_loss": unsup_sum / n_batches,
             "mask_rate": masked / (n_batches * M),
         }
+        if not (np.isfinite(record["sup_loss"]) and np.isfinite(record["unsup_loss"])
+                and np.isfinite(clf.theta).all()):
+            raise DivergenceError(f"non-finite training state at epoch {epoch}", state=record)
         if unlabeled.labeled:
             probs_eval, _ = target_predictions(clf, dom, unlabeled, unit_ratio=unit_ratio)
             record["target_acc"] = float((probs_eval.argmax(axis=1) == unlabeled.y).mean())

@@ -130,6 +130,24 @@ class TestDrstDrssl:
         assert {"sup_loss", "unsup_loss", "mask_rate"} <= set(records[0])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,overrides", [
+    ("train-drl", {"train": {"batch_size": 16}}),
+    ("drssl", {"ssl": {"labeled_count": 10}}),
+])
+def test_divergence_exits_with_divergence_code(tmp_path, capsys, command, overrides):
+    # 200 target rows in batches of 16 give 12 batches per epoch, so the
+    # domain net takes several steps after the model state goes non-finite.
+    overrides = {key: dict(val) for key, val in overrides.items()}
+    overrides.setdefault("train", {}).update(epochs=2, lr_model=1e300)
+    cfg_path, _ = write_config(
+        tmp_path, data={"kind": "gaussian", "n_source": 200, "n_target": 200}, **overrides
+    )
+    assert main([command, "--config", str(cfg_path)]) == 3
+    assert "numeric divergence" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
 class TestCalibrate:
     def test_calibrate_from_checkpoint(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, train={"epochs": 3})

@@ -214,6 +214,31 @@ class TestGradSource:
         ds = dataset_from_arrays(np.zeros((2, 2)), None, class_count=2)
         with pytest.raises(ContractError):
             grad_source(clf, ds, np.ones(2))
+        with pytest.raises(ContractError):
+            grad_source(clf, (np.zeros((2, 2)), [0, None]), np.ones(2))
+
+
+class TestNanRatio:
+    """Every batch path rejects a NaN ratio instead of returning NaN results."""
+
+    ratios = np.array([1.0, np.nan, 1.0])
+
+    def setup_method(self):
+        self.clf = RobustClassifier(np.eye(2), identity_map(2))
+        self.X = np.arange(6.0).reshape(3, 2)
+
+    def test_predict_proba(self):
+        with pytest.raises(ContractError):
+            predict_proba(self.clf, self.X, self.ratios)
+
+    def test_grad_source(self):
+        with pytest.raises(ContractError):
+            grad_source(self.clf, (self.X, np.array([0, 1, 0])), self.ratios)
+
+    def test_dual_objective(self):
+        cons = feature_constraint(self.clf.feature_map, self.X, [0, 1, 0], 2)
+        with pytest.raises(ContractError):
+            dual_objective(self.clf, self.X, self.ratios, cons)
 
 
 def no_shift_spec(seed, n=400):

@@ -11,7 +11,12 @@ from drshift import (
     identity_map,
     init_mlp,
 )
-from drshift.features import FeatureMap, feature_forward_batch
+from drshift.features import (
+    FeatureMap,
+    _forward_activations,
+    feature_backward_batch,
+    feature_forward_batch,
+)
 
 from helpers import fd_layers, flat, rel_err
 
@@ -115,6 +120,40 @@ def test_backward_linear_in_upstream():
     np.testing.assert_allclose(
         flat(g.layers), a * flat(g1.layers) + b * flat(g2.layers), atol=1e-12
     )
+
+
+def reference_backward(fmap, X, U, w):
+    """Backward pass that recomputes the forward pass and differentiates the
+    activation at its pre-activation."""
+    acts, pres = [X], []
+    for i, (W, b) in enumerate(fmap.layers):
+        Z = acts[-1] @ W.T + b
+        pres.append(Z)
+        last = i == fmap.n_layers - 1
+        acts.append(Z if last else (np.tanh(Z) if fmap.activation == "tanh" else np.maximum(Z, 0.0)))
+    delta = U * w[:, None]
+    grads = [None] * fmap.n_layers
+    for i in range(fmap.n_layers - 1, -1, -1):
+        W, _ = fmap.layers[i]
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        if i > 0:
+            Z = pres[i - 1]
+            d = 1.0 - np.tanh(Z) ** 2 if fmap.activation == "tanh" else (Z > 0.0).astype(float)
+            delta = (delta @ W) * d
+    return grads
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_backward_from_cached_activations_is_bitwise_equal_to_recomputing(activation):
+    rng = np.random.default_rng(17)
+    fmap = init_mlp(2, [16, 8], 4, activation, seed=3)
+    X = rng.normal(size=(64, 2))
+    U = rng.normal(size=(64, 4))
+    w = rng.uniform(size=64)
+    acts = _forward_activations(fmap, X)
+    np.testing.assert_array_equal(acts[-1], feature_forward_batch(fmap, X))
+    g = feature_backward_batch(fmap, X, U, weights=w, acts=acts)
+    np.testing.assert_array_equal(flat(g.layers), flat(reference_backward(fmap, X, U, w)))
 
 
 def test_json_roundtrip():
