@@ -20,8 +20,7 @@ from .data import (
     Dataset,
     DiscreteDomainSpec,
     GaussianShiftSpec,
-    Sample,
-    augment,
+    augment_batch,
     dataset_from_arrays,
     default_shift_spec,
     generate_gaussian_shift,
@@ -32,7 +31,6 @@ from .data import (
 from .domain import (
     DomainClassifier,
     RatioEstimate,
-    bce_gradient,
     bce_loss,
     default_domain_classifier,
     domain_forward,

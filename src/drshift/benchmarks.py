@@ -72,13 +72,13 @@ SEMI_SUP_RECIPE = {
 }
 
 
-def _train_config(recipe, seed, epochs=None):
+def _train_config(recipe, seed):
     return TrainConfig(
         lr_domain=recipe["lr_domain"],
         lr_model=recipe["lr_model"],
         momentum=recipe["momentum"],
         batch_size=recipe["batch_size"],
-        epochs=recipe["epochs"] if epochs is None else epochs,
+        epochs=recipe["epochs"],
         seed=seed,
     )
 

@@ -7,7 +7,8 @@ directory: metrics.jsonl (per-epoch or per-round records), report.json
 (resolved config, tool version, and one calibration block per evaluated
 model), reliability.csv, predictions.csv, and model.json checkpoints where
 a model is trained. A run either completes all its files or removes the
-partial ones.
+partial ones. Each command checks its config and loads its data before it
+takes the output directory's lock, and trains only after that.
 
 All randomness derives from the single top-level seed by fixed offsets:
 data generation uses seed, classifier init seed+100, domain-net init
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -76,16 +78,47 @@ class _Parser(argparse.ArgumentParser):
 # Config handling
 
 
-def _num(cfg, path, default=None, lo=None, hi=None, strict=False, integer=False):
+def _lookup(cfg, path, default):
     node = cfg
     parts = path.split(".")
-    for p in parts[:-1]:
+    for i, p in enumerate(parts[:-1]):
         node = node.get(p, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{'.'.join(parts[:i + 1])}: expected an object, got {node!r}")
     val = node.get(parts[-1], default)
     if val is None:
         raise ConfigError(f"{path}: required value missing")
+    return val
+
+
+def _num(cfg, path, default=None, **checks):
+    return _check_num(_lookup(cfg, path, default), path, **checks)
+
+
+def _num_list(cfg, path, default=None, **checks):
+    """A list, or nested rectangular lists, of numbers that each pass the _num checks."""
+    val = _lookup(cfg, path, default)
+    if not isinstance(val, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of numbers, got {val!r}")
+
+    def walk(v, where):
+        if isinstance(v, (list, tuple)):
+            return [walk(x, f"{where}[{i}]") for i, x in enumerate(v)]
+        return _check_num(v, where, **checks)
+
+    out = walk(val, path)
+    try:
+        np.array(out, dtype=float)
+    except ValueError:
+        raise ConfigError(f"{path}: nested lists must be rectangular, got {val!r}") from None
+    return out
+
+
+def _check_num(val, path, lo=None, hi=None, strict=False, integer=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {val!r}")
+    if not math.isfinite(val):
+        raise ConfigError(f"{path}: must be finite, got {val}")
     if integer and int(val) != val:
         raise ConfigError(f"{path}: expected an integer, got {val!r}")
     if lo is not None and (val <= lo if strict else val < lo):
@@ -132,17 +165,15 @@ def _data_spec(cfg):
     if kind != "gaussian":
         raise ConfigError(f"data.kind: unknown kind {kind!r}")
     base = default_shift_spec(seed=seed)
-    if not data:
-        return ("gaussian", base)
+    arrays = {
+        key: _num_list(cfg, f"data.{key}", getattr(base, key).tolist())
+        for key in ("source_mean", "target_mean", "source_cov", "target_cov", "boundary_weights")
+    }
     spec = GaussianShiftSpec(
-        source_mean=data.get("source_mean", base.source_mean),
-        target_mean=data.get("target_mean", base.target_mean),
-        source_cov=data.get("source_cov", base.source_cov),
-        target_cov=data.get("target_cov", base.target_cov),
-        boundary_weights=data.get("boundary_weights", base.boundary_weights),
-        boundary_bias=data.get("boundary_bias", base.boundary_bias),
-        n_source=int(_num(data, "n_source", default=base.n_source, lo=1, integer=True)),
-        n_target=int(_num(data, "n_target", default=base.n_target, lo=1, integer=True)),
+        **arrays,
+        boundary_bias=_num(cfg, "data.boundary_bias", base.boundary_bias),
+        n_source=_num(cfg, "data.n_source", base.n_source, lo=1, integer=True),
+        n_target=_num(cfg, "data.n_target", base.n_target, lo=1, integer=True),
         seed=seed,
     )
     return ("gaussian", spec)
@@ -157,6 +188,10 @@ def _load_datasets(cfg):
     target = load_csv(
         spec["target_path"], has_label=bool(spec.get("target_has_label", True)), domain="target"
     )
+    if source.dim != target.dim:
+        raise ConfigError(
+            f"data.target_path: target has {target.dim} features, source has {source.dim}"
+        )
     return source, target
 
 
@@ -167,31 +202,28 @@ def _train_config(cfg, recipe):
         momentum=_num(cfg, "train.momentum", recipe["momentum"], lo=0),
         batch_size=_num(cfg, "train.batch_size", recipe["batch_size"], lo=1, integer=True),
         epochs=_num(cfg, "train.epochs", recipe["epochs"], lo=0, integer=True),
-        domain_update_period=_num(cfg, "train.domain_update_period", 5, lo=1, integer=True),
+        domain_update_period=_num(
+            cfg, "train.domain_update_period", TrainConfig.domain_update_period, lo=1, integer=True
+        ),
         seed=int(cfg["seed"]),
     )
 
 
-def _model_params(cfg, recipe):
-    model = cfg.get("model", {})
-    bounds = model.get("ratio_bounds", list(recipe["ratio_bounds"]))
-    if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
+def _build_models(cfg, recipe, dim, class_count):
+    """Initial classifier and domain net, plus r; sizes the config omits keep their defaults."""
+    bounds = tuple(_num_list(cfg, "model.ratio_bounds", list(recipe["ratio_bounds"])))
+    if len(bounds) != 2:
         raise ConfigError("model.ratio_bounds: expected [min, max]")
     r = _num(cfg, "model.r", recipe["r"], lo=0, hi=1)
-    hidden = model.get("hidden", [16])
-    feature_dim = int(_num(model, "feature_dim", 16, lo=1, integer=True))
-    return r, (float(bounds[0]), float(bounds[1])), list(hidden), feature_dim
-
-
-def _build_models(cfg, recipe, dim, class_count):
-    r, bounds, hidden, feature_dim = _model_params(cfg, recipe)
+    sizes = {}
+    if "hidden" in cfg.get("model", {}):
+        sizes["hidden"] = _num_list(cfg, "model.hidden", lo=1, integer=True)
+    if "feature_dim" in cfg.get("model", {}):
+        sizes["feature_dim"] = _num(cfg, "model.feature_dim", lo=1, integer=True)
     seed = int(cfg["seed"])
-    clf = default_classifier(
-        dim, class_count, seed=seed + 100, r=r, hidden=hidden,
-        feature_dim=feature_dim, ratio_bounds=bounds,
-    )
+    clf = default_classifier(dim, class_count, seed=seed + 100, r=r, ratio_bounds=bounds, **sizes)
     dom = default_domain_classifier(dim, seed=seed + 101, ratio_bounds=bounds)
-    return clf, dom
+    return clf, dom, r
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +231,8 @@ def _build_models(cfg, recipe, dim, class_count):
 
 
 class RunDir:
-    """Exclusive run directory: lock file plus all-or-nothing file writes."""
+    """Exclusive run directory: lock file plus all-or-nothing writes; a failed
+    run removes the files and the directory it created."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
@@ -208,6 +241,7 @@ class RunDir:
         self._lock_fd = None
 
     def __enter__(self):
+        self._created = not os.path.isdir(self.out_dir)
         os.makedirs(self.out_dir, exist_ok=True)
         try:
             self._lock_fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -228,6 +262,8 @@ class RunDir:
             os.close(self._lock_fd)
         try:
             os.remove(self.lock_path)
+            if exc_type is not None and self._created:
+                os.rmdir(self.out_dir)
         except OSError:
             pass
         return False
@@ -293,17 +329,19 @@ def write_predictions(path, probs, labels, ratios):
             )
 
 
-def _evaluate_and_write(run, command, cfg, clf, dom, target, unit_ratio=False, name="model"):
+def _write_trained(run, command, cfg, history, clf, dom, target, name, unit_ratio=False):
+    """Metrics, checkpoint and target evaluation files of a training command."""
+    write_jsonl(run.path("metrics.jsonl"), history)
+    with open(run.path("model.json"), "w", encoding="utf-8") as fh:
+        fh.write(checkpoint_to_json(clf, dom, cfg))
     probs, ratios = target_predictions(clf, dom, target, unit_ratio=unit_ratio)
+    labels = target.y if target.labeled else None
+    report = None
     if target.labeled:
-        report = calibration_report(probs, target.y)
+        report = calibration_report(probs, labels)
         write_reliability(run.path("reliability.csv"), report.bins)
-        block = _model_block(name, report, target.class_count, {"n_eval": len(target)})
-        labels = target.y
-    else:
-        block = _model_block(name, None, target.class_count, {"n_eval": len(target)})
-        labels = None
     write_predictions(run.path("predictions.csv"), probs, labels, ratios)
+    block = _model_block(name, report, target.class_count, {"n_eval": len(target)})
     write_report(run.path("report.json"), command, cfg, [block])
 
 
@@ -331,13 +369,10 @@ def cmd_train_drl(cfg):
     source, target = _load_datasets(cfg)
     recipe = CALIBRATION_RECIPE
     tcfg = _train_config(cfg, recipe)
-    clf0, dom0 = _build_models(cfg, recipe, source.dim, source.class_count)
-    clf, dom, history = train_end_to_end(source, target, clf0, dom0, tcfg)
+    clf0, dom0, _ = _build_models(cfg, recipe, source.dim, source.class_count)
     with RunDir(cfg["out_dir"]) as run:
-        write_jsonl(run.path("metrics.jsonl"), history)
-        with open(run.path("model.json"), "w", encoding="utf-8") as fh:
-            fh.write(checkpoint_to_json(clf, dom, cfg))
-        _evaluate_and_write(run, "train-drl", cfg, clf, dom, target, name="drl")
+        clf, dom, history = train_end_to_end(source, target, clf0, dom0, tcfg)
+        _write_trained(run, "train-drl", cfg, history, clf, dom, target, "drl")
     return 0
 
 
@@ -345,13 +380,10 @@ def cmd_train_erm(cfg):
     source, target = _load_datasets(cfg)
     recipe = CALIBRATION_RECIPE
     tcfg = _train_config(cfg, recipe)
-    clf0, _ = _build_models(cfg, recipe, source.dim, source.class_count)
-    clf, history = train_erm(source, tcfg, clf=clf0)
+    clf0, _, _ = _build_models(cfg, recipe, source.dim, source.class_count)
     with RunDir(cfg["out_dir"]) as run:
-        write_jsonl(run.path("metrics.jsonl"), history)
-        with open(run.path("model.json"), "w", encoding="utf-8") as fh:
-            fh.write(checkpoint_to_json(clf, None, cfg))
-        _evaluate_and_write(run, "train-erm", cfg, clf, None, target, unit_ratio=True, name="erm")
+        clf, history = train_erm(source, tcfg, clf=clf0)
+        _write_trained(run, "train-erm", cfg, history, clf, None, target, "erm", unit_ratio=True)
     return 0
 
 
@@ -359,21 +391,17 @@ def cmd_drst(cfg):
     source, target = _load_datasets(cfg)
     recipe = SELF_TRAIN_RECIPE
     tcfg = _train_config(cfg, recipe)
-    clf0, dom0 = _build_models(cfg, recipe, source.dim, source.class_count)
-    sched_cfg = cfg.get("schedule", {})
+    clf0, dom0, r = _build_models(cfg, recipe, source.dim, source.class_count)
+    defaults = SelfTrainSchedule()
     schedule = SelfTrainSchedule(
-        p0=_num(sched_cfg, "p0", 0.065, lo=0, hi=1),
-        dp=_num(sched_cfg, "dp", 0.0085, lo=0),
-        pmax=_num(sched_cfg, "pmax", 0.165, lo=0, hi=1),
-        rounds=_num(sched_cfg, "rounds", recipe["rounds"], lo=0, integer=True),
+        p0=_num(cfg, "schedule.p0", defaults.p0, lo=0, hi=1),
+        dp=_num(cfg, "schedule.dp", defaults.dp, lo=0),
+        pmax=_num(cfg, "schedule.pmax", defaults.pmax, lo=0, hi=1),
+        rounds=_num(cfg, "schedule.rounds", recipe["rounds"], lo=0, integer=True),
     )
-    r, _, _, _ = _model_params(cfg, recipe)
-    clf, dom, history = run_drst(source, target, schedule, tcfg, r=r, clf=clf0, dom=dom0)
     with RunDir(cfg["out_dir"]) as run:
-        write_jsonl(run.path("metrics.jsonl"), history)
-        with open(run.path("model.json"), "w", encoding="utf-8") as fh:
-            fh.write(checkpoint_to_json(clf, dom, cfg))
-        _evaluate_and_write(run, "drst", cfg, clf, dom, target, name="drst")
+        clf, dom, history = run_drst(source, target, schedule, tcfg, r=r, clf=clf0, dom=dom0)
+        _write_trained(run, "drst", cfg, history, clf, dom, target, "drst")
     return 0
 
 
@@ -381,32 +409,27 @@ def cmd_drssl(cfg):
     source, target = _load_datasets(cfg)
     recipe = SEMI_SUP_RECIPE
     tcfg = _train_config(cfg, recipe)
-    ssl_cfg = cfg.get("ssl", {})
-    n_labeled = _num(ssl_cfg, "labeled_count", recipe["labeled_count"], lo=1, integer=True)
+    n_labeled = _num(cfg, "ssl.labeled_count", recipe["labeled_count"], lo=1, integer=True)
     labeled = class_balanced_subset(source, n_labeled, int(cfg["seed"]) + 50)
-    aug_cfg = ssl_cfg.get("augmentation", {})
+    aug = "ssl.augmentation."
     scfg = SslConfig(
-        threshold=_num(ssl_cfg, "threshold", recipe["threshold"], lo=0, hi=1),
-        unlabeled_batch=_num(ssl_cfg, "unlabeled_batch", recipe["unlabeled_batch"], lo=1, integer=True),
-        loss_weight=_num(ssl_cfg, "loss_weight", recipe["loss_weight"], lo=0),
+        threshold=_num(cfg, "ssl.threshold", recipe["threshold"], lo=0, hi=1),
+        unlabeled_batch=_num(cfg, "ssl.unlabeled_batch", recipe["unlabeled_batch"], lo=1, integer=True),
+        loss_weight=_num(cfg, "ssl.loss_weight", recipe["loss_weight"], lo=0),
         augmentation=AugmentationSpec(
-            weak_noise_std=_num(aug_cfg, "weak_noise_std", recipe["weak_noise_std"], lo=0),
-            strong_noise_std=_num(aug_cfg, "strong_noise_std", recipe["strong_noise_std"], lo=0),
+            weak_noise_std=_num(cfg, aug + "weak_noise_std", recipe["weak_noise_std"], lo=0),
+            strong_noise_std=_num(cfg, aug + "strong_noise_std", recipe["strong_noise_std"], lo=0),
             strong_mask_fraction=_num(
-                aug_cfg, "strong_mask_fraction", recipe["strong_mask_fraction"], lo=0, hi=1
+                cfg, aug + "strong_mask_fraction", recipe["strong_mask_fraction"], lo=0, hi=1
             ),
             seed=int(cfg["seed"]) + 60,
         ),
         base=tcfg,
     )
-    clf0, dom0 = _build_models(cfg, recipe, source.dim, source.class_count)
-    r, _, _, _ = _model_params(cfg, recipe)
-    clf, dom, history = run_drssl(labeled, target, scfg, r=r, clf=clf0, dom=dom0)
+    clf0, dom0, r = _build_models(cfg, recipe, source.dim, source.class_count)
     with RunDir(cfg["out_dir"]) as run:
-        write_jsonl(run.path("metrics.jsonl"), history)
-        with open(run.path("model.json"), "w", encoding="utf-8") as fh:
-            fh.write(checkpoint_to_json(clf, dom, cfg))
-        _evaluate_and_write(run, "drssl", cfg, clf, dom, target, name="drssl")
+        clf, dom, history = run_drssl(labeled, target, scfg, r=r, clf=clf0, dom=dom0)
+        _write_trained(run, "drssl", cfg, history, clf, dom, target, "drssl")
     return 0
 
 
@@ -414,12 +437,11 @@ def cmd_plugin_sim(cfg):
     kind, spec = _data_spec(cfg)
     if kind != "gaussian":
         raise ConfigError("plugin-sim requires gaussian data")
-    plug = cfg.get("plugin", {})
-    bandwidths = plug.get("bandwidths", [0.05, 0.2, 0.5, 1.0])
-    if not isinstance(bandwidths, list) or not bandwidths:
+    bandwidths = _num_list(cfg, "plugin.bandwidths", [0.05, 0.2, 0.5, 1.0], lo=0, strict=True)
+    if not bandwidths:
         raise ConfigError("plugin.bandwidths: expected a non-empty list")
-    rows = run_plugin_simulation(spec, bandwidths)
     with RunDir(cfg["out_dir"]) as run:
+        rows = run_plugin_simulation(spec, bandwidths)
         write_jsonl(run.path("metrics.jsonl"), rows)
         with open(run.path("plugin_sim.csv"), "w", encoding="utf-8") as fh:
             fh.write("h,ll_source,ll_target,target_logloss\n")
@@ -443,19 +465,19 @@ def cmd_calibrate(cfg):
     _, target = _load_datasets(cfg)
     if not target.labeled:
         raise ConfigError("calibrate requires a labeled target dataset")
-    split = _num(cal, "split", 0.5, lo=0, hi=1)
-    rng = np.random.default_rng(int(cfg["seed"]) + 7)
-    perm = rng.permutation(len(target))
-    cut = max(1, min(len(target) - 1, int(round(split * len(target)))))
-    fit_idx, eval_idx = perm[:cut], perm[cut:]
-    logits = class_scores(clf, target.X)
-    temperature = fit_temperature(logits[fit_idx], target.y[fit_idx])
-    probs_raw = softmax(logits[eval_idx], axis=1)
-    probs_ts = softmax(logits[eval_idx] / temperature, axis=1)
-    y_eval = target.y[eval_idx]
-    rep_raw = calibration_report(probs_raw, y_eval)
-    rep_ts = calibration_report(probs_ts, y_eval)
+    split = _num(cfg, "calibrate.split", 0.5, lo=0, hi=1)
     with RunDir(cfg["out_dir"]) as run:
+        rng = np.random.default_rng(int(cfg["seed"]) + 7)
+        perm = rng.permutation(len(target))
+        cut = max(1, min(len(target) - 1, int(round(split * len(target)))))
+        fit_idx, eval_idx = perm[:cut], perm[cut:]
+        logits = class_scores(clf, target.X)
+        temperature = fit_temperature(logits[fit_idx], target.y[fit_idx])
+        probs_raw = softmax(logits[eval_idx], axis=1)
+        probs_ts = softmax(logits[eval_idx] / temperature, axis=1)
+        y_eval = target.y[eval_idx]
+        rep_raw = calibration_report(probs_raw, y_eval)
+        rep_ts = calibration_report(probs_ts, y_eval)
         write_jsonl(
             run.path("metrics.jsonl"),
             [

@@ -23,46 +23,44 @@ SOURCE = "source"
 TARGET = "target"
 
 
-@dataclass(frozen=True)
-class Sample:
-    features: np.ndarray
-    label: int | None = None
-    domain: str = SOURCE
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        if not np.isfinite(self.features).all():
-            raise ConfigError("sample features must be finite")
-        if self.domain not in (SOURCE, TARGET):
-            raise ConfigError(f"unknown domain tag {self.domain!r}")
-
-
 class Dataset:
-    """Immutable collection of equal-dimension samples with a class count."""
+    """Read-only (n, d) features, optional labels in [0, class_count) and domain tags.
 
-    def __init__(self, samples, class_count, name=""):
-        samples = list(samples)
-        if not samples:
+    is_source holds one bool per row, or one bool for every row.
+    """
+
+    def __init__(self, X, y=None, is_source=True, class_count=0, name=""):
+        try:
+            X = np.array(X, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("dataset features must be an (n, d) numeric matrix") from None
+        if X.ndim != 2:
+            raise ConfigError(f"dataset features must be an (n, d) matrix, got shape {X.shape}")
+        n = X.shape[0]
+        if n == 0:
             raise ConfigError("dataset needs at least one sample")
-        dim = samples[0].features.shape[0]
-        for i, s in enumerate(samples):
-            if s.features.shape[0] != dim:
-                raise ConfigError(f"sample {i} has dim {s.features.shape[0]}, expected {dim}")
-            if s.label is not None and not (0 <= s.label < class_count):
-                raise ConfigError(f"sample {i} label {s.label} outside [0, {class_count})")
-        self.samples = samples
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise ConfigError(f"sample {int(np.argmin(finite))} features must be finite")
+        if y is not None:
+            y = np.array(y, dtype=int)
+            if y.shape != (n,):
+                raise ConfigError(f"expected {n} labels, got shape {y.shape}")
+            bad = np.flatnonzero((y < 0) | (y >= class_count))
+            if bad.size:
+                i = int(bad[0])
+                raise ConfigError(f"sample {i} label {y[i]} outside [0, {class_count})")
+        tags = np.array(np.broadcast_to(np.asarray(is_source, dtype=bool), (n,)))
+        for arr in (X, y, tags):
+            if arr is not None:
+                arr.flags.writeable = False
+        self._X, self._y, self._is_source = X, y, tags
         self.class_count = int(class_count)
-        self.dim = int(dim)
+        self.dim = X.shape[1]
         self.name = name
-        self._X = np.stack([s.features for s in samples])
-        self._is_source = np.array([s.domain == SOURCE for s in samples])
-        if all(s.label is not None for s in samples):
-            self._y = np.array([s.label for s in samples], dtype=int)
-        else:
-            self._y = None
 
     def __len__(self):
-        return len(self.samples)
+        return self._X.shape[0]
 
     @property
     def labeled(self):
@@ -75,7 +73,7 @@ class Dataset:
     @property
     def y(self):
         if self._y is None:
-            raise ContractError(f"dataset {self.name!r} is not fully labeled")
+            raise ContractError(f"dataset {self.name!r} is unlabeled")
         return self._y
 
     @property
@@ -83,23 +81,21 @@ class Dataset:
         return self._is_source
 
     def without_labels(self):
-        return Dataset(
-            [Sample(s.features, None, s.domain) for s in self.samples],
-            self.class_count,
-            self.name,
-        )
+        return Dataset(self._X, None, self._is_source, self.class_count, self.name)
+
+
+def _is_source(domain):
+    if domain not in (SOURCE, TARGET):
+        raise ConfigError(f"unknown domain tag {domain!r}")
+    return domain == SOURCE
 
 
 def dataset_from_arrays(X, y=None, domain=SOURCE, class_count=None, name=""):
-    X = np.asarray(X, dtype=float)
-    if y is None:
-        samples = [Sample(row, None, domain) for row in X]
-        return Dataset(samples, class_count if class_count is not None else 0, name)
-    y = np.asarray(y, dtype=int)
-    if class_count is None:
-        class_count = int(y.max()) + 1
-    samples = [Sample(row, int(lab), domain) for row, lab in zip(X, y)]
-    return Dataset(samples, class_count, name)
+    """Dataset with one domain tag for every row; class_count defaults to max(y) + 1."""
+    if y is not None and class_count is None:
+        y = np.asarray(y, dtype=int)
+        class_count = int(y.max()) + 1 if y.size else 0
+    return Dataset(X, y, _is_source(domain), class_count or 0, name)
 
 
 # ---------------------------------------------------------------------------
@@ -316,29 +312,15 @@ class AugmentationSpec:
             raise ConfigError("strong_mask_fraction must lie in [0, 1]")
 
 
-def augment(sample, spec, strength, rng):
-    """Perturb one sample: weak adds noise, strong adds noise then masks coordinates.
+def augment_batch(X, spec, strength, rng):
+    """Perturb each row: weak adds noise, strong adds noise then masks coordinates.
 
-    Deterministic given the generator state. The mask size is
-    round-half-up(strong_mask_fraction * d), applied after the noise, and
-    label/domain are preserved.
+    Deterministic given the generator state. One (n, d) normal draw comes
+    first; then, for strong, one mask draw per row in row order. The mask
+    size is round-half-up(strong_mask_fraction * d), applied after the noise.
     """
     if strength not in ("weak", "strong"):
         raise ContractError(f"unknown augmentation strength {strength!r}")
-    x = sample.features.copy()
-    d = x.shape[0]
-    std = spec.weak_noise_std if strength == "weak" else spec.strong_noise_std
-    x = x + std * rng.standard_normal(d)
-    if strength == "strong":
-        n_mask = int(spec.strong_mask_fraction * d + 0.5)
-        if n_mask > 0:
-            idx = rng.choice(d, size=n_mask, replace=False)
-            x[idx] = 0.0
-    return Sample(x, sample.label, sample.domain)
-
-
-def augment_batch(X, spec, strength, rng):
-    """Array version of augment; one rng draw pattern per row, row order fixed."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     std = spec.weak_noise_std if strength == "weak" else spec.strong_noise_std
@@ -360,11 +342,13 @@ def load_csv(path, has_label, domain=SOURCE):
 
     The last column is the integer label when has_label is true. A single
     header line is allowed and detected by a non-numeric first cell. Parse
-    errors name the 1-based file line and column.
+    errors, including non-finite cells, name the 1-based file line and
+    column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     rows = []
+    linenos = []
     start = 0
     if lines:
         first = lines[0].split(",")
@@ -388,36 +372,37 @@ def load_csv(path, has_label, domain=SOURCE):
                 values.append(float(cell))
             except ValueError:
                 raise CsvParseError(path, lineno + 1, col + 1, f"not a number: {cell!r}") from None
-        rows.append((lineno + 1, values))
+        rows.append(values)
+        linenos.append(lineno + 1)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
 
-    samples = []
-    labels = []
-    for lineno, values in rows:
-        if has_label:
-            if len(values) < 2:
-                raise CsvParseError(path, lineno, len(values), "need at least one feature and a label")
-            lab = values[-1]
-            if lab != int(lab) or lab < 0:
-                raise CsvParseError(path, lineno, len(values), f"label must be a non-negative integer, got {lab!r}")
-            labels.append(int(lab))
-            samples.append(np.array(values[:-1]))
-        else:
-            samples.append(np.array(values))
-    if has_label:
-        class_count = max(labels) + 1
-        return Dataset(
-            [Sample(x, lab, domain) for x, lab in zip(samples, labels)], class_count, name=str(path)
+    M = np.array(rows)
+    bad = np.argwhere(~np.isfinite(M))
+    if bad.size:
+        i, j = bad[0]
+        raise CsvParseError(path, linenos[i], j + 1, f"not a finite number: {float(M[i, j])!r}")
+    if not has_label:
+        return Dataset(M, None, _is_source(domain), 0, name=str(path))
+    if width < 2:
+        raise CsvParseError(path, linenos[0], width, "need at least one feature and a label")
+    labels = M[:, -1]
+    bad = np.flatnonzero((labels != np.floor(labels)) | (labels < 0))
+    if bad.size:
+        i = bad[0]
+        raise CsvParseError(
+            path, linenos[i], width, f"label must be a non-negative integer, got {float(labels[i])!r}"
         )
-    return Dataset([Sample(x, None, domain) for x in samples], 0, name=str(path))
+    y = labels.astype(int)
+    return Dataset(M[:, :-1], y, _is_source(domain), int(y.max()) + 1, name=str(path))
 
 
 def save_csv(path, dataset, include_labels=True):
     """Write a dataset in the same one-sample-per-line format load_csv reads."""
+    labels = dataset.y.tolist() if include_labels and dataset.labeled else None
     with open(path, "w", encoding="utf-8") as fh:
-        for s in dataset.samples:
-            cells = [repr(float(v)) for v in s.features]
-            if include_labels and s.label is not None:
-                cells.append(str(s.label))
+        for i, row in enumerate(dataset.X.tolist()):
+            cells = [repr(v) for v in row]
+            if labels is not None:
+                cells.append(str(labels[i]))
             fh.write(",".join(cells) + "\n")

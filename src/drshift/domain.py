@@ -56,19 +56,16 @@ def domain_logits(clf, X):
 
 def domain_forward(clf, x):
     """Source/target probabilities and the clamped density ratio for one input."""
-    z = float(domain_logits(clf, np.asarray(x, dtype=float)[None, :])[0])
-    tau_s = float(expit(z))
-    # tau_s/tau_t == exp(z) identically; evaluating exp(z) avoids 0/0 at
-    # saturated logits. tau_t is defined as the complement so the pair sums
-    # to 1 exactly.
-    lo, hi = clf.ratio_bounds
-    raw = np.exp(min(max(z, -700.0), 700.0))
-    ratio = min(max(raw, lo), hi)
-    return RatioEstimate(tau_s, 1.0 - tau_s, float(ratio), z, bool(raw < lo or raw > hi))
+    tau_s, ratio, clamped, z = (v[0] for v in domain_ratios(clf, np.asarray(x, dtype=float)[None, :]))
+    return RatioEstimate(float(tau_s), 1.0 - float(tau_s), float(ratio), float(z), bool(clamped))
 
 
 def _ratios_from_logits(clf, z):
-    """(tau_s, clamped ratio, clamped mask) from domain logits z."""
+    """(tau_s, clamped ratio, clamped mask) from domain logits z.
+
+    tau_s/tau_t == exp(z) identically; evaluating exp(z) avoids 0/0 at
+    saturated logits. tau_t is the complement 1 - tau_s.
+    """
     lo, hi = clf.ratio_bounds
     raw = np.exp(np.clip(z, -700.0, 700.0))
     clamped = (raw < lo) | (raw > hi)
@@ -92,24 +89,19 @@ def bce_loss(clf, X, is_source):
     return _bce_from_logits(domain_logits(clf, np.asarray(X, dtype=float)), is_source)
 
 
-def bce_gradient(clf, batch):
-    """Mean BCE parameter gradient over samples carrying domain tags.
-
-    The per-sample logit gradient is sigmoid(z) - 1{source}.
-    """
-    if len(batch) == 0:
-        raise ContractError("bce_gradient requires a non-empty batch")
-    X = np.stack([s.features for s in batch])
-    is_source = np.array([s.domain == "source" for s in batch], dtype=float)
-    return bce_gradient_arrays(clf, X, is_source)
-
-
 def _bce_logit_upstream(z, is_source):
     """Per-sample derivative of the BCE in the domain logit: sigmoid(z) - 1{source}."""
     return expit(z) - np.asarray(is_source, dtype=float)
 
 
 def bce_gradient_arrays(clf, X, is_source):
+    """Mean BCE parameter gradient over a batch with per-row domain tags.
+
+    The per-sample logit gradient is sigmoid(z) - 1{source}.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] == 0:
+        raise ContractError("bce_gradient_arrays requires a non-empty batch")
     acts = _forward_activations(clf.net, X)
     dz = _bce_logit_upstream(acts[-1][:, 0], is_source)
     return feature_backward_batch(clf.net, X, dz[:, None], acts=acts)

@@ -243,9 +243,7 @@ def grad_source(clf, batch, ratios, weights=None):
     gradients of dual_objective.
     """
     if hasattr(batch, "X"):
-        if not batch.labeled:
-            raise ContractError("grad_source requires a fully labeled batch")
-        X, y = batch.X, batch.y
+        X, y = batch.X, batch.y  # an unlabeled Dataset raises ContractError here
     else:
         X, y = batch
         X = np.asarray(X, dtype=float)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import brier, ece
-from .data import TARGET, Dataset, Sample
+from .data import Dataset
 from .errors import ConfigError, ContractError
 from .robust import default_classifier, target_predictions, train_end_to_end
 from .domain import default_domain_classifier
@@ -71,10 +71,14 @@ def select_pseudo(preds, portion):
 
 
 def _augmented_source(source, target, pseudo):
-    extra = [
-        Sample(target.samples[pl.target_index].features, pl.label, TARGET) for pl in pseudo
-    ]
-    return Dataset(list(source.samples) + extra, source.class_count, name=source.name)
+    idx = [pl.target_index for pl in pseudo]
+    return Dataset(
+        np.concatenate([source.X, target.X[idx]]),
+        np.concatenate([source.y, [pl.label for pl in pseudo]]),
+        np.concatenate([source.is_source, np.zeros(len(idx), dtype=bool)]),
+        source.class_count,
+        name=source.name,
+    )
 
 
 def run_drst(source, target, schedule, cfg, r=0.5, clf=None, dom=None, unit_ratio=False):
@@ -90,8 +94,6 @@ def run_drst(source, target, schedule, cfg, r=0.5, clf=None, dom=None, unit_rati
     n_pseudo, and, when the target carries evaluation labels, accuracy /
     Brier / ECE on all targets.
     """
-    if len(target) == 0:
-        raise ContractError("target dataset must be non-empty")
     if clf is None:
         clf = default_classifier(source.dim, source.class_count, seed=cfg.seed, r=r)
     if dom is None:

@@ -109,8 +109,6 @@ def run_drssl(labeled, unlabeled, cfg, r=0.5, clf=None, dom=None, unit_ratio=Fal
     evaluation labels. A non-finite theta, loss or density ratio raises
     DivergenceError.
     """
-    if len(labeled) == 0:
-        raise ContractError("labeled dataset must be non-empty")
     counts = np.bincount(labeled.y, minlength=labeled.class_count)
     if (counts == 0).any():
         raise ContractError("every class needs at least one labeled sample")

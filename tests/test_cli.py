@@ -202,3 +202,66 @@ class TestCompare:
         r1, _ = self._two_reports(tmp_path)
         assert main(["compare", r1, str(bad)]) == 2
         assert "bad.json" in capsys.readouterr().err
+
+
+def test_source_target_dimension_mismatch_is_config_error(tmp_path, capsys):
+    (tmp_path / "source.csv").write_text("1.0,2.0,0\n3.0,4.0,1\n-1.0,0.5,0\n")
+    (tmp_path / "target.csv").write_text("1.0,2.0,0\n3.0,4.0,1\n")
+    cfg_path, _ = write_config(tmp_path, data={
+        "kind": "csv", "source_path": str(tmp_path / "source.csv"),
+        "target_path": str(tmp_path / "target.csv"), "target_has_label": False,
+    })
+    assert main(["train-drl", "--config", str(cfg_path)]) == 2
+    assert "data.target_path" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,overrides,field", [
+    ("train-drl", {"model": {"ratio_bounds": ["a", 1]}}, "model.ratio_bounds"),
+    ("train-drl", {"model": {"hidden": "ab"}}, "model.hidden"),
+    ("train-drl", {"model": {"hidden": [16, 0]}}, "model.hidden"),
+    ("plugin-sim", {"plugin": {"bandwidths": ["x"]}}, "plugin.bandwidths"),
+    ("simulate", {"data": {"source_mean": "ab"}}, "data.source_mean"),
+    ("simulate", {"data": {"source_cov": [[1, 0], [0]]}}, "data.source_cov"),
+    ("simulate", {"data": {"boundary_bias": "ab"}}, "data.boundary_bias"),
+    ("drst", {"schedule": {"p0": "ab"}}, "schedule.p0"),
+    ("train-drl", {"train": {"epochs": float("inf")}}, "train.epochs"),
+])
+def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, overrides, field):
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,trainer", [
+    ("train-drl", "train_end_to_end"),
+    ("train-erm", "train_erm"),
+    ("drst", "run_drst"),
+    ("drssl", "run_drssl"),
+    ("plugin-sim", "run_plugin_simulation"),
+])
+def test_lock_is_taken_before_training(tmp_path, monkeypatch, command, trainer):
+    import drshift.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, trainer, lambda *args, **kwargs: calls.append(args))
+    cfg_path, _ = write_config(tmp_path, ssl={"labeled_count": 10})
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".lock").touch()
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert calls == []
+
+
+def test_failed_training_leaves_no_new_directory(tmp_path, monkeypatch):
+    import drshift.cli as cli
+    from drshift import ContractError
+
+    def fail(*args, **kwargs):
+        raise ContractError("rejected during training")
+
+    monkeypatch.setattr(cli, "train_end_to_end", fail)
+    cfg_path, _ = write_config(tmp_path)
+    assert main(["train-drl", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "run").exists()

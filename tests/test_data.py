@@ -5,18 +5,19 @@ from scipy.special import expit
 from drshift import (
     AugmentationSpec,
     ConfigError,
+    ContractError,
     CsvParseError,
     Dataset,
     DiscreteDomainSpec,
     GaussianShiftSpec,
     RobustClassifier,
-    Sample,
-    augment,
+    augment_batch,
     default_shift_spec,
     generate_gaussian_shift,
     identity_map,
     load_csv,
     oracle_expectations,
+    save_csv,
 )
 
 from helpers import random_discrete_instance
@@ -173,24 +174,27 @@ class TestOracle:
 
 class TestAugment:
     def test_weak_zero_noise_is_identity(self):
-        s = Sample(np.array([1.0, -2.0]), 1, "target")
+        x = np.array([[1.0, -2.0]])
         spec = AugmentationSpec(weak_noise_std=0.0, strong_noise_std=0.5)
-        out = augment(s, spec, "weak", np.random.default_rng(0))
-        np.testing.assert_array_equal(out.features, s.features)
-        assert out.label == 1 and out.domain == "target"
+        out = augment_batch(x, spec, "weak", np.random.default_rng(0))
+        np.testing.assert_array_equal(out, x)
 
     def test_full_mask_zeroes_everything(self):
-        s = Sample(np.array([3.0, 4.0, 5.0]))
+        x = np.array([[3.0, 4.0, 5.0]])
         spec = AugmentationSpec(strong_mask_fraction=1.0)
-        out = augment(s, spec, "strong", np.random.default_rng(1))
-        np.testing.assert_array_equal(out.features, np.zeros(3))
+        out = augment_batch(x, spec, "strong", np.random.default_rng(1))
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_deterministic_given_rng_state(self):
-        s = Sample(np.array([0.5, 0.5]))
+        x = np.array([[0.5, 0.5]])
         spec = AugmentationSpec(seed=3)
-        a = augment(s, spec, "strong", np.random.default_rng(42))
-        b = augment(s, spec, "strong", np.random.default_rng(42))
-        np.testing.assert_array_equal(a.features, b.features)
+        a = augment_batch(x, spec, "strong", np.random.default_rng(42))
+        b = augment_batch(x, spec, "strong", np.random.default_rng(42))
+        np.testing.assert_array_equal(a, b)
+
+    def test_unknown_strength_rejected(self):
+        with pytest.raises(ContractError):
+            augment_batch(np.zeros((1, 2)), AugmentationSpec(), "medium", np.random.default_rng(0))
 
     def test_strong_must_dominate_weak(self):
         with pytest.raises(ConfigError):
@@ -231,17 +235,80 @@ class TestCsv:
         with pytest.raises(CsvParseError):
             load_csv(p, has_label=True)
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_names_row_and_label_column(self, tmp_path, label):
+        p = tmp_path / "d.csv"
+        p.write_text(f"1.0,2.0,0\n1.0,2.0,{label}\n")
+        with pytest.raises(CsvParseError) as err:
+            load_csv(p, has_label=True)
+        assert err.value.row == 2 and err.value.column == 3
+
+    @pytest.mark.parametrize("has_label", [True, False])
+    def test_non_finite_feature_names_row_and_column(self, tmp_path, has_label):
+        p = tmp_path / "d.csv"
+        p.write_text("x1,x2,label\n1.0,2.0,0\n3.0,4.0,1\n1.0,inf,0\n")
+        with pytest.raises(CsvParseError) as err:
+            load_csv(p, has_label=has_label)
+        assert err.value.row == 4 and err.value.column == 2
+
+    def test_fractional_label_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0,0\n1.0,2.0,1.5\n")
+        with pytest.raises(CsvParseError) as err:
+            load_csv(p, has_label=True)
+        assert err.value.row == 2 and err.value.column == 3
+
+    def test_save_load_round_trip(self, tmp_path):
+        source, _, _ = generate_gaussian_shift(default_shift_spec(seed=2, n_source=30, n_target=5))
+        p = tmp_path / "d.csv"
+        save_csv(p, source)
+        back = load_csv(p, has_label=True)
+        np.testing.assert_array_equal(back.X, source.X)
+        np.testing.assert_array_equal(back.y, source.y)
+        x0, x1 = source.X[0].tolist()
+        assert p.read_text().splitlines()[0] == f"{x0!r},{x1!r},{source.y[0]}"
+
 
 class TestDataset:
     def test_mixed_dims_rejected(self):
         with pytest.raises(ConfigError):
-            Dataset([Sample(np.zeros(2)), Sample(np.zeros(3))], 2)
+            Dataset([np.zeros(2), np.zeros(3)], class_count=2)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            Dataset([Sample(np.zeros(2), 2)], 2)
+            Dataset(np.zeros((1, 2)), [2], class_count=2)
 
     def test_without_labels(self):
-        ds = Dataset([Sample(np.zeros(2), 1), Sample(np.ones(2), 0)], 2)
+        ds = Dataset(np.stack([np.zeros(2), np.ones(2)]), [1, 0], class_count=2)
         stripped = ds.without_labels()
         assert ds.labeled and not stripped.labeled
+
+    def test_empty_and_non_matrix_rejected(self):
+        for X in [np.zeros((0, 2)), np.zeros(3), np.zeros((2, 2, 2))]:
+            with pytest.raises(ConfigError):
+                Dataset(X)
+
+    def test_non_finite_feature_names_first_bad_row(self):
+        X = np.zeros((4, 2))
+        X[2, 1] = np.nan
+        X[3, 0] = np.inf
+        with pytest.raises(ConfigError, match="sample 2"):
+            Dataset(X)
+
+    def test_unlabeled_y_is_contract_error(self):
+        with pytest.raises(ContractError):
+            Dataset(np.zeros((2, 2))).y
+
+    def test_scalar_domain_tag_broadcasts(self):
+        ds = Dataset(np.zeros((3, 2)), is_source=False)
+        assert ds.is_source.shape == (3,) and not ds.is_source.any()
+        mixed = Dataset(np.zeros((2, 2)), is_source=[True, False])
+        np.testing.assert_array_equal(mixed.is_source, [True, False])
+
+    def test_arrays_are_read_only_copies(self):
+        X = np.zeros((2, 2))
+        ds = Dataset(X, [0, 1], class_count=2)
+        X[0, 0] = 5.0
+        assert ds.X[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            ds.X[0, 0] = 1.0

@@ -4,8 +4,6 @@ from scipy.special import logsumexp, softmax
 
 from drshift import (
     ContractError,
-    Sample,
-    bce_gradient,
     bce_loss,
     default_domain_classifier,
     domain_forward,
@@ -59,8 +57,8 @@ class TestBce:
         # with a single-layer net the bias gradient equals the mean logit
         # gradient sigmoid(z) - 1{source}
         clf = zero_logit_classifier(1)
-        g_src = bce_gradient(clf, [Sample(np.zeros(1), None, "source")])
-        g_tgt = bce_gradient(clf, [Sample(np.zeros(1), None, "target")])
+        g_src = bce_gradient_arrays(clf, np.zeros((1, 1)), [1.0])
+        g_tgt = bce_gradient_arrays(clf, np.zeros((1, 1)), [0.0])
         assert g_src.layers[0][1][0] == pytest.approx(-0.5, abs=1e-12)
         assert g_tgt.layers[0][1][0] == pytest.approx(0.5, abs=1e-12)
 
@@ -75,7 +73,7 @@ class TestBce:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
-            bce_gradient(zero_logit_classifier(), [])
+            bce_gradient_arrays(zero_logit_classifier(), np.zeros((0, 2)), np.zeros(0))
 
     def test_separating_classifier_gradient_vanishes(self):
         X = np.array([[1.0], [-1.0]])
