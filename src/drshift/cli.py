@@ -78,16 +78,30 @@ class _Parser(argparse.ArgumentParser):
 # Config handling
 
 
-def _lookup(cfg, path, default):
+def _section(cfg, path):
+    """The JSON object at a dotted path; {} where the path is absent."""
     node = cfg
     parts = path.split(".")
-    for i, p in enumerate(parts[:-1]):
+    for i, p in enumerate(parts):
         node = node.get(p, {})
         if not isinstance(node, dict):
             raise ConfigError(f"{'.'.join(parts[:i + 1])}: expected an object, got {node!r}")
-    val = node.get(parts[-1], default)
+    return node
+
+
+def _lookup(cfg, path, default):
+    section, _, key = path.rpartition(".")
+    val = (_section(cfg, section) if section else cfg).get(key, default)
     if val is None:
         raise ConfigError(f"{path}: required value missing")
+    return val
+
+
+def _path(cfg, path):
+    """A required file or directory path: a non-empty string."""
+    val = _lookup(cfg, path, None)
+    if not isinstance(val, str) or not val:
+        raise ConfigError(f"{path}: expected a non-empty path string, got {val!r}")
     return val
 
 
@@ -145,23 +159,22 @@ def load_config(path, seed_override=None, out_override=None):
     if "seed" not in cfg:
         raise ConfigError("seed: required value missing")
     _num(cfg, "seed", integer=True)
-    if not cfg.get("out_dir"):
-        raise ConfigError("out_dir: required value missing")
+    _path(cfg, "out_dir")
     return cfg
 
 
 def _data_spec(cfg):
-    data = cfg.get("data", {})
-    kind = data.get("kind", "gaussian")
+    kind = _section(cfg, "data").get("kind", "gaussian")
     seed = int(cfg["seed"])
     if kind == "csv":
-        for key in ("source_path", "target_path"):
-            p = data.get(key)
-            if not p:
-                raise ConfigError(f"data.{key}: required for csv data")
+        paths = {key: _path(cfg, f"data.{key}") for key in ("source_path", "target_path")}
+        for key, p in paths.items():
             if not os.path.exists(p):
                 raise ConfigError(f"data.{key}: no such file {p}")
-        return ("csv", data)
+        has_label = _lookup(cfg, "data.target_has_label", True)
+        if not isinstance(has_label, bool):
+            raise ConfigError(f"data.target_has_label: expected true or false, got {has_label!r}")
+        return ("csv", {**paths, "target_has_label": has_label})
     if kind != "gaussian":
         raise ConfigError(f"data.kind: unknown kind {kind!r}")
     base = default_shift_spec(seed=seed)
@@ -185,9 +198,7 @@ def _load_datasets(cfg):
         source, target, _ = generate_gaussian_shift(spec)
         return source, target
     source = load_csv(spec["source_path"], has_label=True, domain="source")
-    target = load_csv(
-        spec["target_path"], has_label=bool(spec.get("target_has_label", True)), domain="target"
-    )
+    target = load_csv(spec["target_path"], has_label=spec["target_has_label"], domain="target")
     if source.dim != target.dim:
         raise ConfigError(
             f"data.target_path: target has {target.dim} features, source has {source.dim}"
@@ -216,9 +227,9 @@ def _build_models(cfg, recipe, dim, class_count):
         raise ConfigError("model.ratio_bounds: expected [min, max]")
     r = _num(cfg, "model.r", recipe["r"], lo=0, hi=1)
     sizes = {}
-    if "hidden" in cfg.get("model", {}):
+    if "hidden" in _section(cfg, "model"):
         sizes["hidden"] = _num_list(cfg, "model.hidden", lo=1, integer=True)
-    if "feature_dim" in cfg.get("model", {}):
+    if "feature_dim" in _section(cfg, "model"):
         sizes["feature_dim"] = _num(cfg, "model.feature_dim", lo=1, integer=True)
     seed = int(cfg["seed"])
     clf = default_classifier(dim, class_count, seed=seed + 100, r=r, ratio_bounds=bounds, **sizes)
@@ -454,10 +465,7 @@ def cmd_plugin_sim(cfg):
 
 
 def cmd_calibrate(cfg):
-    cal = cfg.get("calibrate", {})
-    ckpt_path = cal.get("checkpoint")
-    if not ckpt_path:
-        raise ConfigError("calibrate.checkpoint: required value missing")
+    ckpt_path = _path(cfg, "calibrate.checkpoint")
     if not os.path.exists(ckpt_path):
         raise ConfigError(f"calibrate.checkpoint: no such file {ckpt_path}")
     with open(ckpt_path, "r", encoding="utf-8") as fh:

@@ -16,6 +16,11 @@ from .errors import ConfigError, ContractError
 from .features import bias_map
 from .robust import RobustClassifier, _Momentum, grad_source, predict_proba
 
+# Query rows x training points per block of the pairwise pass in
+# kde_log_density. Its (rows, n, d) buffers then hold 8192 * d floats
+# (128 KiB at d = 2), which keeps the peak memory of plugin-sim flat.
+_BLOCK_PAIRS = 8192
+
 
 @dataclass
 class KdeModel:
@@ -25,8 +30,8 @@ class KdeModel:
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.bandwidth <= 0:
-            raise ConfigError("bandwidth must be positive")
+        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         if not np.isfinite(self.points).all():
             raise ConfigError("KDE training points must be finite")
         if self.points.shape[1] != self.dim:
@@ -41,28 +46,41 @@ def fit_kde(points, bandwidth):
 def kde_log_density(model, x):
     """Log of the isotropic-Gaussian mixture density at x.
 
-    The per-point exponents are sorted before the log-sum-exp so the result
+    A (d,) query returns a float and an (m, d) matrix returns an (m,) array;
+    both go through the same blocked pairwise pass, so row i of the matrix
+    result equals the single-query result for row i bitwise. The per-point
+    exponents of each query are sorted before the log-sum-exp so the result
     is bitwise invariant to the order of the training points.
     """
-    if model.points.shape[0] == 0:
+    n, d = model.points.shape
+    if n == 0:
         raise ContractError("KDE model has no points")
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise ContractError(f"query must have dim {model.dim}")
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ContractError(f"query must have dim {d}, got shape {x.shape}")
+    queries = np.atleast_2d(x)
     h2 = model.bandwidth**2
-    sq = ((model.points - x) ** 2).sum(axis=1)
-    exponents = np.sort(-sq / (2.0 * h2))
-    n, d = model.points.shape
-    return float(logsumexp(exponents) - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * h2))
+    lse = np.empty(queries.shape[0])
+    # Differences, not the |x|^2 + |p|^2 - 2 x.p expansion: the expansion
+    # cancels badly at small bandwidths and is not bitwise equal.
+    step = max(1, _BLOCK_PAIRS // n)
+    for start in range(0, queries.shape[0], step):
+        q = queries[start:start + step]
+        sq = ((model.points[None] - q[:, None]) ** 2).sum(axis=2)
+        lse[start:start + step] = logsumexp(np.sort(-sq / (2.0 * h2), axis=1), axis=1)
+    out = lse - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * h2)
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def plugin_ratio(kde_source, kde_target, x, bounds=DEFAULT_RATIO_BOUNDS):
-    """Clamped exp(log p_s(x) - log p_t(x))."""
+    """Clamped exp(log p_s(x) - log p_t(x)): a float for a (d,) query, an
+    (m,) array for an (m, d) matrix."""
     if kde_source.dim != kde_target.dim:
         raise ContractError("source and target KDE dims differ")
     lo, hi = bounds
     log_r = kde_log_density(kde_source, x) - kde_log_density(kde_target, x)
-    return float(min(max(np.exp(min(max(log_r, -700.0), 700.0)), lo), hi))
+    r = np.minimum(np.maximum(np.exp(np.minimum(np.maximum(log_r, -700.0), 700.0)), lo), hi)
+    return float(r) if np.ndim(r) == 0 else r
 
 
 def _split(n, frac, rng):
@@ -106,12 +124,12 @@ def run_plugin_simulation(spec, bandwidths, train_frac=0.8, bounds=DEFAULT_RATIO
     for h in bandwidths:
         kde_s = fit_kde(Xs[tr_s], h)
         kde_t = fit_kde(Xt[tr_t], h)
-        ll_s = float(np.mean([kde_log_density(kde_s, x) for x in Xs[ho_s]]))
-        ll_t = float(np.mean([kde_log_density(kde_t, x) for x in Xt[ho_t]]))
+        ll_s = float(np.mean(kde_log_density(kde_s, Xs[ho_s])))
+        ll_t = float(np.mean(kde_log_density(kde_t, Xt[ho_t])))
 
-        ratios_src = np.array([plugin_ratio(kde_s, kde_t, x, bounds) for x in Xs])
+        ratios_src = plugin_ratio(kde_s, kde_t, Xs, bounds)
         clf = _train_frozen_feature_model(Xs, ys, ratios_src, source.class_count, bounds=bounds)
-        ratios_tgt = np.array([plugin_ratio(kde_s, kde_t, x, bounds) for x in Xt])
+        ratios_tgt = plugin_ratio(kde_s, kde_t, Xt, bounds)
         probs, _ = predict_proba(clf, Xt, ratios_tgt)
         logloss = float(-np.log(np.maximum(probs[np.arange(len(yt)), yt], 1e-300)).mean())
         rows.append(

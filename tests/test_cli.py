@@ -265,3 +265,39 @@ def test_failed_training_leaves_no_new_directory(tmp_path, monkeypatch):
     cfg_path, _ = write_config(tmp_path)
     assert main(["train-drl", "--config", str(cfg_path)]) == 2
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,overrides,field", [
+    ("simulate", {"data": "ab"}, "data"),
+    ("train-drl", {"model": "hidden"}, "model"),
+    ("calibrate", {"calibrate": "ab"}, "calibrate"),
+    ("calibrate", {"calibrate": {"checkpoint": 5}}, "calibrate.checkpoint"),
+    ("calibrate", {"calibrate": {"checkpoint": ""}}, "calibrate.checkpoint"),
+    ("train-drl", {"out_dir": 5}, "out_dir"),
+    ("train-drl", {"data": {"kind": "csv", "source_path": 5, "target_path": "t.csv"}},
+     "data.source_path"),
+    ("train-drl", {"data": {"kind": "csv", "source_path": "s.csv", "target_path": ["t.csv"]}},
+     "data.target_path"),
+])
+def test_mistyped_section_or_path_is_config_error(tmp_path, monkeypatch, capsys, command,
+                                                  overrides, field):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text("1.0,2.0,0\n3.0,4.0,1\n")
+    (tmp_path / "t.csv").write_text("1.0,2.0,0\n3.0,4.0,1\n")
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "s.csv", "t.csv"]
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_target_has_label_must_be_boolean(tmp_path, capsys, value):
+    (tmp_path / "source.csv").write_text("1.0,2.0,0\n3.0,4.0,1\n-1.0,0.5,0\n")
+    (tmp_path / "target.csv").write_text("1.0,2.0\n3.0,4.0\n")
+    cfg_path, _ = write_config(tmp_path, data={
+        "kind": "csv", "source_path": str(tmp_path / "source.csv"),
+        "target_path": str(tmp_path / "target.csv"), "target_has_label": value,
+    })
+    assert main(["train-erm", "--config", str(cfg_path)]) == 2
+    assert "data.target_has_label" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

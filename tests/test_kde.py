@@ -1,9 +1,27 @@
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
+from scipy.special import logsumexp
 
-from drshift import ContractError, default_shift_spec, fit_kde, kde_log_density, plugin_ratio
+from drshift import (
+    ConfigError,
+    ContractError,
+    default_shift_spec,
+    fit_kde,
+    kde_log_density,
+    plugin_ratio,
+)
 from drshift.data import GaussianShiftSpec
-from drshift.kde import run_plugin_simulation
+from drshift.kde import _BLOCK_PAIRS, run_plugin_simulation
+
+
+def per_query_log_density(model, x):
+    """The single-query formula the matrix path must reproduce bitwise."""
+    h2 = model.bandwidth**2
+    sq = ((model.points - x) ** 2).sum(axis=1)
+    exponents = np.sort(-sq / (2.0 * h2))
+    n, d = model.points.shape
+    return float(logsumexp(exponents) - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * h2))
 
 
 class TestLogDensity:
@@ -29,7 +47,7 @@ class TestLogDensity:
         model = fit_kde(rng.normal(size=(40, 1)), 0.4)
         xs = np.linspace(-8, 8, 4001)
         dens = np.exp([kde_log_density(model, np.array([x])) for x in xs])
-        mass = np.trapezoid(dens, xs)
+        mass = trapezoid(dens, xs)
         assert mass == pytest.approx(1.0, abs=1e-3)
 
     def test_bitwise_permutation_invariance(self):
@@ -43,6 +61,66 @@ class TestLogDensity:
     def test_dim_mismatch(self):
         with pytest.raises(ContractError):
             kde_log_density(fit_kde(np.zeros((3, 2)), 1.0), np.zeros(3))
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ConfigError, match="bandwidth"):
+            fit_kde(np.zeros((3, 2)), bandwidth)
+
+
+class TestMatrixQueries:
+    # n points and m queries chosen against the block of _BLOCK_PAIRS pairs:
+    # several blocks with a partial last one, and n above the block (one
+    # query per block).
+    @pytest.mark.parametrize("n,m", [
+        (400, 2 * (_BLOCK_PAIRS // 400) + 7),
+        (2000, 3 * (_BLOCK_PAIRS // 2000) + 1),
+        (_BLOCK_PAIRS + 5, 3),
+    ])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_equal_single_queries_bitwise(self, n, m, d):
+        rng = np.random.default_rng(10 * d + n % 97)
+        for h in (0.05, 0.7):
+            model = fit_kde(rng.normal(size=(n, d)), h)
+            Q = 2.0 * rng.normal(size=(m, d))
+            out = kde_log_density(model, Q)
+            assert out.shape == (m,)
+            single = np.array([kde_log_density(model, q) for q in Q])
+            formula = np.array([per_query_log_density(model, q) for q in Q])
+            assert out.tobytes() == single.tobytes() == formula.tobytes()
+
+    def test_matrix_path_is_permutation_invariant(self):
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(50, 2))
+        Q = rng.normal(size=(30, 2))
+        a = kde_log_density(fit_kde(pts, 0.4), Q)
+        b = kde_log_density(fit_kde(pts[rng.permutation(50)], 0.4), Q)
+        assert a.tobytes() == b.tobytes()
+
+    def test_plugin_ratio_rows_equal_single_queries(self):
+        rng = np.random.default_rng(12)
+        ks = fit_kde(rng.normal(size=(40, 1)), 0.1)
+        kt = fit_kde(rng.normal(size=(40, 1)) + 0.5, 0.1)
+        bounds = (1e-2, 1e2)
+        Q = np.concatenate([rng.normal(size=(20, 1)), [[-3.0], [4.0]]])
+        out = plugin_ratio(ks, kt, Q, bounds)
+        single = np.array([plugin_ratio(ks, kt, q, bounds) for q in Q])
+        assert out.tobytes() == single.tobytes()
+        assert out.min() == bounds[0] and out.max() == bounds[1]
+        assert ((out > bounds[0]) & (out < bounds[1])).any()
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2, 4, 2), ()])
+    def test_wrong_shape_rejected(self, shape):
+        model = fit_kde(np.zeros((3, 2)), 1.0)
+        with pytest.raises(ContractError):
+            kde_log_density(model, np.zeros(shape))
+        with pytest.raises(ContractError):
+            plugin_ratio(model, model, np.zeros(shape))
+
+    def test_empty_matrix_gives_empty_result(self):
+        model = fit_kde(np.ones((3, 2)), 1.0)
+        assert kde_log_density(model, np.zeros((0, 2))).shape == (0,)
+        assert plugin_ratio(model, model, np.zeros((0, 2))).shape == (0,)
 
 
 class TestPluginRatio:
