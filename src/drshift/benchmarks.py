@@ -1,11 +1,16 @@
-"""Canonical recipes for the 2-D covariate-shift benchmark.
+"""Canonical recipes for the 2-D covariate-shift benchmark, and the builders
+that turn a recipe into a run.
 
-These are the default experiment configurations the CLI runs and the
+The recipes are the default experiment configurations the CLI runs and the
 acceptance suite checks. Each method carries its own training recipe; the
 shared data spec is the default Gaussian shift. The ratio clamp differs by
 recipe: the calibration run keeps the wide default clamp, while the
 self-training and semi-supervised loops clamp near 1, which is the regime
 where ratio-weighted gradient updates stay stable at this scale.
+
+The builders below apply every default and seed offset a recipe does not
+hold; the CLI calls them with its config laid over a recipe, the trials
+with the recipes as they are.
 """
 
 from __future__ import annotations
@@ -72,15 +77,58 @@ SEMI_SUP_RECIPE = {
 }
 
 
+def _pick(recipe, keys):
+    return {key: recipe[key] for key in keys if key in recipe}
+
+
 def _train_config(recipe, seed):
-    return TrainConfig(
-        lr_domain=recipe["lr_domain"],
-        lr_model=recipe["lr_model"],
-        momentum=recipe["momentum"],
-        batch_size=recipe["batch_size"],
-        epochs=recipe["epochs"],
-        seed=seed,
+    """TrainConfig of a recipe; batches shuffle at seed, and keys the recipe
+    omits keep the TrainConfig defaults."""
+    keys = ("lr_domain", "lr_model", "momentum", "batch_size", "epochs", "domain_update_period")
+    return TrainConfig(**_pick(recipe, keys), seed=seed)
+
+
+def ssl_config(recipe, base):
+    """SslConfig of a recipe over the TrainConfig base; its augmentation
+    stream draws at base.seed + 60."""
+    return SslConfig(
+        threshold=recipe["threshold"],
+        unlabeled_batch=recipe["unlabeled_batch"],
+        loss_weight=recipe["loss_weight"],
+        augmentation=AugmentationSpec(
+            weak_noise_std=recipe["weak_noise_std"],
+            strong_noise_std=recipe["strong_noise_std"],
+            strong_mask_fraction=recipe["strong_mask_fraction"],
+            seed=base.seed + 60,
+        ),
+        base=base,
     )
+
+
+def self_train_schedule(recipe):
+    """SelfTrainSchedule of a recipe; keys it omits keep the schedule defaults."""
+    return SelfTrainSchedule(**_pick(recipe, ("p0", "dp", "pmax", "rounds")))
+
+
+def initial_models(recipe, dim, class_count, seed):
+    """Initial classifier (initialised at seed) and domain net (at seed + 1),
+    both clamped to the recipe's ratio bounds."""
+    bounds = tuple(recipe["ratio_bounds"])
+    clf = default_classifier(
+        dim, class_count, seed=seed, r=recipe["r"], ratio_bounds=bounds,
+        **_pick(recipe, ("hidden", "feature_dim")),
+    )
+    return clf, default_domain_classifier(dim, seed=seed + 1, ratio_bounds=bounds)
+
+
+def temperature_split(logits, labels, seed, split):
+    """Temperature fitted on the first round(split * n) rows (at least 1, at
+    most n - 1) of a permutation drawn at seed + 7, and the remaining eval rows."""
+    n = len(labels)
+    perm = np.random.default_rng(seed + 7).permutation(n)
+    cut = max(1, min(n - 1, int(round(split * n))))
+    fit_idx = perm[:cut]
+    return fit_temperature(logits[fit_idx], labels[fit_idx]), perm[cut:]
 
 
 def class_balanced_subset(dataset, n_total, seed):
@@ -101,117 +149,69 @@ def class_balanced_subset(dataset, n_total, seed):
     return dataset_from_arrays(dataset.X[idxs], dataset.y[idxs], SOURCE, dataset.class_count)
 
 
-def calibration_trial(seed, recipe=None, n_bins=5):
+def calibration_trial(seed):
     """Train the robust model and the source-only baseline on one seeded shift.
 
     Temperature scaling is fit on half of the labeled target data; every
-    model is scored on the other half. Returns per-model CalibrationReports
-    plus the fitted temperature.
+    model is scored on the other half. Returns per-model CalibrationReports.
     """
-    recipe = recipe or CALIBRATION_RECIPE
+    recipe = CALIBRATION_RECIPE
     source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
     cfg = _train_config(recipe, seed)
-    clf0 = default_classifier(
-        source.dim, source.class_count, seed=seed + 100, r=recipe["r"],
-        ratio_bounds=recipe["ratio_bounds"],
-    )
-    dom0 = default_domain_classifier(
-        source.dim, seed=seed + 101, ratio_bounds=recipe["ratio_bounds"]
-    )
-    clf, dom, history = train_end_to_end(source, target, clf0, dom0, cfg)
+    clf0, dom0 = initial_models(recipe, source.dim, source.class_count, seed + 100)
+    clf, dom, _ = train_end_to_end(source, target, clf0, dom0, cfg)
     erm, _ = train_erm(source, cfg)
 
-    rng = np.random.default_rng(seed + 7)
-    perm = rng.permutation(len(target))
-    half = len(target) // 2
-    fit_idx, eval_idx = perm[:half], perm[half:]
     logits = class_scores(erm, target.X)
-    temperature = fit_temperature(logits[fit_idx], target.y[fit_idx])
-
+    temperature, eval_idx = temperature_split(logits, target.y, seed, 0.5)
     probs_drl, _ = target_predictions(clf, dom, target)
     probs_erm, _ = target_predictions(erm, None, target)
     probs_ts = softmax(logits[eval_idx] / temperature, axis=1)
     y_eval = target.y[eval_idx]
     return {
-        "drl": calibration_report(probs_drl[eval_idx], y_eval, n_bins),
-        "erm": calibration_report(probs_erm[eval_idx], y_eval, n_bins),
-        "ts": calibration_report(probs_ts, y_eval, n_bins),
-        "temperature": temperature,
-        "models": (clf, dom, erm),
-        "history": history,
-        "target": target,
-        "eval_idx": eval_idx,
+        "drl": calibration_report(probs_drl[eval_idx], y_eval),
+        "erm": calibration_report(probs_erm[eval_idx], y_eval),
+        "ts": calibration_report(probs_ts, y_eval),
     }
 
 
-def erm_baseline(seed, recipe=None):
+def erm_baseline(seed):
     """Source-only baseline trained with the calibration recipe, scored on
     the full target set."""
-    recipe = recipe or CALIBRATION_RECIPE
     source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
-    cfg = _train_config(recipe, seed)
-    erm, _ = train_erm(source, cfg)
+    erm, _ = train_erm(source, _train_config(CALIBRATION_RECIPE, seed))
     probs, _ = target_predictions(erm, None, target)
-    return {"report": calibration_report(probs, target.y), "model": erm, "target": target}
+    return {"report": calibration_report(probs, target.y)}
 
 
-def self_training_trial(seed, variant="full", recipe=None):
-    """One seeded self-training run; variant is full, unit_ratio, or no_reg."""
-    recipe = recipe or SELF_TRAIN_RECIPE
+def self_training_trial(seed, variant="full"):
+    """One seeded self-training run; variant is full, unit_ratio (no domain
+    net, all ratios 1), or no_reg (r = 0)."""
+    recipe = SELF_TRAIN_RECIPE
+    if variant == "no_reg":
+        recipe = {**recipe, "r": 0.0}
     source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
+    clf0, dom0 = initial_models(recipe, source.dim, source.class_count, seed)
+    dom0 = None if variant == "unit_ratio" else dom0
     cfg = _train_config(recipe, seed)
-    r = 0.0 if variant == "no_reg" else recipe["r"]
-    unit_ratio = variant == "unit_ratio"
-    clf0 = default_classifier(
-        source.dim, source.class_count, seed=seed, r=r, ratio_bounds=recipe["ratio_bounds"]
-    )
-    dom0 = default_domain_classifier(source.dim, seed=seed + 1, ratio_bounds=recipe["ratio_bounds"])
-    schedule = SelfTrainSchedule(rounds=recipe["rounds"])
-    clf, dom, history = run_drst(
-        source, target, schedule, cfg, r=r, clf=clf0, dom=dom0, unit_ratio=unit_ratio
-    )
-    probs, _ = target_predictions(clf, dom, target, unit_ratio=unit_ratio)
-    return {
-        "report": calibration_report(probs, target.y),
-        "history": history,
-        "models": (clf, dom),
-        "target": target,
-    }
+    clf, dom, _ = run_drst(source, target, self_train_schedule(recipe), cfg, clf0, dom0)
+    probs, _ = target_predictions(clf, dom, target)
+    return {"report": calibration_report(probs, target.y)}
 
 
-def semi_supervised_trial(seed, baseline=False, recipe=None):
+def semi_supervised_trial(seed, baseline=False):
     """One seeded consistency-training run with few labeled source samples.
 
-    baseline=True runs the identical loop with unit ratios and r = 0, i.e.
-    plain softmax confidences.
+    baseline=True runs the identical loop with no domain net (unit ratios)
+    and r = 0, i.e. plain softmax confidences.
     """
-    recipe = recipe or SEMI_SUP_RECIPE
+    recipe = SEMI_SUP_RECIPE
+    if baseline:
+        recipe = {**recipe, "r": 0.0}
     source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
     labeled = class_balanced_subset(source, recipe["labeled_count"], seed + 50)
-    cfg = SslConfig(
-        threshold=recipe["threshold"],
-        unlabeled_batch=recipe["unlabeled_batch"],
-        loss_weight=recipe["loss_weight"],
-        augmentation=AugmentationSpec(
-            weak_noise_std=recipe["weak_noise_std"],
-            strong_noise_std=recipe["strong_noise_std"],
-            strong_mask_fraction=recipe["strong_mask_fraction"],
-            seed=seed + 60,
-        ),
-        base=_train_config(recipe, seed),
-    )
-    r = 0.0 if baseline else recipe["r"]
-    clf0 = default_classifier(
-        source.dim, source.class_count, seed=seed, r=r, ratio_bounds=recipe["ratio_bounds"]
-    )
-    dom0 = default_domain_classifier(source.dim, seed=seed + 1, ratio_bounds=recipe["ratio_bounds"])
-    clf, dom, history = run_drssl(
-        labeled, target, cfg, r=r, clf=clf0, dom=dom0, unit_ratio=baseline
-    )
-    probs, _ = target_predictions(clf, dom, target, unit_ratio=baseline)
-    return {
-        "report": calibration_report(probs, target.y),
-        "history": history,
-        "models": (clf, dom),
-        "target": target,
-    }
+    clf0, dom0 = initial_models(recipe, source.dim, source.class_count, seed)
+    cfg = ssl_config(recipe, _train_config(recipe, seed))
+    clf, dom, _ = run_drssl(labeled, target, cfg, clf0, None if baseline else dom0)
+    probs, _ = target_predictions(clf, dom, target)
+    return {"report": calibration_report(probs, target.y)}

@@ -10,10 +10,16 @@ a model is trained. A run either completes all its files or removes the
 partial ones. Each command checks its config and loads its data before it
 takes the output directory's lock, and trains only after that.
 
+A training command lays the config fields it reads (_OVERLAY) over a
+canonical recipe and builds the run with the drshift.benchmarks builders
+the acceptance trials use; a field neither sets keeps the builder default.
+
 All randomness derives from the single top-level seed by fixed offsets:
-data generation uses seed, classifier init seed+100, domain-net init
-seed+101, batch shuffling seed, the temperature-scaling split seed+7, the
-labeled-subset draw seed+50, augmentation seed+60.
+data generation uses seed, classifier init seed+100 and domain-net init
+seed+101 (_training_run), batch shuffling seed (_train_config), the
+temperature-scaling split seed+7 (temperature_split), the labeled-subset
+draw seed+50 (cmd_drssl), augmentation seed+60 (ssl_config) and the
+plug-in holdout split seed+1 (run_plugin_simulation).
 
 Exit codes: 0 success, 2 config error, 3 numeric divergence, 64 usage
 error.
@@ -35,32 +41,33 @@ from .benchmarks import (
     CALIBRATION_RECIPE,
     SELF_TRAIN_RECIPE,
     SEMI_SUP_RECIPE,
+    _train_config,
     class_balanced_subset,
+    initial_models,
+    self_train_schedule,
+    ssl_config,
+    temperature_split,
 )
-from .calibration import calibration_report, fit_temperature, nll
+from .calibration import calibration_report, nll
 from .data import (
-    AugmentationSpec,
     GaussianShiftSpec,
     default_shift_spec,
     generate_gaussian_shift,
     load_csv,
     save_csv,
 )
-from .domain import default_domain_classifier
 from .errors import ConfigError, ContractError, CsvParseError, DivergenceError
 from .kde import run_plugin_simulation
 from .robust import (
-    TrainConfig,
     checkpoint_from_json,
     checkpoint_to_json,
     class_scores,
-    default_classifier,
     target_predictions,
     train_end_to_end,
     train_erm,
 )
-from .selftrain import SelfTrainSchedule, run_drst
-from .semisup import SslConfig, run_drssl
+from .selftrain import run_drst
+from .semisup import run_drssl
 
 TOOL_VERSION = f"drshift {__version__}"
 
@@ -102,6 +109,14 @@ def _path(cfg, path):
     val = _lookup(cfg, path, None)
     if not isinstance(val, str) or not val:
         raise ConfigError(f"{path}: expected a non-empty path string, got {val!r}")
+    return val
+
+
+def _file(cfg, path):
+    """A required path naming an existing regular file."""
+    val = _path(cfg, path)
+    if not os.path.isfile(val):
+        raise ConfigError(f"{path}: no such file {val}")
     return val
 
 
@@ -167,10 +182,7 @@ def _data_spec(cfg):
     kind = _section(cfg, "data").get("kind", "gaussian")
     seed = int(cfg["seed"])
     if kind == "csv":
-        paths = {key: _path(cfg, f"data.{key}") for key in ("source_path", "target_path")}
-        for key, p in paths.items():
-            if not os.path.exists(p):
-                raise ConfigError(f"data.{key}: no such file {p}")
+        paths = {key: _file(cfg, f"data.{key}") for key in ("source_path", "target_path")}
         has_label = _lookup(cfg, "data.target_has_label", True)
         if not isinstance(has_label, bool):
             raise ConfigError(f"data.target_has_label: expected true or false, got {has_label!r}")
@@ -206,35 +218,62 @@ def _load_datasets(cfg):
     return source, target
 
 
-def _train_config(cfg, recipe):
-    return TrainConfig(
-        lr_domain=_num(cfg, "train.lr_domain", recipe["lr_domain"], lo=0, strict=True),
-        lr_model=_num(cfg, "train.lr_model", recipe["lr_model"], lo=0, strict=True),
-        momentum=_num(cfg, "train.momentum", recipe["momentum"], lo=0),
-        batch_size=_num(cfg, "train.batch_size", recipe["batch_size"], lo=1, integer=True),
-        epochs=_num(cfg, "train.epochs", recipe["epochs"], lo=0, integer=True),
-        domain_update_period=_num(
-            cfg, "train.domain_update_period", TrainConfig.domain_update_period, lo=1, integer=True
-        ),
-        seed=int(cfg["seed"]),
-    )
+# Recipe key -> the config field that overrides it, its reader and checks.
+# A command reads only the fields of the sections it passes to _recipe.
+_OVERLAY = {
+    "lr_domain": ("train.lr_domain", _num, {"lo": 0, "strict": True}),
+    "lr_model": ("train.lr_model", _num, {"lo": 0, "strict": True}),
+    "momentum": ("train.momentum", _num, {"lo": 0}),
+    "batch_size": ("train.batch_size", _num, {"lo": 1, "integer": True}),
+    "epochs": ("train.epochs", _num, {"lo": 0, "integer": True}),
+    "domain_update_period": ("train.domain_update_period", _num, {"lo": 1, "integer": True}),
+    "ratio_bounds": ("model.ratio_bounds", _num_list, {}),
+    "r": ("model.r", _num, {"lo": 0, "hi": 1}),
+    "hidden": ("model.hidden", _num_list, {"lo": 1, "integer": True}),
+    "feature_dim": ("model.feature_dim", _num, {"lo": 1, "integer": True}),
+    "p0": ("schedule.p0", _num, {"lo": 0, "hi": 1}),
+    "dp": ("schedule.dp", _num, {"lo": 0}),
+    "pmax": ("schedule.pmax", _num, {"lo": 0, "hi": 1}),
+    "rounds": ("schedule.rounds", _num, {"lo": 0, "integer": True}),
+    "labeled_count": ("ssl.labeled_count", _num, {"lo": 1, "integer": True}),
+    "threshold": ("ssl.threshold", _num, {"lo": 0, "hi": 1}),
+    "unlabeled_batch": ("ssl.unlabeled_batch", _num, {"lo": 1, "integer": True}),
+    "loss_weight": ("ssl.loss_weight", _num, {"lo": 0}),
+    "weak_noise_std": ("ssl.augmentation.weak_noise_std", _num, {"lo": 0}),
+    "strong_noise_std": ("ssl.augmentation.strong_noise_std", _num, {"lo": 0}),
+    "strong_mask_fraction": ("ssl.augmentation.strong_mask_fraction", _num, {"lo": 0, "hi": 1}),
+}
 
 
-def _build_models(cfg, recipe, dim, class_count):
-    """Initial classifier and domain net, plus r; sizes the config omits keep their defaults."""
-    bounds = tuple(_num_list(cfg, "model.ratio_bounds", list(recipe["ratio_bounds"])))
-    if len(bounds) != 2:
+def _recipe(cfg, recipe, sections):
+    """The recipe with the config fields of the named top-level sections laid over it."""
+    out = dict(recipe)
+    for key, (path, read, checks) in _OVERLAY.items():
+        section, _, field = path.rpartition(".")
+        if section.split(".")[0] in sections and field in _section(cfg, section):
+            out[key] = read(cfg, path, **checks)
+    if len(out["ratio_bounds"]) != 2:
         raise ConfigError("model.ratio_bounds: expected [min, max]")
-    r = _num(cfg, "model.r", recipe["r"], lo=0, hi=1)
-    sizes = {}
-    if "hidden" in _section(cfg, "model"):
-        sizes["hidden"] = _num_list(cfg, "model.hidden", lo=1, integer=True)
-    if "feature_dim" in _section(cfg, "model"):
-        sizes["feature_dim"] = _num(cfg, "model.feature_dim", lo=1, integer=True)
-    seed = int(cfg["seed"])
-    clf = default_classifier(dim, class_count, seed=seed + 100, r=r, ratio_bounds=bounds, **sizes)
-    dom = default_domain_classifier(dim, seed=seed + 101, ratio_bounds=bounds)
-    return clf, dom, r
+    return out
+
+
+def _training_run(cfg, recipe, *sections):
+    """Source, target, overlaid recipe (train, model and the named sections),
+    TrainConfig and initial models (at seed + 100) of a training command."""
+    source, target = _load_datasets(cfg)
+    _check_target_labels(target, source.class_count, "the source")
+    recipe = _recipe(cfg, recipe, ("train", "model") + sections)
+    tcfg = _train_config(recipe, int(cfg["seed"]))
+    models = initial_models(recipe, source.dim, source.class_count, tcfg.seed + 100)
+    return source, target, recipe, tcfg, models
+
+
+def _check_target_labels(target, class_count, owner):
+    if target.labeled and target.class_count > class_count:
+        raise ConfigError(
+            f"data.target_path: target label {target.class_count - 1} is outside "
+            f"the {class_count} classes of {owner}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +379,12 @@ def write_predictions(path, probs, labels, ratios):
             )
 
 
-def _write_trained(run, command, cfg, history, clf, dom, target, name, unit_ratio=False):
+def _write_trained(run, command, cfg, history, clf, dom, target, name):
     """Metrics, checkpoint and target evaluation files of a training command."""
     write_jsonl(run.path("metrics.jsonl"), history)
     with open(run.path("model.json"), "w", encoding="utf-8") as fh:
         fh.write(checkpoint_to_json(clf, dom, cfg))
-    probs, ratios = target_predictions(clf, dom, target, unit_ratio=unit_ratio)
+    probs, ratios = target_predictions(clf, dom, target)
     labels = target.y if target.labeled else None
     report = None
     if target.labeled:
@@ -377,10 +416,7 @@ def cmd_simulate(cfg):
 
 
 def cmd_train_drl(cfg):
-    source, target = _load_datasets(cfg)
-    recipe = CALIBRATION_RECIPE
-    tcfg = _train_config(cfg, recipe)
-    clf0, dom0, _ = _build_models(cfg, recipe, source.dim, source.class_count)
+    source, target, _, tcfg, (clf0, dom0) = _training_run(cfg, CALIBRATION_RECIPE)
     with RunDir(cfg["out_dir"]) as run:
         clf, dom, history = train_end_to_end(source, target, clf0, dom0, tcfg)
         _write_trained(run, "train-drl", cfg, history, clf, dom, target, "drl")
@@ -388,58 +424,28 @@ def cmd_train_drl(cfg):
 
 
 def cmd_train_erm(cfg):
-    source, target = _load_datasets(cfg)
-    recipe = CALIBRATION_RECIPE
-    tcfg = _train_config(cfg, recipe)
-    clf0, _, _ = _build_models(cfg, recipe, source.dim, source.class_count)
+    source, target, _, tcfg, (clf0, _) = _training_run(cfg, CALIBRATION_RECIPE)
     with RunDir(cfg["out_dir"]) as run:
         clf, history = train_erm(source, tcfg, clf=clf0)
-        _write_trained(run, "train-erm", cfg, history, clf, None, target, "erm", unit_ratio=True)
+        _write_trained(run, "train-erm", cfg, history, clf, None, target, "erm")
     return 0
 
 
 def cmd_drst(cfg):
-    source, target = _load_datasets(cfg)
-    recipe = SELF_TRAIN_RECIPE
-    tcfg = _train_config(cfg, recipe)
-    clf0, dom0, r = _build_models(cfg, recipe, source.dim, source.class_count)
-    defaults = SelfTrainSchedule()
-    schedule = SelfTrainSchedule(
-        p0=_num(cfg, "schedule.p0", defaults.p0, lo=0, hi=1),
-        dp=_num(cfg, "schedule.dp", defaults.dp, lo=0),
-        pmax=_num(cfg, "schedule.pmax", defaults.pmax, lo=0, hi=1),
-        rounds=_num(cfg, "schedule.rounds", recipe["rounds"], lo=0, integer=True),
-    )
+    source, target, recipe, tcfg, (clf0, dom0) = _training_run(cfg, SELF_TRAIN_RECIPE, "schedule")
+    schedule = self_train_schedule(recipe)
     with RunDir(cfg["out_dir"]) as run:
-        clf, dom, history = run_drst(source, target, schedule, tcfg, r=r, clf=clf0, dom=dom0)
+        clf, dom, history = run_drst(source, target, schedule, tcfg, clf0, dom0)
         _write_trained(run, "drst", cfg, history, clf, dom, target, "drst")
     return 0
 
 
 def cmd_drssl(cfg):
-    source, target = _load_datasets(cfg)
-    recipe = SEMI_SUP_RECIPE
-    tcfg = _train_config(cfg, recipe)
-    n_labeled = _num(cfg, "ssl.labeled_count", recipe["labeled_count"], lo=1, integer=True)
-    labeled = class_balanced_subset(source, n_labeled, int(cfg["seed"]) + 50)
-    aug = "ssl.augmentation."
-    scfg = SslConfig(
-        threshold=_num(cfg, "ssl.threshold", recipe["threshold"], lo=0, hi=1),
-        unlabeled_batch=_num(cfg, "ssl.unlabeled_batch", recipe["unlabeled_batch"], lo=1, integer=True),
-        loss_weight=_num(cfg, "ssl.loss_weight", recipe["loss_weight"], lo=0),
-        augmentation=AugmentationSpec(
-            weak_noise_std=_num(cfg, aug + "weak_noise_std", recipe["weak_noise_std"], lo=0),
-            strong_noise_std=_num(cfg, aug + "strong_noise_std", recipe["strong_noise_std"], lo=0),
-            strong_mask_fraction=_num(
-                cfg, aug + "strong_mask_fraction", recipe["strong_mask_fraction"], lo=0, hi=1
-            ),
-            seed=int(cfg["seed"]) + 60,
-        ),
-        base=tcfg,
-    )
-    clf0, dom0, r = _build_models(cfg, recipe, source.dim, source.class_count)
+    source, target, recipe, tcfg, (clf0, dom0) = _training_run(cfg, SEMI_SUP_RECIPE, "ssl")
+    labeled = class_balanced_subset(source, recipe["labeled_count"], tcfg.seed + 50)
+    scfg = ssl_config(recipe, tcfg)
     with RunDir(cfg["out_dir"]) as run:
-        clf, dom, history = run_drssl(labeled, target, scfg, r=r, clf=clf0, dom=dom0)
+        clf, dom, history = run_drssl(labeled, target, scfg, clf0, dom0)
         _write_trained(run, "drssl", cfg, history, clf, dom, target, "drssl")
     return 0
 
@@ -465,53 +471,40 @@ def cmd_plugin_sim(cfg):
 
 
 def cmd_calibrate(cfg):
-    ckpt_path = _path(cfg, "calibrate.checkpoint")
-    if not os.path.exists(ckpt_path):
-        raise ConfigError(f"calibrate.checkpoint: no such file {ckpt_path}")
-    with open(ckpt_path, "r", encoding="utf-8") as fh:
-        clf, dom, _ = checkpoint_from_json(fh.read())
+    path = _file(cfg, "calibrate.checkpoint")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            clf, _, _ = checkpoint_from_json(fh.read())
+    except (OSError, ValueError, KeyError, TypeError, ConfigError, ContractError) as exc:
+        raise ConfigError(
+            f"calibrate.checkpoint: malformed checkpoint {path}: {type(exc).__name__}: {exc}"
+        ) from exc
     _, target = _load_datasets(cfg)
     if not target.labeled:
         raise ConfigError("calibrate requires a labeled target dataset")
+    _check_target_labels(target, clf.class_count, "the checkpoint")
     split = _num(cfg, "calibrate.split", 0.5, lo=0, hi=1)
     with RunDir(cfg["out_dir"]) as run:
-        rng = np.random.default_rng(int(cfg["seed"]) + 7)
-        perm = rng.permutation(len(target))
-        cut = max(1, min(len(target) - 1, int(round(split * len(target)))))
-        fit_idx, eval_idx = perm[:cut], perm[cut:]
         logits = class_scores(clf, target.X)
-        temperature = fit_temperature(logits[fit_idx], target.y[fit_idx])
+        temperature, eval_idx = temperature_split(logits, target.y, int(cfg["seed"]), split)
         probs_raw = softmax(logits[eval_idx], axis=1)
         probs_ts = softmax(logits[eval_idx] / temperature, axis=1)
         y_eval = target.y[eval_idx]
         rep_raw = calibration_report(probs_raw, y_eval)
         rep_ts = calibration_report(probs_ts, y_eval)
-        write_jsonl(
-            run.path("metrics.jsonl"),
-            [
-                {
-                    "temperature": temperature,
-                    "nll_before": nll(logits[eval_idx], y_eval, 1.0),
-                    "nll_after": nll(logits[eval_idx], y_eval, temperature),
-                }
-            ],
-        )
+        write_jsonl(run.path("metrics.jsonl"), [{
+            "temperature": temperature,
+            "nll_before": nll(logits[eval_idx], y_eval, 1.0),
+            "nll_after": nll(logits[eval_idx], y_eval, temperature),
+        }])
         write_reliability(run.path("reliability.csv"), rep_ts.bins)
         write_predictions(run.path("predictions.csv"), probs_ts, y_eval, np.ones(len(y_eval)))
-        write_report(
-            run.path("report.json"),
-            "calibrate",
-            cfg,
-            [
-                _model_block("raw", rep_raw, target.class_count, {"n_eval": len(y_eval)}),
-                _model_block(
-                    "temperature_scaled",
-                    rep_ts,
-                    target.class_count,
-                    {"n_eval": len(y_eval), "temperature": temperature},
-                ),
-            ],
-        )
+        n_eval = {"n_eval": len(y_eval)}
+        write_report(run.path("report.json"), "calibrate", cfg, [
+            _model_block("raw", rep_raw, target.class_count, n_eval),
+            _model_block("temperature_scaled", rep_ts, target.class_count,
+                         {**n_eval, "temperature": temperature}),
+        ])
     return 0
 
 
@@ -522,9 +515,11 @@ def cmd_compare(report_paths):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            models = doc["models"]
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"malformed report {path}: {exc}") from exc
+        models = doc.get("models") if isinstance(doc, dict) else None
+        if not isinstance(models, list) or not all(isinstance(m, dict) for m in models):
+            raise ConfigError(f"malformed report {path}: expected a models list of objects")
         if not models:
             raise ConfigError(f"malformed report {path}: no evaluated models")
         for block in models:

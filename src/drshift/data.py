@@ -397,9 +397,9 @@ def load_csv(path, has_label, domain=SOURCE):
     return Dataset(M[:, :-1], y, _is_source(domain), int(y.max()) + 1, name=str(path))
 
 
-def save_csv(path, dataset, include_labels=True):
+def save_csv(path, dataset):
     """Write a dataset in the same one-sample-per-line format load_csv reads."""
-    labels = dataset.y.tolist() if include_labels and dataset.labeled else None
+    labels = dataset.y.tolist() if dataset.labeled else None
     with open(path, "w", encoding="utf-8") as fh:
         for i, row in enumerate(dataset.X.tolist()):
             cells = [repr(v) for v in row]

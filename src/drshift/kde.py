@@ -90,23 +90,25 @@ def _split(n, frac, rng):
     return perm[:cut], perm[cut:]
 
 
-def _train_frozen_feature_model(Xs, ys, ratios, class_count, iters=400, lr=0.5, momentum=0.9,
-                                bounds=DEFAULT_RATIO_BOUNDS):
-    # Full-batch momentum descent; the dual is convex in theta for fixed
-    # features and ratios, so a fixed iteration budget converges reliably.
+def _train_frozen_feature_model(Xs, ys, ratios, class_count):
+    # 400 full-batch momentum steps (lr 0.5, momentum 0.9); the dual is convex
+    # in theta for fixed features and ratios, so a fixed iteration budget
+    # converges reliably.
     fmap = bias_map(Xs.shape[1])
-    clf = RobustClassifier(np.zeros((class_count, fmap.out_dim)), fmap, 0.0, bounds)
-    opt = _Momentum(clf, lr, momentum)
-    for _ in range(iters):
+    clf = RobustClassifier(np.zeros((class_count, fmap.out_dim)), fmap, 0.0, DEFAULT_RATIO_BOUNDS)
+    opt = _Momentum(clf, 0.5, 0.9)
+    for _ in range(400):
         g = grad_source(clf, (Xs, ys), ratios)
         opt.step(clf, g.grad_theta, g.feature_grad)
     return clf
 
 
-def run_plugin_simulation(spec, bandwidths, train_frac=0.8, bounds=DEFAULT_RATIO_BOUNDS):
+def run_plugin_simulation(spec, bandwidths):
     """Score plug-in ratios per bandwidth: held-out log-likelihoods of the two
     KDEs, and the target log loss of a frozen-feature robust classifier
     trained with those ratios.
+    The KDEs fit 80 % of each domain (split at spec.seed + 1) and score the
+    rest; ratios are clamped to the default bounds.
 
     Returns one row per bandwidth:
     {h, ll_source, ll_target, target_logloss}.
@@ -116,8 +118,8 @@ def run_plugin_simulation(spec, bandwidths, train_frac=0.8, bounds=DEFAULT_RATIO
         raise ContractError("need at least one bandwidth")
     source, target, _ = generate_gaussian_shift(spec)
     rng = np.random.default_rng(spec.seed + 1)
-    tr_s, ho_s = _split(len(source), train_frac, rng)
-    tr_t, ho_t = _split(len(target), train_frac, rng)
+    tr_s, ho_s = _split(len(source), 0.8, rng)
+    tr_t, ho_t = _split(len(target), 0.8, rng)
     Xs, ys, Xt, yt = source.X, source.y, target.X, target.y
 
     rows = []
@@ -127,9 +129,9 @@ def run_plugin_simulation(spec, bandwidths, train_frac=0.8, bounds=DEFAULT_RATIO
         ll_s = float(np.mean(kde_log_density(kde_s, Xs[ho_s])))
         ll_t = float(np.mean(kde_log_density(kde_t, Xt[ho_t])))
 
-        ratios_src = plugin_ratio(kde_s, kde_t, Xs, bounds)
-        clf = _train_frozen_feature_model(Xs, ys, ratios_src, source.class_count, bounds=bounds)
-        ratios_tgt = plugin_ratio(kde_s, kde_t, Xt, bounds)
+        ratios_src = plugin_ratio(kde_s, kde_t, Xs)
+        clf = _train_frozen_feature_model(Xs, ys, ratios_src, source.class_count)
+        ratios_tgt = plugin_ratio(kde_s, kde_t, Xt)
         probs, _ = predict_proba(clf, Xt, ratios_tgt)
         logloss = float(-np.log(np.maximum(probs[np.arange(len(yt)), yt], 1e-300)).mean())
         rows.append(

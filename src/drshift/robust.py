@@ -268,10 +268,11 @@ def grad_source(clf, batch, ratios, weights=None):
     return SourceGradient(grad_theta, upstream, fgrad, probs)
 
 
-def target_predictions(clf, dom, dataset, unit_ratio=False):
-    """Test-mode probabilities and per-sample ratios over a whole dataset."""
+def target_predictions(clf, dom, dataset):
+    """Test-mode probabilities and per-sample ratios over a whole dataset;
+    dom=None means unit ratios."""
     X = dataset.X if hasattr(dataset, "X") else np.asarray(dataset, dtype=float)
-    if unit_ratio or dom is None:
+    if dom is None:
         ratios = np.ones(X.shape[0])
     else:
         _, ratios, _, _ = domain_ratios(dom, X)
@@ -361,7 +362,7 @@ def _epoch_metrics(clf, dom, source, target):
     return dual, bce, acc
 
 
-def train_end_to_end(source, target, clf, dom, cfg, unit_ratio=False):
+def train_end_to_end(source, target, clf, dom, cfg):
     """Alternating updates of the domain classifier and the robust model.
 
     Each batch draws equal sample counts from source and target. Every
@@ -369,9 +370,8 @@ def train_end_to_end(source, target, clf, dom, cfg, unit_ratio=False):
     cross-entropy gradient plus the density gradients chained from the
     robust objective over the batch's target samples; every batch theta and
     the feature parameters take one momentum-SGD step on grad_source with
-    ratios read from the (just updated) domain classifier. With
-    unit_ratio=True the ratio path is muted: all ratios are 1 and the
-    domain classifier is left untouched.
+    ratios read from the (just updated) domain classifier. With dom=None
+    the ratio path is muted: all ratios are 1 and there is no domain step.
 
     Returns copies of the models; the inputs are not mutated. History holds
     one record per epoch with the dual objective, domain BCE, and source
@@ -404,11 +404,11 @@ def train_end_to_end(source, target, clf, dom, cfg, unit_ratio=False):
             Xb_s, yb_s = Xs_all[sl_s], ys_all[sl_s]
             Xb_t = Xt_all[sl_t]
 
-            if not unit_ratio and step % cfg.domain_update_period == 0:
+            if dom is not None and step % cfg.domain_update_period == 0:
                 g_dom = _domain_gradient(clf, dom, Xb_s, src_is_source[sl_s], Xb_t)
                 _sgd_step(dom.net, g_dom, cfg.lr_domain)
 
-            if unit_ratio:
+            if dom is None:
                 ratios_b = np.ones(len(sl_s))
             else:
                 ratios_b = _require_finite(domain_ratios(dom, Xb_s)[1], "density ratios", epoch)
@@ -417,7 +417,7 @@ def train_end_to_end(source, target, clf, dom, cfg, unit_ratio=False):
             _require_finite(clf.theta, "theta", epoch)
             step += 1
 
-        dual, bce, acc = _epoch_metrics(clf, None if unit_ratio else dom, source, target)
+        dual, bce, acc = _epoch_metrics(clf, dom, source, target)
         record = {"epoch": epoch, "dual": dual, "bce": bce, "source_accuracy": acc}
         if not (np.isfinite(dual) and np.isfinite(clf.theta).all()):
             raise DivergenceError(

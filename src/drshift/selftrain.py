@@ -13,8 +13,7 @@ import numpy as np
 from .calibration import brier, ece
 from .data import Dataset
 from .errors import ConfigError, ContractError
-from .robust import default_classifier, target_predictions, train_end_to_end
-from .domain import default_domain_classifier
+from .robust import target_predictions, train_end_to_end
 
 
 @dataclass
@@ -81,8 +80,8 @@ def _augmented_source(source, target, pseudo):
     )
 
 
-def run_drst(source, target, schedule, cfg, r=0.5, clf=None, dom=None, unit_ratio=False):
-    """Iterated robust self-training.
+def run_drst(source, target, schedule, cfg, clf, dom=None):
+    """Iterated robust self-training from the initial models clf and dom.
 
     One end-to-end training pass runs first; each round t then selects a
     portion(t) of confident targets per class (test-mode predictions),
@@ -90,28 +89,24 @@ def run_drst(source, target, schedule, cfg, r=0.5, clf=None, dom=None, unit_rati
     pseudo-labeled targets (earlier selections are discarded, not
     accumulated), and retrains from the current models. Pseudo-labeled
     targets keep their target domain tag, so the domain classifier keeps
-    seeing them as target inputs. History rows carry round, portion,
-    n_pseudo, and, when the target carries evaluation labels, accuracy /
-    Brier / ECE on all targets.
+    seeing them as target inputs. dom=None runs every pass at unit ratios
+    with no domain step (plain softmax confidences). History rows carry
+    round, portion, n_pseudo, and, when the target carries evaluation
+    labels, accuracy / Brier / ECE on all targets.
     """
-    if clf is None:
-        clf = default_classifier(source.dim, source.class_count, seed=cfg.seed, r=r)
-    if dom is None:
-        dom = default_domain_classifier(source.dim, seed=cfg.seed + 1)
-
-    clf, dom, _ = train_end_to_end(source, target, clf, dom, cfg, unit_ratio=unit_ratio)
+    clf, dom, _ = train_end_to_end(source, target, clf, dom, cfg)
     history = []
     for t in range(schedule.rounds):
         portion = schedule.portion(t)
-        probs, _ = target_predictions(clf, dom, target, unit_ratio=unit_ratio)
+        probs, _ = target_predictions(clf, dom, target)
         pseudo = select_pseudo(probs, portion)
         aug = _augmented_source(source, target, pseudo)
         round_cfg = replace(cfg, seed=cfg.seed + t + 1)
-        clf, dom, _ = train_end_to_end(aug, target, clf, dom, round_cfg, unit_ratio=unit_ratio)
+        clf, dom, _ = train_end_to_end(aug, target, clf, dom, round_cfg)
 
         record = {"round": t, "portion": portion, "n_pseudo": len(pseudo)}
         if target.labeled:
-            probs_eval, _ = target_predictions(clf, dom, target, unit_ratio=unit_ratio)
+            probs_eval, _ = target_predictions(clf, dom, target)
             e, _ = ece(probs_eval, target.y)
             record.update(
                 accuracy=float((probs_eval.argmax(axis=1) == target.y).mean()),

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AugmentationSpec, augment_batch
-from .domain import default_domain_classifier, domain_ratios
+from .domain import domain_ratios
 from .errors import ConfigError, ContractError, DivergenceError
 from .features import _forward_activations, feature_backward_batch
 from .robust import (
@@ -20,7 +20,6 @@ from .robust import (
     _require_finite,
     _sgd_step,
     _softmax_lse,
-    default_classifier,
     grad_source,
     predict_proba,
     target_predictions,
@@ -93,16 +92,17 @@ def _unsup_gradient(clf, X_strong, ratios_strong, pseudo, mask):
     return loss, grad_theta, fgrad
 
 
-def run_drssl(labeled, unlabeled, cfg, r=0.5, clf=None, dom=None, unit_ratio=False):
-    """Consistency training driven by robust test-mode confidences.
+def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
+    """Consistency training driven by robust test-mode confidences, starting
+    from the initial models clf and dom.
 
     Per batch: one momentum-SGD step on the supervised source gradient plus
     loss_weight times the gradient of the thresholded consistency loss
     (weak-branch predictions are detached pseudo-targets); the domain
     classifier takes its usual periodic step on cross-entropy plus density
     gradients (the domain step shared with train_end_to_end). With
-    unit_ratio=True all ratios are 1 and the domain classifier stays
-    untouched, which is the plain softmax-confidence baseline.
+    dom=None all ratios are 1 and there is no domain step, which is the
+    plain softmax-confidence baseline.
 
     History records per epoch: sup_loss, unsup_loss (already weighted by
     loss_weight), mask_rate, and target_acc when the unlabeled set carries
@@ -112,12 +112,8 @@ def run_drssl(labeled, unlabeled, cfg, r=0.5, clf=None, dom=None, unit_ratio=Fal
     counts = np.bincount(labeled.y, minlength=labeled.class_count)
     if (counts == 0).any():
         raise ContractError("every class needs at least one labeled sample")
-    if clf is None:
-        clf = default_classifier(labeled.dim, labeled.class_count, seed=cfg.base.seed, r=r)
-    if dom is None:
-        dom = default_domain_classifier(labeled.dim, seed=cfg.base.seed + 1)
     clf = clf.copy()
-    dom = dom.copy()
+    dom = dom.copy() if dom is not None else None
 
     rng = np.random.default_rng(cfg.base.seed)
     rng_aug = np.random.default_rng(cfg.augmentation.seed)
@@ -145,14 +141,14 @@ def run_drssl(labeled, unlabeled, cfg, r=0.5, clf=None, dom=None, unit_ratio=Fal
             li += bs_l
             Xb_l, yb_l, Xb_u = Xl[sl_l], yl[sl_l], Xu[sl_u]
 
-            if not unit_ratio and step % cfg.base.domain_update_period == 0:
+            if dom is not None and step % cfg.base.domain_update_period == 0:
                 g_dom = _domain_gradient(clf, dom, Xb_l, np.ones(len(sl_l)), Xb_u)
                 _sgd_step(dom.net, g_dom, cfg.base.lr_domain)
 
             Xw = augment_batch(Xb_u, cfg.augmentation, "weak", rng_aug)
             Xst = augment_batch(Xb_u, cfg.augmentation, "strong", rng_aug)
             X_all = np.vstack([Xb_l, Xw, Xst])
-            if unit_ratio:
+            if dom is None:
                 ratios = np.ones(X_all.shape[0])
             else:
                 ratios = _require_finite(domain_ratios(dom, X_all)[1], "density ratios", epoch)
@@ -187,7 +183,7 @@ def run_drssl(labeled, unlabeled, cfg, r=0.5, clf=None, dom=None, unit_ratio=Fal
                 and np.isfinite(clf.theta).all()):
             raise DivergenceError(f"non-finite training state at epoch {epoch}", state=record)
         if unlabeled.labeled:
-            probs_eval, _ = target_predictions(clf, dom, unlabeled, unit_ratio=unit_ratio)
+            probs_eval, _ = target_predictions(clf, dom, unlabeled)
             record["target_acc"] = float((probs_eval.argmax(axis=1) == unlabeled.y).mean())
         history.append(record)
     return clf, dom, history

@@ -2,7 +2,19 @@
 
 import numpy as np
 
-from drshift import DiscreteDomainSpec, RobustClassifier, init_mlp
+from drshift import (
+    DiscreteDomainSpec,
+    RobustClassifier,
+    default_classifier,
+    default_domain_classifier,
+    init_mlp,
+)
+
+
+def default_models(dataset, seed):
+    """An r = 0.5 classifier initialised at seed and a domain net at seed + 1."""
+    clf = default_classifier(dataset.dim, dataset.class_count, seed=seed, r=0.5)
+    return clf, default_domain_classifier(dataset.dim, seed=seed + 1)
 
 
 def fd_matrix(fun, M, eps=1e-5):

@@ -1,5 +1,7 @@
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from drshift import load_csv
@@ -198,10 +200,11 @@ class TestCompare:
 
     def test_malformed_report_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
         r1, _ = self._two_reports(tmp_path)
-        assert main(["compare", r1, str(bad)]) == 2
-        assert "bad.json" in capsys.readouterr().err
+        for text in ["{not json", "[]", '{"models": [1]}', '{"models": "ab"}', "{}"]:
+            bad.write_text(text)
+            assert main(["compare", r1, str(bad)]) == 2, text
+            assert "bad.json" in capsys.readouterr().err
 
 
 def test_source_target_dimension_mismatch_is_config_error(tmp_path, capsys):
@@ -301,3 +304,71 @@ def test_target_has_label_must_be_boolean(tmp_path, capsys, value):
     assert main(["train-erm", "--config", str(cfg_path)]) == 2
     assert "data.target_has_label" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text", ["garbage", '{"a": 1}', "[]", "a directory"])
+def test_unreadable_checkpoint_is_config_error(tmp_path, capsys, text):
+    ckpt = tmp_path / "model.json"
+    if text == "a directory":
+        ckpt.mkdir()
+    else:
+        ckpt.write_text(text)
+    cfg_path, _ = write_config(tmp_path, calibrate={"checkpoint": str(ckpt)})
+    assert main(["calibrate", "--config", str(cfg_path)]) == 2
+    assert "calibrate.checkpoint:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field", ["source_path", "target_path"])
+def test_directory_as_data_path_is_config_error(tmp_path, capsys, field):
+    (tmp_path / "s.csv").write_text("1.0,2.0,0\n3.0,4.0,1\n")
+    (tmp_path / "d").mkdir()
+    data = {"kind": "csv", "source_path": str(tmp_path / "s.csv"),
+            "target_path": str(tmp_path / "s.csv"), field: str(tmp_path / "d")}
+    cfg_path, _ = write_config(tmp_path, data=data)
+    assert main(["train-drl", "--config", str(cfg_path)]) == 2
+    assert f"data.{field}:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train-drl", "train-erm", "drst", "drssl", "calibrate"])
+def test_target_label_beyond_class_count_is_config_error(tmp_path, capsys, command):
+    rng = np.random.default_rng(0)
+    rows = [f"{a!r},{b!r},{c}" for (a, b), c in zip(rng.normal(size=(60, 2)).tolist(),
+                                                     [0, 1] * 30)]
+    (tmp_path / "source.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "target.csv").write_text("\n".join(r[:-1] + str(i % 3)
+                                                   for i, r in enumerate(rows)) + "\n")
+    data = {"kind": "csv", "source_path": str(tmp_path / "source.csv"),
+            "target_path": str(tmp_path / "target.csv"), "target_has_label": True}
+    extra = {"ssl": {"labeled_count": 10}}
+    if command == "calibrate":
+        train_path, _ = write_config(tmp_path, name="train.json", out_dir=str(tmp_path / "ckpt"),
+                                     data={**data, "target_path": str(tmp_path / "source.csv")})
+        assert main(["train-erm", "--config", str(train_path)]) == 0
+        extra = {"calibrate": {"checkpoint": str(tmp_path / "ckpt" / "model.json")}}
+    cfg_path, _ = write_config(tmp_path, data=data, **extra)
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert "data.target_path:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", [
+    "simulate", "train-drl", "train-erm", "drst", "drssl", "plugin-sim", "calibrate",
+])
+def test_rerun_into_same_directory_is_byte_identical(tmp_path, command):
+    overrides = {"schedule": {"rounds": 1}, "ssl": {"labeled_count": 10},
+                 "plugin": {"bandwidths": [0.5]}}
+    if command == "calibrate":
+        ckpt_path, _ = write_config(tmp_path, name="train.json", out_dir=str(tmp_path / "ckpt"))
+        assert main(["train-drl", "--config", str(ckpt_path)]) == 0
+        overrides["calibrate"] = {"checkpoint": str(tmp_path / "ckpt" / "model.json")}
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    runs = []
+    for _ in range(2):
+        assert main([command, "--config", str(cfg_path)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        shutil.rmtree(out)
+    assert runs[0] == runs[1]
+    assert "metrics.jsonl" in runs[0] and "report.json" in runs[0]

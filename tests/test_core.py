@@ -280,6 +280,18 @@ class TestTrainEndToEnd:
         _, _, h2 = train_end_to_end(source, target, clf, dom, cfg)
         assert h1 == h2
 
+    def test_without_domain_net_ratios_are_one(self):
+        spec = default_shift_spec(seed=3, n_source=64, n_target=64)
+        source, target, _ = generate_gaussian_shift(spec)
+        clf0 = default_classifier(2, 2, seed=1, r=0.5)
+        cfg = TrainConfig(epochs=2, seed=0)
+        clf, dom, history = train_end_to_end(source, target, clf0, None, cfg)
+        assert dom is None
+        assert len(history) == 2 and all(np.isnan(h["bce"]) for h in history)
+        assert not np.array_equal(clf.theta, clf0.theta)
+        _, ratios = target_predictions(clf, None, target)
+        np.testing.assert_array_equal(ratios, np.ones(len(target)))
+
     def test_no_shift_ratios_near_one_and_erm_parity(self):
         source, target, _ = generate_gaussian_shift(no_shift_spec(seed=4))
         heldout, _, _ = generate_gaussian_shift(no_shift_spec(seed=5))

@@ -16,6 +16,8 @@ from drshift import (
 from drshift.robust import train_end_to_end
 from drshift.selftrain import run_drst
 
+from helpers import default_models
+
 
 class TestSchedule:
     def test_cap_arithmetic(self):
@@ -100,7 +102,7 @@ class TestRunDrst:
         clf0 = default_classifier(2, 2, seed=2, r=0.5)
         dom0 = default_domain_classifier(2, seed=3)
         sched = SelfTrainSchedule(rounds=0)
-        clf_a, dom_a, hist = run_drst(source, target, sched, cfg, r=0.5, clf=clf0, dom=dom0)
+        clf_a, dom_a, hist = run_drst(source, target, sched, cfg, clf0, dom0)
         clf_b, dom_b, _ = train_end_to_end(source, target, clf0, dom0, cfg)
         assert hist == []
         np.testing.assert_array_equal(clf_a.theta, clf_b.theta)
@@ -111,7 +113,7 @@ class TestRunDrst:
         source, target, _ = self._data(seed=4)
         cfg = TrainConfig(epochs=2, seed=1)
         sched = SelfTrainSchedule(p0=0.1, dp=0.05, pmax=0.3, rounds=3)
-        _, _, hist = run_drst(source, target, sched, cfg, r=0.5)
+        _, _, hist = run_drst(source, target, sched, cfg, *default_models(source, cfg.seed))
         assert [h["round"] for h in hist] == [0, 1, 2]
         assert [h["portion"] for h in hist] == [0.1, pytest.approx(0.15), pytest.approx(0.2)]
         for h in hist:
@@ -121,7 +123,7 @@ class TestRunDrst:
         source, target, _ = self._data(seed=5, n=100)
         cfg = TrainConfig(epochs=2, seed=2)
         sched = SelfTrainSchedule(p0=0.1, dp=0.2, pmax=0.9, rounds=3)
-        _, _, hist = run_drst(source, target, sched, cfg, r=0.5)
+        _, _, hist = run_drst(source, target, sched, cfg, *default_models(source, cfg.seed))
         counts = [h["n_pseudo"] for h in hist]
         assert counts[0] < counts[-1]
 
@@ -129,6 +131,6 @@ class TestRunDrst:
         source, target, _ = self._data(seed=6)
         cfg = TrainConfig(epochs=2, seed=3)
         sched = SelfTrainSchedule(rounds=2)
-        _, _, h1 = run_drst(source, target, sched, cfg, r=0.5)
-        _, _, h2 = run_drst(source, target, sched, cfg, r=0.5)
+        _, _, h1 = run_drst(source, target, sched, cfg, *default_models(source, cfg.seed))
+        _, _, h2 = run_drst(source, target, sched, cfg, *default_models(source, cfg.seed))
         assert h1 == h2

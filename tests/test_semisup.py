@@ -16,7 +16,7 @@ from drshift import (
 )
 from drshift.semisup import _unsup_gradient, run_drssl
 
-from helpers import flat
+from helpers import default_models, flat
 
 
 class TestConsistencyLoss:
@@ -126,7 +126,7 @@ class TestRunDrssl:
             augmentation=AugmentationSpec(seed=1),
             base=TrainConfig(epochs=3, seed=0),
         )
-        _, _, hist = run_drssl(labeled, target, cfg, r=0.5)
+        _, _, hist = run_drssl(labeled, target, cfg, *default_models(labeled, cfg.base.seed))
         assert all(h["unsup_loss"] == 0.0 for h in hist)
         assert all(np.isfinite(h["sup_loss"]) for h in hist)
 
@@ -137,7 +137,7 @@ class TestRunDrssl:
             augmentation=AugmentationSpec(seed=2),
             base=TrainConfig(epochs=1, seed=2),
         )
-        _, _, hist = run_drssl(labeled, target, cfg, r=0.5)
+        _, _, hist = run_drssl(labeled, target, cfg, *default_models(labeled, cfg.base.seed))
         assert hist[0]["mask_rate"] < 0.05
 
     def test_history_fields_and_determinism(self):
@@ -146,8 +146,8 @@ class TestRunDrssl:
             augmentation=AugmentationSpec(seed=3),
             base=TrainConfig(epochs=2, seed=3),
         )
-        _, _, h1 = run_drssl(labeled, target, cfg, r=0.5)
-        _, _, h2 = run_drssl(labeled, target, cfg, r=0.5)
+        _, _, h1 = run_drssl(labeled, target, cfg, *default_models(labeled, cfg.base.seed))
+        _, _, h2 = run_drssl(labeled, target, cfg, *default_models(labeled, cfg.base.seed))
         assert h1 == h2
         for rec in h1:
             assert {"epoch", "sup_loss", "unsup_loss", "mask_rate", "target_acc"} <= set(rec)
@@ -158,4 +158,4 @@ class TestRunDrssl:
                                         "source", 2)
         cfg = SslConfig(augmentation=AugmentationSpec(seed=1), base=TrainConfig(epochs=1, seed=0))
         with pytest.raises(ContractError):
-            run_drssl(one_class, target, cfg, r=0.5)
+            run_drssl(one_class, target, cfg, *default_models(one_class, cfg.base.seed))
