@@ -35,10 +35,7 @@ class CalibrationReport:
 
 
 def _as_probs(probs):
-    if len(probs) and hasattr(probs[0], "probs"):
-        probs = [p.probs for p in probs]
-    P = np.asarray(probs, dtype=float)
-    return np.atleast_2d(P)
+    return np.atleast_2d(np.asarray(probs, dtype=float))
 
 
 def brier(probs, labels):

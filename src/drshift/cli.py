@@ -252,8 +252,11 @@ def _recipe(cfg, recipe, sections):
         section, _, field = path.rpartition(".")
         if section.split(".")[0] in sections and field in _section(cfg, section):
             out[key] = read(cfg, path, **checks)
-    if len(out["ratio_bounds"]) != 2:
+    if np.shape(out["ratio_bounds"]) != (2,):
         raise ConfigError("model.ratio_bounds: expected [min, max]")
+    lo, hi = out["ratio_bounds"]
+    if not 0 < lo < hi:
+        raise ConfigError(f"model.ratio_bounds: must satisfy 0 < min < max, got [{lo}, {hi}]")
     return out
 
 
@@ -424,7 +427,10 @@ def cmd_train_drl(cfg):
 
 
 def cmd_train_erm(cfg):
-    source, target, _, tcfg, (clf0, _) = _training_run(cfg, CALIBRATION_RECIPE)
+    source, target, recipe, tcfg, (clf0, _) = _training_run(cfg, CALIBRATION_RECIPE)
+    lo, hi = recipe["ratio_bounds"]
+    if not lo <= 1 <= hi:
+        raise ConfigError(f"model.ratio_bounds: [{lo}, {hi}] must hold 1, the ratio ERM scores at")
     with RunDir(cfg["out_dir"]) as run:
         clf, history = train_erm(source, tcfg, clf=clf0)
         _write_trained(run, "train-erm", cfg, history, clf, None, target, "erm")
@@ -442,7 +448,12 @@ def cmd_drst(cfg):
 
 def cmd_drssl(cfg):
     source, target, recipe, tcfg, (clf0, dom0) = _training_run(cfg, SEMI_SUP_RECIPE, "ssl")
-    labeled = class_balanced_subset(source, recipe["labeled_count"], tcfg.seed + 50)
+    count, classes = recipe["labeled_count"], source.class_count
+    supply = np.bincount(source.y, minlength=classes).min()
+    if count < classes or count % classes or count // classes > supply:
+        raise ConfigError(f"ssl.labeled_count: must be a multiple of the {classes} classes "
+                          f"up to {classes * supply} (smallest class {supply} rows), got {count}")
+    labeled = class_balanced_subset(source, count, tcfg.seed + 50)
     scfg = ssl_config(recipe, tcfg)
     with RunDir(cfg["out_dir"]) as run:
         clf, dom, history = run_drssl(labeled, target, scfg, clf0, dom0)

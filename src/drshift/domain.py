@@ -119,8 +119,7 @@ def drl_density_gradient(theta, phi_x, f_x, est):
         raise ContractError("tau_t below 1e-8; density gradient is not reliable")
     if est.clamped:
         return 0.0, 0.0
-    probs = getattr(f_x, "probs", f_x)
-    s = float(np.dot(probs, np.asarray(theta) @ np.asarray(phi_x)))
+    s = float(np.dot(f_x, np.asarray(theta) @ np.asarray(phi_x)))
     g_s = s / est.tau_t
     g_t = -(est.tau_s / est.tau_t**2) * s
     return g_s, g_t

@@ -80,9 +80,6 @@ class FeatureGradient:
             [(a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(self.layers, other.layers)]
         )
 
-    def scaled(self, factor):
-        return FeatureGradient([(dW * factor, db * factor) for dW, db in self.layers])
-
 
 def init_mlp(in_dim, hidden, out_dim, activation="tanh", seed=0):
     """Build an MLP map with U(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""

@@ -14,7 +14,7 @@ from .data import generate_gaussian_shift
 from .domain import DEFAULT_RATIO_BOUNDS
 from .errors import ConfigError, ContractError
 from .features import bias_map
-from .robust import RobustClassifier, _Momentum, grad_source, predict_proba
+from .robust import RobustClassifier, _Momentum, _nll_at, grad_source, predict_proba
 
 # Query rows x training points per block of the pairwise pass in
 # kde_log_density. Its (rows, n, d) buffers then hold 8192 * d floats
@@ -133,7 +133,7 @@ def run_plugin_simulation(spec, bandwidths):
         clf = _train_frozen_feature_model(Xs, ys, ratios_src, source.class_count)
         ratios_tgt = plugin_ratio(kde_s, kde_t, Xt)
         probs, _ = predict_proba(clf, Xt, ratios_tgt)
-        logloss = float(-np.log(np.maximum(probs[np.arange(len(yt)), yt], 1e-300)).mean())
+        logloss = float(_nll_at(probs, yt).mean())
         rows.append(
             {"h": float(h), "ll_source": ll_s, "ll_target": ll_t, "target_logloss": logloss}
         )

@@ -188,6 +188,11 @@ def predict_proba(clf, X, ratios, labels=None):
     return _predict_from_scores(clf, class_scores(clf, X), ratios, labels)
 
 
+def _nll_at(probs, labels):
+    """Per-row negative log-probability of the given labels, clipped at 1e-300."""
+    return -np.log(np.maximum(probs[np.arange(probs.shape[0]), labels], 1e-300))
+
+
 def _predict_from_scores(clf, Z, ratios, labels=None):
     """predict_proba from raw class scores Z (n, C) and checked ratios."""
     if labels is None:
@@ -257,25 +262,35 @@ def grad_source(clf, batch, ratios, weights=None):
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
 
     acts = _forward_activations(clf.feature_map, X)
-    Phi = acts[-1]
-    probs, _ = _predict_from_scores(clf, Phi @ clf.theta.T, ratios, y)
-
+    probs, _ = _predict_from_scores(clf, acts[-1] @ clf.theta.T, ratios, y)
     diff = probs.copy()
     diff[np.arange(n), y] -= 1.0
-    grad_theta = (diff * w[:, None]).T @ Phi
-    upstream = diff @ clf.theta
-    fgrad = feature_backward_batch(clf.feature_map, X, upstream, weights=w, acts=acts)
-    return SourceGradient(grad_theta, upstream, fgrad, probs)
+    return SourceGradient(*_score_gradient(clf, acts, diff, w), probs)
+
+
+def _score_gradient(clf, acts, G, w):
+    """(grad theta, feature upstreams G theta, feature gradient) of
+    sum_i w_i G_i . theta phi(x_i), for a per-row class-score upstream G (n, C)
+    and the activations acts of a forward pass over the n rows."""
+    grad_theta = (G * w[:, None]).T @ acts[-1]
+    upstream = G @ clf.theta
+    fgrad = feature_backward_batch(clf.feature_map, acts[0], upstream, weights=w, acts=acts)
+    return grad_theta, upstream, fgrad
+
+
+def _ratios(dom, X, epoch=None):
+    """Ratios the trainers read for the rows of X: ones when dom is None,
+    else the domain net's clamped ratios, which must be finite."""
+    if dom is None:
+        return np.ones(X.shape[0])
+    return _require_finite(domain_ratios(dom, X)[1], "density ratios", epoch)
 
 
 def target_predictions(clf, dom, dataset):
     """Test-mode probabilities and per-sample ratios over a whole dataset;
     dom=None means unit ratios."""
     X = dataset.X if hasattr(dataset, "X") else np.asarray(dataset, dtype=float)
-    if dom is None:
-        ratios = np.ones(X.shape[0])
-    else:
-        _, ratios, _, _ = domain_ratios(dom, X)
+    ratios = _ratios(dom, X)
     probs, _ = predict_proba(clf, X, ratios)
     return probs, ratios
 
@@ -296,13 +311,9 @@ class _Momentum:
     def step(self, clf, grad_theta, fgrad):
         self.v_theta = self.mu * self.v_theta + grad_theta
         clf.theta -= self.lr * self.v_theta
-        for i, (dW, db) in enumerate(fgrad.layers):
-            vW, vb = self.v_layers[i]
-            vW = self.mu * vW + dW
-            vb = self.mu * vb + db
-            self.v_layers[i] = (vW, vb)
-            W, b = clf.feature_map.layers[i]
-            clf.feature_map.layers[i] = (W - self.lr * vW, b - self.lr * vb)
+        self.v_layers = [(self.mu * vW + dW, self.mu * vb + db)
+                         for (vW, vb), (dW, db) in zip(self.v_layers, fgrad.layers)]
+        _sgd_step(clf.feature_map, FeatureGradient(self.v_layers), self.lr)
 
 
 def _sgd_step(fmap, fgrad, lr):
@@ -408,18 +419,14 @@ def train_end_to_end(source, target, clf, dom, cfg):
                 g_dom = _domain_gradient(clf, dom, Xb_s, src_is_source[sl_s], Xb_t)
                 _sgd_step(dom.net, g_dom, cfg.lr_domain)
 
-            if dom is None:
-                ratios_b = np.ones(len(sl_s))
-            else:
-                ratios_b = _require_finite(domain_ratios(dom, Xb_s)[1], "density ratios", epoch)
-            g = grad_source(clf, (Xb_s, yb_s), ratios_b)
+            g = grad_source(clf, (Xb_s, yb_s), _ratios(dom, Xb_s, epoch))
             opt.step(clf, g.grad_theta, g.feature_grad)
             _require_finite(clf.theta, "theta", epoch)
             step += 1
 
         dual, bce, acc = _epoch_metrics(clf, dom, source, target)
         record = {"epoch": epoch, "dual": dual, "bce": bce, "source_accuracy": acc}
-        if not (np.isfinite(dual) and np.isfinite(clf.theta).all()):
+        if not np.isfinite(dual):
             raise DivergenceError(
                 f"non-finite training state at epoch {epoch}",
                 state={"epoch": epoch, "dual": dual, "bce": bce},
@@ -454,7 +461,7 @@ def train_erm(source, cfg, clf=None):
             g = grad_source(clf, (X_all[sl], y_all[sl]), np.ones(len(sl)))
             opt.step(clf, g.grad_theta, g.feature_grad)
         probs, _ = predict_proba(clf, X_all, np.ones(n))
-        ce = float(-np.log(np.maximum(probs[np.arange(n), y_all], 1e-300)).mean())
+        ce = float(_nll_at(probs, y_all).mean())
         acc = float((probs.argmax(axis=1) == y_all).mean())
         if not np.isfinite(ce):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", state={"epoch": epoch})

@@ -51,7 +51,7 @@ def select_pseudo(preds, portion):
     """
     if not 0.0 <= portion <= 1.0:
         raise ContractError("portion must lie in [0, 1]")
-    P = np.asarray([getattr(p, "probs", p) for p in preds], dtype=float)
+    P = np.asarray(preds, dtype=float)
     if P.shape[0] == 0 or portion == 0.0:
         return []
     labels = P.argmax(axis=1)

@@ -10,18 +10,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AugmentationSpec, augment_batch
-from .domain import domain_ratios
 from .errors import ConfigError, ContractError, DivergenceError
-from .features import _forward_activations, feature_backward_batch
+from .features import _forward_activations
 from .robust import (
     TrainConfig,
+    _check_ratios,
     _domain_gradient,
     _Momentum,
+    _nll_at,
+    _predict_from_scores,
+    _ratios,
     _require_finite,
+    _score_gradient,
     _sgd_step,
-    _softmax_lse,
     grad_source,
-    predict_proba,
     target_predictions,
 )
 
@@ -48,47 +50,35 @@ def consistency_loss(pred_weak, pred_strong, threshold):
 
     (1/M) sum_m 1[max(weak_m) > threshold] * (-log strong_m[argmax weak_m]).
     """
-    W = np.asarray([getattr(p, "probs", p) for p in pred_weak], dtype=float)
-    S = np.asarray([getattr(p, "probs", p) for p in pred_strong], dtype=float)
+    W = np.asarray(pred_weak, dtype=float)
+    S = np.asarray(pred_strong, dtype=float)
     if W.shape != S.shape:
         raise ContractError("weak and strong prediction lists must have equal shape")
     if W.shape[0] < 1:
         raise ContractError("need at least one prediction pair")
-    conf = W.max(axis=1)
-    pseudo = W.argmax(axis=1)
-    mask = conf > threshold
-    picked = S[np.arange(S.shape[0]), pseudo]
-    terms = np.where(mask, -np.log(np.maximum(picked, 1e-300)), 0.0)
-    return float(terms.mean())
+    mask = W.max(axis=1) > threshold
+    return float(np.where(mask, _nll_at(S, W.argmax(axis=1)), 0.0).mean())
 
 
-def _unsup_gradient(clf, X_strong, ratios_strong, pseudo, mask):
-    """Loss value and exact gradient of the thresholded strong-branch loss.
+def _unsup_gradient(clf, acts, ratios, pseudo, mask, loss_weight):
+    """loss_weight times the thresholded strong-branch loss, and its exact
+    gradient in theta and the feature parameters.
 
+    acts holds the activations of a forward pass over the M strong rows.
     Only the pseudo-labels and mask cross over from the weak branch, so no
     gradient can flow through the weak predictions. The strong branch uses
     the train-mode form at the pseudo-label, whose logit derivative in the
-    raw class scores is (f_y - 1{y=c}) * R / (r 1{y=c} + 1).
+    raw class scores is (f_y - 1{y=c}) * R / (r 1{y=c} + 1); the row
+    weights mask * loss_weight / M carry the threshold, the weight and the mean.
     """
-    n = X_strong.shape[0]
-    acts = _forward_activations(clf.feature_map, X_strong)
-    Phi = acts[-1]
-    Zs = Phi @ clf.theta.T
-    onehot = np.zeros_like(Zs)
-    onehot[np.arange(n), np.asarray(pseudo, dtype=int)] = 1.0
-    denom = clf.r * onehot + 1.0
-    logits = (ratios_strong[:, None] * Zs + clf.r * onehot) / denom
-    probs, _ = _softmax_lse(logits)
+    n = acts[0].shape[0]
+    probs, _ = _predict_from_scores(clf, acts[-1] @ clf.theta.T, ratios, pseudo)
+    loss = loss_weight * float(np.where(mask, _nll_at(probs, pseudo), 0.0).mean())
 
-    picked = probs[np.arange(n), np.asarray(pseudo, dtype=int)]
-    terms = np.where(mask, -np.log(np.maximum(picked, 1e-300)), 0.0)
-    loss = float(terms.mean())
-
-    w = mask.astype(float) / n
-    G = (probs - onehot) * (ratios_strong[:, None] / denom)
-    grad_theta = (G * w[:, None]).T @ Phi
-    upstream = G @ clf.theta
-    fgrad = feature_backward_batch(clf.feature_map, X_strong, upstream, weights=w, acts=acts)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(n), pseudo] = 1.0
+    G = (probs - onehot) * (ratios[:, None] / (clf.r * onehot + 1.0))
+    grad_theta, _, fgrad = _score_gradient(clf, acts, G, mask * loss_weight / n)
     return loss, grad_theta, fgrad
 
 
@@ -148,28 +138,22 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
             Xw = augment_batch(Xb_u, cfg.augmentation, "weak", rng_aug)
             Xst = augment_batch(Xb_u, cfg.augmentation, "strong", rng_aug)
             X_all = np.vstack([Xb_l, Xw, Xst])
-            if dom is None:
-                ratios = np.ones(X_all.shape[0])
-            else:
-                ratios = _require_finite(domain_ratios(dom, X_all)[1], "density ratios", epoch)
-            ratios_l, ratios_w, ratios_st = np.split(ratios, [len(sl_l), len(sl_l) + len(sl_u)])
+            ratios_l, ratios_w, ratios_st = np.split(_ratios(dom, X_all, epoch), [bs_l, bs_l + M])
 
             g_sup = grad_source(clf, (Xb_l, yb_l), ratios_l)
-            sup_sum += float(
-                -np.log(np.maximum(g_sup.probs[np.arange(len(yb_l)), yb_l], 1e-300)).mean()
-            )
+            sup_sum += float(_nll_at(g_sup.probs, yb_l).mean())
 
-            Pw, _ = predict_proba(clf, Xw, ratios_w)
-            conf = Pw.max(axis=1)
-            pseudo = Pw.argmax(axis=1)
-            mask = conf > cfg.threshold
+            # One forward pass over the weak and strong rows serves both branches.
+            acts = _forward_activations(clf.feature_map, X_all[bs_l:])
+            Zw = acts[-1][:M] @ clf.theta.T
+            Pw, _ = _predict_from_scores(clf, Zw, _check_ratios(clf, ratios_w))
+            mask = Pw.max(axis=1) > cfg.threshold
             masked += int(mask.sum())
-            loss_u, g_theta_u, g_feat_u = _unsup_gradient(clf, Xst, ratios_st, pseudo, mask)
-            unsup_sum += cfg.loss_weight * loss_u
-
-            grad_theta = g_sup.grad_theta + cfg.loss_weight * g_theta_u
-            fgrad = g_sup.feature_grad + g_feat_u.scaled(cfg.loss_weight)
-            opt.step(clf, grad_theta, fgrad)
+            loss_u, g_theta_u, g_feat_u = _unsup_gradient(
+                clf, [a[M:] for a in acts], ratios_st, Pw.argmax(axis=1), mask, cfg.loss_weight
+            )
+            unsup_sum += loss_u
+            opt.step(clf, g_sup.grad_theta + g_theta_u, g_sup.feature_grad + g_feat_u)
             _require_finite(clf.theta, "theta", epoch)
             step += 1
 
@@ -179,8 +163,7 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
             "unsup_loss": unsup_sum / n_batches,
             "mask_rate": masked / (n_batches * M),
         }
-        if not (np.isfinite(record["sup_loss"]) and np.isfinite(record["unsup_loss"])
-                and np.isfinite(clf.theta).all()):
+        if not (np.isfinite(record["sup_loss"]) and np.isfinite(record["unsup_loss"])):
             raise DivergenceError(f"non-finite training state at epoch {epoch}", state=record)
         if unlabeled.labeled:
             probs_eval, _ = target_predictions(clf, dom, unlabeled)

@@ -372,3 +372,34 @@ def test_rerun_into_same_directory_is_byte_identical(tmp_path, command):
         shutil.rmtree(out)
     assert runs[0] == runs[1]
     assert "metrics.jsonl" in runs[0] and "report.json" in runs[0]
+
+
+@pytest.mark.parametrize("count", [1, 3, 1000])
+def test_bad_labeled_count_is_config_error(tmp_path, capsys, count):
+    # 2 classes: 1 is below the class count, 3 is not a multiple of it, and
+    # 1000 needs 500 rows of each class from a 40-row source.
+    cfg_path, _ = write_config(tmp_path, data={"kind": "gaussian", "n_source": 40, "n_target": 40},
+                               ssl={"labeled_count": count}, train={"epochs": 1})
+    assert main(["drssl", "--config", str(cfg_path)]) == 2
+    assert "ssl.labeled_count:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train-erm", "train-drl"])
+@pytest.mark.parametrize("bounds", [[5, 1], [1, 1], [0, 2], [-1, 2], [[1, 2], [3, 4]], [1]])
+def test_bad_ratio_bounds_are_config_error(tmp_path, capsys, command, bounds):
+    cfg_path, _ = write_config(tmp_path, model={"ratio_bounds": bounds})
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert "model.ratio_bounds:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,code", [("train-erm", 2), ("train-drl", 0)])
+def test_ratio_bounds_excluding_one_rejected_only_for_erm(tmp_path, capsys, command, code):
+    # The ERM model is scored at unit ratios; the robust model reads its
+    # ratios from the domain net, which clamps them into any bounds.
+    cfg_path, _ = write_config(tmp_path, model={"ratio_bounds": [2, 3]})
+    assert main([command, "--config", str(cfg_path)]) == code
+    if code == 2:
+        assert "model.ratio_bounds:" in capsys.readouterr().err
+    assert (tmp_path / "run").exists() == (code == 0)

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drshift.features
+import drshift.robust
+import drshift.semisup
 from drshift import (
     AugmentationSpec,
     ContractError,
@@ -14,9 +17,16 @@ from drshift import (
     dataset_from_arrays,
     generate_gaussian_shift,
 )
+from drshift.features import _forward_activations
 from drshift.semisup import _unsup_gradient, run_drssl
 
 from helpers import default_models, flat
+
+
+def strong_branch(clf, X_strong, ratios, pseudo, mask, loss_weight=1.0):
+    """The strong-branch loss and gradient over a fresh forward pass of X_strong."""
+    acts = _forward_activations(clf.feature_map, X_strong)
+    return _unsup_gradient(clf, acts, ratios, pseudo, mask, loss_weight)
 
 
 class TestConsistencyLoss:
@@ -70,8 +80,8 @@ class TestUnsupGradient:
         ratios = np.ones(6)
         pseudo = rng.integers(0, 2, size=6)
         mask = rng.random(6) > 0.4
-        loss1, g1, f1 = _unsup_gradient(clf, X_strong, ratios, pseudo, mask)
-        loss2, g2, f2 = _unsup_gradient(clf, X_strong, ratios, pseudo, mask)
+        loss1, g1, f1 = strong_branch(clf, X_strong, ratios, pseudo, mask)
+        loss2, g2, f2 = strong_branch(clf, X_strong, ratios, pseudo, mask)
         assert loss1 == loss2
         np.testing.assert_array_equal(g1, g2)
         np.testing.assert_array_equal(flat(f1.layers), flat(f2.layers))
@@ -80,7 +90,7 @@ class TestUnsupGradient:
         rng = np.random.default_rng(2)
         clf = default_classifier(2, 2, seed=4, r=0.0)
         X = rng.normal(size=(4, 2))
-        loss, g, f = _unsup_gradient(clf, X, np.ones(4), np.zeros(4, int), np.zeros(4, bool))
+        loss, g, f = strong_branch(clf, X, np.ones(4), np.zeros(4, int), np.zeros(4, bool))
         assert loss == 0.0
         assert np.abs(g).max() == 0.0
         assert np.abs(flat(f.layers)).max() == 0.0
@@ -94,15 +104,29 @@ class TestUnsupGradient:
         mask = np.array([True, True, False, True, False])
 
         def loss():
-            return _unsup_gradient(clf, X, ratios, pseudo, mask)[0]
+            return strong_branch(clf, X, ratios, pseudo, mask)[0]
 
         from helpers import fd_layers, fd_matrix, rel_err
 
-        _, g_theta, g_feat = _unsup_gradient(clf, X, ratios, pseudo, mask)
+        _, g_theta, g_feat = strong_branch(clf, X, ratios, pseudo, mask)
         fd_theta = fd_matrix(loss, clf.theta, eps=1e-5)
         assert rel_err(fd_theta, g_theta) <= 1e-4
         fd_feat = fd_layers(loss, clf.feature_map, eps=1e-5)
         assert rel_err(flat(fd_feat), flat(g_feat.layers)) <= 1e-4
+
+    def test_loss_weight_scales_the_gradient(self):
+        rng = np.random.default_rng(4)
+        clf = default_classifier(3, 2, seed=6, r=0.5, hidden=(4,), feature_dim=4)
+        clf.theta = rng.normal(size=clf.theta.shape)
+        X = rng.normal(size=(8, 3))
+        ratios = rng.uniform(0.5, 2.0, size=8)
+        pseudo = rng.integers(0, 2, size=8)
+        mask = np.arange(8) % 3 != 0
+        loss1, g1, f1 = strong_branch(clf, X, ratios, pseudo, mask, 1.0)
+        loss_half, g_half, f_half = strong_branch(clf, X, ratios, pseudo, mask, 0.5)
+        assert loss_half == pytest.approx(0.5 * loss1, rel=1e-12)
+        np.testing.assert_allclose(g_half, 0.5 * g1, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(flat(f_half.layers), 0.5 * flat(f1.layers), rtol=1e-12, atol=0)
 
 
 def small_setup(seed=0, n_labeled=12, n_target=48):
@@ -159,3 +183,24 @@ class TestRunDrssl:
         cfg = SslConfig(augmentation=AugmentationSpec(seed=1), base=TrainConfig(epochs=1, seed=0))
         with pytest.raises(ContractError):
             run_drssl(one_class, target, cfg, *default_models(one_class, cfg.base.seed))
+
+
+def test_drssl_step_runs_the_classifier_forward_twice(monkeypatch):
+    # One batch, no domain net and an unlabeled target: the step's only
+    # forward passes are the labeled rows' and the shared weak/strong pass.
+    labeled, target = small_setup(seed=5, n_target=16)
+    unlabeled = dataset_from_arrays(target.X, None, "target", 2)
+    cfg = SslConfig(augmentation=AugmentationSpec(seed=5), base=TrainConfig(epochs=1, seed=5))
+    calls = []
+    original = drshift.features._forward_activations
+
+    def counting(fmap, X):
+        calls.append(X.shape[0])
+        return original(fmap, X)
+
+    for module in (drshift.features, drshift.robust, drshift.semisup):
+        monkeypatch.setattr(module, "_forward_activations", counting)
+    clf, _ = default_models(labeled, cfg.base.seed)
+    _, _, hist = run_drssl(labeled, unlabeled, cfg, clf, None)
+    assert len(hist) == 1
+    assert calls == [12, 32]
