@@ -18,22 +18,18 @@ from .data import (
     TARGET,
     AugmentationSpec,
     Dataset,
-    DiscreteDomainSpec,
     GaussianShiftSpec,
     augment_batch,
     dataset_from_arrays,
     default_shift_spec,
     generate_gaussian_shift,
     load_csv,
-    oracle_expectations,
     save_csv,
 )
 from .domain import (
     DomainClassifier,
-    RatioEstimate,
     bce_loss,
     default_domain_classifier,
-    domain_forward,
     drl_density_gradient,
 )
 from .errors import ConfigError, ContractError, CsvParseError, DivergenceError
@@ -41,7 +37,6 @@ from .features import (
     FeatureGradient,
     FeatureMap,
     bias_map,
-    feature_backward,
     feature_forward,
     feature_map_from_json,
     feature_map_to_json,
@@ -50,7 +45,6 @@ from .features import (
 )
 from .kde import KdeModel, fit_kde, kde_log_density, plugin_ratio, run_plugin_simulation
 from .robust import (
-    FeatureConstraint,
     Prediction,
     RobustClassifier,
     SourceGradient,
@@ -68,7 +62,7 @@ from .robust import (
     train_end_to_end,
     train_erm,
 )
-from .selftrain import PseudoLabel, SelfTrainSchedule, run_drst, select_pseudo
+from .selftrain import SelfTrainSchedule, run_drst, select_pseudo
 from .semisup import SslConfig, consistency_loss, run_drssl
 
 __version__ = "0.1.0"

@@ -15,6 +15,8 @@ with the recipes as they are.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.special import softmax
 
@@ -27,6 +29,7 @@ from .data import (
     generate_gaussian_shift,
 )
 from .domain import default_domain_classifier
+from .errors import ConfigError, ContractError
 from .robust import (
     TrainConfig,
     class_scores,
@@ -81,33 +84,45 @@ def _pick(recipe, keys):
     return {key: recipe[key] for key in keys if key in recipe}
 
 
+@contextmanager
+def _in_section(section):
+    """Prefix a ConfigError raised inside the block with the config section."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 def _train_config(recipe, seed):
     """TrainConfig of a recipe; batches shuffle at seed, and keys the recipe
     omits keep the TrainConfig defaults."""
     keys = ("lr_domain", "lr_model", "momentum", "batch_size", "epochs", "domain_update_period")
-    return TrainConfig(**_pick(recipe, keys), seed=seed)
+    with _in_section("train"):
+        return TrainConfig(**_pick(recipe, keys), seed=seed)
 
 
 def ssl_config(recipe, base):
     """SslConfig of a recipe over the TrainConfig base; its augmentation
     stream draws at base.seed + 60."""
-    return SslConfig(
-        threshold=recipe["threshold"],
-        unlabeled_batch=recipe["unlabeled_batch"],
-        loss_weight=recipe["loss_weight"],
-        augmentation=AugmentationSpec(
-            weak_noise_std=recipe["weak_noise_std"],
-            strong_noise_std=recipe["strong_noise_std"],
-            strong_mask_fraction=recipe["strong_mask_fraction"],
-            seed=base.seed + 60,
-        ),
-        base=base,
-    )
+    with _in_section("ssl"):
+        return SslConfig(
+            threshold=recipe["threshold"],
+            unlabeled_batch=recipe["unlabeled_batch"],
+            loss_weight=recipe["loss_weight"],
+            augmentation=AugmentationSpec(
+                weak_noise_std=recipe["weak_noise_std"],
+                strong_noise_std=recipe["strong_noise_std"],
+                strong_mask_fraction=recipe["strong_mask_fraction"],
+                seed=base.seed + 60,
+            ),
+            base=base,
+        )
 
 
 def self_train_schedule(recipe):
     """SelfTrainSchedule of a recipe; keys it omits keep the schedule defaults."""
-    return SelfTrainSchedule(**_pick(recipe, ("p0", "dp", "pmax", "rounds")))
+    with _in_section("schedule"):
+        return SelfTrainSchedule(**_pick(recipe, ("p0", "dp", "pmax", "rounds")))
 
 
 def initial_models(recipe, dim, class_count, seed):
@@ -133,8 +148,6 @@ def temperature_split(logits, labels, seed, split):
 
 def class_balanced_subset(dataset, n_total, seed):
     """Pick an equal number of samples per class, ordered by original index."""
-    from .errors import ContractError
-
     rng = np.random.default_rng(seed)
     per = n_total // dataset.class_count
     idxs = []

@@ -8,7 +8,8 @@ directory: metrics.jsonl (per-epoch or per-round records), report.json
 model), reliability.csv, predictions.csv, and model.json checkpoints where
 a model is trained. A run either completes all its files or removes the
 partial ones. Each command checks its config and loads its data before it
-takes the output directory's lock, and trains only after that.
+takes the output directory's lock, and trains only after that. A config key
+that no command reads is a config error.
 
 A training command lays the config fields it reads (_OVERLAY) over a
 canonical recipe and builds the run with the drshift.benchmarks builders
@@ -175,7 +176,25 @@ def load_config(path, seed_override=None, out_override=None):
         raise ConfigError("seed: required value missing")
     _num(cfg, "seed", integer=True)
     _path(cfg, "out_dir")
+    _check_keys(cfg)
     return cfg
+
+
+def _check_keys(cfg):
+    """Reject a key, at the top level or inside a section, that no command reads."""
+    fields = {"seed", "out_dir"} | {path for path, _, _ in _OVERLAY.values()}
+    fields |= {f"{section}.{key}" for section, keys in _FIELDS.items() for key in keys}
+    sections = {path.rpartition(".")[0] for path in fields} - {""}
+
+    def walk(node, prefix):
+        for key in node:
+            path = prefix + key
+            if path in sections:
+                walk(_section(cfg, path), path + ".")
+            elif path not in fields:
+                raise ConfigError(f"{path}: unknown config key")
+
+    walk(cfg, "")
 
 
 def _data_spec(cfg):
@@ -217,6 +236,15 @@ def _load_datasets(cfg):
         )
     return source, target
 
+
+# The fields of the sections that _OVERLAY does not cover.
+_FIELDS = {
+    "data": ("kind", "source_path", "target_path", "target_has_label", "source_mean",
+             "target_mean", "source_cov", "target_cov", "boundary_weights", "boundary_bias",
+             "n_source", "n_target"),
+    "plugin": ("bandwidths",),
+    "calibrate": ("checkpoint", "split"),
+}
 
 # Recipe key -> the config field that overrides it, its reader and checks.
 # A command reads only the fields of the sections it passes to _recipe.

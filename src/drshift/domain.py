@@ -1,11 +1,12 @@
 """Binary domain classifier and differentiable density-ratio estimation.
 
 A single-logit network separates source from target inputs; its sigmoid
-output tau_s is the posterior probability of "source" (tau_t = 1 - tau_s),
-and with equal source/target batch sizes the prior ratio cancels so
-tau_s/tau_t estimates the source/target density ratio directly. Besides the
-usual cross-entropy gradient, the estimated ratio receives a gradient from
-the robust classification objective through the two density outputs.
+output tau_s is the posterior probability of "source" (tau_t = 1 - tau_s).
+The domain step weights the source and target halves of its batch equally,
+whatever their sizes, so the prior ratio cancels and tau_s/tau_t estimates
+the source/target density ratio directly. Besides the usual cross-entropy
+gradient, the estimated ratio receives a gradient from the robust
+classification objective through the two density outputs.
 """
 
 from __future__ import annotations
@@ -37,27 +38,12 @@ class DomainClassifier:
         return DomainClassifier(self.net.copy(), tuple(self.ratio_bounds))
 
 
-@dataclass
-class RatioEstimate:
-    tau_s: float
-    tau_t: float
-    ratio: float
-    logit: float
-    clamped: bool
-
-
 def default_domain_classifier(dim, seed=0, hidden=(16,), ratio_bounds=DEFAULT_RATIO_BOUNDS):
     return DomainClassifier(init_mlp(dim, hidden, 1, "tanh", seed), ratio_bounds)
 
 
 def domain_logits(clf, X):
     return feature_forward_batch(clf.net, X)[:, 0]
-
-
-def domain_forward(clf, x):
-    """Source/target probabilities and the clamped density ratio for one input."""
-    tau_s, ratio, clamped, z = (v[0] for v in domain_ratios(clf, np.asarray(x, dtype=float)[None, :]))
-    return RatioEstimate(float(tau_s), 1.0 - float(tau_s), float(ratio), float(z), bool(clamped))
 
 
 def _ratios_from_logits(clf, z):

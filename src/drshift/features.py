@@ -146,15 +146,6 @@ def _forward_activations(fmap, X):
     return acts
 
 
-def feature_backward(fmap, x, upstream):
-    """Gradient of upstream . phi(x) with respect to the map's parameters."""
-    x = np.asarray(x, dtype=float)
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (fmap.out_dim,):
-        raise ConfigError(f"upstream must have length {fmap.out_dim}")
-    return feature_backward_batch(fmap, x[None, :], upstream[None, :], weights=np.ones(1))
-
-
 def feature_backward_batch(fmap, X, U, weights=None, acts=None):
     """Weighted sum over samples of the per-sample parameter gradients.
 

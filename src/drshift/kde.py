@@ -26,7 +26,6 @@ _BLOCK_PAIRS = 8192
 class KdeModel:
     points: np.ndarray  # (n, d) training data
     bandwidth: float
-    dim: int
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -34,13 +33,14 @@ class KdeModel:
             raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         if not np.isfinite(self.points).all():
             raise ConfigError("KDE training points must be finite")
-        if self.points.shape[1] != self.dim:
-            raise ConfigError(f"points have dim {self.points.shape[1]}, expected {self.dim}")
+
+    @property
+    def dim(self):
+        return self.points.shape[1]
 
 
 def fit_kde(points, bandwidth):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return KdeModel(points, float(bandwidth), points.shape[1])
+    return KdeModel(points, float(bandwidth))
 
 
 def kde_log_density(model, x):

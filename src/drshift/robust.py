@@ -81,13 +81,6 @@ class RobustClassifier:
 
 
 @dataclass
-class FeatureConstraint:
-    """Per-class mean source feature vectors c_y = mean_i 1{y_i=y} phi(x_i)."""
-
-    c_tilde: np.ndarray  # (C, m)
-
-
-@dataclass
 class TrainConfig:
     lr_domain: float = 0.1
     lr_model: float = 0.1
@@ -169,16 +162,12 @@ def predict(clf, x, ratio, train_label=None):
     softmax(R z / (1 + r)); that form is used verbatim so the temperature
     identity holds exactly. With r = 0 the two modes coincide.
     """
-    _check_ratios(clf, ratio)
+    ratios = _check_ratios(clf, ratio)
+    if train_label is not None and not 0 <= train_label < clf.class_count:
+        raise ContractError(f"train label {train_label} outside [0, {clf.class_count})")
     z = clf.theta @ feature_forward(clf.feature_map, x)
-    if train_label is None:
-        logits = ratio * z / (1.0 + clf.r)
-    else:
-        if not 0 <= train_label < clf.class_count:
-            raise ContractError(f"train label {train_label} outside [0, {clf.class_count})")
-        ind = np.zeros(clf.class_count)
-        ind[train_label] = 1.0
-        logits = (ratio * z + clf.r * ind) / (clf.r * ind + 1.0)
+    labels = None if train_label is None else [train_label]
+    logits = _logits(clf, z[None, :], ratios, labels)[0]
     return Prediction(softmax(logits), float(logsumexp(logits)))
 
 
@@ -193,19 +182,24 @@ def _nll_at(probs, labels):
     return -np.log(np.maximum(probs[np.arange(probs.shape[0]), labels], 1e-300))
 
 
+def _logits(clf, Z, ratios, labels=None):
+    """Ratio-scaled logits of raw class scores Z (n, C): test mode
+    R z / (1 + r) when labels is None, else train mode at the labels."""
+    if labels is None:
+        return ratios[:, None] * Z / (1.0 + clf.r)
+    onehot = np.zeros_like(Z)
+    onehot[np.arange(Z.shape[0]), np.asarray(labels, dtype=int)] = 1.0
+    return (ratios[:, None] * Z + clf.r * onehot) / (clf.r * onehot + 1.0)
+
+
 def _predict_from_scores(clf, Z, ratios, labels=None):
     """predict_proba from raw class scores Z (n, C) and checked ratios."""
-    if labels is None:
-        logits = ratios[:, None] * Z / (1.0 + clf.r)
-    else:
-        onehot = np.zeros_like(Z)
-        onehot[np.arange(Z.shape[0]), np.asarray(labels, dtype=int)] = 1.0
-        logits = (ratios[:, None] * Z + clf.r * onehot) / (clf.r * onehot + 1.0)
-    return _softmax_lse(logits)
+    return _softmax_lse(_logits(clf, Z, ratios, labels))
 
 
 def feature_constraint(fmap, X, y, class_count, weights=None):
-    """Empirical feature-matching constraint from labeled source data."""
+    """Empirical feature-matching constraint from labeled source data: the
+    (C, m) matrix c_y = sum_i w_i 1{y_i=y} phi(x_i), weights defaulting to 1/n."""
     return _constraint_from_features(feature_forward_batch(fmap, X), y, class_count, weights)
 
 
@@ -218,45 +212,29 @@ def _constraint_from_features(Phi, y, class_count, weights=None):
         mask = y == cls
         if mask.any():
             c[cls] = (w[mask][:, None] * Phi[mask]).sum(axis=0)
-    return FeatureConstraint(c)
+    return c
 
 
-def _as_matrix(inputs):
-    X = inputs.X if hasattr(inputs, "X") else np.asarray(inputs, dtype=float)
-    return np.atleast_2d(X)
-
-
-def dual_objective(clf, target_inputs, ratios, constraint):
+def dual_objective(clf, X, ratios, constraint):
     """Mean target log-partition minus the constraint term (the unregularized dual)."""
-    X = _as_matrix(target_inputs)
-    if X.shape[0] == 0:
+    if len(X) == 0:
         raise ContractError("dual_objective needs at least one target input")
     ratios = _check_ratios(clf, ratios)
     Z = class_scores(clf, X)
     _, logZ = _softmax_lse(ratios[:, None] * Z)
-    return float(logZ.mean() - np.sum(clf.theta * constraint.c_tilde))
+    return float(logZ.mean() - np.sum(clf.theta * constraint))
 
 
 def grad_source(clf, batch, ratios, weights=None):
     """Source-measure gradient of the dual in theta and the feature parameters.
 
-    batch is a labeled Dataset or an (X, y) pair. Per sample, f is the
-    train-mode prediction at label y_i, and
-    grad theta_y = sum_i w_i (f_y(x_i) - 1{y_i=y}) phi(x_i); the per-sample
-    feature upstream is u_i = sum_y (f_y(x_i) - 1{y_i=y}) theta_y. Weights
-    default to 1/n. For r = 0 these are exactly the change-of-measure
-    gradients of dual_objective.
+    batch is an (X, y) pair. Per sample, f is the train-mode prediction at
+    label y_i, and grad theta_y = sum_i w_i (f_y(x_i) - 1{y_i=y}) phi(x_i);
+    the per-sample feature upstream is u_i = sum_y (f_y(x_i) - 1{y_i=y})
+    theta_y. Weights default to 1/n. For r = 0 these are exactly the
+    change-of-measure gradients of dual_objective.
     """
-    if hasattr(batch, "X"):
-        X, y = batch.X, batch.y  # an unlabeled Dataset raises ContractError here
-    else:
-        X, y = batch
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        # Only an object array can hold a missing (None) label.
-        if y.dtype == object and any(v is None for v in y.ravel()):
-            raise ContractError("grad_source requires a fully labeled batch")
-        y = y.astype(int)
+    X, y = np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=int)
     ratios = _check_ratios(clf, ratios)
     n = X.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
@@ -289,9 +267,8 @@ def _ratios(dom, X, epoch=None):
 def target_predictions(clf, dom, dataset):
     """Test-mode probabilities and per-sample ratios over a whole dataset;
     dom=None means unit ratios."""
-    X = dataset.X if hasattr(dataset, "X") else np.asarray(dataset, dtype=float)
-    ratios = _ratios(dom, X)
-    probs, _ = predict_proba(clf, X, ratios)
+    ratios = _ratios(dom, dataset.X)
+    probs, _ = predict_proba(clf, dataset.X, ratios)
     return probs, ratios
 
 
@@ -331,9 +308,11 @@ def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
 
     One forward pass over X_dom = [Xb_s; Xb_t] gives the BCE logits and the
     target ratios, and one backward pass takes the combined logit upstream:
-    the BCE term divided by n_s + n_t on every row plus the density term
-    divided by n_t on the target rows. The result equals
-    bce_gradient_arrays(dom, X_dom, t) + density_chain_gradient over Xb_t.
+    the BCE term divided by 2 n_s on the source rows and by 2 n_t on the
+    target rows, plus the density term divided by n_t on the target rows.
+    Weighting the two halves equally keeps the prior n_s/n_t out of the
+    learned ratio when their sizes differ. The result equals half the mean
+    BCE gradient of each half plus density_chain_gradient over Xb_t.
     """
     n_s, n_t = Xb_s.shape[0], Xb_t.shape[0]
     X_dom = np.vstack([Xb_s, Xb_t])
@@ -344,7 +323,9 @@ def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
     Z_t = class_scores(clf, Xb_t)
     probs_t, _ = _predict_from_scores(clf, Z_t, ratio_t)
     t_dom = np.concatenate([is_source_s, np.zeros(n_t)])
-    dz = _bce_logit_upstream(z, t_dom) / (n_s + n_t)
+    dz = _bce_logit_upstream(z, t_dom)
+    dz[:n_s] /= 2 * n_s
+    dz[n_s:] /= 2 * n_t
     dz[n_s:] += _density_logit_upstream(Z_t, probs_t, tau_s_t, clamped_t) / n_t
     w = np.ones(n_s + n_t)
     return feature_backward_batch(dom.net, X_dom, dz[:, None], weights=w, acts=acts)

@@ -35,15 +35,9 @@ class SelfTrainSchedule:
         return min(self.p0 + t * self.dp, self.pmax)
 
 
-@dataclass(frozen=True)
-class PseudoLabel:
-    target_index: int
-    label: int
-    confidence: float
-
-
 def select_pseudo(preds, portion):
-    """Class-balanced selection of the most confident predictions.
+    """Sorted target indices of a class-balanced selection of the most
+    confident predictions; a selected row's pseudo-label is its argmax.
 
     For every class c, the ceil(portion * N_c) highest-confidence targets
     whose argmax is c are selected (N_c = number of targets predicted as c),
@@ -52,28 +46,21 @@ def select_pseudo(preds, portion):
     if not 0.0 <= portion <= 1.0:
         raise ContractError("portion must lie in [0, 1]")
     P = np.asarray(preds, dtype=float)
-    if P.shape[0] == 0 or portion == 0.0:
-        return []
-    labels = P.argmax(axis=1)
-    conf = P.max(axis=1)
+    if P.shape[0] == 0:
+        return np.zeros(0, dtype=int)
+    labels, conf = P.argmax(axis=1), P.max(axis=1)
     chosen = []
     for c in range(P.shape[1]):
-        idxs = np.flatnonzero(labels == c)
-        if idxs.size == 0:
-            continue
-        quota = min(math.ceil(portion * idxs.size), idxs.size)
-        order = sorted(idxs.tolist(), key=lambda i: (-conf[i], i))
-        for i in order[:quota]:
-            chosen.append(PseudoLabel(int(i), int(c), float(conf[i])))
-    chosen.sort(key=lambda pl: pl.target_index)
-    return chosen
+        idx = np.flatnonzero(labels == c)
+        chosen.append(idx[np.lexsort((idx, -conf[idx]))][: math.ceil(portion * idx.size)])
+    return np.sort(np.concatenate(chosen))
 
 
-def _augmented_source(source, target, pseudo):
-    idx = [pl.target_index for pl in pseudo]
+def _augmented_source(source, target, idx, labels):
+    """The source plus the target rows idx, labeled labels and tagged as target."""
     return Dataset(
         np.concatenate([source.X, target.X[idx]]),
-        np.concatenate([source.y, [pl.label for pl in pseudo]]),
+        np.concatenate([source.y, labels]),
         np.concatenate([source.is_source, np.zeros(len(idx), dtype=bool)]),
         source.class_count,
         name=source.name,
@@ -100,7 +87,7 @@ def run_drst(source, target, schedule, cfg, clf, dom=None):
         portion = schedule.portion(t)
         probs, _ = target_predictions(clf, dom, target)
         pseudo = select_pseudo(probs, portion)
-        aug = _augmented_source(source, target, pseudo)
+        aug = _augmented_source(source, target, pseudo, probs[pseudo].argmax(axis=1))
         round_cfg = replace(cfg, seed=cfg.seed + t + 1)
         clf, dom, _ = train_end_to_end(aug, target, clf, dom, round_cfg)
 

@@ -3,12 +3,13 @@
 import numpy as np
 
 from drshift import (
-    DiscreteDomainSpec,
     RobustClassifier,
     default_classifier,
     default_domain_classifier,
     init_mlp,
 )
+
+from oracle import DiscreteDomainSpec
 
 
 def default_models(dataset, seed):

@@ -21,7 +21,6 @@ from drshift import (
     feature_constraint,
     grad_source,
     identity_map,
-    oracle_expectations,
     predict,
     brier,
     ece,
@@ -45,6 +44,7 @@ from helpers import (
     random_discrete_instance,
     rel_err,
 )
+from oracle import oracle_expectations
 
 SEEDS = range(5)
 

@@ -403,3 +403,39 @@ def test_ratio_bounds_excluding_one_rejected_only_for_erm(tmp_path, capsys, comm
     if code == 2:
         assert "model.ratio_bounds:" in capsys.readouterr().err
     assert (tmp_path / "run").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command,overrides,path", [
+    ("train-drl", {"trian": {"epochs": 1}}, "trian"),
+    ("train-drl", {"train": {"lr_modle": 5.0}}, "train.lr_modle"),
+    ("drssl", {"ssl": {"augmentation": {"weak_noise": 0.1}}}, "ssl.augmentation.weak_noise"),
+    ("simulate", {"data": {"n_sources": 10}}, "data.n_sources"),
+    ("plugin-sim", {"plugin": {"bandwidth": [0.5]}}, "plugin.bandwidth"),
+    ("train-drl", {"schedule": {"p1": 0.1}}, "schedule.p1"),
+])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, command, overrides, path):
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert f"{path}: unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_section_the_command_does_not_read_is_allowed(tmp_path):
+    cfg_path, _ = write_config(tmp_path, schedule={"rounds": 1}, ssl={"threshold": 0.9},
+                               plugin={"bandwidths": [0.5]})
+    assert main(["train-drl", "--config", str(cfg_path)]) == 0
+
+
+@pytest.mark.parametrize("command,overrides,message", [
+    ("drssl", {"ssl": {"threshold": 0}}, "ssl: threshold must lie in (0, 1)"),
+    ("drssl", {"ssl": {"threshold": 1}}, "ssl: threshold must lie in (0, 1)"),
+    ("train-drl", {"train": {"momentum": 1}}, "train: momentum must lie in [0, 1)"),
+    ("drst", {"schedule": {"p0": 0.5, "pmax": 0.2}}, "schedule: need 0 <= p0 <= pmax <= 1"),
+    ("drssl", {"ssl": {"augmentation": {"weak_noise_std": 0.5, "strong_noise_std": 0.1}}},
+     "ssl: strong_noise_std must be >= weak_noise_std"),
+])
+def test_builder_range_error_names_its_section(tmp_path, capsys, command, overrides, message):
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

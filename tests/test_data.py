@@ -8,7 +8,6 @@ from drshift import (
     ContractError,
     CsvParseError,
     Dataset,
-    DiscreteDomainSpec,
     GaussianShiftSpec,
     RobustClassifier,
     augment_batch,
@@ -16,11 +15,11 @@ from drshift import (
     generate_gaussian_shift,
     identity_map,
     load_csv,
-    oracle_expectations,
     save_csv,
 )
 
 from helpers import random_discrete_instance
+from oracle import DiscreteDomainSpec, oracle_expectations
 
 
 def one_d_spec(mu_s, mu_t, n=50, seed=0):
@@ -137,7 +136,7 @@ class TestOracle:
         from scipy.special import logsumexp
 
         from drshift import default_domain_classifier
-        from drshift.domain import domain_forward
+        from drshift.domain import domain_ratios
         from drshift.features import feature_forward_batch
 
         rng = np.random.default_rng(14)
@@ -145,13 +144,12 @@ class TestOracle:
         dom = default_domain_classifier(2, seed=3, ratio_bounds=(0.5, 2.0))
         res = oracle_expectations(spec, clf, domain=dom)
         # independent evaluation with the classifier's clamped ratios
-        ratios = np.array([domain_forward(dom, p).ratio for p in spec.points])
+        _, ratios, clamped, _ = domain_ratios(dom, spec.points)
         Phi = feature_forward_batch(clf.feature_map, spec.points)
         logZ = logsumexp(ratios[:, None] * (Phi @ clf.theta.T), axis=1)
         c_tilde = (spec.p_source[:, None] * spec.cond_label).T @ Phi
         expected = spec.p_target @ logZ - np.sum(clf.theta * c_tilde)
         assert res.dual_value == pytest.approx(expected, abs=1e-12)
-        clamped = np.array([domain_forward(dom, p).clamped for p in spec.points])
         assert np.all(res.grad_ratio[clamped] == 0.0)
 
     def test_equal_densities_give_moment_matching_gradient(self):
@@ -277,11 +275,6 @@ class TestDataset:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             Dataset(np.zeros((1, 2)), [2], class_count=2)
-
-    def test_without_labels(self):
-        ds = Dataset(np.stack([np.zeros(2), np.ones(2)]), [1, 0], class_count=2)
-        stripped = ds.without_labels()
-        assert ds.labeled and not stripped.labeled
 
     def test_empty_and_non_matrix_rejected(self):
         for X in [np.zeros((0, 2)), np.zeros(3), np.zeros((2, 2, 2))]:

@@ -6,7 +6,6 @@ from drshift import (
     ContractError,
     bce_loss,
     default_domain_classifier,
-    domain_forward,
     drl_density_gradient,
 )
 from drshift.domain import DomainClassifier, bce_gradient_arrays, domain_ratios
@@ -28,28 +27,27 @@ def linear_logit_classifier(w, b=0.0, bounds=(1e-3, 1e3)):
 
 class TestForward:
     def test_zero_params_give_half_half(self):
-        est = domain_forward(zero_logit_classifier(), np.array([3.0, -1.0]))
-        assert est.tau_s == 0.5 and est.tau_t == 0.5 and est.ratio == 1.0
+        tau_s, ratio, _, _ = domain_ratios(zero_logit_classifier(), np.array([[3.0, -1.0]]))
+        assert tau_s[0] == 0.5 and 1.0 - tau_s[0] == 0.5 and ratio[0] == 1.0
 
     def test_log3_logit(self):
         clf = linear_logit_classifier([0.0], b=np.log(3.0))
-        est = domain_forward(clf, np.array([0.0]))
-        assert est.tau_s == pytest.approx(0.75, abs=1e-12)
-        assert est.tau_t == pytest.approx(0.25, abs=1e-12)
-        assert est.ratio == pytest.approx(3.0, rel=1e-12)
-        assert not est.clamped
+        tau_s, ratio, clamped, _ = domain_ratios(clf, np.array([[0.0]]))
+        assert tau_s[0] == pytest.approx(0.75, abs=1e-12)
+        assert 1.0 - tau_s[0] == pytest.approx(0.25, abs=1e-12)
+        assert ratio[0] == pytest.approx(3.0, rel=1e-12)
+        assert not clamped[0]
 
     def test_huge_logit_clamps(self):
         clf = linear_logit_classifier([0.0], b=50.0, bounds=(1e-3, 10.0))
-        est = domain_forward(clf, np.array([0.0]))
-        assert est.ratio == 10.0 and est.clamped
+        _, ratio, clamped, _ = domain_ratios(clf, np.array([[0.0]]))
+        assert ratio[0] == 10.0 and clamped[0]
 
     def test_taus_sum_to_one_exactly(self):
         rng = np.random.default_rng(0)
         clf = default_domain_classifier(3, seed=1)
-        for x in rng.normal(size=(20, 3)):
-            est = domain_forward(clf, x)
-            assert est.tau_s + est.tau_t == 1.0
+        tau_s = domain_ratios(clf, rng.normal(size=(20, 3)))[0]
+        assert np.all(tau_s + (1.0 - tau_s) == 1.0)
 
 
 class TestBce:
@@ -147,15 +145,3 @@ class TestDensityGradient:
         est = type("E", (), {"tau_s": 1.0, "tau_t": 1e-9, "ratio": 1e3, "clamped": False})
         with pytest.raises(ContractError):
             drl_density_gradient(np.ones((2, 2)), np.ones(2), np.array([0.5, 0.5]), est)
-
-
-def test_vectorized_ratios_agree_with_forward():
-    rng = np.random.default_rng(2)
-    clf = default_domain_classifier(2, seed=8)
-    X = rng.normal(size=(12, 2))
-    tau_s, ratio, clamped, z = domain_ratios(clf, X)
-    for i, x in enumerate(X):
-        est = domain_forward(clf, x)
-        assert est.tau_s == pytest.approx(tau_s[i], abs=1e-15)
-        assert est.ratio == pytest.approx(ratio[i], rel=1e-15)
-        assert est.clamped == clamped[i]

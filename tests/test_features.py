@@ -4,7 +4,6 @@ import pytest
 from drshift import (
     ConfigError,
     bias_map,
-    feature_backward,
     feature_forward,
     feature_map_from_json,
     feature_map_to_json,
@@ -48,7 +47,7 @@ def test_dimension_mismatch_raises():
 
 def test_parameter_free_maps_have_empty_gradient():
     for fmap in (identity_map(2), bias_map(2)):
-        g = feature_backward(fmap, np.array([1.0, 2.0]), np.ones(fmap.out_dim))
+        g = feature_backward_batch(fmap, np.array([[1.0, 2.0]]), np.ones((1, fmap.out_dim)))
         assert g.layers == []
 
 
@@ -58,7 +57,7 @@ def test_single_linear_layer_gradient_is_outer_product():
     fmap = FeatureMap("mlp", 2, 3, [(W, np.zeros(3))], "tanh")
     x = rng.normal(size=2)
     u = rng.normal(size=3)
-    g = feature_backward(fmap, x, u)
+    g = feature_backward_batch(fmap, x[None], u[None])
     np.testing.assert_allclose(g.layers[0][0], np.outer(u, x), atol=1e-12)
     np.testing.assert_allclose(g.layers[0][1], u, atol=1e-12)
 
@@ -68,7 +67,7 @@ def test_two_layer_tanh_matches_finite_differences():
     fmap = init_mlp(4, [5], 3, "tanh", seed=7)
     x = rng.normal(size=4)
     u = rng.normal(size=3)
-    g = feature_backward(fmap, x, u)
+    g = feature_backward_batch(fmap, x[None], u[None])
     fd = fd_layers(lambda: float(u @ feature_forward(fmap, x)), fmap, eps=1e-5)
     assert rel_err(flat(fd), flat(g.layers)) <= 1e-4
 
@@ -83,7 +82,7 @@ def test_random_instances_match_finite_differences(trial):
     fmap = init_mlp(d, widths, m, "tanh", seed=200 + trial)
     x = rng.normal(size=d)
     u = rng.normal(size=m)
-    g = feature_backward(fmap, x, u)
+    g = feature_backward_batch(fmap, x[None], u[None])
     fd = fd_layers(lambda: float(u @ feature_forward(fmap, x)), fmap, eps=1e-5)
     assert rel_err(flat(fd), flat(g.layers)) <= 1e-4
 
@@ -95,7 +94,7 @@ def test_relu_gradient_blocks_inactive_units():
     b1 = np.zeros(2)
     W2 = np.array([[1.0, 1.0]])
     fmap = FeatureMap("mlp", 1, 1, [(W1, b1), (W2, np.zeros(1))], "relu")
-    g = feature_backward(fmap, np.array([2.0]), np.array([1.0]))
+    g = feature_backward_batch(fmap, np.array([[2.0]]), np.array([[1.0]]))
     np.testing.assert_allclose(g.layers[0][0], np.array([[2.0], [0.0]]), atol=1e-12)
     np.testing.assert_allclose(g.layers[1][0], np.array([[2.0, 0.0]]), atol=1e-12)
 
@@ -114,9 +113,9 @@ def test_backward_linear_in_upstream():
     x = rng.normal(size=3)
     u1, u2 = rng.normal(size=4), rng.normal(size=4)
     a, b = 0.7, -1.3
-    g1 = feature_backward(fmap, x, u1)
-    g2 = feature_backward(fmap, x, u2)
-    g = feature_backward(fmap, x, a * u1 + b * u2)
+    g1 = feature_backward_batch(fmap, x[None], u1[None])
+    g2 = feature_backward_batch(fmap, x[None], u2[None])
+    g = feature_backward_batch(fmap, x[None], (a * u1 + b * u2)[None])
     np.testing.assert_allclose(
         flat(g.layers), a * flat(g1.layers) + b * flat(g2.layers), atol=1e-12
     )

@@ -9,8 +9,8 @@ import drshift.features
 import drshift.robust
 from drshift import default_classifier, default_domain_classifier
 from drshift.domain import bce_gradient_arrays, density_chain_gradient, domain_ratios
-from drshift.features import feature_forward_batch
-from drshift.robust import _domain_gradient, _softmax_lse, predict_proba
+from drshift.features import FeatureGradient, feature_forward_batch
+from drshift.robust import _domain_gradient, _sgd_step, _softmax_lse, predict_proba
 
 from helpers import flat
 
@@ -24,9 +24,12 @@ def models(seed, ratio_bounds):
 
 
 def reference_gradient(clf, dom, Xb_s, t_s, Xb_t):
-    """The domain step as two public gradients, each with its own forward passes."""
-    X_dom = np.vstack([Xb_s, Xb_t])
-    g_bce = bce_gradient_arrays(dom, X_dom, np.concatenate([t_s, np.zeros(len(Xb_t))]))
+    """The domain step from public gradients, each with its own forward passes:
+    half the mean BCE gradient of each half plus the density term."""
+    g_bce_s = bce_gradient_arrays(dom, Xb_s, t_s)
+    g_bce_t = bce_gradient_arrays(dom, Xb_t, np.zeros(len(Xb_t)))
+    g_bce = FeatureGradient([(0.5 * (a0 + b0), 0.5 * (a1 + b1))
+                             for (a0, a1), (b0, b1) in zip(g_bce_s.layers, g_bce_t.layers)])
     tau_s, ratio, clamped, _ = domain_ratios(dom, Xb_t)
     probs, _ = predict_proba(clf, Xb_t, ratio)
     Phi = feature_forward_batch(clf.feature_map, Xb_t)
@@ -71,6 +74,21 @@ def test_domain_step_runs_the_domain_net_forward_once(monkeypatch):
     _domain_gradient(clf, dom, rng.normal(size=(16, 2)), np.ones(16), rng.normal(size=(48, 2)))
     assert sum(fmap is dom.net for fmap in calls) == 1
     assert sum(fmap is clf.feature_map for fmap in calls) == 1
+
+
+@pytest.mark.parametrize("n_s,n_t", [(4, 16), (16, 4)])
+def test_unequal_halves_leave_the_ratio_unbiased(n_s, n_t):
+    # Both halves come from one Gaussian, so the true ratio is 1. With
+    # theta = 0 the density term vanishes and the step is the BCE alone;
+    # weighting the halves by 1/n_s and 1/n_t alone would learn n_s/n_t.
+    rng, clf, dom = models(13, (1e-3, 1e3))
+    clf.theta[:] = 0.0
+    for _ in range(1000):
+        g = _domain_gradient(clf, dom, rng.normal(size=(n_s, 2)), np.ones(n_s),
+                             rng.normal(size=(n_t, 2)))
+        _sgd_step(dom.net, g, 0.1)
+    ratios = domain_ratios(dom, rng.normal(size=(1000, 2)))[1]
+    assert 0.9 <= np.median(ratios) <= 1.1
 
 
 def softmax_cases():

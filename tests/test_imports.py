@@ -1,8 +1,11 @@
-"""Every name a drshift module imports is used in that module.
+"""Every name a drshift module imports is used in that module, and the
+leaf modules import no other drshift module.
 
 No linter is pinned for this project, so this ast walk catches the dead
 imports that deleting code tends to leave behind. __init__.py is skipped:
-its imports are the package's public re-exports.
+its imports are the package's public re-exports. data, calibration and
+errors sit below the model: they may import errors and nothing else from
+drshift, which keeps test-only oracles over the model out of data.
 """
 
 import ast
@@ -12,6 +15,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "drshift"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+LEAVES = ("data.py", "calibration.py", "errors.py")
 
 
 def unused_imports(source):
@@ -31,6 +35,29 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_imported_name(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def drshift_imports(source):
+    """Names of the drshift modules (or package attributes) a module imports."""
+    dotted = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "drshift." + (node.module or "") if node.level else node.module
+            dotted += [f"{package.rstrip('.')}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("drshift.")}
+
+
+@pytest.mark.parametrize("name", LEAVES)
+def test_leaf_module_imports_only_errors(name):
+    assert drshift_imports((SRC / name).read_text(encoding="utf-8")) <= {"errors"}
+
+
+def test_walk_finds_drshift_imports():
+    source = ("import numpy\nimport drshift.kde\nfrom . import robust\n"
+              "from .domain import x\nfrom drshift.features import y\nfrom scipy import z\n")
+    assert drshift_imports(source) == {"kde", "robust", "domain", "features"}
 
 
 def test_walk_finds_an_unused_import():

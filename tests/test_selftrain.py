@@ -43,15 +43,14 @@ class TestSchedule:
 
 class TestSelectPseudo:
     def test_zero_portion_selects_nothing(self):
-        assert select_pseudo(np.array([[0.9, 0.1]]), 0.0) == []
+        assert len(select_pseudo(np.array([[0.9, 0.1]]), 0.0)) == 0
 
     def test_full_portion_selects_everything(self):
         rng = np.random.default_rng(0)
         P = rng.dirichlet(np.ones(3), size=20)
         chosen = select_pseudo(P, 1.0)
         assert len(chosen) == 20
-        for pl in chosen:
-            assert pl.label == int(P[pl.target_index].argmax())
+        np.testing.assert_array_equal(chosen, np.arange(20))
 
     def test_hand_enumerated_selection(self):
         P = np.array([
@@ -60,7 +59,7 @@ class TestSelectPseudo:
             [0.2, 0.8],   # class 1, conf 0.8
         ])
         chosen = select_pseudo(P, 0.5)
-        assert {(pl.target_index, pl.label) for pl in chosen} == {(0, 0), (2, 1)}
+        assert {(int(i), int(P[i].argmax())) for i in chosen} == {(0, 0), (2, 1)}
 
     def test_out_of_range_portion_rejected(self):
         with pytest.raises(ContractError):
@@ -73,23 +72,25 @@ class TestSelectPseudo:
         n, C = int(rng.integers(1, 40)), int(rng.integers(2, 5))
         P = rng.dirichlet(np.ones(C), size=n)
         chosen = select_pseudo(P, portion)
-        idxs = [pl.target_index for pl in chosen]
-        assert len(idxs) == len(set(idxs))
+        assert chosen.dtype.kind == "i"
+        assert np.all(np.diff(chosen) > 0)  # sorted, each target at most once
         labels = P.argmax(axis=1)
-        counts = np.zeros(C, int)
-        for pl in chosen:
-            assert pl.label == labels[pl.target_index]
-            assert pl.confidence == pytest.approx(P[pl.target_index].max())
-            counts[pl.label] += 1
+        counts = np.bincount(labels[chosen], minlength=C)
         for c in range(C):
             n_c = int((labels == c).sum())
             expected = min(int(np.ceil(portion * n_c)), n_c) if n_c else 0
             assert counts[c] == expected
+            # the selected rows of class c are its most confident ones
+            picked = P[chosen[labels[chosen] == c]].max(axis=1)
+            rest = np.delete(P, chosen, axis=0)
+            rest = rest[rest.argmax(axis=1) == c].max(axis=1)
+            if picked.size and rest.size:
+                assert picked.min() >= rest.max()
 
     def test_tie_breaks_by_lower_index(self):
         P = np.array([[0.8, 0.2], [0.8, 0.2]])
         chosen = select_pseudo(P, 0.5)
-        assert [pl.target_index for pl in chosen] == [0]
+        assert chosen.tolist() == [0]
 
 
 class TestRunDrst:
