@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ContractError
 
@@ -102,11 +101,29 @@ def miscls_entropy(probs, labels):
     return float(-terms.sum(axis=1).mean()), False
 
 
+def _lse_parts(L):
+    """Row-wise log-sum-exp of an (n, C) array, with the shifted exponentials.
+
+    Returns (lse, e, s): e = exp(L - m) with m the row max, s the (n, 1) row
+    sums of e and lse = m + log s. Shifting by the max keeps exp in range, and
+    e / s is the softmax, so one exp serves both.
+    """
+    m = L.max(axis=1, keepdims=True)
+    e = np.exp(L - m)
+    s = e.sum(axis=1, keepdims=True)
+    return m[:, 0] + np.log(s[:, 0]), e, s
+
+
+def _mean_nll(L, L_label, temperature):
+    """nll from the logits L and their label column L_label."""
+    return float((_lse_parts(L / temperature)[0] - L_label / temperature).mean())
+
+
 def nll(logits, labels, temperature=1.0):
     """Mean negative log-likelihood of softmax(logits / T)."""
-    L = np.asarray(logits, dtype=float) / temperature
+    L = np.asarray(logits, dtype=float)
     y = np.asarray(labels, dtype=int)
-    return float((logsumexp(L, axis=1) - L[np.arange(L.shape[0]), y]).mean())
+    return _mean_nll(L, L[np.arange(L.shape[0]), y], temperature)
 
 
 def fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
@@ -118,9 +135,10 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
     L = np.asarray(logits, dtype=float)
     if L.shape[0] == 0:
         raise ContractError("fit_temperature needs at least one sample")
+    L_label = L[np.arange(L.shape[0]), np.asarray(labels, dtype=int)]
 
     def f(log_t):
-        return nll(L, labels, np.exp(log_t))
+        return _mean_nll(L, L_label, np.exp(log_t))
 
     a, b = np.log(lo), np.log(hi)
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -137,7 +155,7 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
             d = a + inv_phi * (b - a)
             fd = f(d)
     t_star = float(np.exp((a + b) / 2.0))
-    if nll(L, labels, t_star) <= nll(L, labels, 1.0) - 1e-12:
+    if _mean_nll(L, L_label, t_star) <= _mean_nll(L, L_label, 1.0) - 1e-12:
         return t_star
     return 1.0
 

@@ -313,7 +313,14 @@ def _check_target_labels(target, class_count, owner):
 
 class RunDir:
     """Exclusive run directory: lock file plus all-or-nothing writes; a failed
-    run removes the files and the directory it created."""
+    run removes the files and the directory it created.
+
+    The lock file holds the pid of the run that took it. A lock whose pid no
+    longer runs was left by a killed run: it is removed and taken once. An
+    empty or unreadable lock counts as held, because a run that has just
+    created it may not have written its pid yet. Two runs that read the same
+    stale lock at the same moment can both take it; nothing guards that race.
+    """
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
@@ -324,13 +331,40 @@ class RunDir:
     def __enter__(self):
         self._created = not os.path.isdir(self.out_dir)
         os.makedirs(self.out_dir, exist_ok=True)
-        try:
-            self._lock_fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"output directory {self.out_dir} is locked by another run"
-            ) from None
+        for attempt in range(2):
+            try:
+                self._lock_fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt or not self._lock_is_stale():
+                    raise ConfigError(
+                        f"output directory {self.out_dir} is locked by another run"
+                    ) from None
+                try:
+                    os.remove(self.lock_path)
+                except FileNotFoundError:
+                    pass
+        os.write(self._lock_fd, str(os.getpid()).encode("ascii"))
         return self
+
+    def _lock_is_stale(self):
+        """True when the lock file names a pid that no longer runs (POSIX)."""
+        if os.name != "posix":
+            return False
+        try:
+            with open(self.lock_path, "r", encoding="ascii") as fh:
+                pid = int(fh.read())
+        except (OSError, ValueError):
+            return False
+        if pid <= 0:
+            return False
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, OverflowError):
+            pass
+        return False
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is not None:
@@ -400,14 +434,17 @@ def write_reliability(path, bins):
 
 
 def write_predictions(path, probs, labels, ratios):
+    """One line per row: index, label (blank when labels is None), argmax
+    class, max probability and ratio. Floats are written by Python's repr,
+    which equals numpy's float64 str."""
     probs = np.asarray(probs)
+    n = probs.shape[0]
+    labs = [""] * n if labels is None else np.asarray(labels).astype(int).tolist()
+    columns = (range(n), labs, probs.argmax(axis=1).tolist(), probs.max(axis=1).tolist(),
+               np.asarray(ratios, dtype=float).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,label,predicted,confidence,ratio\n")
-        for i in range(probs.shape[0]):
-            lab = "" if labels is None else str(int(labels[i]))
-            fh.write(
-                f"{i},{lab},{int(probs[i].argmax())},{probs[i].max()},{ratios[i]}\n"
-            )
+        fh.writelines(f"{i},{lab},{pred},{conf},{r}\n" for i, lab, pred, conf, r in zip(*columns))
 
 
 def _write_trained(run, command, cfg, history, clf, dom, target, name):

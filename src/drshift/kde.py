@@ -28,7 +28,9 @@ class KdeModel:
     bandwidth: float
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        self.points = np.asarray(self.points, dtype=float)
+        if self.points.ndim != 2:
+            raise ConfigError(f"KDE points must be an (n, d) matrix, got shape {self.points.shape}")
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         if not np.isfinite(self.points).all():

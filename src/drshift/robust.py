@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, softmax
 
+from .calibration import _lse_parts
 from .domain import (
     DEFAULT_RATIO_BOUNDS,
     DomainClassifier,
@@ -142,15 +143,10 @@ def _require_finite(values, what, epoch=None):
 
 
 def _softmax_lse(logits):
-    """Row-wise softmax and log-sum-exp of an (n, C) array.
-
-    Shifting each row by its max keeps exp in range; one exp and one sum
-    serve both results.
-    """
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    s = e.sum(axis=1, keepdims=True)
-    return e / s, m[:, 0] + np.log(s[:, 0])
+    """Row-wise softmax and log-sum-exp of an (n, C) array, from the one
+    shifted exp of calibration's log-sum-exp."""
+    lse, e, s = _lse_parts(logits)
+    return e / s, lse
 
 
 def predict(clf, x, ratio, train_label=None):

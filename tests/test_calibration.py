@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from drshift import brier, calibration_report, ece, fit_temperature, miscls_entropy, nll
 from drshift.errors import ContractError
@@ -134,6 +135,77 @@ class TestFitTemperature:
         T = fit_temperature(logits, [0])
         assert T < 0.15
         assert nll(logits, [0], T) == 0.0
+
+
+def scipy_nll(logits, labels, temperature=1.0):
+    L = np.asarray(logits, dtype=float) / temperature
+    return float((logsumexp(L, axis=1) - L[np.arange(L.shape[0]), labels]).mean())
+
+
+def scipy_fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
+    """fit_temperature's golden-section search over scipy's logsumexp."""
+    L = np.asarray(logits, dtype=float)
+
+    def f(log_t):
+        return scipy_nll(L, labels, np.exp(log_t))
+
+    a, b = np.log(lo), np.log(hi)
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    t_star = float(np.exp((a + b) / 2.0))
+    return t_star if scipy_nll(L, labels, t_star) <= scipy_nll(L, labels, 1.0) - 1e-12 else 1.0
+
+
+class TestLogSumExp:
+    """nll uses the library's own row-wise log-sum-exp, not scipy's."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("temperature", [0.07, 1.0, 3.5])
+    def test_nll_matches_scipy(self, seed, temperature):
+        rng = np.random.default_rng(seed)
+        C = 2 + seed
+        logits = rng.normal(size=(200, C)) * rng.uniform(0.1, 30.0)
+        labels = rng.integers(0, C, size=200)
+        assert nll(logits, labels, temperature) == pytest.approx(
+            scipy_nll(logits, labels, temperature), rel=1e-14)
+
+    def test_nll_matches_scipy_on_ties_and_extreme_logits(self):
+        logits = np.array([[700.0, -700.0, 0.0], [1.0, 1.0, 1.0], [-700.0, -700.0, -700.0],
+                           [700.0, 700.0, -700.0], [-700.0, 700.0, 700.0], [0.0, 0.0, 0.0]])
+        labels = np.array([0, 1, 2, 1, 0, 2])
+        for temperature in (1.0, 0.5, 20.0):
+            assert nll(logits, labels, temperature) == pytest.approx(
+                scipy_nll(logits, labels, temperature), rel=1e-14)
+        assert nll(logits[:1], [1]) == 1400.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_temperature_equals_scipy_search_exactly(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        C = int(rng.integers(2, 12))
+        n = int(rng.integers(20, 2000))
+        logits = rng.normal(size=(n, C)) * rng.uniform(0.2, 10.0)
+        labels = rng.integers(0, C, size=n)
+        assert fit_temperature(logits, labels) == scipy_fit_temperature(logits, labels)
+
+    def test_softmax_is_the_shifted_exp_over_its_sum(self):
+        from drshift.robust import _softmax_lse
+
+        L = np.random.default_rng(7).normal(size=(50, 4)) * 50.0
+        probs, lse = _softmax_lse(L)
+        m = L.max(axis=1, keepdims=True)
+        e = np.exp(L - m)
+        assert probs.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+        assert lse.tobytes() == (m[:, 0] + np.log(e.sum(axis=1))).tobytes()
 
 
 def test_calibration_report_fields():

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +80,70 @@ def test_failed_run_removes_partial_outputs(tmp_path):
         with open(run.path("metrics.jsonl"), "w") as fh:
             fh.write("{}\n")
     assert (out / "metrics.jsonl").exists()
+
+
+def exited_pid():
+    """The pid of a child process that has exited and been reaped."""
+    proc = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                          capture_output=True, text=True, check=True, timeout=60)
+    return int(proc.stdout)
+
+
+class TestRunLock:
+    def test_lock_holds_the_run_pid(self, tmp_path):
+        from drshift.cli import RunDir
+
+        with RunDir(str(tmp_path / "out")):
+            assert (tmp_path / "out" / ".lock").read_text() == str(os.getpid())
+        assert not (tmp_path / "out" / ".lock").exists()
+
+    def test_stale_lock_is_removed_and_taken(self, tmp_path):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").write_text(str(exited_pid()))
+        assert main(["train-drl", "--config", str(cfg_path)]) == 0
+        assert (out / "metrics.jsonl").exists()
+        assert not (out / ".lock").exists()
+
+    @pytest.mark.parametrize("content", ["", "garbage", "0", "-1", str(2**80), "live"])
+    def test_live_empty_or_unreadable_lock_is_kept(self, tmp_path, content):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        text = str(os.getpid()) if content == "live" else content
+        (out / ".lock").write_text(text)
+        assert main(["train-drl", "--config", str(cfg_path)]) == 2
+        assert (out / ".lock").read_text() == text
+        assert sorted(p.name for p in out.iterdir()) == [".lock"]
+
+
+def per_row_predictions(path, probs, labels, ratios):
+    """write_predictions as a per-row loop, the reference for its bytes."""
+    probs = np.asarray(probs)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("index,label,predicted,confidence,ratio\n")
+        for i in range(probs.shape[0]):
+            lab = "" if labels is None else str(int(labels[i]))
+            fh.write(f"{i},{lab},{int(probs[i].argmax())},{probs[i].max()},{ratios[i]}\n")
+
+
+@pytest.mark.parametrize("with_labels", [True, False])
+def test_write_predictions_matches_per_row_loop(tmp_path, with_labels):
+    from drshift.cli import write_predictions
+
+    rng = np.random.default_rng(11)
+    n = 3000
+    logits = rng.normal(size=(n, 4)) * rng.choice([0.01, 1.0, 40.0], size=(n, 1))
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[:4] = [[0.25] * 4, [1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0], [1e-300, 1e-5, 0.1, 1e-17]]
+    labels = rng.integers(0, 4, size=n) if with_labels else None
+    ratios = np.exp(rng.normal(scale=8.0, size=n))
+    ratios[:3] = [1.0, 1e16, 1e-5]
+    write_predictions(tmp_path / "new.csv", probs, labels, ratios)
+    per_row_predictions(tmp_path / "old.csv", probs, labels, ratios)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_missing_seed_is_config_error(tmp_path, capsys):

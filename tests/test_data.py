@@ -18,6 +18,8 @@ from drshift import (
     save_csv,
 )
 
+from drshift.data import _PARSE_BLOCK
+
 from helpers import random_discrete_instance
 from oracle import DiscreteDomainSpec, oracle_expectations
 
@@ -265,6 +267,107 @@ class TestCsv:
         np.testing.assert_array_equal(back.y, source.y)
         x0, x1 = source.X[0].tolist()
         assert p.read_text().splitlines()[0] == f"{x0!r},{x1!r},{source.y[0]}"
+
+
+def reference_parse(path):
+    """The cell-by-cell parse load_csv had before its block parse: (rows,
+    1-based line numbers), or the CsvParseError of the first bad line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = 0
+    try:
+        float(lines[0].split(",")[0])
+    except ValueError:
+        start = 1
+    rows, linenos, width = [], [], None
+    for lineno in range(start, len(lines)):
+        line = lines[lineno].strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise CsvParseError(path, lineno + 1, len(cells), f"expected {width} columns, got {len(cells)}")
+        values = []
+        for col, cell in enumerate(cells):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise CsvParseError(path, lineno + 1, col + 1, f"not a number: {cell!r}") from None
+        rows.append(values)
+        linenos.append(lineno + 1)
+    return np.array(rows), linenos
+
+
+def write_rows(path, n, seed=0, header="x0,x1,label"):
+    """n rows of two features and a 0/1 label; returns the file's lines."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(scale=10.0, size=(n, 2)) * rng.choice([1e-9, 1.0, 1e9], size=(n, 2))
+    y = rng.integers(0, 2, size=n)
+    lines = [header] + [f"{a!r},{b!r},{c}" for (a, b), c in zip(X.tolist(), y.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lines
+
+
+class TestCsvBlockParse:
+    """load_csv parses blocks of _PARSE_BLOCK lines; these files span several
+    blocks and compare with the cell-by-cell reference above."""
+
+    def test_large_file_matches_cell_by_cell_parse_bitwise(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_rows(p, 20_000)
+        # Cells float() accepts beyond plain decimals, and a partial last block.
+        with p.open("a", encoding="utf-8") as fh:
+            fh.write(" 1_0.5 ,-0.0,1\n+.5e-3,1E+2,0\n")
+        rows, _ = reference_parse(p)
+        ds = load_csv(p, has_label=True)
+        assert len(ds) == 20_002 > 2 * _PARSE_BLOCK
+        assert ds.X.tobytes() == rows[:, :2].tobytes()
+        np.testing.assert_array_equal(ds.y, rows[:, 2].astype(int))
+        unlabeled = load_csv(p, has_label=False)
+        assert unlabeled.X.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        # A bad cell in the second block, then a later bad cell and ragged line:
+        # the first error in file order wins.
+        {9_000: "1.0,abc,0", 9_006: "x,y,z", 9_008: "1.0"},
+        {2 * _PARSE_BLOCK + 100: "1.0,0", 2 * _PARSE_BLOCK + 104: "1.0,a,0"},
+        # Ragged lines in the third block whose cells add up to whole rows.
+        {2 * _PARSE_BLOCK + 100: "1.0,2.0,0,4.0", 2 * _PARSE_BLOCK + 101: "1.0,2.0"},
+        {19_990: "1.0,2.0,"},
+    ])
+    def test_errors_match_cell_by_cell_parse(self, tmp_path, bad):
+        p = tmp_path / "d.csv"
+        lines = write_rows(p, 20_000)
+        for lineno, text in bad.items():
+            lines[lineno - 1] = text
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError) as expected:
+            reference_parse(p)
+        with pytest.raises(CsvParseError) as err:
+            load_csv(p, has_label=True)
+        assert str(err.value) == str(expected.value)
+        assert err.value.row == min(bad)
+
+    def test_blank_lines_and_header_keep_file_line_numbers(self, tmp_path):
+        p = tmp_path / "d.csv"
+        lines = write_rows(p, 10_000)
+        for at in (5, 4_000, 9_000):
+            lines.insert(at, "   " if at == 4_000 else "")
+        lines[9_500] = "1.0,2.0,nan"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError) as err:
+            load_csv(p, has_label=True)
+        assert (err.value.row, err.value.column) == (9_501, 3)
+        lines[9_500] = "1.0,2.0,0.5"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match="row 9501, column 3: label"):
+            load_csv(p, has_label=True)
+        lines[9_500] = "1.0,2.0,1"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows, linenos = reference_parse(p)
+        assert len(linenos) == 10_000 and linenos[-1] == len(lines)
+        assert load_csv(p, has_label=True).X.tobytes() == rows[:, :2].tobytes()
 
 
 class TestDataset:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -61,6 +63,13 @@ class TestLogDensity:
     def test_dim_mismatch(self):
         with pytest.raises(ContractError):
             kde_log_density(fit_kde(np.zeros((3, 2)), 1.0), np.zeros(3))
+
+    @pytest.mark.parametrize("points,shape", [
+        ([0.0, 1.0, 2.0], "(3,)"), (1.0, "()"), (np.zeros((2, 3, 1)), "(2, 3, 1)"),
+    ])
+    def test_points_must_be_a_matrix(self, points, shape):
+        with pytest.raises(ConfigError, match=rf"\(n, d\) matrix, got shape {re.escape(shape)}"):
+            fit_kde(points, 0.5)
 
     @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_bandwidth_rejected(self, bandwidth):
