@@ -546,6 +546,29 @@ def cmd_plugin_sim(cfg):
     return 0
 
 
+def _calibration_target(cfg, in_dim):
+    """The labeled target of calibrate: in_dim features and at least two rows,
+    one to fit the temperature on and one to evaluate. A CSV source file must
+    exist but is never read."""
+    kind, spec = _data_spec(cfg)
+    if kind == "gaussian":
+        _, target, _ = generate_gaussian_shift(spec)
+        dim_field, rows_field = "data.target_mean", "data.n_target"
+    else:
+        target = load_csv(spec["target_path"], has_label=spec["target_has_label"], domain="target")
+        dim_field = rows_field = "data.target_path"
+    if not target.labeled:
+        raise ConfigError("calibrate requires a labeled target dataset")
+    if target.dim != in_dim:
+        raise ConfigError(
+            f"{dim_field}: target has {target.dim} features, the checkpoint takes {in_dim}"
+        )
+    if len(target) < 2:
+        raise ConfigError(f"{rows_field}: calibrate needs at least 2 target rows, "
+                          f"got {len(target)}")
+    return target
+
+
 def cmd_calibrate(cfg):
     path = _file(cfg, "calibrate.checkpoint")
     try:
@@ -555,9 +578,7 @@ def cmd_calibrate(cfg):
         raise ConfigError(
             f"calibrate.checkpoint: malformed checkpoint {path}: {type(exc).__name__}: {exc}"
         ) from exc
-    _, target = _load_datasets(cfg)
-    if not target.labeled:
-        raise ConfigError("calibrate requires a labeled target dataset")
+    target = _calibration_target(cfg, clf.feature_map.in_dim)
     _check_target_labels(target, clf.class_count, "the checkpoint")
     split = _num(cfg, "calibrate.split", 0.5, lo=0, hi=1)
     with RunDir(cfg["out_dir"]) as run:

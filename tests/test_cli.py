@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,74 @@ class TestCalibrate:
         assert names == ["raw", "temperature_scaled"]
         rec = json.loads((tmp_path / "cal" / "metrics.jsonl").read_text())
         assert rec["nll_after"] <= rec["nll_before"] + 1e-9
+
+    @staticmethod
+    def csv_setup(tmp_path, target_rows):
+        """A 2-input checkpoint trained on a 40-row CSV source, and a calibrate
+        config over that source and the given target lines."""
+        rng = np.random.default_rng(0)
+        rows = [f"{a!r},{b!r},{i % 2}"
+                for i, (a, b) in enumerate(rng.normal(size=(40, 2)).tolist())]
+        (tmp_path / "source.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "target.csv").write_text("\n".join(target_rows) + "\n")
+        data = {"kind": "csv", "source_path": str(tmp_path / "source.csv"),
+                "target_path": str(tmp_path / "source.csv"), "target_has_label": True}
+        train_path, _ = write_config(tmp_path, name="train.json", out_dir=str(tmp_path / "ckpt"),
+                                     data=data)
+        assert main(["train-erm", "--config", str(train_path)]) == 0
+        cfg_path, _ = write_config(
+            tmp_path, data={**data, "target_path": str(tmp_path / "target.csv")},
+            calibrate={"checkpoint": str(tmp_path / "ckpt" / "model.json")},
+        )
+        return cfg_path
+
+    def test_reads_only_the_target_csv(self, tmp_path, monkeypatch):
+        import drshift.cli as cli
+
+        cfg_path = self.csv_setup(tmp_path, ["1.0,2.0,0", "3.0,4.0,1", "-1.0,0.5,1"])
+        # A source that does not parse proves that calibrate never reads it.
+        (tmp_path / "source.csv").write_text("not,a,number\n1.0\n")
+        loaded = []
+
+        def counted(path, **kwargs):
+            loaded.append(path)
+            return load_csv(path, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv", counted)
+        assert main(["calibrate", "--config", str(cfg_path)]) == 0
+        assert loaded == [str(tmp_path / "target.csv")]
+
+    @pytest.mark.parametrize("kind", ["csv", "gaussian"])
+    def test_target_width_is_checked_against_the_checkpoint(self, tmp_path, capsys, kind):
+        cfg_path = self.csv_setup(tmp_path, ["1.0,2.0,5.0,0", "3.0,4.0,6.0,1", "0.0,1.0,2.0,1"])
+        field = "data.target_path"
+        if kind == "gaussian":
+            cfg = json.loads(cfg_path.read_text())
+            cfg["data"] = {"kind": "gaussian", "source_mean": [0, 0, 0], "target_mean": [1, 1, 1],
+                           "source_cov": np.eye(3).tolist(), "target_cov": np.eye(3).tolist(),
+                           "boundary_weights": [1, -1, 0]}
+            cfg_path.write_text(json.dumps(cfg))
+            field = "data.target_mean"
+        assert main(["calibrate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: target has 3 features, the checkpoint takes 2" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["csv", "gaussian"])
+    def test_single_row_target_is_config_error(self, tmp_path, capsys, kind):
+        cfg_path = self.csv_setup(tmp_path, ["1.0,2.0,0"])
+        field = "data.target_path"
+        if kind == "gaussian":
+            cfg = json.loads(cfg_path.read_text())
+            cfg["data"] = {"kind": "gaussian", "n_source": 50, "n_target": 1}
+            cfg_path.write_text(json.dumps(cfg))
+            field = "data.n_target"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["calibrate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: calibrate needs at least 2 target rows, got 1" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestCompare:

@@ -66,6 +66,31 @@ class TestGaussianShift:
         for x in rng.normal(size=(10, 2)):
             assert r1(x) * r2(x) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_ratio_matches_scipy_on_correlated_covariances(self, d):
+        from scipy.stats import multivariate_normal
+
+        rng = np.random.default_rng(d)
+        for _ in range(10):
+            covs = []
+            for _ in range(2):
+                A = rng.normal(size=(d, d))
+                covs.append(A @ A.T + 0.5 * np.eye(d))
+            means = rng.normal(scale=1.5, size=(2, d))
+            spec = GaussianShiftSpec(
+                source_mean=means[0], target_mean=means[1],
+                source_cov=covs[0], target_cov=covs[1],
+                boundary_weights=rng.normal(size=d), boundary_bias=0.0,
+                n_source=3, n_target=3, seed=0,
+            )
+            _, _, ratio = generate_gaussian_shift(spec)
+            for x in rng.normal(scale=2.0, size=(5, d)):
+                expected = np.exp(multivariate_normal(means[0], covs[0]).logpdf(x)
+                                  - multivariate_normal(means[1], covs[1]).logpdf(x))
+                value = ratio(x)
+                assert type(value) is float
+                assert value == pytest.approx(expected, rel=1e-10)
+
     def test_label_frequency_matches_boundary(self):
         spec = default_shift_spec(seed=5, n_source=10000, n_target=1)
         source, _, _ = generate_gaussian_shift(spec)

@@ -6,10 +6,17 @@ imports that deleting code tends to leave behind. __init__.py is skipped:
 its imports are the package's public re-exports. data, calibration and
 errors sit below the model: they may import errors and nothing else from
 drshift, which keeps test-only oracles over the model out of data.
+
+Importing the CLI loads no public scipy package beyond scipy.special:
+scipy.stats alone used to triple the start-up time of every command.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -63,3 +70,25 @@ def test_walk_finds_drshift_imports():
 def test_walk_finds_an_unused_import():
     source = "import os\nfrom json import dumps, loads as parse\nparse('1')\n"
     assert unused_imports(source) == [(1, "os"), (2, "dumps")]
+
+
+def public_scipy_modules(code):
+    """The public scipy.<name> modules that a fresh interpreter holds after running code."""
+    script = (f"{code}\nimport json, sys\n"
+              "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules\n"
+              "    if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return set(json.loads(proc.stdout))
+
+
+def test_cli_import_loads_no_scipy_package_but_special():
+    # scipy.special brings some public modules of its own (scipy.version).
+    special_alone = public_scipy_modules("import scipy.special")
+    assert "special" in special_alone and "stats" not in special_alone
+    assert public_scipy_modules("import drshift.cli") == special_alone
+
+
+def test_walk_sees_a_loaded_scipy_package():
+    assert "stats" in public_scipy_modules("import scipy.stats")
