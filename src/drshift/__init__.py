@@ -37,7 +37,6 @@ from .features import (
     FeatureGradient,
     FeatureMap,
     bias_map,
-    feature_forward,
     feature_map_from_json,
     feature_map_to_json,
     identity_map,

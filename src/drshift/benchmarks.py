@@ -18,7 +18,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import softmax
 
 from .calibration import calibration_report, fit_temperature
 from .data import (
@@ -27,11 +26,13 @@ from .data import (
     dataset_from_arrays,
     default_shift_spec,
     generate_gaussian_shift,
+    split_indices,
 )
 from .domain import default_domain_classifier
 from .errors import ConfigError, ContractError
 from .robust import (
     TrainConfig,
+    _softmax_lse,
     class_scores,
     default_classifier,
     target_predictions,
@@ -137,13 +138,10 @@ def initial_models(recipe, dim, class_count, seed):
 
 
 def temperature_split(logits, labels, seed, split):
-    """Temperature fitted on the first round(split * n) rows (at least 1, at
-    most n - 1) of a permutation drawn at seed + 7, and the remaining eval rows."""
-    n = len(labels)
-    perm = np.random.default_rng(seed + 7).permutation(n)
-    cut = max(1, min(n - 1, int(round(split * n))))
-    fit_idx = perm[:cut]
-    return fit_temperature(logits[fit_idx], labels[fit_idx]), perm[cut:]
+    """Temperature fitted on the head of split_indices at seed + 7, and the
+    remaining eval rows."""
+    fit_idx, eval_idx = split_indices(len(labels), split, np.random.default_rng(seed + 7))
+    return fit_temperature(logits[fit_idx], labels[fit_idx]), eval_idx
 
 
 def class_balanced_subset(dataset, n_total, seed):
@@ -179,7 +177,7 @@ def calibration_trial(seed):
     temperature, eval_idx = temperature_split(logits, target.y, seed, 0.5)
     probs_drl, _ = target_predictions(clf, dom, target)
     probs_erm, _ = target_predictions(erm, None, target)
-    probs_ts = softmax(logits[eval_idx] / temperature, axis=1)
+    probs_ts, _ = _softmax_lse(logits[eval_idx] / temperature)
     y_eval = target.y[eval_idx]
     return {
         "drl": calibration_report(probs_drl[eval_idx], y_eval),

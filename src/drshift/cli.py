@@ -35,7 +35,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import softmax
 
 from . import __version__
 from .benchmarks import (
@@ -60,6 +59,7 @@ from .data import (
 from .errors import ConfigError, ContractError, CsvParseError, DivergenceError
 from .kde import run_plugin_simulation
 from .robust import (
+    _softmax_lse,
     checkpoint_from_json,
     checkpoint_to_json,
     class_scores,
@@ -459,7 +459,7 @@ def _write_trained(run, command, cfg, history, clf, dom, target, name):
         report = calibration_report(probs, labels)
         write_reliability(run.path("reliability.csv"), report.bins)
     write_predictions(run.path("predictions.csv"), probs, labels, ratios)
-    block = _model_block(name, report, target.class_count, {"n_eval": len(target)})
+    block = _model_block(name, report, clf.class_count, {"n_eval": len(target)})
     write_report(run.path("report.json"), command, cfg, [block])
 
 
@@ -533,6 +533,10 @@ def cmd_plugin_sim(cfg):
     bandwidths = _num_list(cfg, "plugin.bandwidths", [0.05, 0.2, 0.5, 1.0], lo=0, strict=True)
     if not bandwidths:
         raise ConfigError("plugin.bandwidths: expected a non-empty list")
+    for field in ("n_source", "n_target"):
+        if getattr(spec, field) < 2:
+            raise ConfigError(f"data.{field}: plugin-sim holds out rows of each domain, so it "
+                              f"needs at least 2, got {getattr(spec, field)}")
     with RunDir(cfg["out_dir"]) as run:
         rows = run_plugin_simulation(spec, bandwidths)
         write_jsonl(run.path("metrics.jsonl"), rows)
@@ -584,8 +588,8 @@ def cmd_calibrate(cfg):
     with RunDir(cfg["out_dir"]) as run:
         logits = class_scores(clf, target.X)
         temperature, eval_idx = temperature_split(logits, target.y, int(cfg["seed"]), split)
-        probs_raw = softmax(logits[eval_idx], axis=1)
-        probs_ts = softmax(logits[eval_idx] / temperature, axis=1)
+        probs_raw, _ = _softmax_lse(logits[eval_idx])
+        probs_ts, _ = _softmax_lse(logits[eval_idx] / temperature)
         y_eval = target.y[eval_idx]
         rep_raw = calibration_report(probs_raw, y_eval)
         rep_ts = calibration_report(probs_ts, y_eval)
@@ -598,8 +602,8 @@ def cmd_calibrate(cfg):
         write_predictions(run.path("predictions.csv"), probs_ts, y_eval, np.ones(len(y_eval)))
         n_eval = {"n_eval": len(y_eval)}
         write_report(run.path("report.json"), "calibrate", cfg, [
-            _model_block("raw", rep_raw, target.class_count, n_eval),
-            _model_block("temperature_scaled", rep_ts, target.class_count,
+            _model_block("raw", rep_raw, clf.class_count, n_eval),
+            _model_block("temperature_scaled", rep_ts, clf.class_count,
                          {**n_eval, "temperature": temperature}),
         ])
     return 0

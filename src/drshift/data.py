@@ -90,6 +90,16 @@ def dataset_from_arrays(X, y=None, domain=SOURCE, class_count=None, name=""):
     return Dataset(X, y, _is_source(domain), class_count or 0, name)
 
 
+def split_indices(n, frac, rng):
+    """A permutation of range(n) drawn from rng, cut after round(frac * n)
+    rows held to [1, n - 1]: (head, tail), neither of them empty."""
+    if n < 2:
+        raise ContractError(f"cannot split {n} rows into two non-empty parts")
+    perm = rng.permutation(n)
+    cut = max(1, min(n - 1, int(round(frac * n))))
+    return perm[:cut], perm[cut:]
+
+
 # ---------------------------------------------------------------------------
 # Gaussian covariate-shift generator
 

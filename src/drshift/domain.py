@@ -3,10 +3,10 @@
 A single-logit network separates source from target inputs; its sigmoid
 output tau_s is the posterior probability of "source" (tau_t = 1 - tau_s).
 The domain step weights the source and target halves of its batch equally,
-whatever their sizes, so the prior ratio cancels and tau_s/tau_t estimates
-the source/target density ratio directly. Besides the usual cross-entropy
-gradient, the estimated ratio receives a gradient from the robust
-classification objective through the two density outputs.
+whatever their sizes, so the prior ratio cancels and tau_s/tau_t = exp(z)
+estimates the source/target density ratio directly. Besides the usual
+cross-entropy gradient, the ratio receives the gradient of the robust
+classification objective, taken in the logit z, where dR/dz = R.
 """
 
 from __future__ import annotations
@@ -46,22 +46,19 @@ def domain_logits(clf, X):
     return feature_forward_batch(clf.net, X)[:, 0]
 
 
-def _ratios_from_logits(clf, z):
-    """(tau_s, clamped ratio, clamped mask) from domain logits z.
-
-    tau_s/tau_t == exp(z) identically; evaluating exp(z) avoids 0/0 at
-    saturated logits. tau_t is the complement 1 - tau_s.
-    """
-    lo, hi = clf.ratio_bounds
-    raw = np.exp(np.clip(z, -700.0, 700.0))
-    clamped = (raw < lo) | (raw > hi)
-    return expit(z), np.clip(raw, lo, hi), clamped
+def clamp_ratio(log_r, bounds):
+    """(ratio, clamped mask) of log-ratios: exp(log_r), with log_r held to
+    +-700, clipped to bounds. For the domain logit exp(z) equals tau_s/tau_t
+    and avoids its 0/0 at saturated logits."""
+    lo, hi = bounds
+    raw = np.exp(np.clip(log_r, -700.0, 700.0))
+    return np.clip(raw, lo, hi), (raw < lo) | (raw > hi)
 
 
 def domain_ratios(clf, X):
     """Vectorized ratios for a batch: (tau_s, ratio, clamped mask, logits)."""
     z = domain_logits(clf, X)
-    return (*_ratios_from_logits(clf, z), z)
+    return (expit(z), *clamp_ratio(z, clf.ratio_bounds), z)
 
 
 def _bce_from_logits(z, is_source):
@@ -111,28 +108,24 @@ def drl_density_gradient(theta, phi_x, f_x, est):
     return g_s, g_t
 
 
-def density_chain_gradient(dom, X, theta, Phi, probs, tau_s, clamped):
+def density_chain_gradient(dom, X, theta, Phi, probs, ratio, clamped):
     """Mean parameter gradient of the target objective term through the ratio.
 
-    Chains the per-sample density gradients into the domain net via
-    dz = (dL/dtau_s - dL/dtau_t) * sigmoid'(z), zeroing clamped samples.
-    X holds the raw target inputs; Phi and probs come from the robust
-    classifier evaluated on the same batch.
+    Chains the per-sample logit upstreams s R into the domain net, zeroing
+    clamped samples. X holds the raw target inputs; Phi and probs come from
+    the robust classifier evaluated on the same batch at the clamped ratios.
     """
-    dz = _density_logit_upstream(Phi @ np.asarray(theta).T, probs, tau_s, clamped)
+    dz = _density_logit_upstream(Phi @ np.asarray(theta).T, probs, ratio, clamped)
     return feature_backward_batch(dom.net, X, dz[:, None])
 
 
-def _density_logit_upstream(Z, probs, tau_s, clamped):
+def _density_logit_upstream(Z, probs, ratio, clamped):
     """Per-sample logit upstream of the target objective term through the ratio.
 
-    Z holds the raw class scores theta . phi(x), probs the test-mode
-    predictions; clamped samples and tau_t < 1e-8 get zero.
+    Z holds the raw class scores z_y and probs the test-mode predictions f.
+    The upstream is s R with s = sum_y f_y z_y, and zero on clamped samples:
+    at r = 0 the logit derivative of log Z, at r > 0 (1 + r) times that of
+    the test-mode log Z, whose logits are R z / (1 + r).
     """
     s = np.einsum("nc,nc->n", probs, Z)
-    tau_t = 1.0 - tau_s
-    safe_t = np.maximum(tau_t, 1e-8)
-    g_s = s / safe_t
-    g_t = -(tau_s / safe_t**2) * s
-    sig_prime = tau_s * (1.0 - tau_s)
-    return np.where(clamped | (tau_t < 1e-8), 0.0, (g_s - g_t) * sig_prime)
+    return np.where(clamped, 0.0, s * ratio)

@@ -112,14 +112,6 @@ def _act_deriv(a, activation):
     return (a > 0.0).astype(float)
 
 
-def feature_forward(fmap, x):
-    """Evaluate the feature vector of a single input."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (fmap.in_dim,):
-        raise ConfigError(f"expected input of dim {fmap.in_dim}, got shape {x.shape}")
-    return feature_forward_batch(fmap, x[None, :])[0]
-
-
 def feature_forward_batch(fmap, X):
     """Vectorized forward pass; X is (n, in_dim), result is (n, out_dim)."""
     return _forward_activations(fmap, X)[-1]

@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .calibration import _lse_parts
 from .domain import (
@@ -28,7 +27,7 @@ from .domain import (
     _bce_from_logits,
     _bce_logit_upstream,
     _density_logit_upstream,
-    _ratios_from_logits,
+    clamp_ratio,
     domain_ratios,
 )
 from .errors import ConfigError, ContractError, DivergenceError
@@ -36,7 +35,6 @@ from .features import (
     FeatureGradient,
     _forward_activations,
     feature_backward_batch,
-    feature_forward,
     feature_forward_batch,
     feature_map_from_json,
     feature_map_to_json,
@@ -150,7 +148,8 @@ def _softmax_lse(logits):
 
 
 def predict(clf, x, ratio, train_label=None):
-    """Robust prediction for one input at a given density ratio.
+    """Robust prediction for one input at a given density ratio: row 0 of
+    predict_proba on the one-row batch x.
 
     In train mode (train_label = y*) the class logits are
     (R z_y + r 1{y=y*}) / (r 1{y=y*} + 1) with z_y = theta_y . phi(x).
@@ -158,13 +157,14 @@ def predict(clf, x, ratio, train_label=None):
     softmax(R z / (1 + r)); that form is used verbatim so the temperature
     identity holds exactly. With r = 0 the two modes coincide.
     """
-    ratios = _check_ratios(clf, ratio)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (clf.feature_map.in_dim,):
+        raise ConfigError(f"expected input of dim {clf.feature_map.in_dim}, got shape {x.shape}")
     if train_label is not None and not 0 <= train_label < clf.class_count:
         raise ContractError(f"train label {train_label} outside [0, {clf.class_count})")
-    z = clf.theta @ feature_forward(clf.feature_map, x)
     labels = None if train_label is None else [train_label]
-    logits = _logits(clf, z[None, :], ratios, labels)[0]
-    return Prediction(softmax(logits), float(logsumexp(logits)))
+    probs, lse = predict_proba(clf, x[None, :], ratio, labels)
+    return Prediction(probs[0], float(lse[0]))
 
 
 def predict_proba(clf, X, ratios, labels=None):
@@ -314,7 +314,7 @@ def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
     X_dom = np.vstack([Xb_s, Xb_t])
     acts = _forward_activations(dom.net, X_dom)
     z = acts[-1][:, 0]
-    tau_s_t, ratio_t, clamped_t = _ratios_from_logits(dom, z[n_s:])
+    ratio_t, clamped_t = clamp_ratio(z[n_s:], dom.ratio_bounds)
     ratio_t = _check_ratios(clf, _require_finite(ratio_t, "density ratios"))
     Z_t = class_scores(clf, Xb_t)
     probs_t, _ = _predict_from_scores(clf, Z_t, ratio_t)
@@ -322,7 +322,7 @@ def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
     dz = _bce_logit_upstream(z, t_dom)
     dz[:n_s] /= 2 * n_s
     dz[n_s:] /= 2 * n_t
-    dz[n_s:] += _density_logit_upstream(Z_t, probs_t, tau_s_t, clamped_t) / n_t
+    dz[n_s:] += _density_logit_upstream(Z_t, probs_t, ratio_t, clamped_t) / n_t
     w = np.ones(n_s + n_t)
     return feature_backward_batch(dom.net, X_dom, dz[:, None], weights=w, acts=acts)
 

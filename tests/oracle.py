@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 
 from drshift.domain import domain_ratios
 from drshift.errors import ConfigError
-from drshift.features import feature_forward
+from drshift.features import feature_forward_batch
 
 MAX_DISCRETE_POINTS = 64
 
@@ -77,7 +77,7 @@ def oracle_expectations(spec, model, domain=None):
         raise ConfigError("theta shape does not match (class_count, feature_dim)")
 
     K = spec.n_points
-    Phi = np.stack([feature_forward(fmap, p) for p in spec.points])
+    Phi = np.stack([feature_forward_batch(fmap, p[None, :])[0] for p in spec.points])
     if domain is None:
         denom = spec.p_source + spec.p_target
         with np.errstate(divide="ignore", invalid="ignore"):

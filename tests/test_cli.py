@@ -175,6 +175,16 @@ class TestPluginSim:
         assert lines[0] == "h,ll_source,ll_target,target_logloss"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("field", ["n_source", "n_target"])
+    def test_one_row_domain_is_config_error(self, tmp_path, capsys, field):
+        cfg_path, _ = write_config(
+            tmp_path, data={"kind": "gaussian", "n_source": 40, "n_target": 40, field: 1},
+            plugin={"bandwidths": [0.5]},
+        )
+        assert main(["plugin-sim", "--config", str(cfg_path)]) == 2
+        assert f"data.{field}: plugin-sim holds out rows" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestDrstDrssl:
     def test_drst_round_records(self, tmp_path):
@@ -326,6 +336,37 @@ class TestCompare:
         assert main(["compare", r1, r2]) == 0
         out = capsys.readouterr().out
         assert "class_count_mismatch" in out
+
+    def test_label_subset_target_keeps_the_model_class_count(self, tmp_path, capsys):
+        # A target holding class-0 rows only is still scored by a 2-class model.
+        rng = np.random.default_rng(0)
+        rows = [f"{a!r},{b!r},{i % 2}" for i, (a, b) in enumerate(rng.normal(size=(40, 2)).tolist())]
+        (tmp_path / "source.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "zeros.csv").write_text("\n".join(rows[::2]) + "\n")
+        reports = []
+        for target in ("source.csv", "zeros.csv"):
+            data = {"kind": "csv", "source_path": str(tmp_path / "source.csv"),
+                    "target_path": str(tmp_path / target), "target_has_label": True}
+            cfg_path, cfg = write_config(tmp_path, out_dir=str(tmp_path / target[:-4]), data=data)
+            assert main(["train-drl", "--config", str(cfg_path)]) == 0
+            reports.append(os.path.join(cfg["out_dir"], "report.json"))
+        counts = [json.loads(open(r).read())["models"][0]["class_count"] for r in reports]
+        assert counts == [2, 2]
+        assert main(["compare", *reports]) == 0
+        assert "class_count_mismatch" not in capsys.readouterr().out
+
+    def test_unlabeled_target_reports_the_model_class_count(self, tmp_path):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(40, 2)).tolist()
+        (tmp_path / "source.csv").write_text(
+            "".join(f"{a!r},{b!r},{i % 2}\n" for i, (a, b) in enumerate(X)))
+        (tmp_path / "target.csv").write_text("".join(f"{a!r},{b!r}\n" for a, b in X))
+        data = {"kind": "csv", "source_path": str(tmp_path / "source.csv"),
+                "target_path": str(tmp_path / "target.csv"), "target_has_label": False}
+        cfg_path, _ = write_config(tmp_path, data=data, schedule={"rounds": 1})
+        assert main(["drst", "--config", str(cfg_path)]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["models"][0]["class_count"] == 2
 
     def test_empty_is_usage_error(self):
         assert main(["compare"]) == 64

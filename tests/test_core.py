@@ -3,6 +3,7 @@ import pytest
 from scipy.special import softmax
 
 from drshift import (
+    ConfigError,
     ContractError,
     RobustClassifier,
     TrainConfig,
@@ -111,6 +112,30 @@ class TestPredict:
         clf = RobustClassifier(np.zeros((2, 2)), identity_map(2), ratio_bounds=(0.5, 2.0))
         with pytest.raises(ContractError):
             predict(clf, np.zeros(2), 4.0)
+
+    @pytest.mark.parametrize("train_label", [None, 2])
+    def test_predict_is_row_zero_of_predict_proba(self, train_label):
+        rng = np.random.default_rng(7)
+        clf = default_classifier(3, 4, seed=7, r=0.5)
+        clf.theta = rng.normal(size=clf.theta.shape)
+        labels = None if train_label is None else [train_label]
+        for _ in range(20):
+            x, R = rng.normal(size=3), float(rng.uniform(0.1, 10.0))
+            p = predict(clf, x, R, train_label=train_label)
+            probs, log_z = predict_proba(clf, x[None, :], np.array([R]), labels)
+            assert np.array_equal(p.probs, probs[0]) and p.log_partition == log_z[0]
+
+    def test_input_of_the_wrong_dim_rejected(self):
+        clf = RobustClassifier(np.zeros((2, 3)), identity_map(3))
+        for x in (np.zeros(2), np.zeros((1, 3))):
+            with pytest.raises(ConfigError):
+                predict(clf, x, 1.0)
+
+    def test_train_label_outside_the_classes_rejected(self):
+        clf = RobustClassifier(np.zeros((2, 2)), identity_map(2))
+        for label in (-1, 2):
+            with pytest.raises(ContractError):
+                predict(clf, np.zeros(2), 1.0, train_label=label)
 
     def test_probs_on_simplex(self):
         rng = np.random.default_rng(6)

@@ -18,7 +18,7 @@ from drshift import (
     save_csv,
 )
 
-from drshift.data import _PARSE_BLOCK
+from drshift.data import _PARSE_BLOCK, split_indices
 
 from helpers import random_discrete_instance
 from oracle import DiscreteDomainSpec, oracle_expectations
@@ -433,3 +433,17 @@ class TestDataset:
         assert ds.X[0, 0] == 0.0
         with pytest.raises(ValueError):
             ds.X[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.5, 0.8, 1.0])
+def test_split_indices_leaves_both_parts_non_empty(frac):
+    for n in range(2, 12):
+        head, tail = split_indices(n, frac, np.random.default_rng(n))
+        assert 1 <= len(head) <= n - 1 and len(head) == max(1, min(n - 1, round(frac * n)))
+        assert sorted(head.tolist() + tail.tolist()) == list(range(n))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_split_indices_needs_two_rows(n):
+    with pytest.raises(ContractError):
+        split_indices(n, 0.5, np.random.default_rng(0))

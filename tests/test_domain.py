@@ -5,11 +5,18 @@ from scipy.special import logsumexp, softmax
 from drshift import (
     ContractError,
     bce_loss,
+    default_classifier,
     default_domain_classifier,
     drl_density_gradient,
 )
-from drshift.domain import DomainClassifier, bce_gradient_arrays, domain_ratios
+from drshift.domain import (
+    DomainClassifier,
+    _density_logit_upstream,
+    bce_gradient_arrays,
+    domain_ratios,
+)
 from drshift.features import FeatureMap
+from drshift.robust import _domain_gradient, class_scores
 
 from helpers import fd_layers, flat, rel_err
 
@@ -145,3 +152,58 @@ class TestDensityGradient:
         est = type("E", (), {"tau_s": 1.0, "tau_t": 1e-9, "ratio": 1e3, "clamped": False})
         with pytest.raises(ContractError):
             drl_density_gradient(np.ones((2, 2)), np.ones(2), np.array([0.5, 0.5]), est)
+
+
+class TestDensityLogitUpstream:
+    """The domain step's density term s R, taken in the domain logit z = log R."""
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    def test_matches_finite_differences_in_the_logit(self, r):
+        # Rows are independent, so one central difference of the per-row
+        # log Z over the whole batch gives every row's derivative at once;
+        # n times d(mean log Z)/dz_i is the i-th entry. At r = 0 the logits
+        # are R z, the dual's; at r > 0 the upstream is 1 + r times the
+        # derivative of the test-mode log Z, whose logits are R z / (1 + r).
+        rng = np.random.default_rng(21)
+        Z = rng.normal(scale=2.0, size=(32, 3))
+        z = rng.normal(scale=0.7, size=32)
+
+        def log_z(z):
+            return logsumexp(np.exp(z)[:, None] * Z / (1.0 + r), axis=1)
+
+        probs = softmax(np.exp(z)[:, None] * Z / (1.0 + r), axis=1)
+        upstream = _density_logit_upstream(Z, probs, np.exp(z), np.zeros(32, dtype=bool))
+        eps = 1e-6
+        fd = (log_z(z + eps) - log_z(z - eps)) / (2 * eps)
+        np.testing.assert_allclose(upstream, (1.0 + r) * fd, rtol=1e-6, atol=1e-8)
+
+    def test_clamped_rows_get_zero(self):
+        rng = np.random.default_rng(22)
+        Z = rng.normal(size=(4, 2))
+        probs = softmax(Z, axis=1)
+        clamped = np.array([True, False, True, False])
+        upstream = _density_logit_upstream(Z, probs, np.full(4, 2.0), clamped)
+        assert np.all(upstream[clamped] == 0.0) and np.all(upstream[~clamped] != 0.0)
+
+    def test_large_unclamped_ratio_keeps_its_gradient(self):
+        # At z = 20 the ratio e^20 ~ 4.9e8 lies inside bounds (1e-12, 1e12),
+        # while tau_t = 1 - sigmoid(20) ~ 2e-9: a form divided by tau_t and
+        # guarded below 1e-8 would drop the density term of every row here.
+        bounds = (1e-12, 1e12)
+        dom = linear_logit_classifier([0.0, 0.0], b=20.0, bounds=bounds)
+        clf = default_classifier(2, 2, seed=3, r=0.5, ratio_bounds=bounds)
+        rng = np.random.default_rng(23)
+        clf.theta = rng.normal(size=clf.theta.shape)
+        Xb_s, Xb_t = rng.normal(size=(4, 2)), rng.normal(size=(6, 2))
+        t_s = np.array([1.0, 1.0, 0.0, 1.0])
+        g = _domain_gradient(clf, dom, Xb_s, t_s, Xb_t)
+
+        # The single layer's bias gradient is the sum of the logit upstreams.
+        tau_s = 1.0 / (1.0 + np.exp(-20.0))
+        bce = (tau_s - t_s).sum() / (2 * 4) + tau_s / 2
+        R = np.exp(20.0)
+        Z = class_scores(clf, Xb_t)
+        s = (softmax(R * Z / 1.5, axis=1) * Z).sum(axis=1)
+        density = (s * R).mean()
+        assert abs(density) > 1e7
+        assert g.layers[0][1][0] == pytest.approx(bce + density, rel=1e-12)

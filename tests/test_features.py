@@ -4,7 +4,6 @@ import pytest
 from drshift import (
     ConfigError,
     bias_map,
-    feature_forward,
     feature_map_from_json,
     feature_map_to_json,
     identity_map,
@@ -20,29 +19,34 @@ from drshift.features import (
 from helpers import fd_layers, flat, rel_err
 
 
+def forward_one(fmap, x):
+    """The feature vector of one (d,) input: row 0 of a one-row batch."""
+    return feature_forward_batch(fmap, x[None, :])[0]
+
+
 def test_identity_forward():
     fmap = identity_map(2)
     x = np.array([0.3, -2.0])
-    np.testing.assert_array_equal(feature_forward(fmap, x), x)
+    np.testing.assert_array_equal(forward_one(fmap, x), x)
 
 
 def test_bias_forward():
     fmap = bias_map(2)
     np.testing.assert_array_equal(
-        feature_forward(fmap, np.array([0.3, -2.0])), np.array([0.3, -2.0, 1.0])
+        forward_one(fmap, np.array([0.3, -2.0])), np.array([0.3, -2.0, 1.0])
     )
 
 
 def test_zero_mlp_forward():
     layers = [(np.zeros((4, 2)), np.zeros(4)), (np.zeros((3, 4)), np.zeros(3))]
     fmap = FeatureMap("mlp", 2, 3, layers, "tanh")
-    np.testing.assert_array_equal(feature_forward(fmap, np.array([1.0, -1.0])), np.zeros(3))
+    np.testing.assert_array_equal(forward_one(fmap, np.array([1.0, -1.0])), np.zeros(3))
 
 
 def test_dimension_mismatch_raises():
     fmap = identity_map(3)
     with pytest.raises(ConfigError):
-        feature_forward(fmap, np.array([1.0, 2.0]))
+        forward_one(fmap, np.array([1.0, 2.0]))
 
 
 def test_parameter_free_maps_have_empty_gradient():
@@ -68,7 +72,7 @@ def test_two_layer_tanh_matches_finite_differences():
     x = rng.normal(size=4)
     u = rng.normal(size=3)
     g = feature_backward_batch(fmap, x[None], u[None])
-    fd = fd_layers(lambda: float(u @ feature_forward(fmap, x)), fmap, eps=1e-5)
+    fd = fd_layers(lambda: float(u @ forward_one(fmap, x)), fmap, eps=1e-5)
     assert rel_err(flat(fd), flat(g.layers)) <= 1e-4
 
 
@@ -83,7 +87,7 @@ def test_random_instances_match_finite_differences(trial):
     x = rng.normal(size=d)
     u = rng.normal(size=m)
     g = feature_backward_batch(fmap, x[None], u[None])
-    fd = fd_layers(lambda: float(u @ feature_forward(fmap, x)), fmap, eps=1e-5)
+    fd = fd_layers(lambda: float(u @ forward_one(fmap, x)), fmap, eps=1e-5)
     assert rel_err(flat(fd), flat(g.layers)) <= 1e-4
 
 
@@ -102,8 +106,8 @@ def test_relu_gradient_blocks_inactive_units():
 def test_forward_is_pure_and_bitwise_repeatable():
     fmap = init_mlp(3, [4], 4, "tanh", seed=1)
     x = np.array([0.5, -1.5, 2.0])
-    a = feature_forward(fmap, x)
-    b = feature_forward(fmap, x)
+    a = forward_one(fmap, x)
+    b = forward_one(fmap, x)
     assert np.array_equal(a, b)
 
 

@@ -30,10 +30,10 @@ def reference_gradient(clf, dom, Xb_s, t_s, Xb_t):
     g_bce_t = bce_gradient_arrays(dom, Xb_t, np.zeros(len(Xb_t)))
     g_bce = FeatureGradient([(0.5 * (a0 + b0), 0.5 * (a1 + b1))
                              for (a0, a1), (b0, b1) in zip(g_bce_s.layers, g_bce_t.layers)])
-    tau_s, ratio, clamped, _ = domain_ratios(dom, Xb_t)
+    _, ratio, clamped, _ = domain_ratios(dom, Xb_t)
     probs, _ = predict_proba(clf, Xb_t, ratio)
     Phi = feature_forward_batch(clf.feature_map, Xb_t)
-    g_den = density_chain_gradient(dom, Xb_t, clf.theta, Phi, probs, tau_s, clamped)
+    g_den = density_chain_gradient(dom, Xb_t, clf.theta, Phi, probs, ratio, clamped)
     return g_bce + g_den
 
 

@@ -8,10 +8,13 @@ errors sit below the model: they may import errors and nothing else from
 drshift, which keeps test-only oracles over the model out of data.
 
 Importing the CLI loads no public scipy package beyond scipy.special:
-scipy.stats alone used to triple the start-up time of every command.
+scipy.stats alone used to triple the start-up time of every command. And
+softmax and log-sum-exp have one implementation, calibration._lse_parts:
+only kde still binds scipy's logsumexp.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -19,6 +22,7 @@ import subprocess
 import sys
 
 import pytest
+import scipy.special
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "drshift"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -92,3 +96,12 @@ def test_cli_import_loads_no_scipy_package_but_special():
 
 def test_walk_sees_a_loaded_scipy_package():
     assert "stats" in public_scipy_modules("import scipy.stats")
+
+
+def test_only_kde_binds_scipy_softmax_or_logsumexp():
+    kernels = (scipy.special.softmax, scipy.special.logsumexp)
+    binders = {path.stem for path in MODULES
+               if any(value is kernel
+                      for value in vars(importlib.import_module(f"drshift.{path.stem}")).values()
+                      for kernel in kernels)}
+    assert binders == {"kde"}
