@@ -56,9 +56,10 @@ def clamp_ratio(log_r, bounds):
 
 
 def domain_ratios(clf, X):
-    """Vectorized ratios for a batch: (tau_s, ratio, clamped mask, logits)."""
+    """Vectorized ratios for a batch: (ratio, clamped mask, logits). The
+    posterior tau_s is expit of the logits."""
     z = domain_logits(clf, X)
-    return (expit(z), *clamp_ratio(z, clf.ratio_bounds), z)
+    return (*clamp_ratio(z, clf.ratio_bounds), z)
 
 
 def _bce_from_logits(z, is_source):

@@ -8,18 +8,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .calibration import _lse_parts
 from .data import generate_gaussian_shift, split_indices
 from .domain import DEFAULT_RATIO_BOUNDS, clamp_ratio
 from .errors import ConfigError, ContractError
-from .features import bias_map
-from .robust import RobustClassifier, _Momentum, _nll_at, grad_source, predict_proba
+from .features import bias_map, feature_forward_batch
+from .robust import RobustClassifier, _nll_at, grad_source, predict_proba
 
 # Query rows x training points per block of the pairwise pass in
 # kde_log_density. Its (rows, n, d) buffers then hold 8192 * d floats
 # (128 KiB at d = 2), which keeps the peak memory of plugin-sim flat.
 _BLOCK_PAIRS = 8192
+
+# Stopping rule and backtracking budget of _train_frozen_feature_model.
+_FIT_RTOL = 1e-9
+_FIT_MAX_STEPS = 50
+_FIT_HALVINGS = 40
 
 
 @dataclass
@@ -69,7 +74,7 @@ def kde_log_density(model, x):
     for start in range(0, queries.shape[0], step):
         q = queries[start:start + step]
         sq = ((model.points[None] - q[:, None]) ** 2).sum(axis=2)
-        lse[start:start + step] = logsumexp(np.sort(-sq / (2.0 * h2), axis=1), axis=1)
+        lse[start:start + step] = _lse_parts(np.sort(-sq / (2.0 * h2), axis=1))[0]
     out = lse - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * h2)
     return float(out[0]) if x.ndim == 1 else out
 
@@ -85,17 +90,62 @@ def plugin_ratio(kde_source, kde_target, x, bounds=DEFAULT_RATIO_BOUNDS):
 
 
 def _train_frozen_feature_model(Xs, ys, ratios, class_count):
-    # 400 full-batch momentum steps (lr 0.5, momentum 0.9). This budget does
-    # not converge: the grad_theta norm at steps 100-399 stays within 0.2-1.3,
-    # and a 1.8e-15 relative change in the ratios turns max |theta| 0.14 into
-    # 1.26 (seed 0, h = 0.05). So kde keeps scipy's logsumexp.
+    """Robust classifier on the bias map, fit to the source rows at fixed ratios.
+
+    Minimizes the convex r = 0 objective
+    J(theta) = mean_i (log Z_i / R_i - theta_{y_i} . phi_i), whose logits are
+    R_i theta . phi_i, by Newton's method from theta = 0. The gradient is
+    grad_source's; the Hessian is built from the probabilities it returns.
+    Each step is halved, at most _FIT_HALVINGS - 1 times, until J falls by
+    1e-4 of the predicted decrease less 1e-14 |J|: near the optimum J no
+    longer resolves the gain of a step, and the allowance lets the
+    quadratically convergent last steps through.
+    The fit stops once the gradient norm is at most _FIT_RTOL (1e-9) times
+    its norm at theta = 0, or after _FIT_MAX_STEPS (50) steps.
+    """
     fmap = bias_map(Xs.shape[1])
     clf = RobustClassifier(np.zeros((class_count, fmap.out_dim)), fmap, 0.0, DEFAULT_RATIO_BOUNDS)
-    opt = _Momentum(clf, 0.5, 0.9)
-    for _ in range(400):
+    Phi = feature_forward_batch(fmap, Xs)
+    rows = np.arange(len(ys))
+
+    def objective(theta):
+        Z = Phi @ theta.T
+        return float(np.mean(_lse_parts(ratios[:, None] * Z)[0] / ratios - Z[rows, ys]))
+
+    g = grad_source(clf, (Xs, ys), ratios)
+    tol = _FIT_RTOL * np.linalg.norm(g.grad_theta)
+    J = objective(clf.theta)
+    for _ in range(_FIT_MAX_STEPS):
+        if np.linalg.norm(g.grad_theta) <= tol:
+            break
+        step = _newton_step(Phi, ratios / len(ys), g.probs, g.grad_theta)
+        slope = float(np.sum(g.grad_theta * step))
+        for t in 0.5 ** np.arange(_FIT_HALVINGS):
+            J_new = objective(clf.theta + t * step)
+            if J_new <= J + 1e-4 * t * slope + 1e-14 * abs(J):
+                break
+        clf.theta = clf.theta + t * step
+        J = J_new
         g = grad_source(clf, (Xs, ys), ratios)
-        opt.step(clf, g.grad_theta, g.feature_grad)
     return clf
+
+
+def _newton_step(Phi, w, probs, grad_theta):
+    """Minimum-norm solution of H step = -grad_theta for the (C m)^2 Hessian
+    H = sum_i w_i (diag f_i - f_i f_i^T) kron phi_i phi_i^T.
+
+    Adding one vector to every class row leaves J unchanged, so H is singular,
+    and more so when the rows of Phi do not span the feature space. The step
+    inverts H on its eigenvalues above C m eps times the largest.
+    """
+    C, m = grad_theta.shape
+    S = -probs[:, :, None] * probs[:, None, :]
+    S[:, np.arange(C), np.arange(C)] += probs
+    H = np.einsum("n,ncd,na,nb->cadb", w, S, Phi, Phi).reshape(C * m, C * m)
+    evals, V = np.linalg.eigh(H)
+    keep = evals > evals[-1] * C * m * np.finfo(float).eps
+    V = V[:, keep]
+    return -(V @ ((V.T @ grad_theta.ravel()) / evals[keep])).reshape(C, m)
 
 
 def run_plugin_simulation(spec, bandwidths):
@@ -117,19 +167,21 @@ def run_plugin_simulation(spec, bandwidths):
     tr_t, ho_t = split_indices(len(target), 0.8, rng)
     Xs, ys, Xt, yt = source.X, source.y, target.X, target.y
 
+    # One density pass per KDE over every row: the held-out log-likelihoods
+    # and both domains' ratios are row subsets of it.
+    X_all = np.vstack([Xs, Xt])
+    n_s = len(Xs)
     rows = []
     for h in bandwidths:
-        kde_s = fit_kde(Xs[tr_s], h)
-        kde_t = fit_kde(Xt[tr_t], h)
-        ll_s = float(np.mean(kde_log_density(kde_s, Xs[ho_s])))
-        ll_t = float(np.mean(kde_log_density(kde_t, Xt[ho_t])))
-
-        ratios_src = plugin_ratio(kde_s, kde_t, Xs)
-        clf = _train_frozen_feature_model(Xs, ys, ratios_src, source.class_count)
-        ratios_tgt = plugin_ratio(kde_s, kde_t, Xt)
-        probs, _ = predict_proba(clf, Xt, ratios_tgt)
-        logloss = float(_nll_at(probs, yt).mean())
-        rows.append(
-            {"h": float(h), "ll_source": ll_s, "ll_target": ll_t, "target_logloss": logloss}
-        )
+        log_s = kde_log_density(fit_kde(Xs[tr_s], h), X_all)
+        log_t = kde_log_density(fit_kde(Xt[tr_t], h), X_all)
+        ratios, _ = clamp_ratio(log_s - log_t, DEFAULT_RATIO_BOUNDS)
+        clf = _train_frozen_feature_model(Xs, ys, ratios[:n_s], source.class_count)
+        probs, _ = predict_proba(clf, Xt, ratios[n_s:])
+        rows.append({
+            "h": float(h),
+            "ll_source": float(np.mean(log_s[ho_s])),
+            "ll_target": float(np.mean(log_t[n_s + ho_t])),
+            "target_logloss": float(_nll_at(probs, yt).mean()),
+        })
     return rows

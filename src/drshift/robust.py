@@ -257,7 +257,7 @@ def _ratios(dom, X, epoch=None):
     else the domain net's clamped ratios, which must be finite."""
     if dom is None:
         return np.ones(X.shape[0])
-    return _require_finite(domain_ratios(dom, X)[1], "density ratios", epoch)
+    return _require_finite(domain_ratios(dom, X)[0], "density ratios", epoch)
 
 
 def target_predictions(clf, dom, dataset):
@@ -338,7 +338,7 @@ def _epoch_metrics(clf, dom, source, target):
         ratios_s, ratios_t = np.ones(n_s), np.ones(Xt.shape[0])
         bce = float("nan")
     else:
-        _, ratios, _, z = domain_ratios(dom, np.vstack([Xs, Xt]))
+        ratios, _, z = domain_ratios(dom, np.vstack([Xs, Xt]))
         ratios = _require_finite(ratios, "density ratios")
         ratios_s, ratios_t = ratios[:n_s], ratios[n_s:]
         bce = _bce_from_logits(z, np.concatenate([source.is_source, np.zeros(Xt.shape[0])]))

@@ -6,7 +6,7 @@ criterion 3 and the dual and gradient tests compare against.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from drshift.domain import domain_ratios
 from drshift.errors import ConfigError
@@ -86,7 +86,8 @@ def oracle_expectations(spec, model, domain=None):
         ratios = np.where(spec.p_target > 0, spec.p_source / np.where(spec.p_target > 0, spec.p_target, 1.0), 0.0)
         clamped = np.zeros(K, dtype=bool)
     else:
-        tau_s, ratios, clamped, _ = domain_ratios(domain, spec.points)
+        ratios, clamped, z = domain_ratios(domain, spec.points)
+        tau_s = expit(z)
         tau_t = 1.0 - tau_s
 
     Z = Phi @ theta.T  # (K, C) raw class scores

@@ -171,7 +171,7 @@ class TestOracle:
         dom = default_domain_classifier(2, seed=3, ratio_bounds=(0.5, 2.0))
         res = oracle_expectations(spec, clf, domain=dom)
         # independent evaluation with the classifier's clamped ratios
-        _, ratios, clamped, _ = domain_ratios(dom, spec.points)
+        ratios, clamped, _ = domain_ratios(dom, spec.points)
         Phi = feature_forward_batch(clf.feature_map, spec.points)
         logZ = logsumexp(ratios[:, None] * (Phi @ clf.theta.T), axis=1)
         c_tilde = (spec.p_source[:, None] * spec.cond_label).T @ Phi

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import logsumexp, softmax
+from scipy.special import expit, logsumexp, softmax
 
 from drshift import (
     ContractError,
@@ -34,12 +34,14 @@ def linear_logit_classifier(w, b=0.0, bounds=(1e-3, 1e3)):
 
 class TestForward:
     def test_zero_params_give_half_half(self):
-        tau_s, ratio, _, _ = domain_ratios(zero_logit_classifier(), np.array([[3.0, -1.0]]))
+        ratio, _, z = domain_ratios(zero_logit_classifier(), np.array([[3.0, -1.0]]))
+        tau_s = expit(z)
         assert tau_s[0] == 0.5 and 1.0 - tau_s[0] == 0.5 and ratio[0] == 1.0
 
     def test_log3_logit(self):
         clf = linear_logit_classifier([0.0], b=np.log(3.0))
-        tau_s, ratio, clamped, _ = domain_ratios(clf, np.array([[0.0]]))
+        ratio, clamped, z = domain_ratios(clf, np.array([[0.0]]))
+        tau_s = expit(z)
         assert tau_s[0] == pytest.approx(0.75, abs=1e-12)
         assert 1.0 - tau_s[0] == pytest.approx(0.25, abs=1e-12)
         assert ratio[0] == pytest.approx(3.0, rel=1e-12)
@@ -47,13 +49,13 @@ class TestForward:
 
     def test_huge_logit_clamps(self):
         clf = linear_logit_classifier([0.0], b=50.0, bounds=(1e-3, 10.0))
-        _, ratio, clamped, _ = domain_ratios(clf, np.array([[0.0]]))
+        ratio, clamped, _ = domain_ratios(clf, np.array([[0.0]]))
         assert ratio[0] == 10.0 and clamped[0]
 
     def test_taus_sum_to_one_exactly(self):
         rng = np.random.default_rng(0)
         clf = default_domain_classifier(3, seed=1)
-        tau_s = domain_ratios(clf, rng.normal(size=(20, 3)))[0]
+        tau_s = expit(domain_ratios(clf, rng.normal(size=(20, 3)))[2])
         assert np.all(tau_s + (1.0 - tau_s) == 1.0)
 
 

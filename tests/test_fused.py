@@ -30,7 +30,7 @@ def reference_gradient(clf, dom, Xb_s, t_s, Xb_t):
     g_bce_t = bce_gradient_arrays(dom, Xb_t, np.zeros(len(Xb_t)))
     g_bce = FeatureGradient([(0.5 * (a0 + b0), 0.5 * (a1 + b1))
                              for (a0, a1), (b0, b1) in zip(g_bce_s.layers, g_bce_t.layers)])
-    _, ratio, clamped, _ = domain_ratios(dom, Xb_t)
+    ratio, clamped, _ = domain_ratios(dom, Xb_t)
     probs, _ = predict_proba(clf, Xb_t, ratio)
     Phi = feature_forward_batch(clf.feature_map, Xb_t)
     g_den = density_chain_gradient(dom, Xb_t, clf.theta, Phi, probs, ratio, clamped)
@@ -52,7 +52,7 @@ def test_fused_domain_gradient_with_clamped_samples():
     rng, clf, dom = models(5, (0.9, 1.11))
     Xb_s = rng.normal(-1.0, 2.0, size=(16, 2))
     Xb_t = rng.normal(1.5, 2.0, size=(48, 2))
-    clamped = domain_ratios(dom, Xb_t)[2]
+    clamped = domain_ratios(dom, Xb_t)[1]
     assert clamped.any() and not clamped.all()
     fused = _domain_gradient(clf, dom, Xb_s, np.ones(16), Xb_t)
     ref = reference_gradient(clf, dom, Xb_s, np.ones(16), Xb_t)
@@ -87,7 +87,7 @@ def test_unequal_halves_leave_the_ratio_unbiased(n_s, n_t):
         g = _domain_gradient(clf, dom, rng.normal(size=(n_s, 2)), np.ones(n_s),
                              rng.normal(size=(n_t, 2)))
         _sgd_step(dom.net, g, 0.1)
-    ratios = domain_ratios(dom, rng.normal(size=(1000, 2)))[1]
+    ratios = domain_ratios(dom, rng.normal(size=(1000, 2)))[0]
     assert 0.9 <= np.median(ratios) <= 1.1
 
 

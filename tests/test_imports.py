@@ -9,8 +9,8 @@ drshift, which keeps test-only oracles over the model out of data.
 
 Importing the CLI loads no public scipy package beyond scipy.special:
 scipy.stats alone used to triple the start-up time of every command. And
-softmax and log-sum-exp have one implementation, calibration._lse_parts:
-only kde still binds scipy's logsumexp.
+softmax and log-sum-exp have one implementation, calibration._lse_parts: no
+module binds scipy's softmax or logsumexp.
 """
 
 import ast
@@ -98,10 +98,10 @@ def test_walk_sees_a_loaded_scipy_package():
     assert "stats" in public_scipy_modules("import scipy.stats")
 
 
-def test_only_kde_binds_scipy_softmax_or_logsumexp():
+def test_no_module_binds_scipy_softmax_or_logsumexp():
     kernels = (scipy.special.softmax, scipy.special.logsumexp)
     binders = {path.stem for path in MODULES
                if any(value is kernel
                       for value in vars(importlib.import_module(f"drshift.{path.stem}")).values()
                       for kernel in kernels)}
-    assert binders == {"kde"}
+    assert binders == set()

@@ -10,20 +10,32 @@ from drshift import (
     ContractError,
     default_shift_spec,
     fit_kde,
+    kde,
     kde_log_density,
     plugin_ratio,
 )
-from drshift.data import GaussianShiftSpec
-from drshift.kde import _BLOCK_PAIRS, run_plugin_simulation
+from drshift.calibration import _lse_parts
+from drshift.data import GaussianShiftSpec, generate_gaussian_shift, split_indices
+from drshift.domain import DEFAULT_RATIO_BOUNDS
+from drshift.features import bias_map, feature_forward_batch
+from drshift.kde import _BLOCK_PAIRS, _train_frozen_feature_model, run_plugin_simulation
+from drshift.robust import RobustClassifier, _Momentum, grad_source
+
+DEFAULT_BANDWIDTHS = (0.05, 0.2, 0.5, 1.0)
 
 
-def per_query_log_density(model, x):
-    """The single-query formula the matrix path must reproduce bitwise."""
+def lse_parts_1d(v):
+    return _lse_parts(v[None, :])[0][0]
+
+
+def per_query_log_density(model, x, lse=lse_parts_1d):
+    """The single-query formula the matrix path must reproduce bitwise; lse
+    is the log-sum-exp of the sorted exponents."""
     h2 = model.bandwidth**2
     sq = ((model.points - x) ** 2).sum(axis=1)
     exponents = np.sort(-sq / (2.0 * h2))
     n, d = model.points.shape
-    return float(logsumexp(exponents) - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * h2))
+    return float(lse(exponents) - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * h2))
 
 
 class TestLogDensity:
@@ -97,6 +109,14 @@ class TestMatrixQueries:
             single = np.array([kde_log_density(model, q) for q in Q])
             formula = np.array([per_query_log_density(model, q) for q in Q])
             assert out.tobytes() == single.tobytes() == formula.tobytes()
+
+    @pytest.mark.parametrize("h", [0.01, 0.05, 0.7, 5.0])
+    def test_matches_scipy_logsumexp(self, h):
+        rng = np.random.default_rng(13)
+        model = fit_kde(rng.normal(size=(300, 2)), h)
+        Q = 2.0 * rng.normal(size=(40, 2))
+        scipy_form = np.array([per_query_log_density(model, q, logsumexp) for q in Q])
+        np.testing.assert_allclose(kde_log_density(model, Q), scipy_form, rtol=1e-13, atol=0)
 
     def test_matrix_path_is_permutation_invariant(self):
         rng = np.random.default_rng(11)
@@ -197,3 +217,105 @@ class TestSimulation:
     def test_empty_bandwidths_rejected(self):
         with pytest.raises(ContractError):
             run_plugin_simulation(default_shift_spec(seed=0, n_source=20, n_target=20), [])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_held_out_likelihoods_are_means_of_single_passes(self, seed):
+        spec = default_shift_spec(seed=seed, n_source=150, n_target=120)
+        rows = run_plugin_simulation(spec, DEFAULT_BANDWIDTHS)
+        source, target, _ = generate_gaussian_shift(spec)
+        rng = np.random.default_rng(spec.seed + 1)
+        tr_s, ho_s = split_indices(len(source), 0.8, rng)
+        tr_t, ho_t = split_indices(len(target), 0.8, rng)
+        for h, row in zip(DEFAULT_BANDWIDTHS, rows):
+            kde_s, kde_t = fit_kde(source.X[tr_s], h), fit_kde(target.X[tr_t], h)
+            assert row["ll_source"] == float(np.mean(kde_log_density(kde_s, source.X[ho_s])))
+            assert row["ll_target"] == float(np.mean(kde_log_density(kde_t, target.X[ho_t])))
+
+
+def plugin_objective(clf, X, y, ratios):
+    """J(theta) = mean_i (log Z_i / R_i - theta_{y_i} . phi_i) with logits
+    R_i theta . phi_i, on scipy's logsumexp."""
+    Z = feature_forward_batch(clf.feature_map, X) @ clf.theta.T
+    return float(np.mean(logsumexp(ratios[:, None] * Z, axis=1) / ratios - Z[np.arange(len(y)), y]))
+
+
+def momentum_fit(X, y, ratios, class_count):
+    """Reference form of the plug-in fit: 400 full-batch momentum steps
+    (lr 0.5, momentum 0.9) from theta = 0. It does not converge."""
+    fmap = bias_map(X.shape[1])
+    clf = RobustClassifier(np.zeros((class_count, fmap.out_dim)), fmap, 0.0, DEFAULT_RATIO_BOUNDS)
+    opt = _Momentum(clf, 0.5, 0.9)
+    for _ in range(400):
+        g = grad_source(clf, (X, y), ratios)
+        opt.step(clf, g.grad_theta, g.feature_grad)
+    return clf
+
+
+def gradient_norm(clf, X, y, ratios):
+    return float(np.linalg.norm(grad_source(clf, (X, y), ratios).grad_theta))
+
+
+@pytest.fixture(scope="module")
+def canonical_fits():
+    """(X, y, ratios, Newton fit) for the source ratios run_plugin_simulation
+    trains on, at seeds 0-4 and each default bandwidth."""
+    fits = []
+    for seed in range(5):
+        source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
+        rng = np.random.default_rng(seed + 1)
+        tr_s, _ = split_indices(len(source), 0.8, rng)
+        tr_t, _ = split_indices(len(target), 0.8, rng)
+        for h in DEFAULT_BANDWIDTHS:
+            ratios = plugin_ratio(fit_kde(source.X[tr_s], h), fit_kde(target.X[tr_t], h), source.X)
+            clf = _train_frozen_feature_model(source.X, source.y, ratios, 2)
+            fits.append((source.X, source.y, ratios, clf))
+    return fits
+
+
+def counted_fit(monkeypatch, X, y, ratios, class_count):
+    """The plug-in fit and the number of grad_source calls it made."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return grad_source(*args, **kwargs)
+
+    monkeypatch.setattr(kde, "grad_source", counting)
+    return _train_frozen_feature_model(X, y, ratios, class_count), len(calls)
+
+
+class TestNewtonFit:
+    def test_gradient_norm_is_within_the_tolerance(self, canonical_fits):
+        for X, y, ratios, clf in canonical_fits:
+            start = RobustClassifier(np.zeros_like(clf.theta), clf.feature_map)
+            tol = kde._FIT_RTOL * gradient_norm(start, X, y, ratios)
+            assert gradient_norm(clf, X, y, ratios) <= tol
+
+    def test_objective_is_no_higher_than_the_momentum_fit(self, canonical_fits):
+        for X, y, ratios, clf in canonical_fits:
+            reference = momentum_fit(X, y, ratios, 2)
+            assert plugin_objective(clf, X, y, ratios) <= plugin_objective(reference, X, y, ratios)
+
+    @pytest.mark.parametrize("unit_ratios", [True, False])
+    def test_separable_set_stops_within_the_cap(self, monkeypatch, unit_ratios):
+        rng = np.random.default_rng(14)
+        X = np.vstack([rng.normal(size=(30, 2)) + 3.0, rng.normal(size=(30, 2)) - 3.0])
+        y = np.repeat([0, 1], 30)
+        ratios = np.ones(60) if unit_ratios else np.exp(rng.uniform(-3.0, 3.0, 60))
+        clf, calls = counted_fit(monkeypatch, X, y, ratios, 2)
+        assert calls <= kde._FIT_MAX_STEPS + 1
+        assert np.isfinite(clf.theta).all()
+        start = RobustClassifier(np.zeros_like(clf.theta), clf.feature_map)
+        assert plugin_objective(clf, X, y, ratios) < plugin_objective(start, X, y, ratios)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_rows_per_domain_stop_within_the_cap(self, monkeypatch, seed):
+        spec = default_shift_spec(seed=seed, n_source=2, n_target=2)
+        source, _, _ = generate_gaussian_shift(spec)
+        drawn = np.exp(np.random.default_rng(seed).normal(size=2))
+        for ratios in (np.ones(2), np.array([1e-3, 1e3]), drawn):
+            clf, calls = counted_fit(monkeypatch, source.X, source.y, ratios, 2)
+            assert calls <= kde._FIT_MAX_STEPS + 1
+            assert np.isfinite(clf.theta).all()
+        rows = run_plugin_simulation(spec, DEFAULT_BANDWIDTHS)
+        assert all(np.isfinite(v) for row in rows for v in row.values())
