@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -147,7 +146,7 @@ def _num_list(cfg, path, default=None, **checks):
 def _check_num(val, path, lo=None, hi=None, strict=False, integer=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {val!r}")
-    if not math.isfinite(val):
+    if not abs(val) <= sys.float_info.max:  # NaN, infinities and ints too large for a float
         raise ConfigError(f"{path}: must be finite, got {val}")
     if integer and int(val) != val:
         raise ConfigError(f"{path}: expected an integer, got {val!r}")
@@ -282,6 +281,8 @@ def _recipe(cfg, recipe, sections):
             out[key] = read(cfg, path, **checks)
     if np.shape(out["ratio_bounds"]) != (2,):
         raise ConfigError("model.ratio_bounds: expected [min, max]")
+    if np.ndim(out.get("hidden", [])) != 1:
+        raise ConfigError(f"model.hidden: expected a flat list of widths, got {out['hidden']!r}")
     lo, hi = out["ratio_bounds"]
     if not 0 < lo < hi:
         raise ConfigError(f"model.ratio_bounds: must satisfy 0 < min < max, got [{lo}, {hi}]")
@@ -531,8 +532,8 @@ def cmd_plugin_sim(cfg):
     if kind != "gaussian":
         raise ConfigError("plugin-sim requires gaussian data")
     bandwidths = _num_list(cfg, "plugin.bandwidths", [0.05, 0.2, 0.5, 1.0], lo=0, strict=True)
-    if not bandwidths:
-        raise ConfigError("plugin.bandwidths: expected a non-empty list")
+    if not bandwidths or np.ndim(bandwidths) != 1:
+        raise ConfigError(f"plugin.bandwidths: expected a non-empty flat list, got {bandwidths!r}")
     for field in ("n_source", "n_target"):
         if getattr(spec, field) < 2:
             raise ConfigError(f"data.{field}: plugin-sim holds out rows of each domain, so it "

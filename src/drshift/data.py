@@ -122,6 +122,9 @@ class GaussianShiftSpec:
         self.source_cov = np.asarray(self.source_cov, dtype=float)
         self.target_cov = np.asarray(self.target_cov, dtype=float)
         self.boundary_weights = np.asarray(self.boundary_weights, dtype=float)
+        if self.source_mean.ndim != 1 or not self.source_mean.size:
+            shape = self.source_mean.shape
+            raise ConfigError(f"source_mean must be a non-empty vector, got shape {shape}")
         d = self.source_mean.shape[0]
         for name, arr, shape in [
             ("target_mean", self.target_mean, (d,)),

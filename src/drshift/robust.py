@@ -16,7 +16,7 @@ grad theta_y = E_s[(f_y(x) - 1{y=y_i}) phi(x)].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -327,27 +327,63 @@ def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
     return feature_backward_batch(dom.net, X_dom, dz[:, None], weights=w, acts=acts)
 
 
-def _epoch_metrics(clf, dom, source, target):
-    """Dual objective, domain BCE and source accuracy over the full datasets.
+def _train_loop(clf, dom, cfg, tags, plan, model_gradient, epoch_record):
+    """The update rule every trainer shares, run on copies of clf and dom;
+    returns (clf, dom, history).
 
-    dom=None means unit ratios and no BCE.
+    Each epoch, plan(rng) yields the batches (rows, Xb_s, yb_s, Xb_t), with
+    rng seeded by cfg.seed: the source-side inputs Xb_s and labels yb_s,
+    the target-side inputs Xb_t, and rows, the indices of the source-side
+    rows into tags, the domain tags that the domain step reads. Every
+    domain_update_period-th batch, unless dom is None, the domain net takes
+    one SGD step on _domain_gradient. Every batch theta and the feature
+    parameters take one momentum-SGD step on the (grad theta, feature
+    gradient) pair of model_gradient(clf, dom, Xb_s, yb_s, Xb_t, epoch),
+    after which a non-finite theta raises DivergenceError.
+    epoch_record(clf, dom, epoch) gives the epoch's history record.
     """
-    Xs, ys, Xt = source.X, source.y, target.X
-    n_s = Xs.shape[0]
-    if dom is None:
-        ratios_s, ratios_t = np.ones(n_s), np.ones(Xt.shape[0])
-        bce = float("nan")
-    else:
-        ratios, _, z = domain_ratios(dom, np.vstack([Xs, Xt]))
-        ratios = _require_finite(ratios, "density ratios")
-        ratios_s, ratios_t = ratios[:n_s], ratios[n_s:]
-        bce = _bce_from_logits(z, np.concatenate([source.is_source, np.zeros(Xt.shape[0])]))
-    Phi_s = feature_forward_batch(clf.feature_map, Xs)
-    constraint = _constraint_from_features(Phi_s, ys, clf.class_count)
-    dual = dual_objective(clf, Xt, ratios_t, constraint)
-    probs_s, _ = _predict_from_scores(clf, Phi_s @ clf.theta.T, _check_ratios(clf, ratios_s))
-    acc = float((probs_s.argmax(axis=1) == ys).mean())
-    return dual, bce, acc
+    clf = clf.copy()
+    dom = dom.copy() if dom is not None else None
+    rng = np.random.default_rng(cfg.seed)
+    opt = _Momentum(clf, cfg.lr_model, cfg.momentum)
+    history = []
+    step = 0
+    for epoch in range(cfg.epochs):
+        for rows, Xb_s, yb_s, Xb_t in plan(rng):
+            if dom is not None and step % cfg.domain_update_period == 0:
+                g_dom = _domain_gradient(clf, dom, Xb_s, tags[rows], Xb_t)
+                _sgd_step(dom.net, g_dom, cfg.lr_domain)
+            opt.step(clf, *model_gradient(clf, dom, Xb_s, yb_s, Xb_t, epoch))
+            _require_finite(clf.theta, "theta", epoch)
+            step += 1
+        history.append(epoch_record(clf, dom, epoch))
+    return clf, dom, history
+
+
+def _batch_plan(source, target, batch_size):
+    """plan for _train_loop: each epoch one permutation of the source and,
+    unless target is None, one of the target, cut into equal batches."""
+    Xs, ys, Xt = source.X, source.y, None if target is None else target.X
+    n_s = len(source)
+    n_t = n_s if Xt is None else len(Xt)
+    bs = min(batch_size, n_s, n_t)
+    n_batches = max(1, min(n_s, n_t) // bs)
+
+    def plan(rng):
+        perm_s = rng.permutation(n_s)
+        perm_t = None if Xt is None else rng.permutation(n_t)
+        for b in range(n_batches):
+            lo, hi = b * bs, (b + 1) * bs
+            rows = perm_s[lo:hi]
+            yield rows, Xs[rows], ys[rows], None if Xt is None else Xt[perm_t[lo:hi]]
+
+    return plan
+
+
+def _source_gradient(clf, dom, Xb_s, yb_s, Xb_t, epoch):
+    """model_gradient of train_end_to_end and train_erm."""
+    g = grad_source(clf, (Xb_s, yb_s), _ratios(dom, Xb_s, epoch))
+    return g.grad_theta, g.feature_grad
 
 
 def train_end_to_end(source, target, clf, dom, cfg):
@@ -368,48 +404,30 @@ def train_end_to_end(source, target, clf, dom, cfg):
     """
     if not source.labeled:
         raise ContractError("source dataset must be labeled")
-    clf = clf.copy()
-    dom = dom.copy() if dom is not None else None
-    history = []
-    if cfg.epochs == 0:
-        return clf, dom, history
 
-    rng = np.random.default_rng(cfg.seed)
-    Xs_all, ys_all, Xt_all = source.X, source.y, target.X
-    n_s, n_t = len(source), len(target)
-    bs = min(cfg.batch_size, n_s, n_t)
-    n_batches = max(1, min(n_s, n_t) // bs)
-    opt = _Momentum(clf, cfg.lr_model, cfg.momentum)
-    src_is_source = source.is_source.astype(float)
-    step = 0
+    Xs, ys, Xt = source.X, source.y, target.X
+    n_s = Xs.shape[0]
 
-    for epoch in range(cfg.epochs):
-        perm_s = rng.permutation(n_s)
-        perm_t = rng.permutation(n_t)
-        for b in range(n_batches):
-            sl_s = perm_s[b * bs : (b + 1) * bs]
-            sl_t = perm_t[b * bs : (b + 1) * bs]
-            Xb_s, yb_s = Xs_all[sl_s], ys_all[sl_s]
-            Xb_t = Xt_all[sl_t]
-
-            if dom is not None and step % cfg.domain_update_period == 0:
-                g_dom = _domain_gradient(clf, dom, Xb_s, src_is_source[sl_s], Xb_t)
-                _sgd_step(dom.net, g_dom, cfg.lr_domain)
-
-            g = grad_source(clf, (Xb_s, yb_s), _ratios(dom, Xb_s, epoch))
-            opt.step(clf, g.grad_theta, g.feature_grad)
-            _require_finite(clf.theta, "theta", epoch)
-            step += 1
-
-        dual, bce, acc = _epoch_metrics(clf, dom, source, target)
-        record = {"epoch": epoch, "dual": dual, "bce": bce, "source_accuracy": acc}
+    def record(clf, dom, epoch):
+        if dom is None:
+            ratios_s, ratios_t, bce = np.ones(n_s), np.ones(Xt.shape[0]), float("nan")
+        else:
+            ratios, _, z = domain_ratios(dom, np.vstack([Xs, Xt]))
+            ratios = _require_finite(ratios, "density ratios")
+            ratios_s, ratios_t = ratios[:n_s], ratios[n_s:]
+            bce = _bce_from_logits(z, np.concatenate([source.is_source, np.zeros(Xt.shape[0])]))
+        Phi_s = feature_forward_batch(clf.feature_map, Xs)
+        constraint = _constraint_from_features(Phi_s, ys, clf.class_count)
+        dual = dual_objective(clf, Xt, ratios_t, constraint)
+        probs_s, _ = _predict_from_scores(clf, Phi_s @ clf.theta.T, _check_ratios(clf, ratios_s))
+        acc = float((probs_s.argmax(axis=1) == ys).mean())
         if not np.isfinite(dual):
-            raise DivergenceError(
-                f"non-finite training state at epoch {epoch}",
-                state={"epoch": epoch, "dual": dual, "bce": bce},
-            )
-        history.append(record)
-    return clf, dom, history
+            raise DivergenceError(f"non-finite training state at epoch {epoch}",
+                                  state={"epoch": epoch, "dual": dual, "bce": bce})
+        return {"epoch": epoch, "dual": dual, "bce": bce, "source_accuracy": acc}
+
+    plan = _batch_plan(source, target, cfg.batch_size)
+    return _train_loop(clf, dom, cfg, source.is_source, plan, _source_gradient, record)
 
 
 def train_erm(source, cfg, clf=None):
@@ -418,31 +436,19 @@ def train_erm(source, cfg, clf=None):
         raise ContractError("source dataset must be labeled")
     if clf is None:
         clf = default_classifier(source.dim, source.class_count, seed=cfg.seed)
-    clf = clf.copy()
-    clf.r = 0.0
-    history = []
-    if cfg.epochs == 0:
-        return clf, history
+    X, y = source.X, source.y
 
-    rng = np.random.default_rng(cfg.seed)
-    X_all, y_all = source.X, source.y
-    n = len(source)
-    bs = min(cfg.batch_size, n)
-    n_batches = max(1, n // bs)
-    opt = _Momentum(clf, cfg.lr_model, cfg.momentum)
-
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for b in range(n_batches):
-            sl = perm[b * bs : (b + 1) * bs]
-            g = grad_source(clf, (X_all[sl], y_all[sl]), np.ones(len(sl)))
-            opt.step(clf, g.grad_theta, g.feature_grad)
-        probs, _ = predict_proba(clf, X_all, np.ones(n))
-        ce = float(_nll_at(probs, y_all).mean())
-        acc = float((probs.argmax(axis=1) == y_all).mean())
+    def record(clf, dom, epoch):
+        probs, _ = predict_proba(clf, X, np.ones(len(y)))
+        ce = float(_nll_at(probs, y).mean())
+        acc = float((probs.argmax(axis=1) == y).mean())
         if not np.isfinite(ce):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", state={"epoch": epoch})
-        history.append({"epoch": epoch, "ce_loss": ce, "accuracy": acc})
+        return {"epoch": epoch, "ce_loss": ce, "accuracy": acc}
+
+    plan = _batch_plan(source, None, cfg.batch_size)
+    clf, _, history = _train_loop(replace(clf, r=0.0), None, cfg, None, plan,
+                                  _source_gradient, record)
     return clf, history
 
 

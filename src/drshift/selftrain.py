@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import brier, ece
+from .calibration import calibration_report
 from .data import Dataset
 from .errors import ConfigError, ContractError
 from .robust import target_predictions, train_end_to_end
@@ -77,28 +77,26 @@ def run_drst(source, target, schedule, cfg, clf, dom=None):
     accumulated), and retrains from the current models. Pseudo-labeled
     targets keep their target domain tag, so the domain classifier keeps
     seeing them as target inputs. dom=None runs every pass at unit ratios
-    with no domain step (plain softmax confidences). History rows carry
-    round, portion, n_pseudo, and, when the target carries evaluation
-    labels, accuracy / Brier / ECE on all targets.
+    with no domain step (plain softmax confidences). The test-mode
+    predictions after each pass serve both its evaluation and the next
+    round's selection. History rows carry round, portion, n_pseudo, and,
+    when the target carries evaluation labels, accuracy / Brier / ECE on
+    all targets.
     """
     clf, dom, _ = train_end_to_end(source, target, clf, dom, cfg)
+    probs, _ = target_predictions(clf, dom, target)
     history = []
     for t in range(schedule.rounds):
         portion = schedule.portion(t)
-        probs, _ = target_predictions(clf, dom, target)
         pseudo = select_pseudo(probs, portion)
         aug = _augmented_source(source, target, pseudo, probs[pseudo].argmax(axis=1))
         round_cfg = replace(cfg, seed=cfg.seed + t + 1)
         clf, dom, _ = train_end_to_end(aug, target, clf, dom, round_cfg)
+        probs, _ = target_predictions(clf, dom, target)
 
         record = {"round": t, "portion": portion, "n_pseudo": len(pseudo)}
         if target.labeled:
-            probs_eval, _ = target_predictions(clf, dom, target)
-            e, _ = ece(probs_eval, target.y)
-            record.update(
-                accuracy=float((probs_eval.argmax(axis=1) == target.y).mean()),
-                brier=brier(probs_eval, target.y),
-                ece=e,
-            )
+            report = calibration_report(probs, target.y)
+            record.update(accuracy=report.accuracy, brier=report.brier, ece=report.ece)
         history.append(record)
     return clf, dom, history

@@ -15,14 +15,11 @@ from .features import _forward_activations
 from .robust import (
     TrainConfig,
     _check_ratios,
-    _domain_gradient,
-    _Momentum,
     _nll_at,
     _predict_from_scores,
     _ratios,
-    _require_finite,
     _score_gradient,
-    _sgd_step,
+    _train_loop,
     grad_source,
     target_predictions,
 )
@@ -86,13 +83,13 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
     """Consistency training driven by robust test-mode confidences, starting
     from the initial models clf and dom.
 
-    Per batch: one momentum-SGD step on the supervised source gradient plus
-    loss_weight times the gradient of the thresholded consistency loss
-    (weak-branch predictions are detached pseudo-targets); the domain
-    classifier takes its usual periodic step on cross-entropy plus density
-    gradients (the domain step shared with train_end_to_end). With
-    dom=None all ratios are 1 and there is no domain step, which is the
-    plain softmax-confidence baseline.
+    Runs the update rule of robust._train_loop. Per batch: one momentum-SGD
+    step on the supervised source gradient plus loss_weight times the
+    gradient of the thresholded consistency loss (weak-branch predictions
+    are detached pseudo-targets); the domain classifier takes its periodic
+    step on cross-entropy plus density gradients. With dom=None all ratios
+    are 1 and there is no domain step, which is the plain
+    softmax-confidence baseline.
 
     History records per epoch: sup_loss, unsup_loss (already weighted by
     loss_weight), mask_rate, and target_acc when the unlabeled set carries
@@ -102,71 +99,63 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
     counts = np.bincount(labeled.y, minlength=labeled.class_count)
     if (counts == 0).any():
         raise ContractError("every class needs at least one labeled sample")
-    clf = clf.copy()
-    dom = dom.copy() if dom is not None else None
 
-    rng = np.random.default_rng(cfg.base.seed)
     rng_aug = np.random.default_rng(cfg.augmentation.seed)
     Xl, yl, Xu = labeled.X, labeled.y, unlabeled.X
     n_l, n_u = len(labeled), len(unlabeled)
     M = min(cfg.unlabeled_batch, n_u)
     bs_l = min(cfg.base.batch_size, n_l)
     n_batches = max(1, n_u // M)
-    opt = _Momentum(clf, cfg.base.lr_model, cfg.base.momentum)
-    history = []
-    step = 0
+    sums = [0.0, 0.0, 0]  # this epoch's sup_loss, unsup_loss and masked count
 
-    for epoch in range(cfg.base.epochs):
+    def plan(rng):
         perm_u = rng.permutation(n_u)
         perm_l = rng.permutation(n_l)
         li = 0
-        sup_sum = unsup_sum = 0.0
-        masked = 0
         for b in range(n_batches):
-            sl_u = perm_u[b * M : (b + 1) * M]
             if li + bs_l > n_l:
                 perm_l = rng.permutation(n_l)
                 li = 0
-            sl_l = perm_l[li : li + bs_l]
+            rows = perm_l[li : li + bs_l]
             li += bs_l
-            Xb_l, yb_l, Xb_u = Xl[sl_l], yl[sl_l], Xu[sl_u]
+            yield rows, Xl[rows], yl[rows], Xu[perm_u[b * M : (b + 1) * M]]
 
-            if dom is not None and step % cfg.base.domain_update_period == 0:
-                g_dom = _domain_gradient(clf, dom, Xb_l, np.ones(len(sl_l)), Xb_u)
-                _sgd_step(dom.net, g_dom, cfg.base.lr_domain)
+    def model_gradient(clf, dom, Xb_l, yb_l, Xb_u, epoch):
+        Xw = augment_batch(Xb_u, cfg.augmentation, "weak", rng_aug)
+        Xst = augment_batch(Xb_u, cfg.augmentation, "strong", rng_aug)
+        X_all = np.vstack([Xb_l, Xw, Xst])
+        ratios = _ratios(dom, X_all, epoch)
+        ratios_l, ratios_w, ratios_st = ratios[:bs_l], ratios[bs_l : bs_l + M], ratios[bs_l + M :]
 
-            Xw = augment_batch(Xb_u, cfg.augmentation, "weak", rng_aug)
-            Xst = augment_batch(Xb_u, cfg.augmentation, "strong", rng_aug)
-            X_all = np.vstack([Xb_l, Xw, Xst])
-            ratios_l, ratios_w, ratios_st = np.split(_ratios(dom, X_all, epoch), [bs_l, bs_l + M])
+        g_sup = grad_source(clf, (Xb_l, yb_l), ratios_l)
+        sums[0] += float(_nll_at(g_sup.probs, yb_l).mean())
 
-            g_sup = grad_source(clf, (Xb_l, yb_l), ratios_l)
-            sup_sum += float(_nll_at(g_sup.probs, yb_l).mean())
+        # One forward pass over the weak and strong rows serves both branches.
+        acts = _forward_activations(clf.feature_map, X_all[bs_l:])
+        Zw = acts[-1][:M] @ clf.theta.T
+        Pw, _ = _predict_from_scores(clf, Zw, _check_ratios(clf, ratios_w))
+        mask = Pw.max(axis=1) > cfg.threshold
+        sums[2] += int(mask.sum())
+        loss_u, g_theta_u, g_feat_u = _unsup_gradient(
+            clf, [a[M:] for a in acts], ratios_st, Pw.argmax(axis=1), mask, cfg.loss_weight
+        )
+        sums[1] += loss_u
+        return g_sup.grad_theta + g_theta_u, g_sup.feature_grad + g_feat_u
 
-            # One forward pass over the weak and strong rows serves both branches.
-            acts = _forward_activations(clf.feature_map, X_all[bs_l:])
-            Zw = acts[-1][:M] @ clf.theta.T
-            Pw, _ = _predict_from_scores(clf, Zw, _check_ratios(clf, ratios_w))
-            mask = Pw.max(axis=1) > cfg.threshold
-            masked += int(mask.sum())
-            loss_u, g_theta_u, g_feat_u = _unsup_gradient(
-                clf, [a[M:] for a in acts], ratios_st, Pw.argmax(axis=1), mask, cfg.loss_weight
-            )
-            unsup_sum += loss_u
-            opt.step(clf, g_sup.grad_theta + g_theta_u, g_sup.feature_grad + g_feat_u)
-            _require_finite(clf.theta, "theta", epoch)
-            step += 1
-
-        record = {
+    def record(clf, dom, epoch):
+        sup_sum, unsup_sum, masked = sums
+        sums[:] = [0.0, 0.0, 0]
+        rec = {
             "epoch": epoch,
             "sup_loss": sup_sum / n_batches,
             "unsup_loss": unsup_sum / n_batches,
             "mask_rate": masked / (n_batches * M),
         }
-        if not (np.isfinite(record["sup_loss"]) and np.isfinite(record["unsup_loss"])):
-            raise DivergenceError(f"non-finite training state at epoch {epoch}", state=record)
+        if not (np.isfinite(rec["sup_loss"]) and np.isfinite(rec["unsup_loss"])):
+            raise DivergenceError(f"non-finite training state at epoch {epoch}", state=rec)
         if unlabeled.labeled:
             probs_eval, _ = target_predictions(clf, dom, unlabeled)
-            record["target_acc"] = float((probs_eval.argmax(axis=1) == unlabeled.y).mean())
-        history.append(record)
-    return clf, dom, history
+            rec["target_acc"] = float((probs_eval.argmax(axis=1) == unlabeled.y).mean())
+        return rec
+
+    return _train_loop(clf, dom, cfg.base, np.ones(n_l), plan, model_gradient, record)

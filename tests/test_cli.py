@@ -214,17 +214,21 @@ class TestDrstDrssl:
 @pytest.mark.parametrize("command,overrides", [
     ("train-drl", {"train": {"batch_size": 16}}),
     ("drssl", {"ssl": {"labeled_count": 10}}),
+    ("train-erm", {"train": {"batch_size": 16}}),
+    ("drst", {"train": {"batch_size": 16}}),
 ])
 def test_divergence_exits_with_divergence_code(tmp_path, capsys, command, overrides):
     # 200 target rows in batches of 16 give 12 batches per epoch, so the
     # domain net takes several steps after the model state goes non-finite.
+    # Every trainer checks theta after each model step.
     overrides = {key: dict(val) for key, val in overrides.items()}
     overrides.setdefault("train", {}).update(epochs=2, lr_model=1e300)
     cfg_path, _ = write_config(
         tmp_path, data={"kind": "gaussian", "n_source": 200, "n_target": 200}, **overrides
     )
     assert main([command, "--config", str(cfg_path)]) == 3
-    assert "numeric divergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric divergence" in err and "non-finite theta at epoch" in err
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
@@ -406,11 +410,26 @@ def test_source_target_dimension_mismatch_is_config_error(tmp_path, capsys):
     ("simulate", {"data": {"boundary_bias": "ab"}}, "data.boundary_bias"),
     ("drst", {"schedule": {"p0": "ab"}}, "schedule.p0"),
     ("train-drl", {"train": {"epochs": float("inf")}}, "train.epochs"),
+    # Integers too large for a float are not finite.
+    ("train-drl", {"train": {"epochs": 10**400}}, "train.epochs"),
+    ("simulate", {"seed": 10**400}, "seed"),
+    # Flat fields reject nested lists.
+    ("train-drl", {"model": {"hidden": [[16]]}}, "model.hidden"),
+    ("plugin-sim", {"plugin": {"bandwidths": [[0.5]]}}, "plugin.bandwidths"),
 ])
 def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, overrides, field):
     cfg_path, _ = write_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg_path)]) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("source_mean", [[[0.0, 0.0]], []])
+def test_source_mean_that_is_not_a_vector_is_named(tmp_path, capsys, source_mean):
+    cfg_path, _ = write_config(tmp_path, data={"source_mean": source_mean})
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "source_mean" in err and "target_mean" not in err
     assert not (tmp_path / "run").exists()
 
 

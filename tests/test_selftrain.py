@@ -7,11 +7,13 @@ from drshift import (
     ContractError,
     SelfTrainSchedule,
     TrainConfig,
+    calibration_report,
     default_classifier,
     default_domain_classifier,
     default_shift_spec,
     generate_gaussian_shift,
     select_pseudo,
+    target_predictions,
 )
 from drshift.robust import train_end_to_end
 from drshift.selftrain import run_drst
@@ -135,3 +137,23 @@ class TestRunDrst:
         _, _, h1 = run_drst(source, target, sched, cfg, *default_models(source, cfg.seed))
         _, _, h2 = run_drst(source, target, sched, cfg, *default_models(source, cfg.seed))
         assert h1 == h2
+
+    def test_predicts_the_target_once_per_pass(self, monkeypatch):
+        import drshift.selftrain as selftrain
+
+        calls = []
+
+        def counting(clf, dom, dataset):
+            calls.append(dataset)
+            return target_predictions(clf, dom, dataset)
+
+        monkeypatch.setattr(selftrain, "target_predictions", counting)
+        source, target, _ = self._data(seed=7)
+        cfg = TrainConfig(epochs=2, seed=4)
+        sched = SelfTrainSchedule(rounds=3)
+        clf, dom, hist = run_drst(source, target, sched, cfg, *default_models(source, cfg.seed))
+        assert len(calls) == sched.rounds + 1
+        probs, _ = target_predictions(clf, dom, target)
+        report = calibration_report(probs, target.y)
+        assert (hist[-1]["accuracy"], hist[-1]["brier"], hist[-1]["ece"]) == (
+            report.accuracy, report.brier, report.ece)
