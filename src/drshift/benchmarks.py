@@ -33,10 +33,10 @@ from .errors import ConfigError, ContractError
 from .robust import (
     TrainConfig,
     _softmax_lse,
+    _train_pass,
     class_scores,
     default_classifier,
     target_predictions,
-    train_end_to_end,
     train_erm,
 )
 from .selftrain import SelfTrainSchedule, run_drst
@@ -170,7 +170,7 @@ def calibration_trial(seed):
     source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
     cfg = _train_config(recipe, seed)
     clf0, dom0 = initial_models(recipe, source.dim, source.class_count, seed + 100)
-    clf, dom, _ = train_end_to_end(source, target, clf0, dom0, cfg)
+    clf, dom, _ = _train_pass(source, target, clf0, dom0, cfg)
     erm, _ = train_erm(source, cfg)
 
     logits = class_scores(erm, target.X)

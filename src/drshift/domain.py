@@ -51,8 +51,9 @@ def clamp_ratio(log_r, bounds):
     +-700, clipped to bounds. For the domain logit exp(z) equals tau_s/tau_t
     and avoids its 0/0 at saturated logits."""
     lo, hi = bounds
-    raw = np.exp(np.clip(log_r, -700.0, 700.0))
-    return np.clip(raw, lo, hi), (raw < lo) | (raw > hi)
+    # np.minimum(np.maximum(.)) is np.clip, NaN included, at less call overhead.
+    raw = np.exp(np.minimum(np.maximum(log_r, -700.0), 700.0))
+    return np.minimum(np.maximum(raw, lo), hi), (raw < lo) | (raw > hi)
 
 
 def domain_ratios(clf, X):

@@ -180,12 +180,14 @@ def _nll_at(probs, labels):
 
 def _logits(clf, Z, ratios, labels=None):
     """Ratio-scaled logits of raw class scores Z (n, C): test mode
-    R z / (1 + r) when labels is None, else train mode at the labels."""
+    R z / (1 + r) when labels is None, else train mode at the labels, where
+    only the label entries differ from R z: they are (R z_y + r) / (r + 1)."""
     if labels is None:
         return ratios[:, None] * Z / (1.0 + clf.r)
-    onehot = np.zeros_like(Z)
-    onehot[np.arange(Z.shape[0]), np.asarray(labels, dtype=int)] = 1.0
-    return (ratios[:, None] * Z + clf.r * onehot) / (clf.r * onehot + 1.0)
+    L = ratios[:, None] * Z
+    at = (np.arange(Z.shape[0]), np.asarray(labels, dtype=int))
+    L[at] = (L[at] + clf.r) / (clf.r + 1.0)
+    return L
 
 
 def _predict_from_scores(clf, Z, ratios, labels=None):
@@ -272,27 +274,36 @@ def target_predictions(clf, dom, dataset):
 # Optimizers
 
 
+def _flat(theta, layers):
+    """[theta, W_1, b_1, ..., W_L, b_L]: theta and a map's per-layer pairs."""
+    return [theta, *(a for layer in layers for a in layer)]
+
+
 class _Momentum:
-    """Classic momentum SGD over theta plus the feature-map layers."""
+    """Classic momentum SGD over theta plus the feature-map layers.
+
+    step updates the velocities and clf's parameter arrays in place,
+    v <- mu v + g then p <- p - lr v, so clf must own its arrays.
+    """
 
     def __init__(self, clf, lr, momentum):
         self.lr = lr
         self.mu = momentum
-        self.v_theta = np.zeros_like(clf.theta)
-        self.v_layers = [(np.zeros_like(W), np.zeros_like(b)) for W, b in clf.feature_map.layers]
+        self.velocity = [np.zeros_like(p) for p in _flat(clf.theta, clf.feature_map.layers)]
 
     def step(self, clf, grad_theta, fgrad):
-        self.v_theta = self.mu * self.v_theta + grad_theta
-        clf.theta -= self.lr * self.v_theta
-        self.v_layers = [(self.mu * vW + dW, self.mu * vb + db)
-                         for (vW, vb), (dW, db) in zip(self.v_layers, fgrad.layers)]
-        _sgd_step(clf.feature_map, FeatureGradient(self.v_layers), self.lr)
+        params = _flat(clf.theta, clf.feature_map.layers)
+        for p, v, g in zip(params, self.velocity, _flat(grad_theta, fgrad.layers)):
+            v *= self.mu
+            v += g
+            p -= self.lr * v
 
 
 def _sgd_step(fmap, fgrad, lr):
-    for i, (dW, db) in enumerate(fgrad.layers):
-        W, b = fmap.layers[i]
-        fmap.layers[i] = (W - lr * dW, b - lr * db)
+    """One in-place SGD step p <- p - lr g on fmap's parameter arrays."""
+    for (W, b), (dW, db) in zip(fmap.layers, fgrad.layers):
+        W -= lr * dW
+        b -= lr * db
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +352,9 @@ def _train_loop(clf, dom, cfg, tags, plan, model_gradient, epoch_record):
     gradient) pair of model_gradient(clf, dom, Xb_s, yb_s, Xb_t, epoch),
     after which a non-finite theta raises DivergenceError.
     epoch_record(clf, dom, epoch) gives the epoch's history record.
+
+    The optimizer steps update the parameter arrays of these copies in
+    place; the caller's clf and dom are never written.
     """
     clf = clf.copy()
     dom = dom.copy() if dom is not None else None
@@ -362,7 +376,8 @@ def _train_loop(clf, dom, cfg, tags, plan, model_gradient, epoch_record):
 
 def _batch_plan(source, target, batch_size):
     """plan for _train_loop: each epoch one permutation of the source and,
-    unless target is None, one of the target, cut into equal batches."""
+    unless target is None, one of the target, gathered once and cut into
+    equal batches (views of the gathered rows)."""
     Xs, ys, Xt = source.X, source.y, None if target is None else target.X
     n_s = len(source)
     n_t = n_s if Xt is None else len(Xt)
@@ -371,11 +386,11 @@ def _batch_plan(source, target, batch_size):
 
     def plan(rng):
         perm_s = rng.permutation(n_s)
-        perm_t = None if Xt is None else rng.permutation(n_t)
+        Xs_p, ys_p = Xs[perm_s], ys[perm_s]
+        Xt_p = None if Xt is None else Xt[rng.permutation(n_t)]
         for b in range(n_batches):
             lo, hi = b * bs, (b + 1) * bs
-            rows = perm_s[lo:hi]
-            yield rows, Xs[rows], ys[rows], None if Xt is None else Xt[perm_t[lo:hi]]
+            yield perm_s[lo:hi], Xs_p[lo:hi], ys_p[lo:hi], None if Xt_p is None else Xt_p[lo:hi]
 
     return plan
 
@@ -402,9 +417,6 @@ def train_end_to_end(source, target, clf, dom, cfg):
     accuracy, all evaluated on the full datasets. A non-finite theta, dual
     or density ratio raises DivergenceError.
     """
-    if not source.labeled:
-        raise ContractError("source dataset must be labeled")
-
     Xs, ys, Xt = source.X, source.y, target.X
     n_s = Xs.shape[0]
 
@@ -425,6 +437,29 @@ def train_end_to_end(source, target, clf, dom, cfg):
             raise DivergenceError(f"non-finite training state at epoch {epoch}",
                                   state={"epoch": epoch, "dual": dual, "bce": bce})
         return {"epoch": epoch, "dual": dual, "bce": bce, "source_accuracy": acc}
+
+    return _train_pass(source, target, clf, dom, cfg, record)
+
+
+def _train_pass(source, target, clf, dom, cfg, record=None):
+    """The training of train_end_to_end with record as the epoch_record of
+    _train_loop; returns (clf, dom, history).
+
+    The default record keeps no history (None per epoch) and evaluates only
+    the check a diverged model trips: the dual objective over the target,
+    at the domain net's target ratios and the constraint of this pass's
+    source, raising DivergenceError when it is not finite. Callers that
+    discard the history train with it.
+    """
+    if not source.labeled:
+        raise ContractError("source dataset must be labeled")
+    if record is None:
+        def record(clf, dom, epoch):
+            constraint = feature_constraint(clf.feature_map, source.X, source.y, clf.class_count)
+            dual = dual_objective(clf, target.X, _ratios(dom, target.X, epoch), constraint)
+            if not np.isfinite(dual):
+                raise DivergenceError(f"non-finite training state at epoch {epoch}",
+                                      state={"epoch": epoch, "dual": dual})
 
     plan = _batch_plan(source, target, cfg.batch_size)
     return _train_loop(clf, dom, cfg, source.is_source, plan, _source_gradient, record)

@@ -13,7 +13,7 @@ import numpy as np
 from .calibration import calibration_report
 from .data import Dataset
 from .errors import ConfigError, ContractError
-from .robust import target_predictions, train_end_to_end
+from .robust import _train_pass, target_predictions
 
 
 @dataclass
@@ -79,11 +79,14 @@ def run_drst(source, target, schedule, cfg, clf, dom=None):
     seeing them as target inputs. dom=None runs every pass at unit ratios
     with no domain step (plain softmax confidences). The test-mode
     predictions after each pass serve both its evaluation and the next
-    round's selection. History rows carry round, portion, n_pseudo, and,
+    round's selection. Each pass is a train_end_to_end pass that keeps no
+    per-epoch history: after every epoch it checks only that the dual
+    objective is finite (a non-finite theta, dual or density ratio raises
+    DivergenceError). History rows carry round, portion, n_pseudo, and,
     when the target carries evaluation labels, accuracy / Brier / ECE on
     all targets.
     """
-    clf, dom, _ = train_end_to_end(source, target, clf, dom, cfg)
+    clf, dom, _ = _train_pass(source, target, clf, dom, cfg)
     probs, _ = target_predictions(clf, dom, target)
     history = []
     for t in range(schedule.rounds):
@@ -91,7 +94,7 @@ def run_drst(source, target, schedule, cfg, clf, dom=None):
         pseudo = select_pseudo(probs, portion)
         aug = _augmented_source(source, target, pseudo, probs[pseudo].argmax(axis=1))
         round_cfg = replace(cfg, seed=cfg.seed + t + 1)
-        clf, dom, _ = train_end_to_end(aug, target, clf, dom, round_cfg)
+        clf, dom, _ = _train_pass(aug, target, clf, dom, round_cfg)
         probs, _ = target_predictions(clf, dom, target)
 
         record = {"round": t, "portion": portion, "n_pseudo": len(pseudo)}

@@ -24,10 +24,24 @@ from drshift import (
 )
 from drshift.data import GaussianShiftSpec
 from drshift.domain import domain_ratios
-from drshift.robust import class_scores, predict_proba, target_predictions
+from drshift.features import FeatureGradient
+from drshift.robust import (
+    _logits,
+    _Momentum,
+    _softmax_lse,
+    class_scores,
+    predict_proba,
+    target_predictions,
+)
+from drshift.selftrain import SelfTrainSchedule, run_drst
+from drshift.semisup import SslConfig, run_drssl
 
 from helpers import enumerate_source, fd_layers, fd_matrix, flat, random_discrete_instance, rel_err
 from oracle import oracle_expectations
+
+
+def layer_arrays(fmap):
+    return [a for layer in fmap.layers for a in layer]
 
 
 def entropy(p):
@@ -278,13 +292,28 @@ class TestTrainEndToEnd:
             np.testing.assert_array_equal(W0, W1)
 
     def test_inputs_not_mutated(self):
+        # The optimizers step parameter arrays in place, so every trainer must
+        # step copies that share no array with the caller's models.
         source, target, _ = generate_gaussian_shift(default_shift_spec(seed=0, n_source=64, n_target=64))
-        clf = default_classifier(2, 2, seed=1)
+        clf = default_classifier(2, 2, seed=1, r=0.5)
         dom = default_domain_classifier(2, seed=2)
-        theta_before = clf.theta.copy()
         cfg = TrainConfig(epochs=2, seed=0)
-        train_end_to_end(source, target, clf, dom, cfg)
-        np.testing.assert_array_equal(clf.theta, theta_before)
+        trainers = {
+            "train_end_to_end": lambda: train_end_to_end(source, target, clf, dom, cfg),
+            "train_erm": lambda: train_erm(source, cfg, clf),
+            "run_drst": lambda: run_drst(source, target, SelfTrainSchedule(rounds=2), cfg, clf, dom),
+            "run_drssl": lambda: run_drssl(source, target, SslConfig(base=cfg), clf, dom),
+        }
+        inputs = [clf.theta, *layer_arrays(clf.feature_map), *layer_arrays(dom.net)]
+        before = [a.copy() for a in inputs]
+        for name, train in trainers.items():
+            out = train()
+            out_clf, out_dom = out[0], (out[1] if len(out) == 3 else None)
+            outputs = [out_clf.theta, *layer_arrays(out_clf.feature_map)]
+            outputs += [] if out_dom is None else layer_arrays(out_dom.net)
+            for a, b in zip(inputs, before):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+                assert not any(np.shares_memory(a, o) for o in outputs), name
 
     def test_deterministic_histories(self):
         source, target, _ = generate_gaussian_shift(default_shift_spec(seed=3, n_source=100, n_target=100))
@@ -335,6 +364,54 @@ class TestTrainEndToEnd:
             duals = [h["dual"] for h in hist]
             gaps.append(np.mean(duals[-5:]) - np.mean(duals[:5]))
         assert np.mean(gaps) <= 0.0
+
+
+class TestStepReferences:
+    """The in-place and one-hot-free forms against the formulas they replaced."""
+
+    def test_momentum_step_matches_the_out_of_place_formula(self):
+        rng = np.random.default_rng(5)
+        clf = default_classifier(2, 3, seed=4, hidden=(5, 4), feature_dim=3)
+        clf.theta = rng.normal(size=clf.theta.shape)
+        params = [clf.theta, *layer_arrays(clf.feature_map)]
+        theta, layers = clf.theta.copy(), [(W.copy(), b.copy()) for W, b in clf.feature_map.layers]
+        v_theta, v_layers = np.zeros_like(theta), [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
+        lr, mu = 0.05, 0.9
+        opt = _Momentum(clf, lr, mu)
+        for _ in range(4):
+            g_theta = rng.normal(size=theta.shape)
+            fgrad = FeatureGradient([(rng.normal(size=W.shape), rng.normal(size=b.shape))
+                                     for W, b in layers])
+            opt.step(clf, g_theta, fgrad)
+            v_theta = mu * v_theta + g_theta
+            theta = theta - lr * v_theta
+            v_layers = [(mu * vW + dW, mu * vb + db)
+                        for (vW, vb), (dW, db) in zip(v_layers, fgrad.layers)]
+            layers = [(W - lr * vW, b - lr * vb) for (W, b), (vW, vb) in zip(layers, v_layers)]
+            got = [clf.theta, *layer_arrays(clf.feature_map)]
+            assert all(a is b for a, b in zip(got, params))
+            for a, b in zip(got, [theta, *(a for layer in layers for a in layer)]):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    def test_train_mode_logits_match_the_one_hot_formula(self, r):
+        rng = np.random.default_rng(6)
+        C = 4
+        clf = RobustClassifier(np.zeros((C, 2)), identity_map(2), r=r)
+        Z = rng.normal(scale=3.0, size=(3 * C, C))
+        Z[0] = [0.0, -0.0, 0.0, -0.0]
+        ratios = rng.uniform(0.01, 100.0, size=3 * C)
+        labels = np.tile(np.arange(C), 3)
+        onehot = np.zeros_like(Z)
+        onehot[np.arange(3 * C), labels] = 1.0
+        expected = (ratios[:, None] * Z + r * onehot) / (r * onehot + 1.0)
+        got = _logits(clf, Z, ratios, labels)
+        # Off the labels the one-hot form adds 0.0, which turns -0.0 into 0.0;
+        # that sign is the only difference, and the softmax does not see it.
+        np.testing.assert_array_equal(got, expected)
+        assert np.abs(got).tobytes() == np.abs(expected).tobytes()
+        for a, b in zip(_softmax_lse(got), _softmax_lse(expected)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestTrainErm:

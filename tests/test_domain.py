@@ -13,6 +13,7 @@ from drshift.domain import (
     DomainClassifier,
     _density_logit_upstream,
     bce_gradient_arrays,
+    clamp_ratio,
     domain_ratios,
 )
 from drshift.features import FeatureMap
@@ -57,6 +58,17 @@ class TestForward:
         clf = default_domain_classifier(3, seed=1)
         tau_s = expit(domain_ratios(clf, rng.normal(size=(20, 3)))[2])
         assert np.all(tau_s + (1.0 - tau_s) == 1.0)
+
+
+@pytest.mark.parametrize("bounds", [(1e-3, 1e3), (np.exp(-2.0), np.exp(3.0))])
+def test_clamp_ratio_matches_the_clip_reference(bounds):
+    lo, hi = bounds
+    log_r = np.array([np.nan, np.inf, -np.inf, 700.0, -700.0, 700.5, -700.5, 701.0, -701.0,
+                      -2.0, 3.0, np.log(lo), np.log(hi), 0.0, -0.0, 5.0, -5.0])
+    raw = np.exp(np.clip(log_r, -700.0, 700.0))
+    ratio, clamped = clamp_ratio(log_r, bounds)
+    assert ratio.tobytes() == np.clip(raw, lo, hi).tobytes()
+    np.testing.assert_array_equal(clamped, (raw < lo) | (raw > hi))
 
 
 class TestBce:

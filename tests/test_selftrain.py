@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from drshift import (
     ContractError,
+    DivergenceError,
     SelfTrainSchedule,
     TrainConfig,
     calibration_report,
@@ -111,6 +112,26 @@ class TestRunDrst:
         np.testing.assert_array_equal(clf_a.theta, clf_b.theta)
         for (Wa, ba), (Wb, bb) in zip(dom_a.net.layers, dom_b.net.layers):
             np.testing.assert_array_equal(Wa, Wb)
+
+    def test_non_finite_dual_raises_at_its_epoch(self, monkeypatch):
+        # The per-epoch record of a DRST pass checks the dual alone; here it
+        # turns NaN at epoch 1 of round 0 while theta stays finite.
+        import drshift.robust as robust
+
+        source, target, _ = self._data()
+        cfg = TrainConfig(epochs=3, seed=1)
+        calls = []
+        real = robust.dual_objective
+
+        def dual_objective(*args):
+            calls.append(args)
+            return float("nan") if len(calls) == cfg.epochs + 2 else real(*args)
+
+        monkeypatch.setattr(robust, "dual_objective", dual_objective)
+        with pytest.raises(DivergenceError, match="non-finite training state at epoch 1$") as exc:
+            run_drst(source, target, SelfTrainSchedule(rounds=2), cfg, *default_models(source, 0))
+        assert len(calls) == cfg.epochs + 2 and exc.value.state["epoch"] == 1
+        assert np.isfinite(calls[-1][0].theta).all()
 
     def test_history_records_per_round(self):
         source, target, _ = self._data(seed=4)
