@@ -36,7 +36,6 @@ from .errors import ConfigError, ContractError, CsvParseError, DivergenceError
 from .features import (
     FeatureGradient,
     FeatureMap,
-    bias_map,
     feature_map_from_json,
     feature_map_to_json,
     identity_map,

@@ -171,9 +171,7 @@ def load_config(path, seed_override=None, out_override=None):
         cfg["seed"] = seed_override
     if out_override is not None:
         cfg["out_dir"] = out_override
-    if "seed" not in cfg:
-        raise ConfigError("seed: required value missing")
-    _num(cfg, "seed", integer=True)
+    _num(cfg, "seed", lo=0, integer=True)
     _path(cfg, "out_dir")
     _check_keys(cfg)
     return cfg
@@ -331,20 +329,23 @@ class RunDir:
 
     def __enter__(self):
         self._created = not os.path.isdir(self.out_dir)
-        os.makedirs(self.out_dir, exist_ok=True)
-        for attempt in range(2):
-            try:
-                self._lock_fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if attempt or not self._lock_is_stale():
-                    raise ConfigError(
-                        f"output directory {self.out_dir} is locked by another run"
-                    ) from None
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+            for attempt in range(2):
                 try:
-                    os.remove(self.lock_path)
-                except FileNotFoundError:
-                    pass
+                    self._lock_fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                    break
+                except FileExistsError:
+                    if attempt or not self._lock_is_stale():
+                        raise ConfigError(
+                            f"output directory {self.out_dir} is locked by another run"
+                        ) from None
+                    try:
+                        os.remove(self.lock_path)
+                    except FileNotFoundError:
+                        pass
+        except OSError as exc:
+            raise ConfigError(f"out_dir: cannot use {self.out_dir}: {exc}") from exc
         os.write(self._lock_fd, str(os.getpid()).encode("ascii"))
         return self
 

@@ -39,7 +39,7 @@ class DomainClassifier:
 
 
 def default_domain_classifier(dim, seed=0, hidden=(16,), ratio_bounds=DEFAULT_RATIO_BOUNDS):
-    return DomainClassifier(init_mlp(dim, hidden, 1, "tanh", seed), ratio_bounds)
+    return DomainClassifier(init_mlp(dim, hidden, 1, seed), ratio_bounds)
 
 
 def domain_logits(clf, X):

@@ -1,9 +1,8 @@
 """Feature maps: forward evaluation and manual parameter gradients.
 
-Three kinds are supported. "identity" and "bias" (input with a constant 1
-appended) have no parameters. "mlp" is a stack of affine layers with tanh or
-relu on the hidden layers and a linear output layer, so the class scores
-built on top of it can span all reals.
+A feature map is a stack of affine layers with tanh on the hidden layers and
+a linear output layer, so the class scores built on top of it can span all
+reals. A map with no layers is the identity.
 """
 
 from __future__ import annotations
@@ -15,74 +14,51 @@ import numpy as np
 
 from .errors import ConfigError
 
-KINDS = ("identity", "bias", "mlp")
-ACTIVATIONS = ("tanh", "relu")
-
 
 @dataclass
 class FeatureMap:
-    kind: str
     in_dim: int
     out_dim: int
     layers: list = field(default_factory=list)  # [(W, b)], W is (fan_out, fan_in)
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown feature map kind {self.kind!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.kind == "identity":
-            if self.out_dim != self.in_dim or self.layers:
-                raise ConfigError("identity map must have out_dim == in_dim and no layers")
-        elif self.kind == "bias":
-            if self.out_dim != self.in_dim + 1 or self.layers:
-                raise ConfigError("bias map must have out_dim == in_dim + 1 and no layers")
-        else:
-            if not self.layers:
-                raise ConfigError("mlp map needs at least one layer")
-            fan_in = self.in_dim
-            for i, (W, b) in enumerate(self.layers):
-                W = np.asarray(W, dtype=float)
-                b = np.asarray(b, dtype=float)
-                if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
-                    raise ConfigError(f"layer {i}: weight/bias shapes do not agree")
-                if W.shape[1] != fan_in:
-                    raise ConfigError(f"layer {i}: expected fan-in {fan_in}, got {W.shape[1]}")
-                if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                    raise ConfigError(f"layer {i}: non-finite parameters")
-                self.layers[i] = (W, b)
-                fan_in = W.shape[0]
-            if fan_in != self.out_dim:
-                raise ConfigError(f"final layer width {fan_in} != out_dim {self.out_dim}")
+        fan_in = self.in_dim
+        for i, (W, b) in enumerate(self.layers):
+            W = np.asarray(W, dtype=float)
+            b = np.asarray(b, dtype=float)
+            if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
+                raise ConfigError(f"layer {i}: weight/bias shapes do not agree")
+            if W.shape[1] != fan_in:
+                raise ConfigError(f"layer {i}: expected fan-in {fan_in}, got {W.shape[1]}")
+            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                raise ConfigError(f"layer {i}: non-finite parameters")
+            self.layers[i] = (W, b)
+            fan_in = W.shape[0]
+        if fan_in != self.out_dim:
+            raise ConfigError(f"final layer width {fan_in} != out_dim {self.out_dim}")
 
     @property
     def n_layers(self):
         return len(self.layers)
 
     def copy(self):
-        layers = [(W.copy(), b.copy()) for W, b in self.layers]
-        return FeatureMap(self.kind, self.in_dim, self.out_dim, layers, self.activation)
+        return FeatureMap(self.in_dim, self.out_dim, [(W.copy(), b.copy()) for W, b in self.layers])
 
 
 @dataclass
 class FeatureGradient:
-    """Per-layer (dW, db) pairs; empty for parameter-free maps."""
+    """Per-layer (dW, db) pairs; empty for a map with no layers."""
 
     layers: list = field(default_factory=list)
 
     def __add__(self, other):
-        if not self.layers:
-            return FeatureGradient([(dW.copy(), db.copy()) for dW, db in other.layers])
-        if not other.layers:
-            return FeatureGradient([(dW.copy(), db.copy()) for dW, db in self.layers])
         return FeatureGradient(
             [(a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(self.layers, other.layers)]
         )
 
 
-def init_mlp(in_dim, hidden, out_dim, activation="tanh", seed=0):
-    """Build an MLP map with U(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
+def init_mlp(in_dim, hidden, out_dim, seed=0):
+    """Build a map with U(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng(seed)
     widths = [in_dim] + list(hidden) + [out_dim]
     layers = []
@@ -90,30 +66,18 @@ def init_mlp(in_dim, hidden, out_dim, activation="tanh", seed=0):
         bound = 1.0 / np.sqrt(fan_in)
         W = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         layers.append((W, np.zeros(fan_out)))
-    return FeatureMap("mlp", in_dim, out_dim, layers, activation)
+    return FeatureMap(in_dim, out_dim, layers)
 
 
 def identity_map(dim):
-    return FeatureMap("identity", dim, dim)
-
-
-def bias_map(dim):
-    return FeatureMap("bias", dim, dim + 1)
-
-
-def _act(z, activation):
-    return np.tanh(z) if activation == "tanh" else np.maximum(z, 0.0)
-
-
-def _act_deriv(a, activation):
-    """Activation derivative written in terms of the activation's output a."""
-    if activation == "tanh":
-        return 1.0 - a * a
-    return (a > 0.0).astype(float)
+    return FeatureMap(dim, dim)
 
 
 def feature_forward_batch(fmap, X):
-    """Vectorized forward pass; X is (n, in_dim), result is (n, out_dim)."""
+    """Vectorized forward pass; X is (n, in_dim), result is (n, out_dim).
+
+    A map with no layers returns its (float) input rows themselves.
+    """
     return _forward_activations(fmap, X)[-1]
 
 
@@ -126,16 +90,12 @@ def _forward_activations(fmap, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != fmap.in_dim:
         raise ConfigError(f"expected (n, {fmap.in_dim}) inputs, got shape {X.shape}")
-    if fmap.kind == "identity":
-        return [X, X.copy()]
-    if fmap.kind == "bias":
-        return [X, np.hstack([X, np.ones((X.shape[0], 1))])]
     acts = [X]
     last = fmap.n_layers - 1
     for i, (W, b) in enumerate(fmap.layers):
         Z = acts[-1] @ W.T + b
-        acts.append(Z if i == last else _act(Z, fmap.activation))
-    return acts
+        acts.append(Z if i == last else np.tanh(Z))
+    return acts if fmap.layers else [X, X]
 
 
 def feature_backward_batch(fmap, X, U, weights=None, acts=None):
@@ -145,11 +105,11 @@ def feature_backward_batch(fmap, X, U, weights=None, acts=None):
     the default is w_i = 1/n, i.e. the batch mean. acts, when given, holds the
     activations of a forward pass over X at the current parameters (from
     _forward_activations); otherwise the forward pass is run here.
-    Parameter-free maps return an empty gradient.
+    A map with no layers returns an empty gradient.
     """
-    U = np.asarray(U, dtype=float)
-    if fmap.kind in ("identity", "bias"):
+    if not fmap.layers:
         return FeatureGradient([])
+    U = np.asarray(U, dtype=float)
     if acts is None:
         acts = _forward_activations(fmap, X)
     n = U.shape[0]
@@ -162,17 +122,20 @@ def feature_backward_batch(fmap, X, U, weights=None, acts=None):
         W, _ = fmap.layers[i]
         grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ W) * _act_deriv(acts[i], fmap.activation)
+            # tanh' written in terms of the activation a = tanh(z): 1 - a^2.
+            delta = (delta @ W) * (1.0 - acts[i] * acts[i])
     return FeatureGradient(grads)
 
 
 def feature_map_to_json(fmap):
-    """Serialize to JSON text: kind, layer shapes, row-major parameter arrays."""
+    """Serialize to JSON text: layer shapes and row-major parameter arrays."""
     doc = {
-        "kind": fmap.kind,
+        # Every map is a tanh MLP, but the checkpoint format names the kind
+        # and activation, so saved checkpoints load as they are.
+        "kind": "mlp",
         "in_dim": fmap.in_dim,
         "out_dim": fmap.out_dim,
-        "activation": fmap.activation,
+        "activation": "tanh",
         "layers": [
             {
                 "rows": int(W.shape[0]),
@@ -188,8 +151,11 @@ def feature_map_to_json(fmap):
 
 def feature_map_from_json(text):
     doc = json.loads(text) if isinstance(text, str) else text
+    if (doc["kind"], doc["activation"]) != ("mlp", "tanh"):
+        raise ConfigError(f"unsupported feature map kind {doc['kind']!r} with activation "
+                          f"{doc['activation']!r}")
     layers = []
     for layer in doc["layers"]:
         W = np.array(layer["weight"], dtype=float).reshape(layer["rows"], layer["cols"])
         layers.append((W, np.array(layer["bias"], dtype=float)))
-    return FeatureMap(doc["kind"], doc["in_dim"], doc["out_dim"], layers, doc["activation"])
+    return FeatureMap(doc["in_dim"], doc["out_dim"], layers)

@@ -13,7 +13,7 @@ from .calibration import _lse_parts
 from .data import generate_gaussian_shift, split_indices
 from .domain import DEFAULT_RATIO_BOUNDS, clamp_ratio
 from .errors import ConfigError, ContractError
-from .features import bias_map, feature_forward_batch
+from .features import identity_map
 from .robust import RobustClassifier, _nll_at, grad_source, predict_proba
 
 # Query rows x training points per block of the pairwise pass in
@@ -89,8 +89,10 @@ def plugin_ratio(kde_source, kde_target, x, bounds=DEFAULT_RATIO_BOUNDS):
     return float(r) if np.ndim(r) == 0 else r
 
 
-def _train_frozen_feature_model(Xs, ys, ratios, class_count):
-    """Robust classifier on the bias map, fit to the source rows at fixed ratios.
+def _train_frozen_feature_model(Phi, ys, ratios, class_count):
+    """Robust classifier on the identity map, fit to the source feature rows
+    Phi at fixed ratios. run_plugin_simulation passes the inputs with a
+    constant 1 appended, so theta carries a bias.
 
     Minimizes the convex r = 0 objective
     J(theta) = mean_i (log Z_i / R_i - theta_{y_i} . phi_i), whose logits are
@@ -103,16 +105,15 @@ def _train_frozen_feature_model(Xs, ys, ratios, class_count):
     The fit stops once the gradient norm is at most _FIT_RTOL (1e-9) times
     its norm at theta = 0, or after _FIT_MAX_STEPS (50) steps.
     """
-    fmap = bias_map(Xs.shape[1])
-    clf = RobustClassifier(np.zeros((class_count, fmap.out_dim)), fmap, 0.0, DEFAULT_RATIO_BOUNDS)
-    Phi = feature_forward_batch(fmap, Xs)
+    m = Phi.shape[1]
+    clf = RobustClassifier(np.zeros((class_count, m)), identity_map(m), 0.0, DEFAULT_RATIO_BOUNDS)
     rows = np.arange(len(ys))
 
     def objective(theta):
         Z = Phi @ theta.T
         return float(np.mean(_lse_parts(ratios[:, None] * Z)[0] / ratios - Z[rows, ys]))
 
-    g = grad_source(clf, (Xs, ys), ratios)
+    g = grad_source(clf, (Phi, ys), ratios)
     tol = _FIT_RTOL * np.linalg.norm(g.grad_theta)
     J = objective(clf.theta)
     for _ in range(_FIT_MAX_STEPS):
@@ -126,7 +127,7 @@ def _train_frozen_feature_model(Xs, ys, ratios, class_count):
                 break
         clf.theta = clf.theta + t * step
         J = J_new
-        g = grad_source(clf, (Xs, ys), ratios)
+        g = grad_source(clf, (Phi, ys), ratios)
     return clf
 
 
@@ -151,7 +152,7 @@ def _newton_step(Phi, w, probs, grad_theta):
 def run_plugin_simulation(spec, bandwidths):
     """Score plug-in ratios per bandwidth: held-out log-likelihoods of the two
     KDEs, and the target log loss of a frozen-feature robust classifier
-    trained with those ratios.
+    trained with those ratios on the inputs with a constant 1 appended.
     The KDEs fit 80 % of each domain (split at spec.seed + 1) and score the
     rest; ratios are clamped to the default bounds.
 
@@ -166,6 +167,7 @@ def run_plugin_simulation(spec, bandwidths):
     tr_s, ho_s = split_indices(len(source), 0.8, rng)
     tr_t, ho_t = split_indices(len(target), 0.8, rng)
     Xs, ys, Xt, yt = source.X, source.y, target.X, target.y
+    Xs_b, Xt_b = (np.hstack([X, np.ones((len(X), 1))]) for X in (Xs, Xt))
 
     # One density pass per KDE over every row: the held-out log-likelihoods
     # and both domains' ratios are row subsets of it.
@@ -176,8 +178,8 @@ def run_plugin_simulation(spec, bandwidths):
         log_s = kde_log_density(fit_kde(Xs[tr_s], h), X_all)
         log_t = kde_log_density(fit_kde(Xt[tr_t], h), X_all)
         ratios, _ = clamp_ratio(log_s - log_t, DEFAULT_RATIO_BOUNDS)
-        clf = _train_frozen_feature_model(Xs, ys, ratios[:n_s], source.class_count)
-        probs, _ = predict_proba(clf, Xt, ratios[n_s:])
+        clf = _train_frozen_feature_model(Xs_b, ys, ratios[:n_s], source.class_count)
+        probs, _ = predict_proba(clf, Xt_b, ratios[n_s:])
         rows.append({
             "h": float(h),
             "ll_source": float(np.mean(log_s[ho_s])),

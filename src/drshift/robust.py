@@ -101,14 +101,13 @@ class TrainConfig:
 @dataclass
 class SourceGradient:
     grad_theta: np.ndarray  # (C, m)
-    upstream: np.ndarray  # (n, m) per-sample feature upstreams
     feature_grad: FeatureGradient
     probs: np.ndarray  # (n, C) train-mode predictions at the batch labels
 
 
 def default_classifier(dim, class_count, seed=0, r=0.0, hidden=(16,), feature_dim=16,
                        ratio_bounds=DEFAULT_RATIO_BOUNDS):
-    fmap = init_mlp(dim, hidden, feature_dim, "tanh", seed)
+    fmap = init_mlp(dim, hidden, feature_dim, seed)
     return RobustClassifier(np.zeros((class_count, feature_dim)), fmap, r, ratio_bounds)
 
 
@@ -245,13 +244,12 @@ def grad_source(clf, batch, ratios, weights=None):
 
 
 def _score_gradient(clf, acts, G, w):
-    """(grad theta, feature upstreams G theta, feature gradient) of
-    sum_i w_i G_i . theta phi(x_i), for a per-row class-score upstream G (n, C)
-    and the activations acts of a forward pass over the n rows."""
+    """(grad theta, feature gradient) of sum_i w_i G_i . theta phi(x_i), for a
+    per-row class-score upstream G (n, C) and the activations acts of a
+    forward pass over the n rows; the feature upstreams are G theta."""
     grad_theta = (G * w[:, None]).T @ acts[-1]
-    upstream = G @ clf.theta
-    fgrad = feature_backward_batch(clf.feature_map, acts[0], upstream, weights=w, acts=acts)
-    return grad_theta, upstream, fgrad
+    fgrad = feature_backward_batch(clf.feature_map, acts[0], G @ clf.theta, weights=w, acts=acts)
+    return grad_theta, fgrad
 
 
 def _ratios(dom, X, epoch=None):

@@ -72,10 +72,10 @@ def _unsup_gradient(clf, acts, ratios, pseudo, mask, loss_weight):
     probs, _ = _predict_from_scores(clf, acts[-1] @ clf.theta.T, ratios, pseudo)
     loss = loss_weight * float(np.where(mask, _nll_at(probs, pseudo), 0.0).mean())
 
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), pseudo] = 1.0
-    G = (probs - onehot) * (ratios[:, None] / (clf.r * onehot + 1.0))
-    grad_theta, _, fgrad = _score_gradient(clf, acts, G, mask * loss_weight / n)
+    at = (np.arange(n), pseudo)
+    G = probs * ratios[:, None]
+    G[at] = (probs[at] - 1.0) * (ratios / (clf.r + 1.0))
+    grad_theta, fgrad = _score_gradient(clf, acts, G, mask * loss_weight / n)
     return loss, grad_theta, fgrad
 
 

@@ -69,7 +69,7 @@ def random_discrete_instance(rng, n_points=5, class_count=3, dim=2, feature_dim=
     cond = rng.random((n_points, class_count)) + 0.1
     cond /= cond.sum(axis=1, keepdims=True)
     spec = DiscreteDomainSpec(points, p_s, p_t, cond)
-    fmap = init_mlp(dim, hidden, feature_dim, "tanh", seed=int(rng.integers(1 << 30)))
+    fmap = init_mlp(dim, hidden, feature_dim, seed=int(rng.integers(1 << 30)))
     theta = theta_scale * rng.normal(size=(class_count, feature_dim))
     clf = RobustClassifier(theta, fmap, 0.0, (1e-8, 1e8))
     return spec, clf

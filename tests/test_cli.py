@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from drshift import load_csv
+from drshift import checkpoint_to_json, default_classifier, load_csv
 from drshift.cli import main
 
 
@@ -152,6 +152,28 @@ def test_missing_seed_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps({"out_dir": str(tmp_path / "o")}))
     assert main(["train-erm", "--config", str(path)]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command, where):
+    cfg_path, _ = write_config(tmp_path, seed=-1 if where == "config" else 0,
+                               calibrate={"checkpoint": str(tmp_path / "cfg.json")})
+    flag = ["--seed", "-1"] if where == "flag" else []
+    assert main([command, "--config", str(cfg_path), *flag]) == 2
+    assert "seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("under_it", [False, True])
+def test_out_dir_naming_a_file_is_config_error(tmp_path, capsys, under_it):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "run" if under_it else taken
+    cfg_path, _ = write_config(tmp_path, out_dir=str(out))
+    assert main(["train-erm", "--config", str(cfg_path)]) == 2
+    assert f"out_dir: cannot use {out}: " in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
 
 
 class TestSimulate:
@@ -509,6 +531,25 @@ def test_unreadable_checkpoint_is_config_error(tmp_path, capsys, text):
         ckpt.mkdir()
     else:
         ckpt.write_text(text)
+    cfg_path, _ = write_config(tmp_path, calibrate={"checkpoint": str(ckpt)})
+    assert main(["calibrate", "--config", str(cfg_path)]) == 2
+    assert "calibrate.checkpoint:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind, activation", [("identity", "tanh"), ("bias", "tanh"),
+                                              ("mlp", "relu")])
+def test_checkpoint_of_another_map_kind_is_config_error(tmp_path, capsys, kind, activation):
+    # A feature map of a kind or activation that is no longer supported, in
+    # the form the checkpoint format gave it.
+    doc = json.loads(checkpoint_to_json(default_classifier(2, 2)))
+    doc["feature_map"].update(kind=kind, activation=activation)
+    if kind != "mlp":
+        out_dim = 2 if kind == "identity" else 3
+        doc["feature_map"].update(out_dim=out_dim, layers=[])
+        doc["theta"] = np.zeros((2, out_dim)).tolist()
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(json.dumps(doc))
     cfg_path, _ = write_config(tmp_path, calibrate={"checkpoint": str(ckpt)})
     assert main(["calibrate", "--config", str(cfg_path)]) == 2
     assert "calibrate.checkpoint:" in capsys.readouterr().err

@@ -207,7 +207,7 @@ class TestGradSource:
         y = np.array([0, 1])
         g = grad_source(clf, (X, y), np.ones(2))
         assert np.abs(g.grad_theta).max() == 0.0
-        assert np.abs(g.upstream).max() == 0.0
+        np.testing.assert_array_equal(g.probs, np.eye(2))
 
     def test_change_of_measure_matches_oracle(self):
         rng = np.random.default_rng(9)
@@ -452,3 +452,30 @@ def test_checkpoint_roundtrip():
     X = np.random.default_rng(0).normal(size=(4, 2))
     np.testing.assert_array_equal(class_scores(clf, X), class_scores(clf2, X))
     np.testing.assert_array_equal(domain_ratios(dom, X)[0], domain_ratios(dom2, X)[0])
+
+
+# A model.json text in the format the CLI writes, whose feature maps carry
+# "kind": "mlp" and "activation": "tanh", with the class scores it gave at
+# two inputs when it was written.
+SAVED_CHECKPOINT = (
+    '{"theta": [[0.5, -1.0], [0.25, 2.0]], "feature_map": {"kind": "mlp", "in_dim": 2, '
+    '"out_dim": 2, "activation": "tanh", "layers": [{"rows": 2, "cols": 2, "weight": '
+    '[0.016718301980387817, 0.6370518687008531, -0.5032343017319885, 0.6344861328926812], '
+    '"bias": [0.0, 0.0]}, {"rows": 2, "cols": 2, "weight": [-0.266110512578824, '
+    '-0.10843277573828902, 0.46344145260571024, -0.12841181282192204], "bias": [0.0, 0.0]}]}, '
+    '"r": 0.5, "ratio_bounds": [0.01, 100.0], "domain": {"net": {"kind": "mlp", "in_dim": 2, '
+    '"out_dim": 1, "activation": "tanh", "layers": [{"rows": 2, "cols": 2, "weight": '
+    '[-0.33713135284979334, -0.2849765579220418, 0.4443823039951611, -0.5771180092207928], '
+    '"bias": [0.0, 0.0]}, {"rows": 1, "cols": 2, "weight": [0.14156352142130801, '
+    '0.32323339684037933], "bias": [0.0]}]}, "ratio_bounds": [0.01, 100.0]}, '
+    '"config": {"seed": 3}}'
+)
+SAVED_SCORES = [[0.27970000964580394, -0.2779088138486298],
+                [-0.16473334630061442, 0.3596648077621035]]
+
+
+def test_saved_checkpoint_loads_scores_and_rewrites_unchanged():
+    clf, dom, cfg = checkpoint_from_json(SAVED_CHECKPOINT)
+    assert checkpoint_to_json(clf, dom, cfg) == SAVED_CHECKPOINT
+    X = np.array([[0.5, -1.0], [2.0, 0.25]])
+    np.testing.assert_allclose(class_scores(clf, X), SAVED_SCORES, rtol=1e-15, atol=0)

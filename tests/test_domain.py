@@ -24,13 +24,13 @@ from helpers import fd_layers, flat, rel_err
 
 def zero_logit_classifier(dim=2, bounds=(1e-3, 1e3)):
     layers = [(np.zeros((1, dim)), np.zeros(1))]
-    return DomainClassifier(FeatureMap("mlp", dim, 1, layers, "tanh"), bounds)
+    return DomainClassifier(FeatureMap(dim, 1, layers), bounds)
 
 
 def linear_logit_classifier(w, b=0.0, bounds=(1e-3, 1e3)):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     layers = [(w, np.array([float(b)]))]
-    return DomainClassifier(FeatureMap("mlp", w.shape[1], 1, layers, "tanh"), bounds)
+    return DomainClassifier(FeatureMap(w.shape[1], 1, layers), bounds)
 
 
 class TestForward:

@@ -1,9 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from drshift import (
     ConfigError,
-    bias_map,
     feature_map_from_json,
     feature_map_to_json,
     identity_map,
@@ -25,21 +26,17 @@ def forward_one(fmap, x):
 
 
 def test_identity_forward():
+    # identity_map is the map with no layers; its forward pass hands back
+    # the input rows themselves.
     fmap = identity_map(2)
-    x = np.array([0.3, -2.0])
-    np.testing.assert_array_equal(forward_one(fmap, x), x)
-
-
-def test_bias_forward():
-    fmap = bias_map(2)
-    np.testing.assert_array_equal(
-        forward_one(fmap, np.array([0.3, -2.0])), np.array([0.3, -2.0, 1.0])
-    )
+    assert fmap == FeatureMap(2, 2)
+    X = np.array([[0.3, -2.0], [1.5, 0.0]])
+    assert feature_forward_batch(fmap, X) is X
 
 
 def test_zero_mlp_forward():
     layers = [(np.zeros((4, 2)), np.zeros(4)), (np.zeros((3, 4)), np.zeros(3))]
-    fmap = FeatureMap("mlp", 2, 3, layers, "tanh")
+    fmap = FeatureMap(2, 3, layers)
     np.testing.assert_array_equal(forward_one(fmap, np.array([1.0, -1.0])), np.zeros(3))
 
 
@@ -50,15 +47,15 @@ def test_dimension_mismatch_raises():
 
 
 def test_parameter_free_maps_have_empty_gradient():
-    for fmap in (identity_map(2), bias_map(2)):
-        g = feature_backward_batch(fmap, np.array([[1.0, 2.0]]), np.ones((1, fmap.out_dim)))
-        assert g.layers == []
+    fmap = identity_map(2)
+    g = feature_backward_batch(fmap, np.array([[1.0, 2.0]]), np.ones((1, fmap.out_dim)))
+    assert g.layers == [] and (g + g).layers == []
 
 
 def test_single_linear_layer_gradient_is_outer_product():
     rng = np.random.default_rng(3)
     W = rng.normal(size=(3, 2))
-    fmap = FeatureMap("mlp", 2, 3, [(W, np.zeros(3))], "tanh")
+    fmap = FeatureMap(2, 3, [(W, np.zeros(3))])
     x = rng.normal(size=2)
     u = rng.normal(size=3)
     g = feature_backward_batch(fmap, x[None], u[None])
@@ -68,7 +65,7 @@ def test_single_linear_layer_gradient_is_outer_product():
 
 def test_two_layer_tanh_matches_finite_differences():
     rng = np.random.default_rng(11)
-    fmap = init_mlp(4, [5], 3, "tanh", seed=7)
+    fmap = init_mlp(4, [5], 3, seed=7)
     x = rng.normal(size=4)
     u = rng.normal(size=3)
     g = feature_backward_batch(fmap, x[None], u[None])
@@ -78,12 +75,11 @@ def test_two_layer_tanh_matches_finite_differences():
 
 @pytest.mark.parametrize("trial", range(20))
 def test_random_instances_match_finite_differences(trial):
-    # tanh only: central differences straddle relu kinks
     rng = np.random.default_rng(100 + trial)
     d = int(rng.integers(2, 7))
     m = int(rng.integers(2, 9))
     widths = [int(rng.integers(2, 7)), int(rng.integers(2, 7))]
-    fmap = init_mlp(d, widths, m, "tanh", seed=200 + trial)
+    fmap = init_mlp(d, widths, m, seed=200 + trial)
     x = rng.normal(size=d)
     u = rng.normal(size=m)
     g = feature_backward_batch(fmap, x[None], u[None])
@@ -91,20 +87,8 @@ def test_random_instances_match_finite_differences(trial):
     assert rel_err(flat(fd), flat(g.layers)) <= 1e-4
 
 
-def test_relu_gradient_blocks_inactive_units():
-    # one hidden relu unit active (pre-act 2), one inactive (pre-act -2):
-    # d(u . phi)/dW1 keeps only the active row.
-    W1 = np.array([[1.0], [-1.0]])
-    b1 = np.zeros(2)
-    W2 = np.array([[1.0, 1.0]])
-    fmap = FeatureMap("mlp", 1, 1, [(W1, b1), (W2, np.zeros(1))], "relu")
-    g = feature_backward_batch(fmap, np.array([[2.0]]), np.array([[1.0]]))
-    np.testing.assert_allclose(g.layers[0][0], np.array([[2.0], [0.0]]), atol=1e-12)
-    np.testing.assert_allclose(g.layers[1][0], np.array([[2.0, 0.0]]), atol=1e-12)
-
-
 def test_forward_is_pure_and_bitwise_repeatable():
-    fmap = init_mlp(3, [4], 4, "tanh", seed=1)
+    fmap = init_mlp(3, [4], 4, seed=1)
     x = np.array([0.5, -1.5, 2.0])
     a = forward_one(fmap, x)
     b = forward_one(fmap, x)
@@ -113,7 +97,7 @@ def test_forward_is_pure_and_bitwise_repeatable():
 
 def test_backward_linear_in_upstream():
     rng = np.random.default_rng(21)
-    fmap = init_mlp(3, [4], 4, "tanh", seed=5)
+    fmap = init_mlp(3, [4], 4, seed=5)
     x = rng.normal(size=3)
     u1, u2 = rng.normal(size=4), rng.normal(size=4)
     a, b = 0.7, -1.3
@@ -126,30 +110,27 @@ def test_backward_linear_in_upstream():
 
 
 def reference_backward(fmap, X, U, w):
-    """Backward pass that recomputes the forward pass and differentiates the
-    activation at its pre-activation."""
+    """Backward pass that recomputes the forward pass and differentiates tanh
+    at its pre-activation."""
     acts, pres = [X], []
     for i, (W, b) in enumerate(fmap.layers):
         Z = acts[-1] @ W.T + b
         pres.append(Z)
         last = i == fmap.n_layers - 1
-        acts.append(Z if last else (np.tanh(Z) if fmap.activation == "tanh" else np.maximum(Z, 0.0)))
+        acts.append(Z if last else np.tanh(Z))
     delta = U * w[:, None]
     grads = [None] * fmap.n_layers
     for i in range(fmap.n_layers - 1, -1, -1):
         W, _ = fmap.layers[i]
         grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
-            Z = pres[i - 1]
-            d = 1.0 - np.tanh(Z) ** 2 if fmap.activation == "tanh" else (Z > 0.0).astype(float)
-            delta = (delta @ W) * d
+            delta = (delta @ W) * (1.0 - np.tanh(pres[i - 1]) ** 2)
     return grads
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_backward_from_cached_activations_is_bitwise_equal_to_recomputing(activation):
+def test_backward_from_cached_activations_is_bitwise_equal_to_recomputing():
     rng = np.random.default_rng(17)
-    fmap = init_mlp(2, [16, 8], 4, activation, seed=3)
+    fmap = init_mlp(2, [16, 8], 4, seed=3)
     X = rng.normal(size=(64, 2))
     U = rng.normal(size=(64, 4))
     w = rng.uniform(size=64)
@@ -160,10 +141,10 @@ def test_backward_from_cached_activations_is_bitwise_equal_to_recomputing(activa
 
 
 def test_json_roundtrip():
-    fmap = init_mlp(3, [4], 2, "relu", seed=9)
+    fmap = init_mlp(3, [4], 2, seed=9)
     doc = feature_map_to_json(fmap)
     back = feature_map_from_json(doc)
-    assert back.kind == "mlp" and back.activation == "relu"
+    assert feature_map_to_json(back) == doc
     X = np.random.default_rng(0).normal(size=(5, 3))
     np.testing.assert_array_equal(
         feature_forward_batch(fmap, X), feature_forward_batch(back, X)
@@ -172,6 +153,28 @@ def test_json_roundtrip():
 
 def test_bad_layer_shapes_rejected():
     with pytest.raises(ConfigError):
-        FeatureMap("mlp", 2, 3, [(np.zeros((4, 2)), np.zeros(4)), (np.zeros((3, 5)), np.zeros(3))])
+        FeatureMap(2, 3, [(np.zeros((4, 2)), np.zeros(4)), (np.zeros((3, 5)), np.zeros(3))])
     with pytest.raises(ConfigError):
-        FeatureMap("identity", 2, 3)
+        FeatureMap(2, 3)
+
+
+def test_json_text_keeps_the_checkpoint_format():
+    # The text this map serialized to when maps still had a kind and an
+    # activation: the two fields stay, fixed at "mlp" and "tanh".
+    expected = (
+        '{"kind": "mlp", "in_dim": 2, "out_dim": 1, "activation": "tanh", "layers": ['
+        '{"rows": 2, "cols": 2, "weight": [0.19369307573550387, -0.32557075163361393, '
+        '-0.6491614679377623, -0.6837331748681422], "bias": [0.0, 0.0]}, '
+        '{"rows": 1, "cols": 2, "weight": [0.4430310209648889, 0.5837245353312901], '
+        '"bias": [0.0]}]}'
+    )
+    assert feature_map_to_json(init_mlp(2, [2], 1, seed=0)) == expected
+
+
+@pytest.mark.parametrize("kind, activation", [("identity", "tanh"), ("bias", "tanh"),
+                                              ("mlp", "relu")])
+def test_json_of_another_kind_or_activation_rejected(kind, activation):
+    doc = json.loads(feature_map_to_json(init_mlp(2, [2], 1, seed=0)))
+    doc.update(kind=kind, activation=activation)
+    with pytest.raises(ConfigError, match=f"{kind}.*{activation}"):
+        feature_map_from_json(doc)

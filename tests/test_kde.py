@@ -17,7 +17,7 @@ from drshift import (
 from drshift.calibration import _lse_parts
 from drshift.data import GaussianShiftSpec, generate_gaussian_shift, split_indices
 from drshift.domain import DEFAULT_RATIO_BOUNDS
-from drshift.features import bias_map, feature_forward_batch
+from drshift.features import identity_map
 from drshift.kde import _BLOCK_PAIRS, _train_frozen_feature_model, run_plugin_simulation
 from drshift.robust import RobustClassifier, _Momentum, grad_source
 
@@ -208,8 +208,8 @@ class TestSimulation:
         from drshift.robust import predict_proba
 
         source, target, _ = generate_gaussian_shift(spec)
-        clf = _train_frozen_feature_model(source.X, source.y, np.ones(len(source)), 2)
-        probs, _ = predict_proba(clf, target.X, np.ones(len(target)))
+        clf = _train_frozen_feature_model(with_bias(source.X), source.y, np.ones(len(source)), 2)
+        probs, _ = predict_proba(clf, with_bias(target.X), np.ones(len(target)))
         ref = float(-np.log(probs[np.arange(len(target)), target.y]).mean())
         for row in rows:
             assert abs(row["target_logloss"] - ref) < 0.05
@@ -232,21 +232,26 @@ class TestSimulation:
             assert row["ll_target"] == float(np.mean(kde_log_density(kde_t, target.X[ho_t])))
 
 
-def plugin_objective(clf, X, y, ratios):
+def with_bias(X):
+    """The feature rows the plug-in fit trains on: X with a constant 1 appended."""
+    return np.hstack([X, np.ones((len(X), 1))])
+
+
+def plugin_objective(clf, Phi, y, ratios):
     """J(theta) = mean_i (log Z_i / R_i - theta_{y_i} . phi_i) with logits
     R_i theta . phi_i, on scipy's logsumexp."""
-    Z = feature_forward_batch(clf.feature_map, X) @ clf.theta.T
+    Z = Phi @ clf.theta.T
     return float(np.mean(logsumexp(ratios[:, None] * Z, axis=1) / ratios - Z[np.arange(len(y)), y]))
 
 
-def momentum_fit(X, y, ratios, class_count):
+def momentum_fit(Phi, y, ratios, class_count):
     """Reference form of the plug-in fit: 400 full-batch momentum steps
     (lr 0.5, momentum 0.9) from theta = 0. It does not converge."""
-    fmap = bias_map(X.shape[1])
+    fmap = identity_map(Phi.shape[1])
     clf = RobustClassifier(np.zeros((class_count, fmap.out_dim)), fmap, 0.0, DEFAULT_RATIO_BOUNDS)
     opt = _Momentum(clf, 0.5, 0.9)
     for _ in range(400):
-        g = grad_source(clf, (X, y), ratios)
+        g = grad_source(clf, (Phi, y), ratios)
         opt.step(clf, g.grad_theta, g.feature_grad)
     return clf
 
@@ -257,7 +262,7 @@ def gradient_norm(clf, X, y, ratios):
 
 @pytest.fixture(scope="module")
 def canonical_fits():
-    """(X, y, ratios, Newton fit) for the source ratios run_plugin_simulation
+    """(Phi, y, ratios, Newton fit) for the source ratios run_plugin_simulation
     trains on, at seeds 0-4 and each default bandwidth."""
     fits = []
     for seed in range(5):
@@ -265,10 +270,10 @@ def canonical_fits():
         rng = np.random.default_rng(seed + 1)
         tr_s, _ = split_indices(len(source), 0.8, rng)
         tr_t, _ = split_indices(len(target), 0.8, rng)
+        Phi = with_bias(source.X)
         for h in DEFAULT_BANDWIDTHS:
             ratios = plugin_ratio(fit_kde(source.X[tr_s], h), fit_kde(target.X[tr_t], h), source.X)
-            clf = _train_frozen_feature_model(source.X, source.y, ratios, 2)
-            fits.append((source.X, source.y, ratios, clf))
+            fits.append((Phi, source.y, ratios, _train_frozen_feature_model(Phi, source.y, ratios, 2)))
     return fits
 
 
@@ -299,7 +304,7 @@ class TestNewtonFit:
     @pytest.mark.parametrize("unit_ratios", [True, False])
     def test_separable_set_stops_within_the_cap(self, monkeypatch, unit_ratios):
         rng = np.random.default_rng(14)
-        X = np.vstack([rng.normal(size=(30, 2)) + 3.0, rng.normal(size=(30, 2)) - 3.0])
+        X = with_bias(np.vstack([rng.normal(size=(30, 2)) + 3.0, rng.normal(size=(30, 2)) - 3.0]))
         y = np.repeat([0, 1], 30)
         ratios = np.ones(60) if unit_ratios else np.exp(rng.uniform(-3.0, 3.0, 60))
         clf, calls = counted_fit(monkeypatch, X, y, ratios, 2)
@@ -314,7 +319,7 @@ class TestNewtonFit:
         source, _, _ = generate_gaussian_shift(spec)
         drawn = np.exp(np.random.default_rng(seed).normal(size=2))
         for ratios in (np.ones(2), np.array([1e-3, 1e3]), drawn):
-            clf, calls = counted_fit(monkeypatch, source.X, source.y, ratios, 2)
+            clf, calls = counted_fit(monkeypatch, with_bias(source.X), source.y, ratios, 2)
             assert calls <= kde._FIT_MAX_STEPS + 1
             assert np.isfinite(clf.theta).all()
         rows = run_plugin_simulation(spec, DEFAULT_BANDWIDTHS)

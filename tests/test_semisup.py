@@ -18,6 +18,7 @@ from drshift import (
     generate_gaussian_shift,
 )
 from drshift.features import _forward_activations
+from drshift.robust import _predict_from_scores, _score_gradient
 from drshift.semisup import _unsup_gradient, run_drssl
 
 from helpers import default_models, flat
@@ -127,6 +128,30 @@ class TestUnsupGradient:
         assert loss_half == pytest.approx(0.5 * loss1, rel=1e-12)
         np.testing.assert_allclose(g_half, 0.5 * g1, rtol=1e-12, atol=0)
         np.testing.assert_allclose(flat(f_half.layers), 0.5 * flat(f1.layers), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, "uniform"])
+    def test_gradient_is_bitwise_the_one_hot_form(self, r):
+        # The class-score upstream (f_y - 1{y=c}) R / (r 1{y=c} + 1), built
+        # from a one-hot matrix, against the rewrite of the label entries.
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            n, C = int(rng.integers(1, 12)), int(rng.integers(2, 5))
+            r_case = rng.uniform() if r == "uniform" else r
+            clf = default_classifier(3, C, seed=int(rng.integers(1000)), r=r_case,
+                                     hidden=(4,), feature_dim=4)
+            clf.theta = rng.normal(size=clf.theta.shape)
+            acts = _forward_activations(clf.feature_map, rng.normal(size=(n, 3)))
+            ratios = np.exp(rng.normal(size=n))
+            pseudo = rng.integers(0, C, size=n)
+            mask = rng.random(n) > 0.3
+            probs, _ = _predict_from_scores(clf, acts[-1] @ clf.theta.T, ratios, pseudo)
+            onehot = np.zeros_like(probs)
+            onehot[np.arange(n), pseudo] = 1.0
+            G = (probs - onehot) * (ratios[:, None] / (clf.r * onehot + 1.0))
+            g_ref, f_ref = _score_gradient(clf, acts, G, mask * 0.7 / n)
+            _, g, f = _unsup_gradient(clf, acts, ratios, pseudo, mask, 0.7)
+            np.testing.assert_array_equal(g, g_ref)
+            np.testing.assert_array_equal(flat(f.layers), flat(f_ref.layers))
 
 
 def small_setup(seed=0, n_labeled=12, n_target=48):
