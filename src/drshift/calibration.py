@@ -101,22 +101,28 @@ def miscls_entropy(probs, labels):
     return float(-terms.sum(axis=1).mean()), False
 
 
-def _lse_parts(L):
+def _lse_parts(L, m=None):
     """Row-wise log-sum-exp of an (n, C) array, with the shifted exponentials.
 
-    Returns (lse, e, s): e = exp(L - m) with m the row max, s the (n, 1) row
-    sums of e and lse = m + log s. Shifting by the max keeps exp in range, and
-    e / s is the softmax, so one exp serves both.
+    Returns (lse, e, s): e = exp(L - m) with m the (n, 1) row max, s the
+    (n, 1) row sums of e and lse = m + log s. Shifting by the max keeps exp in
+    range, and e / s is the softmax, so one exp serves both. A caller that
+    already holds the row max may pass it as m; it must equal
+    L.max(axis=1, keepdims=True) bitwise for the result to.
     """
-    m = L.max(axis=1, keepdims=True)
+    if m is None:
+        m = L.max(axis=1, keepdims=True)
     e = np.exp(L - m)
     s = e.sum(axis=1, keepdims=True)
     return m[:, 0] + np.log(s[:, 0]), e, s
 
 
-def _mean_nll(L, L_label, temperature):
-    """nll from the logits L and their label column L_label."""
-    return float((_lse_parts(L / temperature)[0] - L_label / temperature).mean())
+def _mean_nll(L, L_label, temperature, L_max=None):
+    """nll from the logits L, their label column L_label and, optionally,
+    their (n, 1) row max L_max. Division by T > 0 keeps the order of every
+    row, so L_max / T is the row max of L / T bitwise."""
+    m = None if L_max is None else L_max / temperature
+    return float((_lse_parts(L / temperature, m)[0] - L_label / temperature).mean())
 
 
 def nll(logits, labels, temperature=1.0):
@@ -130,15 +136,18 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
     """Golden-section search for the NLL-minimizing temperature on log T.
 
     The returned temperature never has higher NLL than T = 1 (ties resolve
-    to 1).
+    to 1). The label logits and the row max of the logits are taken once;
+    every NLL evaluation divides both by its T, which gives nll's values
+    bitwise.
     """
     L = np.asarray(logits, dtype=float)
     if L.shape[0] == 0:
         raise ContractError("fit_temperature needs at least one sample")
     L_label = L[np.arange(L.shape[0]), np.asarray(labels, dtype=int)]
+    L_max = L.max(axis=1, keepdims=True)
 
     def f(log_t):
-        return _mean_nll(L, L_label, np.exp(log_t))
+        return _mean_nll(L, L_label, np.exp(log_t), L_max)
 
     a, b = np.log(lo), np.log(hi)
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -155,7 +164,7 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
             d = a + inv_phi * (b - a)
             fd = f(d)
     t_star = float(np.exp((a + b) / 2.0))
-    if _mean_nll(L, L_label, t_star) <= _mean_nll(L, L_label, 1.0) - 1e-12:
+    if _mean_nll(L, L_label, t_star, L_max) <= _mean_nll(L, L_label, 1.0, L_max) - 1e-12:
         return t_star
     return 1.0
 

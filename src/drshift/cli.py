@@ -56,7 +56,7 @@ from .data import (
     save_csv,
 )
 from .errors import ConfigError, ContractError, CsvParseError, DivergenceError
-from .kde import run_plugin_simulation
+from .kde import check_bandwidth, run_plugin_simulation
 from .robust import (
     _softmax_lse,
     checkpoint_from_json,
@@ -535,6 +535,8 @@ def cmd_plugin_sim(cfg):
     bandwidths = _num_list(cfg, "plugin.bandwidths", [0.05, 0.2, 0.5, 1.0], lo=0, strict=True)
     if not bandwidths or np.ndim(bandwidths) != 1:
         raise ConfigError(f"plugin.bandwidths: expected a non-empty flat list, got {bandwidths!r}")
+    for i, h in enumerate(bandwidths):
+        check_bandwidth(h, f"plugin.bandwidths[{i}]")
     for field in ("n_source", "n_target"):
         if getattr(spec, field) < 2:
             raise ConfigError(f"data.{field}: plugin-sim holds out rows of each domain, so it "

@@ -17,8 +17,8 @@ from .features import identity_map
 from .robust import RobustClassifier, _nll_at, grad_source, predict_proba
 
 # Query rows x training points per block of the pairwise pass in
-# kde_log_density. Its (rows, n, d) buffers then hold 8192 * d floats
-# (128 KiB at d = 2), which keeps the peak memory of plugin-sim flat.
+# kde_log_density. Its (rows, n) buffers then hold 8192 floats (64 KiB) at
+# any d, which keeps the peak memory of plugin-sim flat.
 _BLOCK_PAIRS = 8192
 
 # Stopping rule and backtracking budget of _train_frozen_feature_model.
@@ -36,14 +36,27 @@ class KdeModel:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2:
             raise ConfigError(f"KDE points must be an (n, d) matrix, got shape {self.points.shape}")
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        if self.points.shape[1] == 0:
+            raise ConfigError(f"KDE points need at least one column, got shape {self.points.shape}")
+        check_bandwidth(self.bandwidth)
         if not np.isfinite(self.points).all():
             raise ConfigError("KDE training points must be finite")
 
     @property
     def dim(self):
         return self.points.shape[1]
+
+
+def check_bandwidth(h, name="bandwidth"):
+    """Raise ConfigError, naming name, unless h > 0, h^2 is a normal float
+    and the normalizer's 2 pi h^2 is finite. Below that range h^2 loses
+    precision or is 0, so the exponents divide by 0; above it the log
+    density is -inf or NaN."""
+    h = float(h)
+    h2 = h * h
+    if not (h > 0 and h2 >= np.finfo(float).tiny and 2.0 * np.pi * h2 <= np.finfo(float).max):
+        raise ConfigError(f"{name}: must be positive, with h^2 a normal float and 2 pi h^2 "
+                          f"finite, got {h}")
 
 
 def fit_kde(points, bandwidth):
@@ -55,11 +68,16 @@ def kde_log_density(model, x):
 
     A (d,) query returns a float and an (m, d) matrix returns an (m,) array;
     both go through the same blocked pairwise pass, so row i of the matrix
-    result equals the single-query result for row i bitwise. The per-point
-    exponents of each query are sorted before the log-sum-exp so the result
-    is bitwise invariant to the order of the training points.
+    result equals the single-query result for row i bitwise. Squared
+    distances are summed one input dimension at a time, in order, which for
+    d < 8 is the order of ((p - x) ** 2).sum() over the length-d axis (numpy
+    sums 8 or more elements pairwise, so at d >= 8 the two can differ in the
+    last bit). The per-point exponents of each query are sorted before the
+    log-sum-exp so the result is bitwise invariant to the order of the
+    training points.
     """
-    n, d = model.points.shape
+    P = model.points
+    n, d = P.shape
     if n == 0:
         raise ContractError("KDE model has no points")
     x = np.asarray(x, dtype=float)
@@ -73,8 +91,12 @@ def kde_log_density(model, x):
     step = max(1, _BLOCK_PAIRS // n)
     for start in range(0, queries.shape[0], step):
         q = queries[start:start + step]
-        sq = ((model.points[None] - q[:, None]) ** 2).sum(axis=2)
-        lse[start:start + step] = _lse_parts(np.sort(-sq / (2.0 * h2), axis=1))[0]
+        sq = (P[:, 0] - q[:, :1]) ** 2
+        for j in range(1, d):
+            sq += (P[:, j] - q[:, j:j + 1]) ** 2
+        sq /= -2.0 * h2  # the exponents -sq / (2 h^2), bitwise
+        sq.sort(axis=1)
+        lse[start:start + step] = _lse_parts(sq)[0]
     out = lse - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * h2)
     return float(out[0]) if x.ndim == 1 else out
 

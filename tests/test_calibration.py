@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from drshift import brier, calibration_report, ece, fit_temperature, miscls_entropy, nll
+from drshift.calibration import _lse_parts, _mean_nll
 from drshift.errors import ContractError
 
 
@@ -166,6 +167,25 @@ def scipy_fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
     return t_star if scipy_nll(L, labels, t_star) <= scipy_nll(L, labels, 1.0) - 1e-12 else 1.0
 
 
+def tied_and_signed_zero_logits(rng, n, C):
+    """Random logits of random scale, with rows whose entries all tie, rows
+    whose first two tie, rows of +0 and -0, and rows with a -0 among them."""
+    L = rng.normal(size=(n, C)) * rng.uniform(0.1, 30.0)
+    L[::5] = L[::5, :1]
+    L[1::5, 1] = L[1::5, 0]
+    L[2::5] = 0.0
+    L[2::5, ::2] = -0.0
+    L[3::5, 0] = -0.0
+    return L
+
+
+def sample_temperatures(rng):
+    """The search's bounds, T = 1, random T inside the bounds, and extremes
+    at which L / T underflows to 0 or overflows to inf."""
+    return [0.05, 1.0, 20.0, *np.exp(rng.uniform(np.log(0.05), np.log(20.0), 5)),
+            1e-300, 1e-5, 1e5, 1e300]
+
+
 class TestLogSumExp:
     """nll uses the library's own row-wise log-sum-exp, not scipy's."""
 
@@ -196,6 +216,34 @@ class TestLogSumExp:
         logits = rng.normal(size=(n, C)) * rng.uniform(0.2, 10.0)
         labels = rng.integers(0, C, size=n)
         assert fit_temperature(logits, labels) == scipy_fit_temperature(logits, labels)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_given_row_max_gives_the_same_parts_bitwise(self, seed):
+        # fit_temperature takes the row max of the logits once and divides it
+        # by each T; division by T > 0 keeps every row's order, so that is the
+        # row max of L / T, overflow to inf included.
+        rng = np.random.default_rng(200 + seed)
+        L = tied_and_signed_zero_logits(rng, 60, 2 + seed)
+        L_max = L.max(axis=1, keepdims=True)
+        for T in sample_temperatures(rng):
+            with np.errstate(all="ignore"):
+                plain = _lse_parts(L / T)
+                given = _lse_parts(L / T, L_max / T)
+            for a, b in zip(plain, given):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mean_nll_with_the_row_max_equals_nll_bitwise(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        C = 2 + seed
+        L = tied_and_signed_zero_logits(rng, 60, C)
+        y = rng.integers(0, C, size=60)
+        L_label, L_max = L[np.arange(60), y], L.max(axis=1, keepdims=True)
+        for T in sample_temperatures(rng):
+            with np.errstate(all="ignore"):
+                given = _mean_nll(L, L_label, T, L_max)
+                plain = nll(L, y, T)
+            assert np.float64(given).tobytes() == np.float64(plain).tobytes()
 
     def test_softmax_is_the_shifted_exp_over_its_sum(self):
         from drshift.robust import _softmax_lse

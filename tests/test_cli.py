@@ -207,6 +207,15 @@ class TestPluginSim:
         assert f"data.{field}: plugin-sim holds out rows" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    # 1e300 squared overflows and 1e-300 squared is 0; either must be named
+    # before the run lock is taken.
+    @pytest.mark.parametrize("bandwidth", [1e300, 1e-300])
+    def test_bandwidth_with_unusable_square_is_config_error(self, tmp_path, capsys, bandwidth):
+        cfg_path, _ = write_config(tmp_path, plugin={"bandwidths": [0.5, bandwidth]})
+        assert main(["plugin-sim", "--config", str(cfg_path)]) == 2
+        assert "plugin.bandwidths[1]: must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestDrstDrssl:
     def test_drst_round_records(self, tmp_path):

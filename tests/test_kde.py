@@ -83,10 +83,23 @@ class TestLogDensity:
         with pytest.raises(ConfigError, match=rf"\(n, d\) matrix, got shape {re.escape(shape)}"):
             fit_kde(points, 0.5)
 
-    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_points_need_a_column(self):
+        with pytest.raises(ConfigError, match=r"at least one column, got shape \(3, 0\)"):
+            fit_kde(np.zeros((3, 0)), 0.5)
+
+    # h^2 overflows at 1e300 and 2 pi h^2 at 5.4e153; h^2 is 0 at 1e-300
+    # and subnormal at 1e-154.
+    @pytest.mark.parametrize("bandwidth", [
+        float("nan"), float("inf"), 0.0, -1.0, 1e300, 5.4e153, 1e-300, 1e-154,
+    ])
     def test_bad_bandwidth_rejected(self, bandwidth):
         with pytest.raises(ConfigError, match="bandwidth"):
             fit_kde(np.zeros((3, 2)), bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [5.3e153, 1e-150])
+    def test_extreme_accepted_bandwidths_give_finite_densities(self, bandwidth):
+        model = fit_kde([[0.0, 0.0], [1.0, -1.0]], bandwidth)
+        assert np.isfinite(kde_log_density(model, np.array([[0.5, 0.5], [0.0, 0.0]]))).all()
 
 
 class TestMatrixQueries:
@@ -98,7 +111,7 @@ class TestMatrixQueries:
         (2000, 3 * (_BLOCK_PAIRS // 2000) + 1),
         (_BLOCK_PAIRS + 5, 3),
     ])
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
     def test_rows_equal_single_queries_bitwise(self, n, m, d):
         rng = np.random.default_rng(10 * d + n % 97)
         for h in (0.05, 0.7):
@@ -108,7 +121,13 @@ class TestMatrixQueries:
             assert out.shape == (m,)
             single = np.array([kde_log_density(model, q) for q in Q])
             formula = np.array([per_query_log_density(model, q) for q in Q])
-            assert out.tobytes() == single.tobytes() == formula.tobytes()
+            assert out.tobytes() == single.tobytes()
+            if d < 8:
+                assert out.tobytes() == formula.tobytes()
+            else:
+                # The pass adds the squares in order; numpy's sum over 8 or
+                # more adds them pairwise.
+                np.testing.assert_allclose(out, formula, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("h", [0.01, 0.05, 0.7, 5.0])
     def test_matches_scipy_logsumexp(self, h):
@@ -213,6 +232,20 @@ class TestSimulation:
         ref = float(-np.log(probs[np.arange(len(target)), target.y]).mean())
         for row in rows:
             assert abs(row["target_logloss"] - ref) < 0.05
+
+    def test_default_rows_are_unchanged(self):
+        # Recorded by repr; a move of any bit in the KDE pass or the fit shows.
+        rows = run_plugin_simulation(default_shift_spec(seed=0), DEFAULT_BANDWIDTHS)
+        assert rows == [
+            {"h": 0.05, "ll_source": -5.699085965309824, "ll_target": -5.553474490840715,
+             "target_logloss": 0.6926715606907851},
+            {"h": 0.2, "ll_source": -2.8586000433592833, "ll_target": -2.9600091270238558,
+             "target_logloss": 0.6931073186394633},
+            {"h": 0.5, "ll_source": -2.7942013041508873, "ll_target": -2.89863706724793,
+             "target_logloss": 0.6928177518956231},
+            {"h": 1.0, "ll_source": -2.9747128358508768, "ll_target": -3.05639064704012,
+             "target_logloss": 0.6894485089192083},
+        ]
 
     def test_empty_bandwidths_rejected(self):
         with pytest.raises(ContractError):
