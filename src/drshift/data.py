@@ -249,27 +249,22 @@ def augment_batch(X, spec, strength, rng):
 # CSV ingestion
 
 
-# Data lines per block of the bulk parse in load_csv. One block's joined text
-# and cell strings stay small; joining the whole file at once raised the peak
-# memory of a 100,000-row load by a tenth.
-_PARSE_BLOCK = 8192
-
-
 def load_csv(path, has_label, domain=SOURCE):
     """Read one sample per line of comma-separated floats.
 
     The last column is the integer label when has_label is true. A single
-    header line is allowed and detected by a non-numeric first cell. Parse
-    errors, including non-finite cells, name the 1-based file line and
+    header line is allowed and detected by a non-numeric first cell; a UTF-8
+    byte-order mark is dropped before it. Parse errors, including non-finite
+    cells and labels too large for int64, name the 1-based file line and
     column.
 
-    Blank lines are skipped. The data lines are parsed in blocks of
-    _PARSE_BLOCK lines, each joined and split once and converted by Python's
-    float(), so the values equal a cell-by-cell parse bitwise. A file with a
-    bad cell or a ragged line is parsed again cell by cell, which raises the
-    error of the first bad line in file order.
+    Blank lines are skipped. The stripped data lines are parsed by one
+    np.loadtxt call, whose C reader never accepts a cell that Python's
+    float() rejects and returns the same bits for the cells it accepts.
+    comments=None keeps its default "#" from cutting a cell such as "1.0#c",
+    which float() rejects. When numpy raises, the lines go to _parse_cells.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     start = 0
     if lines:
@@ -285,7 +280,7 @@ def load_csv(path, has_label, domain=SOURCE):
         raise ConfigError(f"{path}: no data rows")
 
     try:
-        M = _parse_blocks(rows)
+        M = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         M = _parse_cells(path, rows, linenos)
     width = M.shape[1]
@@ -298,35 +293,21 @@ def load_csv(path, has_label, domain=SOURCE):
     if width < 2:
         raise CsvParseError(path, linenos[0], width, "need at least one feature and a label")
     labels = M[:, -1]
-    bad = np.flatnonzero((labels != np.floor(labels)) | (labels < 0))
+    bad = np.flatnonzero((labels != np.floor(labels)) | (labels < 0) | (labels >= 2.0**63))
     if bad.size:
         i = bad[0]
         raise CsvParseError(
-            path, linenos[i], width, f"label must be a non-negative integer, got {float(labels[i])!r}"
+            path, linenos[i], width, f"label must be an integer in [0, 2**63), got {float(labels[i])!r}"
         )
     y = labels.astype(int)
     return Dataset(M[:, :-1], y, _is_source(domain), int(y.max()) + 1, name=str(path))
 
 
-def _parse_blocks(rows):
-    """(n, width) array of non-blank data lines, one join, split and float map
-    per block; ValueError on a bad cell or a line whose width differs."""
-    commas = rows[0].count(",")
-    M = np.empty((len(rows), commas + 1))
-    for begin in range(0, len(rows), _PARSE_BLOCK):
-        block = rows[begin:begin + _PARSE_BLOCK]
-        if any(line.count(",") != commas for line in block):
-            raise ValueError("ragged line")
-        cells = ",".join(block).split(",")
-        M[begin:begin + len(block)] = np.fromiter(map(float, cells), float, len(cells)).reshape(
-            len(block), -1
-        )
-    return M
-
-
 def _parse_cells(path, rows, linenos):
-    """The cell-by-cell parse: raises CsvParseError at the first ragged line
-    or bad cell in file order."""
+    """The cell-by-cell parse by float(), run when np.loadtxt raises: the
+    array when every cell is one float() takes, such as "1_0.5" or non-ASCII
+    digits that numpy rejects, else the CsvParseError of the first ragged
+    line or bad cell in file order."""
     width = None
     values = []
     for line, lineno in zip(rows, linenos):

@@ -336,19 +336,18 @@ def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
     return feature_backward_batch(dom.net, X_dom, dz[:, None], weights=w, acts=acts)
 
 
-def _train_loop(clf, dom, cfg, tags, plan, model_gradient, epoch_record):
+def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
     """The update rule every trainer shares, run on copies of clf and dom;
     returns (clf, dom, history).
 
-    Each epoch, plan(rng) yields the batches (rows, Xb_s, yb_s, Xb_t), with
-    rng seeded by cfg.seed: the source-side inputs Xb_s and labels yb_s,
-    the target-side inputs Xb_t, and rows, the indices of the source-side
-    rows into tags, the domain tags that the domain step reads. Every
-    domain_update_period-th batch, unless dom is None, the domain net takes
-    one SGD step on _domain_gradient. Every batch theta and the feature
-    parameters take one momentum-SGD step on the (grad theta, feature
-    gradient) pair of model_gradient(clf, dom, Xb_s, yb_s, Xb_t, epoch),
-    after which a non-finite theta raises DivergenceError.
+    Each epoch, plan(rng) yields the batches (Xb_s, yb_s, tb_s, Xb_t), with
+    rng seeded by cfg.seed: the source-side inputs Xb_s, labels yb_s and
+    domain tags tb_s, which the domain step reads, and the target-side
+    inputs Xb_t. Every domain_update_period-th batch, unless dom is None,
+    the domain net takes one SGD step on _domain_gradient. Every batch theta
+    and the feature parameters take one momentum-SGD step on the (grad
+    theta, feature gradient) pair of model_gradient(clf, dom, Xb_s, yb_s,
+    Xb_t, epoch), after which a non-finite theta raises DivergenceError.
     epoch_record(clf, dom, epoch) gives the epoch's history record.
 
     The optimizer steps update the parameter arrays of these copies in
@@ -361,9 +360,9 @@ def _train_loop(clf, dom, cfg, tags, plan, model_gradient, epoch_record):
     history = []
     step = 0
     for epoch in range(cfg.epochs):
-        for rows, Xb_s, yb_s, Xb_t in plan(rng):
+        for Xb_s, yb_s, tb_s, Xb_t in plan(rng):
             if dom is not None and step % cfg.domain_update_period == 0:
-                g_dom = _domain_gradient(clf, dom, Xb_s, tags[rows], Xb_t)
+                g_dom = _domain_gradient(clf, dom, Xb_s, tb_s, Xb_t)
                 _sgd_step(dom.net, g_dom, cfg.lr_domain)
             opt.step(clf, *model_gradient(clf, dom, Xb_s, yb_s, Xb_t, epoch))
             _require_finite(clf.theta, "theta", epoch)
@@ -376,7 +375,8 @@ def _batch_plan(source, target, batch_size):
     """plan for _train_loop: each epoch one permutation of the source and,
     unless target is None, one of the target, gathered once and cut into
     equal batches (views of the gathered rows)."""
-    Xs, ys, Xt = source.X, source.y, None if target is None else target.X
+    Xs, ys, ts = source.X, source.y, source.is_source
+    Xt = None if target is None else target.X
     n_s = len(source)
     n_t = n_s if Xt is None else len(Xt)
     bs = min(batch_size, n_s, n_t)
@@ -384,11 +384,11 @@ def _batch_plan(source, target, batch_size):
 
     def plan(rng):
         perm_s = rng.permutation(n_s)
-        Xs_p, ys_p = Xs[perm_s], ys[perm_s]
+        Xs_p, ys_p, ts_p = Xs[perm_s], ys[perm_s], ts[perm_s]
         Xt_p = None if Xt is None else Xt[rng.permutation(n_t)]
         for b in range(n_batches):
             lo, hi = b * bs, (b + 1) * bs
-            yield perm_s[lo:hi], Xs_p[lo:hi], ys_p[lo:hi], None if Xt_p is None else Xt_p[lo:hi]
+            yield Xs_p[lo:hi], ys_p[lo:hi], ts_p[lo:hi], None if Xt_p is None else Xt_p[lo:hi]
 
     return plan
 
@@ -460,28 +460,24 @@ def _train_pass(source, target, clf, dom, cfg, record=None):
                                       state={"epoch": epoch, "dual": dual})
 
     plan = _batch_plan(source, target, cfg.batch_size)
-    return _train_loop(clf, dom, cfg, source.is_source, plan, _source_gradient, record)
+    return _train_loop(clf, dom, cfg, plan, _source_gradient, record)
 
 
 def train_erm(source, cfg, clf=None):
     """Plain softmax cross-entropy SGD on source data (the unit-ratio baseline)."""
-    if not source.labeled:
-        raise ContractError("source dataset must be labeled")
     if clf is None:
         clf = default_classifier(source.dim, source.class_count, seed=cfg.seed)
-    X, y = source.X, source.y
 
     def record(clf, dom, epoch):
-        probs, _ = predict_proba(clf, X, np.ones(len(y)))
+        y = source.y
+        probs, _ = predict_proba(clf, source.X, np.ones(len(y)))
         ce = float(_nll_at(probs, y).mean())
         acc = float((probs.argmax(axis=1) == y).mean())
         if not np.isfinite(ce):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", state={"epoch": epoch})
         return {"epoch": epoch, "ce_loss": ce, "accuracy": acc}
 
-    plan = _batch_plan(source, None, cfg.batch_size)
-    clf, _, history = _train_loop(replace(clf, r=0.0), None, cfg, None, plan,
-                                  _source_gradient, record)
+    clf, _, history = _train_pass(source, None, replace(clf, r=0.0), None, cfg, record)
     return clf, history
 
 

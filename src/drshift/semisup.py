@@ -105,6 +105,7 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
     n_l, n_u = len(labeled), len(unlabeled)
     M = min(cfg.unlabeled_batch, n_u)
     bs_l = min(cfg.base.batch_size, n_l)
+    tags = np.ones(bs_l)  # the domain step counts every labeled row as source
     n_batches = max(1, n_u // M)
     sums = [0.0, 0.0, 0]  # this epoch's sup_loss, unsup_loss and masked count
 
@@ -118,7 +119,7 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
                 li = 0
             rows = perm_l[li : li + bs_l]
             li += bs_l
-            yield rows, Xl[rows], yl[rows], Xu[perm_u[b * M : (b + 1) * M]]
+            yield Xl[rows], yl[rows], tags, Xu[perm_u[b * M : (b + 1) * M]]
 
     def model_gradient(clf, dom, Xb_l, yb_l, Xb_u, epoch):
         Xw = augment_batch(Xb_u, cfg.augmentation, "weak", rng_aug)
@@ -158,4 +159,4 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
             rec["target_acc"] = float((probs_eval.argmax(axis=1) == unlabeled.y).mean())
         return rec
 
-    return _train_loop(clf, dom, cfg.base, np.ones(n_l), plan, model_gradient, record)
+    return _train_loop(clf, dom, cfg.base, plan, model_gradient, record)

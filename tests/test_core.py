@@ -440,6 +440,22 @@ class TestTrainErm:
         probs, _ = predict_proba(clf, source.X, np.ones(len(source)))
         assert probs[:, 0].min() >= 0.9
 
+    def test_tiny_run_matches_golden_values(self):
+        # Captured by repr before train_erm ran through _train_pass: its batch
+        # plan, shuffle stream and record must not move a bit.
+        rng = np.random.default_rng(7)
+        source = dataset_from_arrays(rng.normal(size=(12, 2)), rng.integers(0, 2, size=12), class_count=2)
+        clf0 = default_classifier(2, 2, seed=3, hidden=(), feature_dim=2)
+        clf, history = train_erm(source, TrainConfig(lr_model=0.1, batch_size=5, epochs=2, seed=4), clf0)
+        assert repr(clf.theta.tolist()) == (
+            "[[-0.009197345836614643, 0.013041784083091486], "
+            "[0.009197345836614652, -0.013041784083091491]]"
+        )
+        assert repr(history) == (
+            "[{'epoch': 0, 'ce_loss': 0.6941512900199034, 'accuracy': 0.4166666666666667}, "
+            "{'epoch': 1, 'ce_loss': 0.6908957759796982, 'accuracy': 0.5833333333333334}]"
+        )
+
 
 def test_checkpoint_roundtrip():
     clf = default_classifier(2, 3, seed=5, r=0.4, ratio_bounds=(0.1, 10.0))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from drshift import (
@@ -18,7 +20,7 @@ from drshift import (
     save_csv,
 )
 
-from drshift.data import _PARSE_BLOCK, split_indices
+from drshift.data import split_indices
 
 from helpers import random_discrete_instance
 from oracle import DiscreteDomainSpec, oracle_expectations
@@ -293,6 +295,22 @@ class TestCsv:
         x0, x1 = source.X[0].tolist()
         assert p.read_text().splitlines()[0] == f"{x0!r},{x1!r},{source.y[0]}"
 
+    @pytest.mark.parametrize("header", ["x1,x2,label\n", ""])
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        p = tmp_path / "d.csv"
+        p.write_text(header + "1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,1\n", encoding="utf-8-sig")
+        ds = load_csv(p, has_label=True)
+        np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(ds.y, [0, 1, 1])
+
+    @pytest.mark.parametrize("label", ["1e20", "9223372036854775808"])
+    def test_label_beyond_int64_names_row_and_label_column(self, tmp_path, label):
+        p = tmp_path / "d.csv"
+        p.write_text(f"1.0,2.0,0\n1.0,2.0,{label}\n")
+        with pytest.raises(CsvParseError, match="row 2, column 3: label") as err:
+            load_csv(p, has_label=True)
+        assert str(err.value).endswith(repr(float(label)))
+
 
 def reference_parse(path):
     """The cell-by-cell parse load_csv had before its block parse: (rows,
@@ -334,9 +352,14 @@ def write_rows(path, n, seed=0, header="x0,x1,label"):
     return lines
 
 
+# The files below run to a few multiples of this many lines, with a partial
+# remainder, so that they are large inputs.
+_PARSE_BLOCK = 8_192
+
+
 class TestCsvBlockParse:
-    """load_csv parses blocks of _PARSE_BLOCK lines; these files span several
-    blocks and compare with the cell-by-cell reference above."""
+    """Large files through load_csv's np.loadtxt parse and its cell-by-cell
+    fallback, compared with the cell-by-cell reference above."""
 
     def test_large_file_matches_cell_by_cell_parse_bitwise(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -393,6 +416,66 @@ class TestCsvBlockParse:
         rows, linenos = reference_parse(p)
         assert len(linenos) == 10_000 and linenos[-1] == len(lines)
         assert load_csv(p, has_label=True).X.tobytes() == rows[:, :2].tobytes()
+
+
+# Cells of three kinds: plain decimals, cells that float() takes and numpy's
+# reader does not (underscores, non-ASCII digits, tab or no-break-space
+# padding), and cells that both reject.
+_PLAIN = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-99, 99).map(str)
+_FLOAT_ONLY = st.sampled_from(["1_0.5", "\u0661\u0662", "\t2.5\t", "\xa0-3.0", "4.0\xa0", "1_000"])
+_BAD = st.sampled_from(["abc", "", "1..2", "0x10", "1.0 2.0", "1.0#c", "0#", "#1"])
+
+
+@st.composite
+def csv_lines(draw):
+    """A header or none, then up to a few hundred data lines of a common
+    width, with up to three bad cells, blank lines or ragged lines put in."""
+    width = draw(st.integers(2, 4))
+    float_only = draw(st.booleans())
+    cells = _PLAIN | _FLOAT_ONLY if float_only else _PLAIN
+    labels = st.sampled_from(["0", "1", "2"] + (["1_0", "\u0661", "\t1"] if float_only else []))
+    lines = [draw(st.sampled_from(["", "x0,x1,label"]))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(1, 200))):
+        lines.append(",".join([draw(cells) for _ in range(width - 1)] + [draw(labels)]))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        damage = draw(st.sampled_from(["bad", "blank", "ragged"]))
+        if damage == "bad":
+            row = lines[at].split(",")
+            row[draw(st.integers(0, len(row) - 1))] = draw(_BAD)
+            lines[at] = ",".join(row)
+        elif damage == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "  "])))
+        else:
+            lines.insert(at, draw(st.sampled_from(["1.0", "1.0,2.0,3.0,4.0,0"])))
+    return lines
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_lines())
+# numpy's default comments="#" would turn each of these bad files into a good one.
+@example(["1.0,2.0,0", "1.0,2.0,1#c"])
+@example(["1.0,2.0,0", "#1.0,2.0,1"])
+@example(["1_0.5,\u0661\u0662,1", "\xa0-3.0,4.0\t,0"])
+def test_load_csv_matches_cell_by_cell_reference(tmp_path, lines):
+    p = tmp_path / "d.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        rows, linenos = reference_parse(p)
+    except CsvParseError as expected:
+        with pytest.raises(CsvParseError) as err:
+            load_csv(p, has_label=True)
+        assert (str(err.value), err.value.row, err.value.column) == (
+            str(expected), expected.row, expected.column
+        )
+        return
+    if not linenos:
+        with pytest.raises(ConfigError, match="no data rows"):
+            load_csv(p, has_label=True)
+        return
+    ds = load_csv(p, has_label=True)
+    assert ds.X.tobytes() == rows[:, :-1].tobytes()
+    np.testing.assert_array_equal(ds.y, rows[:, -1].astype(int))
 
 
 class TestDataset:
