@@ -101,6 +101,23 @@ def miscls_entropy(probs, labels):
     return float(-terms.sum(axis=1).mean()), False
 
 
+def _row_reduce(ufunc, A):
+    """ufunc.reduce(A, axis=1, keepdims=True) of an (n, C) array, bitwise.
+
+    Below 8 columns numpy reduces each row one column after the other (its
+    pairwise sum starts at 8), so for 2 <= C < 8 a running ufunc over the
+    columns gives the same bits with C - 1 calls on whole columns instead of
+    n reductions of length C.
+    """
+    C = A.shape[1]
+    if not 1 < C < 8:
+        return ufunc.reduce(A, axis=1, keepdims=True)
+    out = ufunc(A[:, :1], A[:, 1:2])
+    for j in range(2, C):
+        ufunc(out, A[:, j:j + 1], out=out)
+    return out
+
+
 def _lse_parts(L, m=None):
     """Row-wise log-sum-exp of an (n, C) array, with the shifted exponentials.
 
@@ -108,12 +125,14 @@ def _lse_parts(L, m=None):
     (n, 1) row sums of e and lse = m + log s. Shifting by the max keeps exp in
     range, and e / s is the softmax, so one exp serves both. A caller that
     already holds the row max may pass it as m; it must equal
-    L.max(axis=1, keepdims=True) bitwise for the result to.
+    L.max(axis=1, keepdims=True) bitwise for the result to. The row max and
+    row sum go through _row_reduce, so at C < 8 classes they are column-wise
+    and at C >= 8 (such as the KDE's columns) numpy's axis reductions.
     """
     if m is None:
-        m = L.max(axis=1, keepdims=True)
+        m = _row_reduce(np.maximum, L)
     e = np.exp(L - m)
-    s = e.sum(axis=1, keepdims=True)
+    s = _row_reduce(np.add, e)
     return m[:, 0] + np.log(s[:, 0]), e, s
 
 
@@ -144,7 +163,7 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
     if L.shape[0] == 0:
         raise ContractError("fit_temperature needs at least one sample")
     L_label = L[np.arange(L.shape[0]), np.asarray(labels, dtype=int)]
-    L_max = L.max(axis=1, keepdims=True)
+    L_max = _row_reduce(np.maximum, L)
 
     def f(log_t):
         return _mean_nll(L, L_label, np.exp(log_t), L_max)

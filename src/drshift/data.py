@@ -253,10 +253,10 @@ def load_csv(path, has_label, domain=SOURCE):
     """Read one sample per line of comma-separated floats.
 
     The last column is the integer label when has_label is true. A single
-    header line is allowed and detected by a non-numeric first cell; a UTF-8
-    byte-order mark is dropped before it. Parse errors, including non-finite
-    cells and labels too large for int64, name the 1-based file line and
-    column.
+    header line is allowed and detected by a non-numeric first cell on the
+    first non-blank line; a UTF-8 byte-order mark is dropped before it.
+    Parse errors, including non-finite cells and labels too large for
+    int64, name the 1-based file line and column.
 
     Blank lines are skipped. The stripped data lines are parsed by one
     np.loadtxt call, whose C reader never accepts a cell that Python's
@@ -266,16 +266,14 @@ def load_csv(path, has_label, domain=SOURCE):
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
-    start = 0
-    if lines:
-        first = lines[0].split(",")
-        try:
-            float(first[0])
-        except ValueError:
-            start = 1
-    stripped = [line.strip() for line in lines[start:]]
-    linenos = [lineno for lineno, line in enumerate(stripped, start + 1) if line]
+    stripped = [line.strip() for line in lines]
+    linenos = [lineno for lineno, line in enumerate(stripped, 1) if line]
     rows = [line for line in stripped if line]
+    if rows:
+        try:
+            float(rows[0].split(",")[0])
+        except ValueError:
+            del rows[0], linenos[0]
     if not rows:
         raise ConfigError(f"{path}: no data rows")
 

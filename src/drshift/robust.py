@@ -203,12 +203,27 @@ def feature_constraint(fmap, X, y, class_count, weights=None):
 def _constraint_from_features(Phi, y, class_count, weights=None):
     n = Phi.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
-    c = np.zeros((class_count, Phi.shape[1]))
+    order, bounds = _class_order(y, class_count)
+    return _class_sums(Phi[order], w[order], bounds)
+
+
+def _class_order(y, class_count):
+    """(order, bounds): the stable sort order of the labels y, and the rows
+    bounds[c]:bounds[c + 1] of y[order] that carry label c."""
     y = np.asarray(y, dtype=int)
-    for cls in range(class_count):
-        mask = y == cls
-        if mask.any():
-            c[cls] = (w[mask][:, None] * Phi[mask]).sum(axis=0)
+    order = np.argsort(y, kind="stable")
+    return order, np.searchsorted(y[order], np.arange(class_count + 1))
+
+
+def _class_sums(Phi, w, bounds):
+    """The constraint of class-sorted features Phi and weights w: row c sums
+    w_i phi(x_i) over the rows bounds[c]:bounds[c + 1]. The stable sort keeps
+    each class's rows in input order, so every sum adds them in that order."""
+    c = np.zeros((len(bounds) - 1, Phi.shape[1]))
+    for cls in range(len(bounds) - 1):
+        lo, hi = bounds[cls], bounds[cls + 1]
+        if hi > lo:
+            c[cls] = (w[lo:hi, None] * Phi[lo:hi]).sum(axis=0)
     return c
 
 
@@ -280,21 +295,31 @@ def _flat(theta, layers):
 class _Momentum:
     """Classic momentum SGD over theta plus the feature-map layers.
 
-    step updates the velocities and clf's parameter arrays in place,
-    v <- mu v + g then p <- p - lr v, so clf must own its arrays.
+    Building it copies clf's theta and layer arrays into one flat parameter
+    vector and puts views of that vector in their place, values unchanged,
+    so clf must own its arrays. step flattens the gradients in the same
+    order and updates the flat velocity and parameters in place,
+    v <- mu v + g then p <- p - lr v: three array operations per step,
+    whatever the number of layers.
     """
 
     def __init__(self, clf, lr, momentum):
         self.lr = lr
         self.mu = momentum
-        self.velocity = [np.zeros_like(p) for p in _flat(clf.theta, clf.feature_map.layers)]
+        arrays = _flat(clf.theta, clf.feature_map.layers)
+        self.params = np.concatenate(arrays, axis=None)
+        self.velocity = np.zeros_like(self.params)
+        views, start = [], 0
+        for a in arrays:
+            views.append(self.params[start:start + a.size].reshape(a.shape))
+            start += a.size
+        clf.theta = views[0]
+        clf.feature_map.layers = list(zip(views[1::2], views[2::2]))
 
-    def step(self, clf, grad_theta, fgrad):
-        params = _flat(clf.theta, clf.feature_map.layers)
-        for p, v, g in zip(params, self.velocity, _flat(grad_theta, fgrad.layers)):
-            v *= self.mu
-            v += g
-            p -= self.lr * v
+    def step(self, grad_theta, fgrad):
+        self.velocity *= self.mu
+        self.velocity += np.concatenate(_flat(grad_theta, fgrad.layers), axis=None)
+        self.params -= self.lr * self.velocity
 
 
 def _sgd_step(fmap, fgrad, lr):
@@ -340,18 +365,22 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
     """The update rule every trainer shares, run on copies of clf and dom;
     returns (clf, dom, history).
 
-    Each epoch, plan(rng) yields the batches (Xb_s, yb_s, tb_s, Xb_t), with
-    rng seeded by cfg.seed: the source-side inputs Xb_s, labels yb_s and
-    domain tags tb_s, which the domain step reads, and the target-side
+    Each epoch, plan(rng) yields the batches (rows_s, Xb_s, yb_s, tb_s,
+    Xb_t), with rng seeded by cfg.seed: the indices rows_s of the batch's
+    source-side rows in the plan's source, their inputs Xb_s, labels yb_s
+    and domain tags tb_s, which the domain step reads, and the target-side
     inputs Xb_t. Every domain_update_period-th batch, unless dom is None,
     the domain net takes one SGD step on _domain_gradient. Every batch theta
     and the feature parameters take one momentum-SGD step on the (grad
-    theta, feature gradient) pair of model_gradient(clf, dom, Xb_s, yb_s,
-    Xb_t, epoch), after which a non-finite theta raises DivergenceError.
-    epoch_record(clf, dom, epoch) gives the epoch's history record.
+    theta, feature gradient) pair of model_gradient(clf, dom, stepped,
+    rows_s, Xb_s, yb_s, Xb_t, epoch), where stepped tells whether the domain
+    net has just stepped, after which a non-finite theta raises
+    DivergenceError. epoch_record(clf, dom, epoch) gives the epoch's history
+    record.
 
     The optimizer steps update the parameter arrays of these copies in
-    place; the caller's clf and dom are never written.
+    place (_Momentum makes the model copy's arrays views of its flat
+    parameter vector); the caller's clf and dom are never written.
     """
     clf = clf.copy()
     dom = dom.copy() if dom is not None else None
@@ -360,11 +389,12 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
     history = []
     step = 0
     for epoch in range(cfg.epochs):
-        for Xb_s, yb_s, tb_s, Xb_t in plan(rng):
-            if dom is not None and step % cfg.domain_update_period == 0:
+        for rows_s, Xb_s, yb_s, tb_s, Xb_t in plan(rng):
+            stepped = dom is not None and step % cfg.domain_update_period == 0
+            if stepped:
                 g_dom = _domain_gradient(clf, dom, Xb_s, tb_s, Xb_t)
                 _sgd_step(dom.net, g_dom, cfg.lr_domain)
-            opt.step(clf, *model_gradient(clf, dom, Xb_s, yb_s, Xb_t, epoch))
+            opt.step(*model_gradient(clf, dom, stepped, rows_s, Xb_s, yb_s, Xb_t, epoch))
             _require_finite(clf.theta, "theta", epoch)
             step += 1
         history.append(epoch_record(clf, dom, epoch))
@@ -388,15 +418,10 @@ def _batch_plan(source, target, batch_size):
         Xt_p = None if Xt is None else Xt[rng.permutation(n_t)]
         for b in range(n_batches):
             lo, hi = b * bs, (b + 1) * bs
-            yield Xs_p[lo:hi], ys_p[lo:hi], ts_p[lo:hi], None if Xt_p is None else Xt_p[lo:hi]
+            yield (perm_s[lo:hi], Xs_p[lo:hi], ys_p[lo:hi], ts_p[lo:hi],
+                   None if Xt_p is None else Xt_p[lo:hi])
 
     return plan
-
-
-def _source_gradient(clf, dom, Xb_s, yb_s, Xb_t, epoch):
-    """model_gradient of train_end_to_end and train_erm."""
-    g = grad_source(clf, (Xb_s, yb_s), _ratios(dom, Xb_s, epoch))
-    return g.grad_theta, g.feature_grad
 
 
 def train_end_to_end(source, target, clf, dom, cfg):
@@ -443,24 +468,44 @@ def _train_pass(source, target, clf, dom, cfg, record=None):
     """The training of train_end_to_end with record as the epoch_record of
     _train_loop; returns (clf, dom, history).
 
+    The model gradient is grad_source at the domain net's ratios, read over
+    the whole source once after each domain step (ones when dom is None);
+    each batch gathers its rows from that read. A row's ratio depends on
+    that row alone, so this gives the bits of a read per batch.
+
     The default record keeps no history (None per epoch) and evaluates only
     the check a diverged model trips: the dual objective over the target,
     at the domain net's target ratios and the constraint of this pass's
-    source, raising DivergenceError when it is not finite. Callers that
-    discard the history train with it.
+    source, raising DivergenceError when it is not finite. It sorts the
+    source by class once per pass, so each epoch's constraint is one
+    feature pass and one slice sum per class. Callers that discard the
+    history train with it.
     """
     if not source.labeled:
         raise ContractError("source dataset must be labeled")
     if record is None:
+        n = len(source)
+        order, bounds = _class_order(source.y, clf.class_count)
+        Xs_sorted, w = source.X[order], np.full(n, 1.0 / n)
+
         def record(clf, dom, epoch):
-            constraint = feature_constraint(clf.feature_map, source.X, source.y, clf.class_count)
+            constraint = _class_sums(feature_forward_batch(clf.feature_map, Xs_sorted), w, bounds)
             dual = dual_objective(clf, target.X, _ratios(dom, target.X, epoch), constraint)
             if not np.isfinite(dual):
                 raise DivergenceError(f"non-finite training state at epoch {epoch}",
                                       state={"epoch": epoch, "dual": dual})
 
+    ratios = None
+
+    def model_gradient(clf, dom, stepped, rows_s, Xb_s, yb_s, Xb_t, epoch):
+        nonlocal ratios
+        if ratios is None or stepped:
+            ratios = _ratios(dom, source.X, epoch)
+        g = grad_source(clf, (Xb_s, yb_s), ratios[rows_s])
+        return g.grad_theta, g.feature_grad
+
     plan = _batch_plan(source, target, cfg.batch_size)
-    return _train_loop(clf, dom, cfg, plan, _source_gradient, record)
+    return _train_loop(clf, dom, cfg, plan, model_gradient, record)
 
 
 def train_erm(source, cfg, clf=None):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from drshift import brier, calibration_report, ece, fit_temperature, miscls_entropy, nll
-from drshift.calibration import _lse_parts, _mean_nll
+from drshift.calibration import _lse_parts, _mean_nll, _row_reduce
 from drshift.errors import ContractError
 
 
@@ -244,6 +244,26 @@ class TestLogSumExp:
                 given = _mean_nll(L, L_label, T, L_max)
                 plain = nll(L, y, T)
             assert np.float64(given).tobytes() == np.float64(plain).tobytes()
+
+    @pytest.mark.parametrize("C", range(1, 12))
+    def test_parts_equal_the_axis_reductions_bitwise(self, C):
+        # Below 8 columns the row max and row sum run column by column, which
+        # must be numpy's own order of reduction; from 8 on they are numpy's.
+        rng = np.random.default_rng(400 + C)
+        L = tied_and_signed_zero_logits(rng, 200, max(C, 2))[:, :C].copy()
+        L[4::10] *= 1e-300
+        L[9::10] *= 1e300
+        m = L.max(axis=1, keepdims=True)
+        e = np.exp(L - m)
+        s = e.sum(axis=1, keepdims=True)
+        expected = (m[:, 0] + np.log(s[:, 0]), e, s)
+        for got in (_lse_parts(L), _lse_parts(L, m)):
+            for a, b in zip(got, expected):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert _row_reduce(np.maximum, L).tobytes() == m.tobytes()
+        # Sums whose rounding depends on the order of the terms.
+        V = rng.uniform(size=(200, C)) * 10.0 ** rng.integers(-20, 20, size=(200, C))
+        assert _row_reduce(np.add, V).tobytes() == V.sum(axis=1, keepdims=True).tobytes()
 
     def test_softmax_is_the_shifted_exp_over_its_sum(self):
         from drshift.robust import _softmax_lse

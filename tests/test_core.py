@@ -373,16 +373,21 @@ class TestStepReferences:
         rng = np.random.default_rng(5)
         clf = default_classifier(2, 3, seed=4, hidden=(5, 4), feature_dim=3)
         clf.theta = rng.normal(size=clf.theta.shape)
-        params = [clf.theta, *layer_arrays(clf.feature_map)]
         theta, layers = clf.theta.copy(), [(W.copy(), b.copy()) for W, b in clf.feature_map.layers]
         v_theta, v_layers = np.zeros_like(theta), [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
         lr, mu = 0.05, 0.9
         opt = _Momentum(clf, lr, mu)
+        # The optimizer puts views of its flat parameter vector in place of
+        # clf's arrays, so the arrays it steps are the ones it leaves behind;
+        # their values must not move.
+        params = [clf.theta, *layer_arrays(clf.feature_map)]
+        for a, b in zip(params, [theta, *(a for layer in layers for a in layer)]):
+            assert a.tobytes() == b.tobytes()
         for _ in range(4):
             g_theta = rng.normal(size=theta.shape)
             fgrad = FeatureGradient([(rng.normal(size=W.shape), rng.normal(size=b.shape))
                                      for W, b in layers])
-            opt.step(clf, g_theta, fgrad)
+            opt.step(g_theta, fgrad)
             v_theta = mu * v_theta + g_theta
             theta = theta - lr * v_theta
             v_layers = [(mu * vW + dW, mu * vb + db)
@@ -454,6 +459,126 @@ class TestTrainErm:
         assert repr(history) == (
             "[{'epoch': 0, 'ce_loss': 0.6941512900199034, 'accuracy': 0.4166666666666667}, "
             "{'epoch': 1, 'ce_loss': 0.6908957759796982, 'accuracy': 0.5833333333333334}]"
+        )
+
+
+def tiny_training_problem():
+    """A 3-class source and a labeled target of a dozen rows each, r = 0.5
+    models with one hidden layer, and batches of 4 with a domain step every
+    other batch."""
+    rng = np.random.default_rng(11)
+    source = dataset_from_arrays(rng.normal(size=(14, 2)), rng.integers(0, 3, size=14), class_count=3)
+    Xt, yt = rng.normal(loc=0.5, size=(12, 2)), rng.integers(0, 3, size=12)
+    target = dataset_from_arrays(Xt, yt, domain="target", class_count=3)
+    clf = default_classifier(2, 3, seed=3, r=0.5, hidden=(3,), feature_dim=2)
+    dom = default_domain_classifier(2, seed=4, hidden=(3,))
+    cfg = TrainConfig(lr_domain=0.05, lr_model=0.1, batch_size=4, epochs=2,
+                      domain_update_period=2, seed=5)
+    return source, target, clf, dom, cfg
+
+
+def model_reprs(clf, dom):
+    """repr of theta and of the classifier's and domain net's layers."""
+    def layers(fmap):
+        return repr([[W.tolist(), b.tolist()] for W, b in fmap.layers])
+    return repr(clf.theta.tolist()), layers(clf.feature_map), layers(dom.net)
+
+
+class TestTrainerGoldenValues:
+    """Tiny runs of the three trainers, captured by repr before the momentum
+    step moved to one flat parameter vector, the source ratios to one read
+    per domain step and the per-epoch constraint to class-sorted rows: none
+    of these may move a bit."""
+
+    def test_train_end_to_end(self):
+        source, target, clf0, dom0, cfg = tiny_training_problem()
+        clf, dom, history = train_end_to_end(source, target, clf0, dom0, cfg)
+        theta, layers, dom_layers = model_reprs(clf, dom)
+        assert theta == (
+            "[[0.03477777280865453, 0.004676519764615188], [0.012522939245709913,"
+            " -0.011353149196291894], [-0.04730071205436443, 0.006676629431676707]]"
+        )
+        assert layers == (
+            "[[[[-0.5851846049056267, -0.37259765922773797], [0.42609382635102594,"
+            " 0.11622897348384727], [-0.5738614768977598, -0.09465804059469528]],"
+            " [0.0009746032660292864, 0.0002971709824056353, -6.693390559603076e-05]],"
+            " [[[-0.024600210505871026, -0.39249465392754035, 0.2703544679327037],"
+            " [-0.4444793342544677, -0.12705412751835027, 0.02113358746669819]],"
+            " [-9.601251601884216e-05, -0.0018220539232147767]]]"
+        )
+        assert dom_layers == (
+            "[[[[0.6252273950118856, 0.006357949832886626], [0.6793729755735257,"
+            " -0.5801411664683079], [0.14577835944084777, -0.19259902502817144]],"
+            " [-0.0016172423816405985, 0.0029773135507471958, -0.0010127193861666677]],"
+            " [[[0.34230020659640253, -0.3626947893723839, 0.4346613976089036]],"
+            " [-0.0020939366207609125]]]"
+        )
+        assert repr(history) == (
+            "[{'epoch': 0, 'dual': 1.0984020199376963, 'bce': 0.717574990589575,"
+            " 'source_accuracy': 0.42857142857142855}, {'epoch': 1,"
+            " 'dual': 1.0972925262694504, 'bce': 0.7154712500513921,"
+            " 'source_accuracy': 0.5714285714285714}]"
+        )
+
+    def test_run_drst_one_round(self):
+        source, target, clf0, dom0, cfg = tiny_training_problem()
+        schedule = SelfTrainSchedule(p0=0.3, dp=0.1, pmax=0.5, rounds=1)
+        clf, dom, history = run_drst(source, target, schedule, cfg, clf0, dom0)
+        theta, layers, dom_layers = model_reprs(clf, dom)
+        assert theta == (
+            "[[0.0894767270133682, 0.002878977806756399], [0.04851358158971289,"
+            " -0.028796612069319813], [-0.1379903086030811, 0.025917634262563424]]"
+        )
+        assert layers == (
+            "[[[[-0.585474960458625, -0.3727915675029758], [0.4360763336949117,"
+            " 0.10747372088093611], [-0.579789516728972, -0.08861934291520354]],"
+            " [-0.0018554865493105811, 0.010030856329299051, -0.006762107196649481]],"
+            " [[[-0.016178207444295024, -0.40364385906308975, 0.28549736976222834],"
+            " [-0.4453661552664049, -0.12624202683237246, 0.02002779568038428]],"
+            " [-0.03278221096020908, 0.007874464121385915]]]"
+        )
+        assert dom_layers == (
+            "[[[[0.6239896510042772, -0.0034118025936983746], [0.6840829734196311,"
+            " -0.569765165563584], [0.14140821738929502, -0.2085372521571543]],"
+            " [-0.00613658352521908, 0.007588302228434825, -0.009091351010220993]],"
+            " [[[0.33772015016409973, -0.35054307723761596, 0.4407501308578104]],"
+            " [-0.021973854207068735]]]"
+        )
+        assert repr(history) == (
+            "[{'round': 0, 'portion': 0.3, 'n_pseudo': 5, 'accuracy': 0.25,"
+            " 'brier': 0.6711654713232083, 'ece': 0.09226973225869006}]"
+        )
+
+    def test_run_drssl(self):
+        source, target, clf0, dom0, cfg = tiny_training_problem()
+        scfg = SslConfig(threshold=0.3345, unlabeled_batch=3, base=cfg)
+        clf, dom, history = run_drssl(source, target, scfg, clf0, dom0)
+        theta, layers, dom_layers = model_reprs(clf, dom)
+        assert theta == (
+            "[[-0.03141042658516435, 0.07658926576661933], [0.0696986137631325,"
+            " -0.06313459815067307], [-0.0023341568543810004, -0.04350519363793351]]"
+        )
+        assert layers == (
+            "[[[[-0.5872289272493083, -0.37813395480409556], [0.42653471296822504,"
+            " 0.1168046256232347], [-0.5746308916889705, -0.09616089466387938]],"
+            " [-0.005233279063318419, 0.0027601911502729915, -0.002691992904051906]],"
+            " [[[-0.021145658349576085, -0.3939381280062376, 0.2721050039642291],"
+            " [-0.45290200458759033, -0.12306052051143167, 0.016710430460347647]],"
+            " [-0.01245977630854094, 0.015411795324580958]]]"
+        )
+        assert dom_layers == (
+            "[[[[0.6240320308676464, -0.00454976818037668], [0.6808075920541895,"
+            " -0.5760970218237774], [0.1413799873702576, -0.20470444454840808]],"
+            " [-0.00019828240722752938, -5.589649816910205e-07, -0.0006774340413772475]],"
+            " [[[0.3374784258204413, -0.35490147701254166, 0.43905859022132476]],"
+            " [-0.002482674088456786]]]"
+        )
+        assert repr(history) == (
+            "[{'epoch': 0, 'sup_loss': 0.8898385601119001,"
+            " 'unsup_loss': 0.14768173892394568, 'mask_rate': 0.16666666666666666,"
+            " 'target_acc': 0.4166666666666667}, {'epoch': 1,"
+            " 'sup_loss': 0.8886185921136829, 'unsup_loss': 0.7355701600915764,"
+            " 'mask_rate': 0.8333333333333334, 'target_acc': 0.4166666666666667}]"
         )
 
 

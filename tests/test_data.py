@@ -256,6 +256,28 @@ class TestCsv:
         ds = load_csv(p, has_label=True)
         assert len(ds) == 1 and ds.dim == 2
 
+    def test_header_detected_after_leading_blank_lines(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\nx0,x1,label\n1.0,2.0,0\n")
+        ds = load_csv(p, has_label=True)
+        np.testing.assert_array_equal(ds.X, [[1.0, 2.0]])
+        np.testing.assert_array_equal(ds.y, [0])
+
+    def test_headerless_file_with_leading_blank_lines_keeps_every_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\n  \n1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,nan\n")
+        with pytest.raises(CsvParseError) as err:
+            load_csv(p, has_label=True)
+        assert (err.value.row, err.value.column) == (5, 3)
+        p.write_text("\n  \n1.0,2.0,0\n3.0,4.0,1\n5.0,x,1\n")
+        with pytest.raises(CsvParseError) as err:
+            load_csv(p, has_label=True)
+        assert (err.value.row, err.value.column) == (5, 2)
+        p.write_text("\n  \n1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,1\n")
+        ds = load_csv(p, has_label=True)
+        np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(ds.y, [0, 1, 1])
+
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1.0,2.0,0\n1.0,0\n")
@@ -313,14 +335,15 @@ class TestCsv:
 
 
 def reference_parse(path):
-    """The cell-by-cell parse load_csv had before its block parse: (rows,
-    1-based line numbers), or the CsvParseError of the first bad line."""
+    """The cell-by-cell parse load_csv had before its block parse, with the
+    header looked for on the first non-blank line: (rows, 1-based line
+    numbers), or the CsvParseError of the first bad line."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    start = 0
+    start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
     try:
-        float(lines[0].split(",")[0])
-    except ValueError:
-        start = 1
+        float(lines[start].split(",")[0])
+    except (IndexError, ValueError):
+        start += 1
     rows, linenos, width = [], [], None
     for lineno in range(start, len(lines)):
         line = lines[lineno].strip()
@@ -457,6 +480,8 @@ def csv_lines(draw):
 @example(["1.0,2.0,0", "1.0,2.0,1#c"])
 @example(["1.0,2.0,0", "#1.0,2.0,1"])
 @example(["1_0.5,\u0661\u0662,1", "\xa0-3.0,4.0\t,0"])
+# The header is looked for on the first non-blank line.
+@example(["", "x0,x1,label", "1.0,2.0,0"])
 def test_load_csv_matches_cell_by_cell_reference(tmp_path, lines):
     p = tmp_path / "d.csv"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")

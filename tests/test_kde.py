@@ -285,7 +285,7 @@ def momentum_fit(Phi, y, ratios, class_count):
     opt = _Momentum(clf, 0.5, 0.9)
     for _ in range(400):
         g = grad_source(clf, (Phi, y), ratios)
-        opt.step(clf, g.grad_theta, g.feature_grad)
+        opt.step(g.grad_theta, g.feature_grad)
     return clf
 
 
