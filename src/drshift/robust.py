@@ -203,27 +203,12 @@ def feature_constraint(fmap, X, y, class_count, weights=None):
 def _constraint_from_features(Phi, y, class_count, weights=None):
     n = Phi.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
-    order, bounds = _class_order(y, class_count)
-    return _class_sums(Phi[order], w[order], bounds)
-
-
-def _class_order(y, class_count):
-    """(order, bounds): the stable sort order of the labels y, and the rows
-    bounds[c]:bounds[c + 1] of y[order] that carry label c."""
+    c = np.zeros((class_count, Phi.shape[1]))
     y = np.asarray(y, dtype=int)
-    order = np.argsort(y, kind="stable")
-    return order, np.searchsorted(y[order], np.arange(class_count + 1))
-
-
-def _class_sums(Phi, w, bounds):
-    """The constraint of class-sorted features Phi and weights w: row c sums
-    w_i phi(x_i) over the rows bounds[c]:bounds[c + 1]. The stable sort keeps
-    each class's rows in input order, so every sum adds them in that order."""
-    c = np.zeros((len(bounds) - 1, Phi.shape[1]))
-    for cls in range(len(bounds) - 1):
-        lo, hi = bounds[cls], bounds[cls + 1]
-        if hi > lo:
-            c[cls] = (w[lo:hi, None] * Phi[lo:hi]).sum(axis=0)
+    for cls in range(class_count):
+        mask = y == cls
+        if mask.any():
+            c[cls] = (w[mask][:, None] * Phi[mask]).sum(axis=0)
     return c
 
 
@@ -365,18 +350,19 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
     """The update rule every trainer shares, run on copies of clf and dom;
     returns (clf, dom, history).
 
-    Each epoch, plan(rng) yields the batches (rows_s, Xb_s, yb_s, tb_s,
-    Xb_t), with rng seeded by cfg.seed: the indices rows_s of the batch's
-    source-side rows in the plan's source, their inputs Xb_s, labels yb_s
-    and domain tags tb_s, which the domain step reads, and the target-side
-    inputs Xb_t. Every domain_update_period-th batch, unless dom is None,
-    the domain net takes one SGD step on _domain_gradient. Every batch theta
-    and the feature parameters take one momentum-SGD step on the (grad
-    theta, feature gradient) pair of model_gradient(clf, dom, stepped,
-    rows_s, Xb_s, yb_s, Xb_t, epoch), where stepped tells whether the domain
-    net has just stepped, after which a non-finite theta raises
-    DivergenceError. epoch_record(clf, dom, epoch) gives the epoch's history
-    record.
+    Each epoch, plan(rng) yields the batches (Xs_rest, Xb_s, yb_s, tb_s,
+    Xb_t), with rng seeded by cfg.seed: the source-side inputs Xs_rest of
+    this batch and of the epoch's batches after it, in the order the plan
+    serves them, the batch's own source-side inputs Xb_s (the first rows of
+    Xs_rest), labels yb_s and domain tags tb_s, which the domain step reads,
+    and the target-side inputs Xb_t. Every domain_update_period-th batch,
+    unless dom is None, the domain net takes one SGD step on
+    _domain_gradient. Every batch theta and the feature parameters take one
+    momentum-SGD step on the (grad theta, feature gradient) pair of
+    model_gradient(clf, dom, step, Xs_rest, Xb_s, yb_s, Xb_t, epoch), where
+    step counts the batches before this one over all epochs, after which a
+    non-finite theta raises DivergenceError. epoch_record(clf, dom, epoch)
+    gives the epoch's history record.
 
     The optimizer steps update the parameter arrays of these copies in
     place (_Momentum makes the model copy's arrays views of its flat
@@ -389,12 +375,11 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
     history = []
     step = 0
     for epoch in range(cfg.epochs):
-        for rows_s, Xb_s, yb_s, tb_s, Xb_t in plan(rng):
-            stepped = dom is not None and step % cfg.domain_update_period == 0
-            if stepped:
+        for Xs_rest, Xb_s, yb_s, tb_s, Xb_t in plan(rng):
+            if dom is not None and step % cfg.domain_update_period == 0:
                 g_dom = _domain_gradient(clf, dom, Xb_s, tb_s, Xb_t)
                 _sgd_step(dom.net, g_dom, cfg.lr_domain)
-            opt.step(*model_gradient(clf, dom, stepped, rows_s, Xb_s, yb_s, Xb_t, epoch))
+            opt.step(*model_gradient(clf, dom, step, Xs_rest, Xb_s, yb_s, Xb_t, epoch))
             _require_finite(clf.theta, "theta", epoch)
             step += 1
         history.append(epoch_record(clf, dom, epoch))
@@ -404,13 +389,15 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
 def _batch_plan(source, target, batch_size):
     """plan for _train_loop: each epoch one permutation of the source and,
     unless target is None, one of the target, gathered once and cut into
-    equal batches (views of the gathered rows)."""
+    equal batches (views of the gathered rows). A batch's Xs_rest runs
+    from its first source row to the last row of the epoch's last batch."""
     Xs, ys, ts = source.X, source.y, source.is_source
     Xt = None if target is None else target.X
     n_s = len(source)
     n_t = n_s if Xt is None else len(Xt)
     bs = min(batch_size, n_s, n_t)
     n_batches = max(1, min(n_s, n_t) // bs)
+    end = n_batches * bs
 
     def plan(rng):
         perm_s = rng.permutation(n_s)
@@ -418,7 +405,7 @@ def _batch_plan(source, target, batch_size):
         Xt_p = None if Xt is None else Xt[rng.permutation(n_t)]
         for b in range(n_batches):
             lo, hi = b * bs, (b + 1) * bs
-            yield (perm_s[lo:hi], Xs_p[lo:hi], ys_p[lo:hi], ts_p[lo:hi],
+            yield (Xs_p[lo:end], Xs_p[lo:hi], ys_p[lo:hi], ts_p[lo:hi],
                    None if Xt_p is None else Xt_p[lo:hi])
 
     return plan
@@ -468,40 +455,44 @@ def _train_pass(source, target, clf, dom, cfg, record=None):
     """The training of train_end_to_end with record as the epoch_record of
     _train_loop; returns (clf, dom, history).
 
-    The model gradient is grad_source at the domain net's ratios, read over
-    the whole source once after each domain step (ones when dom is None);
-    each batch gathers its rows from that read. A row's ratio depends on
-    that row alone, so this gives the bits of a read per batch.
+    The model gradient is grad_source at the domain net's ratios (ones when
+    dom is None). One domain-net pass reads the ratios of the source rows
+    of the batches from a domain step, or from the start of an epoch, up
+    to the next domain step or the end of the epoch: at most
+    domain_update_period batches. Each batch takes its slice of that read,
+    so each epoch reads every source row it trains on once, as a read per
+    batch would. A row's ratio depends on that row alone, so the values
+    are those of a read per batch. The bits are too only if the domain
+    net's matmuls give a row the same result whatever the number of rows
+    in the pass; the golden tests of tests/test_core.py check that on the
+    numpy and BLAS they run with.
 
     The default record keeps no history (None per epoch) and evaluates only
     the check a diverged model trips: the dual objective over the target,
     at the domain net's target ratios and the constraint of this pass's
-    source, raising DivergenceError when it is not finite. It sorts the
-    source by class once per pass, so each epoch's constraint is one
-    feature pass and one slice sum per class. Callers that discard the
-    history train with it.
+    source, raising DivergenceError when it is not finite. Callers that
+    discard the history train with it.
     """
     if not source.labeled:
         raise ContractError("source dataset must be labeled")
     if record is None:
-        n = len(source)
-        order, bounds = _class_order(source.y, clf.class_count)
-        Xs_sorted, w = source.X[order], np.full(n, 1.0 / n)
-
         def record(clf, dom, epoch):
-            constraint = _class_sums(feature_forward_batch(clf.feature_map, Xs_sorted), w, bounds)
+            constraint = feature_constraint(clf.feature_map, source.X, source.y, clf.class_count)
             dual = dual_objective(clf, target.X, _ratios(dom, target.X, epoch), constraint)
             if not np.isfinite(dual):
                 raise DivergenceError(f"non-finite training state at epoch {epoch}",
                                       state={"epoch": epoch, "dual": dual})
 
-    ratios = None
+    ratios, used, ratios_epoch = None, 0, None
 
-    def model_gradient(clf, dom, stepped, rows_s, Xb_s, yb_s, Xb_t, epoch):
-        nonlocal ratios
-        if ratios is None or stepped:
-            ratios = _ratios(dom, source.X, epoch)
-        g = grad_source(clf, (Xb_s, yb_s), ratios[rows_s])
+    def model_gradient(clf, dom, step, Xs_rest, Xb_s, yb_s, Xb_t, epoch):
+        nonlocal ratios, used, ratios_epoch
+        n, k = len(Xb_s), step % cfg.domain_update_period
+        if k == 0 or epoch != ratios_epoch:
+            ratios = _ratios(dom, Xs_rest[:(cfg.domain_update_period - k) * n], epoch)
+            used, ratios_epoch = 0, epoch
+        g = grad_source(clf, (Xb_s, yb_s), ratios[used:used + n])
+        used += n
         return g.grad_theta, g.feature_grad
 
     plan = _batch_plan(source, target, cfg.batch_size)

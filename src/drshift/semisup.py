@@ -119,12 +119,13 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
                 li = 0
             rows = perm_l[li : li + bs_l]
             li += bs_l
-            yield rows, Xl[rows], yl[rows], tags, Xu[perm_u[b * M : (b + 1) * M]]
+            Xb_l = Xl[rows]
+            yield Xb_l, Xb_l, yl[rows], tags, Xu[perm_u[b * M : (b + 1) * M]]
 
     # The weak and strong rows are drawn anew each step, so each step reads
     # the ratios of the labeled, weak and strong rows in one domain-net pass;
-    # stepped and rows_l go unread.
-    def model_gradient(clf, dom, stepped, rows_l, Xb_l, yb_l, Xb_u, epoch):
+    # the plan yields no rows past the batch, and step goes unread.
+    def model_gradient(clf, dom, step, Xl_rest, Xb_l, yb_l, Xb_u, epoch):
         Xw = augment_batch(Xb_u, cfg.augmentation, "weak", rng_aug)
         Xst = augment_batch(Xb_u, cfg.augmentation, "strong", rng_aug)
         X_all = np.vstack([Xb_l, Xw, Xst])

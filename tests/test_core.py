@@ -486,9 +486,9 @@ def model_reprs(clf, dom):
 
 class TestTrainerGoldenValues:
     """Tiny runs of the three trainers, captured by repr before the momentum
-    step moved to one flat parameter vector, the source ratios to one read
-    per domain step and the per-epoch constraint to class-sorted rows: none
-    of these may move a bit."""
+    step moved to one flat parameter vector and the source ratios to one
+    read per domain period: neither may move a bit. Three batches per epoch
+    against a domain period of 2 make the second epoch start mid-period."""
 
     def test_train_end_to_end(self):
         source, target, clf0, dom0, cfg = tiny_training_problem()
