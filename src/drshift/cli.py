@@ -592,15 +592,16 @@ def cmd_calibrate(cfg):
     with RunDir(cfg["out_dir"]) as run:
         logits = class_scores(clf, target.X)
         temperature, eval_idx = temperature_split(logits, target.y, int(cfg["seed"]), split)
-        probs_raw, _ = _softmax_lse(logits[eval_idx])
-        probs_ts, _ = _softmax_lse(logits[eval_idx] / temperature)
+        L_eval = logits[eval_idx]
+        probs_raw, _ = _softmax_lse(L_eval)
+        probs_ts, _ = _softmax_lse(L_eval / temperature)
         y_eval = target.y[eval_idx]
         rep_raw = calibration_report(probs_raw, y_eval)
         rep_ts = calibration_report(probs_ts, y_eval)
         write_jsonl(run.path("metrics.jsonl"), [{
             "temperature": temperature,
-            "nll_before": nll(logits[eval_idx], y_eval, 1.0),
-            "nll_after": nll(logits[eval_idx], y_eval, temperature),
+            "nll_before": nll(L_eval, y_eval, 1.0),
+            "nll_after": nll(L_eval, y_eval, temperature),
         }])
         write_reliability(run.path("reliability.csv"), rep_ts.bins)
         write_predictions(run.path("predictions.csv"), probs_ts, y_eval, np.ones(len(y_eval)))

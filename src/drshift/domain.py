@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, ContractError
-from .features import _forward_activations, feature_backward_batch, feature_forward_batch, init_mlp
+from .features import _blocked_head, _forward_activations, feature_backward_batch, init_mlp
 
 DEFAULT_RATIO_BOUNDS = (1e-3, 1e3)
 
@@ -43,7 +43,7 @@ def default_domain_classifier(dim, seed=0, hidden=(16,), ratio_bounds=DEFAULT_RA
 
 
 def domain_logits(clf, X):
-    return feature_forward_batch(clf.net, X)[:, 0]
+    return _blocked_head(clf.net, X, lambda phi: phi[:, 0])
 
 
 def clamp_ratio(log_r, bounds):

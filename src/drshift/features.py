@@ -81,6 +81,41 @@ def feature_forward_batch(fmap, X):
     return _forward_activations(fmap, X)[-1]
 
 
+_BLOCK_ROWS = 4096
+
+
+def _blocked_head(fmap, X, head):
+    """head(feature_forward_batch(fmap, X)) computed _BLOCK_ROWS rows at a time.
+
+    head maps a block's features to one output row per input row, such as
+    class scores or a logit column. Each block's result goes into one
+    preallocated output, so a pass over n rows holds one block's activations
+    rather than n rows of them. At or below one block this is a single
+    direct call.
+
+    The result is bitwise the single call's only if a matmul gives a row the
+    same bits wherever the call cuts the rows. OpenBLAS does not always: a
+    one-row product runs another kernel, and a one-column product (the
+    domain net's logit) handles its last few rows apart. So every block
+    starts at a multiple of _BLOCK_ROWS, which keeps each row's offset from
+    the start of its call the same modulo any power of two up to the block
+    size, and a lone last row joins the block before it. The bitwise tests
+    of tests/test_features.py check this on the numpy they run with.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] <= _BLOCK_ROWS:
+        return head(feature_forward_batch(fmap, X))  # which rejects a non-matrix X
+    n = X.shape[0]
+    edges = [*range(0, n - 1, _BLOCK_ROWS), n]
+    out = None
+    for lo, hi in zip(edges, edges[1:]):
+        block = head(feature_forward_batch(fmap, X[lo:hi]))
+        if out is None:
+            out = np.empty((n,) + block.shape[1:], dtype=block.dtype)
+        out[lo:hi] = block
+    return out
+
+
 def _forward_activations(fmap, X):
     """Forward pass keeping every layer's input: [X, a_1, ..., a_L, phi].
 

@@ -33,6 +33,7 @@ from .domain import (
 from .errors import ConfigError, ContractError, DivergenceError
 from .features import (
     FeatureGradient,
+    _blocked_head,
     _forward_activations,
     feature_backward_batch,
     feature_forward_batch,
@@ -112,15 +113,20 @@ def default_classifier(dim, class_count, seed=0, r=0.0, hidden=(16,), feature_di
 
 
 def class_scores(clf, X):
-    """Raw per-class scores theta . phi(x) for a batch, shape (n, C)."""
-    return feature_forward_batch(clf.feature_map, X) @ clf.theta.T
+    """Raw per-class scores theta . phi(x) for a batch, shape (n, C),
+    computed in row blocks (features._blocked_head)."""
+    return _blocked_head(clf.feature_map, X, lambda phi: phi @ clf.theta.T)
 
 
-def _check_ratios(clf, ratios):
+def _check_ratios(clf, ratios, n):
+    """ratios as a 1-D float array, or ContractError unless it holds one ratio
+    within clf.ratio_bounds for each of the n rows."""
     lo, hi = clf.ratio_bounds
     ratios = np.atleast_1d(np.asarray(ratios, dtype=float))
+    if ratios.shape != (n,):
+        raise ContractError(f"expected one ratio per row: {ratios.size} ratios for {n} rows")
     # Written so that a NaN ratio fails too: every comparison with NaN is false.
-    if not (lo <= ratios.min() and ratios.max() <= hi):
+    if n and not (lo <= ratios.min() and ratios.max() <= hi):
         raise ContractError(f"ratio outside bounds [{lo}, {hi}]")
     return ratios
 
@@ -168,8 +174,8 @@ def predict(clf, x, ratio, train_label=None):
 
 def predict_proba(clf, X, ratios, labels=None):
     """Vectorized prediction; returns (probs (n, C), log-partition (n,))."""
-    ratios = _check_ratios(clf, ratios)
-    return _predict_from_scores(clf, class_scores(clf, X), ratios, labels)
+    Z = class_scores(clf, X)
+    return _predict_from_scores(clf, Z, _check_ratios(clf, ratios, Z.shape[0]), labels)
 
 
 def _nll_at(probs, labels):
@@ -216,7 +222,7 @@ def dual_objective(clf, X, ratios, constraint):
     """Mean target log-partition minus the constraint term (the unregularized dual)."""
     if len(X) == 0:
         raise ContractError("dual_objective needs at least one target input")
-    ratios = _check_ratios(clf, ratios)
+    ratios = _check_ratios(clf, ratios, len(X))
     Z = class_scores(clf, X)
     _, logZ = _softmax_lse(ratios[:, None] * Z)
     return float(logZ.mean() - np.sum(clf.theta * constraint))
@@ -232,8 +238,10 @@ def grad_source(clf, batch, ratios, weights=None):
     change-of-measure gradients of dual_objective.
     """
     X, y = np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=int)
-    ratios = _check_ratios(clf, ratios)
     n = X.shape[0]
+    if n == 0:
+        raise ContractError("grad_source needs at least one source row")
+    ratios = _check_ratios(clf, ratios, n)
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
 
     acts = _forward_activations(clf.feature_map, X)
@@ -334,7 +342,7 @@ def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
     acts = _forward_activations(dom.net, X_dom)
     z = acts[-1][:, 0]
     ratio_t, clamped_t = clamp_ratio(z[n_s:], dom.ratio_bounds)
-    ratio_t = _check_ratios(clf, _require_finite(ratio_t, "density ratios"))
+    ratio_t = _check_ratios(clf, _require_finite(ratio_t, "density ratios"), n_t)
     Z_t = class_scores(clf, Xb_t)
     probs_t, _ = _predict_from_scores(clf, Z_t, ratio_t)
     t_dom = np.concatenate([is_source_s, np.zeros(n_t)])
@@ -441,7 +449,8 @@ def train_end_to_end(source, target, clf, dom, cfg):
         Phi_s = feature_forward_batch(clf.feature_map, Xs)
         constraint = _constraint_from_features(Phi_s, ys, clf.class_count)
         dual = dual_objective(clf, Xt, ratios_t, constraint)
-        probs_s, _ = _predict_from_scores(clf, Phi_s @ clf.theta.T, _check_ratios(clf, ratios_s))
+        probs_s, _ = _predict_from_scores(clf, Phi_s @ clf.theta.T,
+                                          _check_ratios(clf, ratios_s, n_s))
         acc = float((probs_s.argmax(axis=1) == ys).mean())
         if not np.isfinite(dual):
             raise DivergenceError(f"non-finite training state at epoch {epoch}",

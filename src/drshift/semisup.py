@@ -138,7 +138,7 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
         # One forward pass over the weak and strong rows serves both branches.
         acts = _forward_activations(clf.feature_map, X_all[bs_l:])
         Zw = acts[-1][:M] @ clf.theta.T
-        Pw, _ = _predict_from_scores(clf, Zw, _check_ratios(clf, ratios_w))
+        Pw, _ = _predict_from_scores(clf, Zw, _check_ratios(clf, ratios_w, M))
         mask = Pw.max(axis=1) > cfg.threshold
         sums[2] += int(mask.sum())
         loss_u, g_theta_u, g_feat_u = _unsup_gradient(

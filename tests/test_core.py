@@ -270,6 +270,43 @@ class TestNanRatio:
             dual_objective(self.clf, self.X, self.ratios, cons)
 
 
+class TestRatioCount:
+    """Every batch path takes exactly one ratio per row."""
+
+    def setup_method(self):
+        self.clf = RobustClassifier(np.eye(2), identity_map(2))
+        self.X = np.arange(6.0).reshape(3, 2)
+        self.y = np.array([0, 1, 0])
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_a_ratio_count_other_than_the_row_count_is_rejected(self, count):
+        ratios = np.ones(count)
+        cons = feature_constraint(self.clf.feature_map, self.X, self.y, 2)
+        calls = (
+            lambda: predict_proba(self.clf, self.X, ratios),
+            lambda: grad_source(self.clf, (self.X, self.y), ratios),
+            lambda: dual_objective(self.clf, self.X, ratios, cons),
+        )
+        for call in calls:
+            with pytest.raises(ContractError, match=f"{count} ratios for 3 rows"):
+                call()
+
+
+class TestZeroRows:
+    def setup_method(self):
+        self.clf = default_classifier(2, 3, seed=1)
+
+    def test_predict_proba_returns_empty_arrays(self):
+        probs, log_z = predict_proba(self.clf, np.zeros((0, 2)), np.zeros(0))
+        assert probs.shape == (0, 3) and log_z.shape == (0,)
+        probs, _ = predict_proba(self.clf, np.zeros((0, 2)), np.zeros(0), labels=[])
+        assert probs.shape == (0, 3)
+
+    def test_grad_source_rejects_an_empty_batch(self):
+        with pytest.raises(ContractError, match="at least one"):
+            grad_source(self.clf, (np.zeros((0, 2)), np.zeros(0, dtype=int)), np.zeros(0))
+
+
 def no_shift_spec(seed, n=400):
     return GaussianShiftSpec(
         source_mean=[0.0, 0.0], target_mean=[0.0, 0.0],

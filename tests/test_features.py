@@ -1,21 +1,31 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from drshift import (
     ConfigError,
+    RobustClassifier,
+    default_classifier,
+    default_domain_classifier,
     feature_map_from_json,
     feature_map_to_json,
     identity_map,
     init_mlp,
 )
+from drshift import features
+from drshift.data import TARGET, dataset_from_arrays
+from drshift.domain import clamp_ratio, domain_ratios
 from drshift.features import (
+    _BLOCK_ROWS,
     FeatureMap,
+    _blocked_head,
     _forward_activations,
     feature_backward_batch,
     feature_forward_batch,
 )
+from drshift.robust import _logits, _softmax_lse, class_scores, predict_proba, target_predictions
 
 from helpers import fd_layers, flat, rel_err
 
@@ -178,3 +188,82 @@ def test_json_of_another_kind_or_activation_rejected(kind, activation):
     doc.update(kind=kind, activation=activation)
     with pytest.raises(ConfigError, match=f"{kind}.*{activation}"):
         feature_map_from_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# Inference in row blocks (_blocked_head)
+
+BLOCK_SIZES = (0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3)
+
+
+def scoring_models(seed=0):
+    rng = np.random.default_rng(seed)
+    clf = default_classifier(2, 3, seed=seed, r=0.25)
+    clf.theta = rng.normal(size=clf.theta.shape)
+    return clf, default_domain_classifier(2, seed=seed + 1)
+
+
+def scoring_inputs(n, seed=0):
+    return np.random.default_rng(seed).normal(scale=3.0, size=(n, 2))
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_scores_and_ratios_are_bitwise_the_unblocked_pass(n):
+    clf, dom = scoring_models()
+    X = scoring_inputs(n)
+    Z = _forward_activations(clf.feature_map, X)[-1] @ clf.theta.T
+    z = _forward_activations(dom.net, X)[-1][:, 0]
+    ratio, clamped = clamp_ratio(z, dom.ratio_bounds)
+    assert Z.shape == (n, 3) and z.shape == (n,)
+
+    np.testing.assert_array_equal(class_scores(clf, X), Z)
+    for got, want in zip(domain_ratios(dom, X), (ratio, clamped, z)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(predict_proba(clf, X, ratio), _softmax_lse(_logits(clf, Z, ratio))):
+        np.testing.assert_array_equal(got, want)
+    if n:  # a dataset has at least one row
+        probs, ratios = target_predictions(clf, dom, dataset_from_arrays(X, domain=TARGET))
+        np.testing.assert_array_equal(ratios, ratio)
+        np.testing.assert_array_equal(probs, _softmax_lse(_logits(clf, Z, ratio))[0])
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_pass_cuts_rows_at_multiples_of_the_block_size(n, monkeypatch):
+    fmap = init_mlp(2, [16], 16, seed=4)
+    rows = []
+
+    def counted(fmap, X):
+        rows.append(len(X))
+        return feature_forward_batch(fmap, X)
+
+    monkeypatch.setattr(features, "feature_forward_batch", counted)
+    out = _blocked_head(fmap, scoring_inputs(n), lambda phi: phi[:, :2])
+    assert out.shape == (n, 2) and sum(rows) == n
+    # Blocks of _BLOCK_ROWS rows; a lone last row joins the block before it.
+    assert len(rows) == max(1, -(-(n - 1) // _BLOCK_ROWS))
+    assert all(r == _BLOCK_ROWS for r in rows[:-1]) and rows[-1] <= _BLOCK_ROWS + 1
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_identity_map_returns_its_input_rows(n):
+    X = scoring_inputs(n)
+    np.testing.assert_array_equal(_blocked_head(identity_map(2), X, lambda phi: phi), X)
+    theta = np.array([[1.0, -2.0], [0.5, 3.0]])
+    clf = RobustClassifier(theta, identity_map(2))
+    np.testing.assert_array_equal(class_scores(clf, X), X @ theta.T)
+
+
+def test_class_scores_on_a_large_batch_hold_one_block_of_activations():
+    # A single pass over 100,000 rows at the default 2-16-16 map allocates
+    # three (n, 16) float arrays at once, about 49 MB; blocked, the output
+    # (n, 3) is the only array that grows with n.
+    clf, _ = scoring_models()
+    X = scoring_inputs(100_000)
+    tracemalloc.start()
+    try:
+        Z = class_scores(clf, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Z.shape == (100_000, 3)
+    assert peak < 8e6, f"class_scores peaked at {peak / 1e6:.1f} MB of traced allocations"
