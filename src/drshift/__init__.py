@@ -26,12 +26,7 @@ from .data import (
     load_csv,
     save_csv,
 )
-from .domain import (
-    DomainClassifier,
-    bce_loss,
-    default_domain_classifier,
-    drl_density_gradient,
-)
+from .domain import DomainClassifier, bce_loss, default_domain_classifier
 from .errors import ConfigError, ContractError, CsvParseError, DivergenceError
 from .features import (
     FeatureGradient,

@@ -55,7 +55,7 @@ from .data import (
     load_csv,
     save_csv,
 )
-from .errors import ConfigError, ContractError, CsvParseError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError
 from .kde import check_bandwidth, run_plugin_simulation
 from .robust import (
     _softmax_lse,
@@ -582,7 +582,7 @@ def cmd_calibrate(cfg):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             clf, _, _ = checkpoint_from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError, ConfigError, ContractError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"calibrate.checkpoint: malformed checkpoint {path}: {type(exc).__name__}: {exc}"
         ) from exc
@@ -685,7 +685,7 @@ def main(argv=None):
             return cmd_compare(args.reports)
         cfg = load_config(args.config, args.seed, args.out)
         return RUN_COMMANDS[args.command](cfg)
-    except (ConfigError, CsvParseError, ContractError) as exc:
+    except (ConfigError, ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

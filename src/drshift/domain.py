@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, _one_per_row
 from .features import _blocked_head, _forward_activations, feature_backward_batch, init_mlp
 
 DEFAULT_RATIO_BOUNDS = (1e-3, 1e3)
@@ -64,7 +64,7 @@ def domain_ratios(clf, X):
 
 
 def _bce_from_logits(z, is_source):
-    t = np.asarray(is_source, dtype=float)
+    t = _one_per_row(np.asarray(is_source, dtype=float), z.shape[0], "domain tag")
     # stable log(1 + exp(-|z|)) form
     return float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))))
 
@@ -76,7 +76,7 @@ def bce_loss(clf, X, is_source):
 
 def _bce_logit_upstream(z, is_source):
     """Per-sample derivative of the BCE in the domain logit: sigmoid(z) - 1{source}."""
-    return expit(z) - np.asarray(is_source, dtype=float)
+    return expit(z) - _one_per_row(np.asarray(is_source, dtype=float), z.shape[0], "domain tag")
 
 
 def bce_gradient_arrays(clf, X, is_source):
@@ -90,24 +90,6 @@ def bce_gradient_arrays(clf, X, is_source):
     acts = _forward_activations(clf.net, X)
     dz = _bce_logit_upstream(acts[-1][:, 0], is_source)
     return feature_backward_batch(clf.net, X, dz[:, None], acts=acts)
-
-
-def drl_density_gradient(theta, phi_x, f_x, est):
-    """Gradient of the robust objective's target term in the two densities.
-
-    With s(x) = sum_y f_y(x) * (theta_y . phi(x)) and R = tau_s/tau_t inside
-    log Z, the chain rule gives d/dtau_s = s/tau_t and
-    d/dtau_t = -(tau_s/tau_t^2) * s. No gradient flows through an active
-    ratio clamp.
-    """
-    if est.tau_t < 1e-8:
-        raise ContractError("tau_t below 1e-8; density gradient is not reliable")
-    if est.clamped:
-        return 0.0, 0.0
-    s = float(np.dot(f_x, np.asarray(theta) @ np.asarray(phi_x)))
-    g_s = s / est.tau_t
-    g_t = -(est.tau_s / est.tau_t**2) * s
-    return g_s, g_t
 
 
 def density_chain_gradient(dom, X, theta, Phi, probs, ratio, clamped):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one per-row count check."""
 
 
 class ConfigError(ValueError):
@@ -7,6 +7,14 @@ class ConfigError(ValueError):
 
 class ContractError(ValueError):
     """A caller violated a documented precondition."""
+
+
+def _one_per_row(values, n, what):
+    """The array values unchanged, or ContractError naming both counts
+    unless it has shape (n,): one what for each of n rows."""
+    if values.shape != (n,):
+        raise ContractError(f"expected one {what} per row: {values.size} {what}s for {n} rows")
+    return values
 
 
 class CsvParseError(ConfigError):

@@ -164,7 +164,12 @@ def feature_backward_batch(fmap, X, U, weights=None, acts=None):
 
 def feature_map_to_json(fmap):
     """Serialize to JSON text: layer shapes and row-major parameter arrays."""
-    doc = {
+    return json.dumps(_feature_map_doc(fmap))
+
+
+def _feature_map_doc(fmap):
+    """The JSON object of feature_map_to_json, as a dict."""
+    return {
         # Every map is a tanh MLP, but the checkpoint format names the kind
         # and activation, so saved checkpoints load as they are.
         "kind": "mlp",
@@ -181,7 +186,6 @@ def feature_map_to_json(fmap):
             for W, b in fmap.layers
         ],
     }
-    return json.dumps(doc)
 
 
 def feature_map_from_json(text):

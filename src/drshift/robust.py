@@ -30,15 +30,15 @@ from .domain import (
     clamp_ratio,
     domain_ratios,
 )
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError, _one_per_row
 from .features import (
     FeatureGradient,
     _blocked_head,
+    _feature_map_doc,
     _forward_activations,
     feature_backward_batch,
     feature_forward_batch,
     feature_map_from_json,
-    feature_map_to_json,
     init_mlp,
 )
 
@@ -122,13 +122,19 @@ def _check_ratios(clf, ratios, n):
     """ratios as a 1-D float array, or ContractError unless it holds one ratio
     within clf.ratio_bounds for each of the n rows."""
     lo, hi = clf.ratio_bounds
-    ratios = np.atleast_1d(np.asarray(ratios, dtype=float))
-    if ratios.shape != (n,):
-        raise ContractError(f"expected one ratio per row: {ratios.size} ratios for {n} rows")
+    ratios = _one_per_row(np.atleast_1d(np.asarray(ratios, dtype=float)), n, "ratio")
     # Written so that a NaN ratio fails too: every comparison with NaN is false.
     if n and not (lo <= ratios.min() and ratios.max() <= hi):
         raise ContractError(f"ratio outside bounds [{lo}, {hi}]")
     return ratios
+
+
+def _row_weights(weights, n):
+    """Per-row weights as a float array, 1/n each when weights is None, or
+    ContractError unless there is one weight for each of the n rows."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    return _one_per_row(np.asarray(weights, dtype=float), n, "weight")
 
 
 def _require_finite(values, what, epoch=None):
@@ -190,7 +196,8 @@ def _logits(clf, Z, ratios, labels=None):
     if labels is None:
         return ratios[:, None] * Z / (1.0 + clf.r)
     L = ratios[:, None] * Z
-    at = (np.arange(Z.shape[0]), np.asarray(labels, dtype=int))
+    n = Z.shape[0]
+    at = (np.arange(n), _one_per_row(np.asarray(labels, dtype=int), n, "label"))
     L[at] = (L[at] + clf.r) / (clf.r + 1.0)
     return L
 
@@ -208,9 +215,9 @@ def feature_constraint(fmap, X, y, class_count, weights=None):
 
 def _constraint_from_features(Phi, y, class_count, weights=None):
     n = Phi.shape[0]
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
+    w = _row_weights(weights, n)
     c = np.zeros((class_count, Phi.shape[1]))
-    y = np.asarray(y, dtype=int)
+    y = _one_per_row(np.asarray(y, dtype=int), n, "label")
     for cls in range(class_count):
         mask = y == cls
         if mask.any():
@@ -242,7 +249,7 @@ def grad_source(clf, batch, ratios, weights=None):
     if n == 0:
         raise ContractError("grad_source needs at least one source row")
     ratios = _check_ratios(clf, ratios, n)
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
+    w = _row_weights(weights, n)
 
     acts = _forward_activations(clf.feature_map, X)
     probs, _ = _predict_from_scores(clf, acts[-1] @ clf.theta.T, ratios, y)
@@ -328,6 +335,12 @@ def _sgd_step(fmap, fgrad, lr):
 
 def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
     """Domain-net gradient of one domain step: BCE plus the chained density term.
+
+    It descends F_r = 1/2 mean_s BCE(a, t) + 1/2 mean_t BCE(a, 0)
+    + (1 + r) mean_t log sum_y exp(R z_y / (1 + r)): a the domain logit, t
+    the source tags, z_y the class scores and R = exp(a) clamped to the
+    ratio bounds, constant (so zero density upstream) on clamped rows.
+    Acceptance criterion 2 differences F_r at every recipe's r and bounds.
 
     One forward pass over X_dom = [Xb_s; Xb_t] gives the BCE logits and the
     target ratios, and one backward pass takes the combined logit upstream:
@@ -534,7 +547,7 @@ def checkpoint_to_json(clf, dom=None, config=None):
     """Bundle theta, feature map, domain net, r, and bounds into JSON text."""
     doc = {
         "theta": [[float(v) for v in row] for row in clf.theta],
-        "feature_map": json.loads(feature_map_to_json(clf.feature_map)),
+        "feature_map": _feature_map_doc(clf.feature_map),
         "r": float(clf.r),
         "ratio_bounds": [float(clf.ratio_bounds[0]), float(clf.ratio_bounds[1])],
         "domain": None,
@@ -542,7 +555,7 @@ def checkpoint_to_json(clf, dom=None, config=None):
     }
     if dom is not None:
         doc["domain"] = {
-            "net": json.loads(feature_map_to_json(dom.net)),
+            "net": _feature_map_doc(dom.net),
             "ratio_bounds": [float(dom.ratio_bounds[0]), float(dom.ratio_bounds[1])],
         }
     return json.dumps(doc)

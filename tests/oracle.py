@@ -1,6 +1,14 @@
-"""Exactly enumerable discrete domain: a brute-force oracle for the
+"""Reference forms the tests compare the package against.
+
+The exactly enumerable discrete domain is a brute-force oracle for the
 expectation and gradient identities of the robust dual, which acceptance
 criterion 3 and the dual and gradient tests compare against.
+drl_density_gradient is the single-sample tau-space form of the density
+gradient, which acceptance criterion 2 and tests/test_domain.py check
+against finite differences of the log-partition; the trainers take that
+gradient in the domain logit instead. domain_step_objective is the
+objective that domain step (robust._domain_gradient) descends, written out
+with scipy so criterion 2 can difference it.
 """
 
 from dataclasses import dataclass
@@ -9,7 +17,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from drshift.domain import domain_ratios
-from drshift.errors import ConfigError
+from drshift.errors import ConfigError, ContractError
 from drshift.features import feature_forward_batch
 
 MAX_DISCRETE_POINTS = 64
@@ -105,3 +113,40 @@ def oracle_expectations(spec, model, domain=None):
     g_t = -spec.p_target * (tau_s / safe_t**2) * s
     grad_ratio = np.stack([np.where(clamped, 0.0, g_s), np.where(clamped, 0.0, g_t)], axis=1)
     return OracleResult(dual, grad_theta, grad_ratio)
+
+
+def drl_density_gradient(theta, phi_x, f_x, est):
+    """Gradient of the robust objective's target term in the two densities.
+
+    With s(x) = sum_y f_y(x) * (theta_y . phi(x)) and R = tau_s/tau_t inside
+    log Z, the chain rule gives d/dtau_s = s/tau_t and
+    d/dtau_t = -(tau_s/tau_t^2) * s. No gradient flows through an active
+    ratio clamp.
+    """
+    if est.tau_t < 1e-8:
+        raise ContractError("tau_t below 1e-8; density gradient is not reliable")
+    if est.clamped:
+        return 0.0, 0.0
+    s = float(np.dot(f_x, np.asarray(theta) @ np.asarray(phi_x)))
+    g_s = s / est.tau_t
+    g_t = -(est.tau_s / est.tau_t**2) * s
+    return g_s, g_t
+
+
+def domain_step_objective(clf, dom, X_s, t_s, X_t):
+    """F_r = 1/2 mean_s BCE(a, t) + 1/2 mean_t BCE(a, 0)
+    + (1 + r) mean_t log sum_y exp(R z_y / (1 + r)), the domain step's
+    objective in the domain net's parameters.
+
+    a is the domain logit, t the source rows' domain tags, R = exp(a)
+    clipped to dom.ratio_bounds and z_y = theta_y . phi(x) the class scores
+    of the target rows.
+    """
+    a_s = feature_forward_batch(dom.net, X_s)[:, 0]
+    a_t = feature_forward_batch(dom.net, X_t)[:, 0]
+    bce_s = np.mean(np.logaddexp(0.0, a_s) - np.asarray(t_s, dtype=float) * a_s)
+    bce_t = np.mean(np.logaddexp(0.0, a_t))
+    R = np.clip(np.exp(a_t), *dom.ratio_bounds)
+    Z = feature_forward_batch(clf.feature_map, X_t) @ np.asarray(clf.theta).T
+    log_z = logsumexp(R[:, None] * Z / (1.0 + clf.r), axis=1)
+    return float(0.5 * bce_s + 0.5 * bce_t + (1.0 + clf.r) * log_z.mean())

@@ -14,9 +14,9 @@ from scipy.special import logsumexp, softmax
 from drshift import (
     RobustClassifier,
     bce_loss,
+    default_classifier,
     default_domain_classifier,
     default_shift_spec,
-    drl_density_gradient,
     dual_objective,
     feature_constraint,
     grad_source,
@@ -33,8 +33,9 @@ from drshift.benchmarks import (
     semi_supervised_trial,
 )
 from drshift.cli import main as cli_main
-from drshift.domain import bce_gradient_arrays
+from drshift.domain import bce_gradient_arrays, domain_ratios
 from drshift.kde import run_plugin_simulation
+from drshift.robust import _domain_gradient
 
 from helpers import (
     enumerate_source,
@@ -44,9 +45,13 @@ from helpers import (
     random_discrete_instance,
     rel_err,
 )
-from oracle import oracle_expectations
+from oracle import domain_step_objective, drl_density_gradient, oracle_expectations
 
 SEEDS = range(5)
+# (r, ratio_bounds) of the domain step's gradient check: r = 0 at the
+# default bounds, then the calibration, self-training and consistency
+# recipes' settings.
+DOMAIN_STEP_SETTINGS = [(0.0, (1e-3, 1e3)), (0.5, (1e-3, 1e3)), (1.0, (0.9, 1.11)), (0.5, (0.5, 2.0))]
 
 
 def report(num, name, passed, detail=""):
@@ -135,12 +140,34 @@ def test_criterion_2_gradient_correctness():
         fd_s = (logsumexp((tau_s + eps) / tau_t * z) - logsumexp((tau_s - eps) / tau_t * z)) / (2 * eps)
         fd_t = (logsumexp(tau_s / (tau_t + eps) * z) - logsumexp(tau_s / (tau_t - eps) * z)) / (2 * eps)
         worst = max(worst, rel_err(fd_s, g_s), rel_err(fd_t, g_t))
+
+    # The trainers' domain step, _domain_gradient, against central
+    # differences of the objective F_r it descends
+    # (oracle.domain_step_objective) at every setting, on unequal halves
+    # whose source rows carry both domain tags, as DRST's pseudo-labelled
+    # rows do. Clamped target rows must occur, so the zero density upstream
+    # there is checked too.
+    clamped, target_rows = 0, 0
+    for r, bounds in DOMAIN_STEP_SETTINGS:
+        for seed in SEEDS:
+            rng = np.random.default_rng(seed)
+            clf = default_classifier(2, 3, seed=seed, r=r, ratio_bounds=bounds)
+            clf.theta = rng.normal(size=clf.theta.shape)
+            dom = default_domain_classifier(2, seed=seed + 1, ratio_bounds=bounds)
+            Xb_s, Xb_t = rng.normal(size=(16, 2)), rng.normal(size=(24, 2))
+            t_s = rng.permutation(np.repeat([1.0, 0.0], [12, 4]))
+            g = _domain_gradient(clf, dom, Xb_s, t_s, Xb_t)
+            fd = fd_layers(lambda: domain_step_objective(clf, dom, Xb_s, t_s, Xb_t), dom.net, 1e-6)
+            worst = max(worst, rel_err(flat(fd), flat(g.layers)))
+            clamped += int(domain_ratios(dom, Xb_t)[1].sum())
+            target_rows += len(Xb_t)
     elapsed = time.monotonic() - start
     report(
         2,
         "gradients match central finite differences",
-        worst <= 1e-4 and elapsed < 10.0,
-        f"worst rel err {worst:.2e}, {elapsed:.1f}s",
+        worst <= 1e-4 and clamped > 0 and elapsed < 10.0,
+        f"worst rel err {worst:.2e}, domain step at {len(DOMAIN_STEP_SETTINGS)} (r, bounds) "
+        f"with {clamped}/{target_rows} target rows clamped, {elapsed:.1f}s",
     )
 
 

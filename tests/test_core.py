@@ -7,6 +7,7 @@ from drshift import (
     ContractError,
     RobustClassifier,
     TrainConfig,
+    bce_loss,
     checkpoint_from_json,
     checkpoint_to_json,
     dataset_from_arrays,
@@ -23,7 +24,7 @@ from drshift import (
     train_erm,
 )
 from drshift.data import GaussianShiftSpec
-from drshift.domain import domain_ratios
+from drshift.domain import bce_gradient_arrays, domain_ratios
 from drshift.features import FeatureGradient
 from drshift.robust import (
     _logits,
@@ -289,6 +290,34 @@ class TestRatioCount:
         )
         for call in calls:
             with pytest.raises(ContractError, match=f"{count} ratios for 3 rows"):
+                call()
+
+
+class TestRowCount:
+    """Labels, weights and domain tags, too, take exactly one value per row."""
+
+    def setup_method(self):
+        self.clf = RobustClassifier(np.eye(2), identity_map(2))
+        self.dom = default_domain_classifier(2, seed=0)
+        self.X = np.arange(6.0).reshape(3, 2)
+        self.y = np.array([0, 1, 0])
+        self.ratios = np.ones(3)
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_a_count_other_than_the_row_count_is_rejected(self, count):
+        values, labels = np.ones(count), np.zeros(count, dtype=int)
+        fmap = self.clf.feature_map
+        calls = (
+            ("labels", lambda: grad_source(self.clf, (self.X, labels), self.ratios)),
+            ("weights", lambda: grad_source(self.clf, (self.X, self.y), self.ratios, values)),
+            ("labels", lambda: feature_constraint(fmap, self.X, labels, 2)),
+            ("weights", lambda: feature_constraint(fmap, self.X, self.y, 2, weights=values)),
+            ("labels", lambda: predict_proba(self.clf, self.X, self.ratios, labels)),
+            ("domain tags", lambda: bce_loss(self.dom, self.X, values)),
+            ("domain tags", lambda: bce_gradient_arrays(self.dom, self.X, values)),
+        )
+        for what, call in calls:
+            with pytest.raises(ContractError, match=f"{count} {what} for 3 rows"):
                 call()
 
 

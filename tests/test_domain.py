@@ -7,7 +7,6 @@ from drshift import (
     bce_loss,
     default_classifier,
     default_domain_classifier,
-    drl_density_gradient,
 )
 from drshift.domain import (
     DomainClassifier,
@@ -20,6 +19,7 @@ from drshift.features import FeatureMap
 from drshift.robust import _domain_gradient, class_scores
 
 from helpers import fd_layers, flat, rel_err
+from oracle import drl_density_gradient
 
 
 def zero_logit_classifier(dim=2, bounds=(1e-3, 1e3)):

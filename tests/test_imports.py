@@ -11,13 +11,19 @@ Importing the CLI loads no public scipy package beyond scipy.special:
 scipy.stats alone used to triple the start-up time of every command. And
 softmax and log-sum-exp have one implementation, calibration._lse_parts: no
 module binds scipy's softmax or logsumexp.
+
+README's library example runs, so a removed or renamed export cannot leave
+it stale.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -105,3 +111,14 @@ def test_no_module_binds_scipy_softmax_or_logsumexp():
                       for value in vars(importlib.import_module(f"drshift.{path.stem}")).values()
                       for kernel in kernels)}
     assert binders == set()
+
+
+def test_readme_library_example_runs():
+    readme = SRC.parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, str(readme), "exec"), {})
+        assert "CalibrationReport" in out.getvalue()
