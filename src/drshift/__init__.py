@@ -29,7 +29,6 @@ from .data import (
 from .domain import DomainClassifier, bce_loss, default_domain_classifier
 from .errors import ConfigError, ContractError, CsvParseError, DivergenceError
 from .features import (
-    FeatureGradient,
     FeatureMap,
     feature_map_from_json,
     feature_map_to_json,
@@ -56,6 +55,6 @@ from .robust import (
     train_erm,
 )
 from .selftrain import SelfTrainSchedule, run_drst, select_pseudo
-from .semisup import SslConfig, consistency_loss, run_drssl
+from .semisup import SslConfig, run_drssl
 
 __version__ = "0.1.0"

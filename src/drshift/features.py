@@ -17,12 +17,22 @@ from .errors import ConfigError
 
 @dataclass
 class FeatureMap:
+    """A tanh MLP whose parameters live in one float vector.
+
+    params holds [W_1, b_1, ..., W_L, b_L], each W (fan_out, fan_in) in
+    row-major order, and layers holds (W, b) views of it, so an in-place
+    step on params moves the layers. Construction copies the given arrays
+    into a new params and leaves its layers argument as it was.
+    """
+
     in_dim: int
     out_dim: int
     layers: list = field(default_factory=list)  # [(W, b)], W is (fan_out, fan_in)
 
     def __post_init__(self):
-        fan_in = self.in_dim
+        # arrays in params order, and each layer's (W start, b start, b end,
+        # W shape) in params, so split slices without recomputing sizes.
+        arrays, self._spans, fan_in, end = [], [], self.in_dim, 0
         for i, (W, b) in enumerate(self.layers):
             W = np.asarray(W, dtype=float)
             b = np.asarray(b, dtype=float)
@@ -32,29 +42,25 @@ class FeatureMap:
                 raise ConfigError(f"layer {i}: expected fan-in {fan_in}, got {W.shape[1]}")
             if not (np.isfinite(W).all() and np.isfinite(b).all()):
                 raise ConfigError(f"layer {i}: non-finite parameters")
-            self.layers[i] = (W, b)
+            arrays += [W, b]
+            self._spans.append((end, end + W.size, end + W.size + b.size, W.shape))
+            end += W.size + b.size
             fan_in = W.shape[0]
         if fan_in != self.out_dim:
             raise ConfigError(f"final layer width {fan_in} != out_dim {self.out_dim}")
+        self.params = np.concatenate(arrays, axis=None) if arrays else np.zeros(0)
+        self.layers = self.split(self.params)
 
     @property
     def n_layers(self):
         return len(self.layers)
 
+    def split(self, vec):
+        """[(W, b)] views of a vector laid out like params, such as a gradient."""
+        return [(vec[lo:mid].reshape(shape), vec[mid:hi]) for lo, mid, hi, shape in self._spans]
+
     def copy(self):
-        return FeatureMap(self.in_dim, self.out_dim, [(W.copy(), b.copy()) for W, b in self.layers])
-
-
-@dataclass
-class FeatureGradient:
-    """Per-layer (dW, db) pairs; empty for a map with no layers."""
-
-    layers: list = field(default_factory=list)
-
-    def __add__(self, other):
-        return FeatureGradient(
-            [(a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(self.layers, other.layers)]
-        )
+        return FeatureMap(self.in_dim, self.out_dim, self.layers)
 
 
 def init_mlp(in_dim, hidden, out_dim, seed=0):
@@ -134,7 +140,8 @@ def _forward_activations(fmap, X):
 
 
 def feature_backward_batch(fmap, X, U, weights=None, acts=None):
-    """Weighted sum over samples of the per-sample parameter gradients.
+    """Weighted sum over samples of the per-sample parameter gradients, as
+    one vector laid out like fmap.params.
 
     With weights w_i this returns sum_i w_i * d(u_i . phi(x_i))/dparams;
     the default is w_i = 1/n, i.e. the batch mean. acts, when given, holds the
@@ -143,7 +150,7 @@ def feature_backward_batch(fmap, X, U, weights=None, acts=None):
     A map with no layers returns an empty gradient.
     """
     if not fmap.layers:
-        return FeatureGradient([])
+        return np.zeros(0)
     U = np.asarray(U, dtype=float)
     if acts is None:
         acts = _forward_activations(fmap, X)
@@ -152,14 +159,16 @@ def feature_backward_batch(fmap, X, U, weights=None, acts=None):
 
     # The map is linear in upstream, so the weights fold into the first delta.
     delta = U * w[:, None]
-    grads = [None] * fmap.n_layers
+    grad = np.empty_like(fmap.params)
+    grads = fmap.split(grad)
     for i in range(fmap.n_layers - 1, -1, -1):
-        W, _ = fmap.layers[i]
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        dW, db = grads[i]
+        np.matmul(delta.T, acts[i], out=dW)
+        delta.sum(axis=0, out=db)
         if i > 0:
             # tanh' written in terms of the activation a = tanh(z): 1 - a^2.
-            delta = (delta @ W) * (1.0 - acts[i] * acts[i])
-    return FeatureGradient(grads)
+            delta = (delta @ fmap.layers[i][0]) * (1.0 - acts[i] * acts[i])
+    return grad
 
 
 def feature_map_to_json(fmap):

@@ -32,7 +32,6 @@ from .domain import (
 )
 from .errors import ConfigError, ContractError, DivergenceError, _one_per_row
 from .features import (
-    FeatureGradient,
     _blocked_head,
     _feature_map_doc,
     _forward_activations,
@@ -102,7 +101,7 @@ class TrainConfig:
 @dataclass
 class SourceGradient:
     grad_theta: np.ndarray  # (C, m)
-    feature_grad: FeatureGradient
+    feature_grad: np.ndarray  # laid out like the feature map's params
     probs: np.ndarray  # (n, C) train-mode predictions at the batch labels
 
 
@@ -287,46 +286,25 @@ def target_predictions(clf, dom, dataset):
 # Optimizers
 
 
-def _flat(theta, layers):
-    """[theta, W_1, b_1, ..., W_L, b_L]: theta and a map's per-layer pairs."""
-    return [theta, *(a for layer in layers for a in layer)]
-
-
 class _Momentum:
-    """Classic momentum SGD over theta plus the feature-map layers.
+    """Classic momentum SGD over clf's theta and its feature map's params.
 
-    Building it copies clf's theta and layer arrays into one flat parameter
-    vector and puts views of that vector in their place, values unchanged,
-    so clf must own its arrays. step flattens the gradients in the same
-    order and updates the flat velocity and parameters in place,
-    v <- mu v + g then p <- p - lr v: three array operations per step,
-    whatever the number of layers.
+    step updates each of the two arrays in place with its own velocity,
+    v <- mu v + g then p <- p - lr v, so the arrays clf holds are the ones
+    that move.
     """
 
     def __init__(self, clf, lr, momentum):
         self.lr = lr
         self.mu = momentum
-        arrays = _flat(clf.theta, clf.feature_map.layers)
-        self.params = np.concatenate(arrays, axis=None)
-        self.velocity = np.zeros_like(self.params)
-        views, start = [], 0
-        for a in arrays:
-            views.append(self.params[start:start + a.size].reshape(a.shape))
-            start += a.size
-        clf.theta = views[0]
-        clf.feature_map.layers = list(zip(views[1::2], views[2::2]))
+        self.params = (clf.theta, clf.feature_map.params)
+        self.velocity = tuple(np.zeros_like(p) for p in self.params)
 
-    def step(self, grad_theta, fgrad):
-        self.velocity *= self.mu
-        self.velocity += np.concatenate(_flat(grad_theta, fgrad.layers), axis=None)
-        self.params -= self.lr * self.velocity
-
-
-def _sgd_step(fmap, fgrad, lr):
-    """One in-place SGD step p <- p - lr g on fmap's parameter arrays."""
-    for (W, b), (dW, db) in zip(fmap.layers, fgrad.layers):
-        W -= lr * dW
-        b -= lr * db
+    def step(self, grad_theta, grad_features):
+        for p, v, g in zip(self.params, self.velocity, (grad_theta, grad_features)):
+            v *= self.mu
+            v += g
+            p -= self.lr * v
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +363,8 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
     non-finite theta raises DivergenceError. epoch_record(clf, dom, epoch)
     gives the epoch's history record.
 
-    The optimizer steps update the parameter arrays of these copies in
-    place (_Momentum makes the model copy's arrays views of its flat
-    parameter vector); the caller's clf and dom are never written.
+    The optimizer steps update theta and the flat params of these copies
+    in place; the caller's clf and dom are never written.
     """
     clf = clf.copy()
     dom = dom.copy() if dom is not None else None
@@ -398,8 +375,7 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
     for epoch in range(cfg.epochs):
         for Xs_rest, Xb_s, yb_s, tb_s, Xb_t in plan(rng):
             if dom is not None and step % cfg.domain_update_period == 0:
-                g_dom = _domain_gradient(clf, dom, Xb_s, tb_s, Xb_t)
-                _sgd_step(dom.net, g_dom, cfg.lr_domain)
+                dom.net.params -= cfg.lr_domain * _domain_gradient(clf, dom, Xb_s, tb_s, Xb_t)
             opt.step(*model_gradient(clf, dom, step, Xs_rest, Xb_s, yb_s, Xb_t, epoch))
             _require_finite(clf.theta, "theta", epoch)
             step += 1

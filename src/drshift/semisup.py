@@ -42,21 +42,6 @@ class SslConfig:
             raise ConfigError("loss_weight must be >= 0")
 
 
-def consistency_loss(pred_weak, pred_strong, threshold):
-    """Thresholded cross-entropy between weak pseudo-labels and strong predictions.
-
-    (1/M) sum_m 1[max(weak_m) > threshold] * (-log strong_m[argmax weak_m]).
-    """
-    W = np.asarray(pred_weak, dtype=float)
-    S = np.asarray(pred_strong, dtype=float)
-    if W.shape != S.shape:
-        raise ContractError("weak and strong prediction lists must have equal shape")
-    if W.shape[0] < 1:
-        raise ContractError("need at least one prediction pair")
-    mask = W.max(axis=1) > threshold
-    return float(np.where(mask, _nll_at(S, W.argmax(axis=1)), 0.0).mean())
-
-
 def _unsup_gradient(clf, acts, ratios, pseudo, mask, loss_weight):
     """loss_weight times the thresholded strong-branch loss, and its exact
     gradient in theta and the feature parameters.

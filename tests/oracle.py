@@ -8,7 +8,9 @@ gradient, which acceptance criterion 2 and tests/test_domain.py check
 against finite differences of the log-partition; the trainers take that
 gradient in the domain logit instead. domain_step_objective is the
 objective that domain step (robust._domain_gradient) descends, written out
-with scipy so criterion 2 can difference it.
+with scipy so criterion 2 can difference it. consistency_loss is DRSSL's
+thresholded strong-branch loss, which semisup._unsup_gradient computes
+inline.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,7 @@ from scipy.special import expit, logsumexp
 from drshift.domain import domain_ratios
 from drshift.errors import ConfigError, ContractError
 from drshift.features import feature_forward_batch
+from drshift.robust import _nll_at
 
 MAX_DISCRETE_POINTS = 64
 
@@ -150,3 +153,18 @@ def domain_step_objective(clf, dom, X_s, t_s, X_t):
     Z = feature_forward_batch(clf.feature_map, X_t) @ np.asarray(clf.theta).T
     log_z = logsumexp(R[:, None] * Z / (1.0 + clf.r), axis=1)
     return float(0.5 * bce_s + 0.5 * bce_t + (1.0 + clf.r) * log_z.mean())
+
+
+def consistency_loss(pred_weak, pred_strong, threshold):
+    """Thresholded cross-entropy between weak pseudo-labels and strong predictions.
+
+    (1/M) sum_m 1[max(weak_m) > threshold] * (-log strong_m[argmax weak_m]).
+    """
+    W = np.asarray(pred_weak, dtype=float)
+    S = np.asarray(pred_strong, dtype=float)
+    if W.shape != S.shape:
+        raise ContractError("weak and strong prediction lists must have equal shape")
+    if W.shape[0] < 1:
+        raise ContractError("need at least one prediction pair")
+    mask = W.max(axis=1) > threshold
+    return float(np.where(mask, _nll_at(S, W.argmax(axis=1)), 0.0).mean())

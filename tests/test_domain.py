@@ -78,8 +78,8 @@ class TestBce:
         clf = zero_logit_classifier(1)
         g_src = bce_gradient_arrays(clf, np.zeros((1, 1)), [1.0])
         g_tgt = bce_gradient_arrays(clf, np.zeros((1, 1)), [0.0])
-        assert g_src.layers[0][1][0] == pytest.approx(-0.5, abs=1e-12)
-        assert g_tgt.layers[0][1][0] == pytest.approx(0.5, abs=1e-12)
+        assert clf.net.split(g_src)[0][1][0] == pytest.approx(-0.5, abs=1e-12)
+        assert clf.net.split(g_tgt)[0][1][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -88,7 +88,7 @@ class TestBce:
         t = rng.integers(0, 2, size=8).astype(float)
         g = bce_gradient_arrays(clf, X, t)
         fd = fd_layers(lambda: bce_loss(clf, X, t), clf.net, eps=1e-5)
-        assert rel_err(flat(fd), flat(g.layers)) <= 1e-4
+        assert rel_err(flat(fd), g) <= 1e-4
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
@@ -101,7 +101,7 @@ class TestBce:
         for scale in [1.0, 2.0, 4.0, 8.0, 16.0]:
             clf = linear_logit_classifier([scale])
             g = bce_gradient_arrays(clf, X, t)
-            norms.append(np.linalg.norm(flat(g.layers)))
+            norms.append(np.linalg.norm(g))
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
 
@@ -220,4 +220,4 @@ class TestDensityLogitUpstream:
         s = (softmax(R * Z / 1.5, axis=1) * Z).sum(axis=1)
         density = (s * R).mean()
         assert abs(density) > 1e7
-        assert g.layers[0][1][0] == pytest.approx(bce + density, rel=1e-12)
+        assert dom.net.split(g)[0][1][0] == pytest.approx(bce + density, rel=1e-12)

@@ -59,7 +59,7 @@ def test_dimension_mismatch_raises():
 def test_parameter_free_maps_have_empty_gradient():
     fmap = identity_map(2)
     g = feature_backward_batch(fmap, np.array([[1.0, 2.0]]), np.ones((1, fmap.out_dim)))
-    assert g.layers == [] and (g + g).layers == []
+    assert g.shape == (0,) and (g + g).shape == (0,)
 
 
 def test_single_linear_layer_gradient_is_outer_product():
@@ -69,8 +69,9 @@ def test_single_linear_layer_gradient_is_outer_product():
     x = rng.normal(size=2)
     u = rng.normal(size=3)
     g = feature_backward_batch(fmap, x[None], u[None])
-    np.testing.assert_allclose(g.layers[0][0], np.outer(u, x), atol=1e-12)
-    np.testing.assert_allclose(g.layers[0][1], u, atol=1e-12)
+    (dW, db), = fmap.split(g)
+    np.testing.assert_allclose(dW, np.outer(u, x), atol=1e-12)
+    np.testing.assert_allclose(db, u, atol=1e-12)
 
 
 def test_two_layer_tanh_matches_finite_differences():
@@ -80,7 +81,7 @@ def test_two_layer_tanh_matches_finite_differences():
     u = rng.normal(size=3)
     g = feature_backward_batch(fmap, x[None], u[None])
     fd = fd_layers(lambda: float(u @ forward_one(fmap, x)), fmap, eps=1e-5)
-    assert rel_err(flat(fd), flat(g.layers)) <= 1e-4
+    assert rel_err(flat(fd), g) <= 1e-4
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -94,7 +95,7 @@ def test_random_instances_match_finite_differences(trial):
     u = rng.normal(size=m)
     g = feature_backward_batch(fmap, x[None], u[None])
     fd = fd_layers(lambda: float(u @ forward_one(fmap, x)), fmap, eps=1e-5)
-    assert rel_err(flat(fd), flat(g.layers)) <= 1e-4
+    assert rel_err(flat(fd), g) <= 1e-4
 
 
 def test_forward_is_pure_and_bitwise_repeatable():
@@ -115,7 +116,7 @@ def test_backward_linear_in_upstream():
     g2 = feature_backward_batch(fmap, x[None], u2[None])
     g = feature_backward_batch(fmap, x[None], (a * u1 + b * u2)[None])
     np.testing.assert_allclose(
-        flat(g.layers), a * flat(g1.layers) + b * flat(g2.layers), atol=1e-12
+        g, a * g1 + b * g2, atol=1e-12
     )
 
 
@@ -147,7 +148,61 @@ def test_backward_from_cached_activations_is_bitwise_equal_to_recomputing():
     acts = _forward_activations(fmap, X)
     np.testing.assert_array_equal(acts[-1], feature_forward_batch(fmap, X))
     g = feature_backward_batch(fmap, X, U, weights=w, acts=acts)
-    np.testing.assert_array_equal(flat(g.layers), flat(reference_backward(fmap, X, U, w)))
+    np.testing.assert_array_equal(g, flat(reference_backward(fmap, X, U, w)))
+
+
+def test_construction_copies_and_leaves_the_layers_argument_untouched():
+    W, b = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [0.5, -0.5, 0.0]
+    layers = [(W, b)]
+    fmap = FeatureMap(2, 3, layers)
+    assert type(layers[0][0]) is list and type(layers[0][1]) is list and layers == [(W, b)]
+    Wa, ba = np.array(W), np.array(b)
+    from_tuple = FeatureMap(2, 3, ((Wa, ba),))
+    Wa[0, 0], ba[0] = 9.0, 9.0
+    np.testing.assert_array_equal(from_tuple.params, fmap.params)
+    np.testing.assert_array_equal(fmap.params, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5, -0.5, 0.0])
+
+
+def layer_arrays(fmap):
+    return [a for layer in fmap.layers for a in layer]
+
+
+def assert_layers_view_params(fmap):
+    """layers are views of params, laid out [W_1, b_1, ..., W_L, b_L] row-major."""
+    for W, b in fmap.layers:
+        assert np.shares_memory(W, fmap.params) and np.shares_memory(b, fmap.params)
+    np.testing.assert_array_equal(fmap.params, flat(fmap.layers))
+
+
+def test_layers_are_views_of_one_parameter_vector():
+    fmap = init_mlp(3, [5, 4], 2, seed=8)
+    assert fmap.params.shape == (3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2,)
+    for built in (fmap, fmap.copy(), feature_map_from_json(feature_map_to_json(fmap))):
+        assert_layers_view_params(built)
+        np.testing.assert_array_equal(built.params, fmap.params)
+    assert identity_map(4).params.size == 0 and identity_map(4).layers == []
+
+
+def test_copy_shares_no_memory_with_the_original():
+    fmap = init_mlp(2, [3], 2, seed=1)
+    twin = fmap.copy()
+    arrays = [fmap.params, *layer_arrays(fmap)]
+    for a in [twin.params, *layer_arrays(twin)]:
+        assert not any(np.shares_memory(a, b) for b in arrays)
+
+
+def test_in_place_step_on_params_is_bitwise_the_per_layer_step():
+    rng = np.random.default_rng(12)
+    fmap = init_mlp(2, [16, 8], 4, seed=6)
+    X = rng.normal(size=(64, 2))
+    g = feature_backward_batch(fmap, X, rng.normal(size=(64, 4)))
+    for (dW, db), (W, b) in zip(fmap.split(g), fmap.layers):
+        assert np.shares_memory(dW, g) and dW.shape == W.shape and db.shape == b.shape
+    stepped = FeatureMap(2, 4, [(W - 0.1 * dW, b - 0.1 * db)
+                                for (W, b), (dW, db) in zip(fmap.layers, fmap.split(g))])
+    fmap.params -= 0.1 * g
+    np.testing.assert_array_equal(fmap.params, stepped.params)
+    np.testing.assert_array_equal(feature_forward_batch(fmap, X), feature_forward_batch(stepped, X))
 
 
 def test_json_roundtrip():

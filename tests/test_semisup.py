@@ -11,17 +11,17 @@ from drshift import (
     ContractError,
     SslConfig,
     TrainConfig,
-    consistency_loss,
     default_classifier,
     default_shift_spec,
     dataset_from_arrays,
     generate_gaussian_shift,
 )
 from drshift.features import _forward_activations
-from drshift.robust import _predict_from_scores, _score_gradient
+from drshift.robust import _predict_from_scores, _score_gradient, class_scores
 from drshift.semisup import _unsup_gradient, run_drssl
 
 from helpers import default_models, flat
+from oracle import consistency_loss
 
 
 def strong_branch(clf, X_strong, ratios, pseudo, mask, loss_weight=1.0):
@@ -72,6 +72,21 @@ class TestConsistencyLoss:
 
 
 class TestUnsupGradient:
+    def test_loss_is_the_oracle_consistency_loss(self):
+        # The strong predictions _unsup_gradient scores are the train-mode
+        # predictions at the weak branch's pseudo-labels.
+        rng = np.random.default_rng(8)
+        clf = default_classifier(2, 3, seed=9, r=0.5)
+        clf.theta = rng.normal(size=clf.theta.shape)
+        X_strong = rng.normal(size=(40, 2))
+        ratios = rng.uniform(0.5, 2.0, size=40)
+        weak = rng.dirichlet(np.ones(3) * 0.3, size=40)
+        pseudo, mask = weak.argmax(axis=1), weak.max(axis=1) > 0.7
+        assert mask.any() and not mask.all()
+        strong, _ = _predict_from_scores(clf, class_scores(clf, X_strong), ratios, pseudo)
+        loss, _, _ = strong_branch(clf, X_strong, ratios, pseudo, mask, loss_weight=1.0)
+        assert loss == consistency_loss(weak, strong, 0.7)
+
     def test_no_gradient_path_through_weak_branch(self):
         # identical pseudo-labels and mask => identical gradients regardless
         # of what the weak predictions were
@@ -85,7 +100,7 @@ class TestUnsupGradient:
         loss2, g2, f2 = strong_branch(clf, X_strong, ratios, pseudo, mask)
         assert loss1 == loss2
         np.testing.assert_array_equal(g1, g2)
-        np.testing.assert_array_equal(flat(f1.layers), flat(f2.layers))
+        np.testing.assert_array_equal(f1, f2)
 
     def test_fully_masked_batch_contributes_nothing(self):
         rng = np.random.default_rng(2)
@@ -94,7 +109,7 @@ class TestUnsupGradient:
         loss, g, f = strong_branch(clf, X, np.ones(4), np.zeros(4, int), np.zeros(4, bool))
         assert loss == 0.0
         assert np.abs(g).max() == 0.0
-        assert np.abs(flat(f.layers)).max() == 0.0
+        assert np.abs(f).max() == 0.0
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -113,7 +128,7 @@ class TestUnsupGradient:
         fd_theta = fd_matrix(loss, clf.theta, eps=1e-5)
         assert rel_err(fd_theta, g_theta) <= 1e-4
         fd_feat = fd_layers(loss, clf.feature_map, eps=1e-5)
-        assert rel_err(flat(fd_feat), flat(g_feat.layers)) <= 1e-4
+        assert rel_err(flat(fd_feat), g_feat) <= 1e-4
 
     def test_loss_weight_scales_the_gradient(self):
         rng = np.random.default_rng(4)
@@ -127,7 +142,7 @@ class TestUnsupGradient:
         loss_half, g_half, f_half = strong_branch(clf, X, ratios, pseudo, mask, 0.5)
         assert loss_half == pytest.approx(0.5 * loss1, rel=1e-12)
         np.testing.assert_allclose(g_half, 0.5 * g1, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(flat(f_half.layers), 0.5 * flat(f1.layers), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(f_half, 0.5 * f1, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, "uniform"])
     def test_gradient_is_bitwise_the_one_hot_form(self, r):
@@ -151,7 +166,7 @@ class TestUnsupGradient:
             g_ref, f_ref = _score_gradient(clf, acts, G, mask * 0.7 / n)
             _, g, f = _unsup_gradient(clf, acts, ratios, pseudo, mask, 0.7)
             np.testing.assert_array_equal(g, g_ref)
-            np.testing.assert_array_equal(flat(f.layers), flat(f_ref.layers))
+            np.testing.assert_array_equal(f, f_ref)
 
 
 def small_setup(seed=0, n_labeled=12, n_target=48):
