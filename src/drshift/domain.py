@@ -22,8 +22,14 @@ from .features import _blocked_head, _forward_activations, feature_backward_batc
 DEFAULT_RATIO_BOUNDS = (1e-3, 1e3)
 
 
-@dataclass
+@dataclass(eq=False)
 class DomainClassifier:
+    """A single-logit network whose clamped exp(logit) is the density ratio.
+
+    == is identity. Two domain classifiers have equal parameters when
+    np.array_equal(a.net.params, b.net.params).
+    """
+
     net: object  # FeatureMap with scalar output
     ratio_bounds: tuple = DEFAULT_RATIO_BOUNDS
 

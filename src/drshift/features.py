@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureMap:
     """A tanh MLP whose parameters live in one float vector.
 
@@ -23,6 +23,9 @@ class FeatureMap:
     row-major order, and layers holds (W, b) views of it, so an in-place
     step on params moves the layers. Construction copies the given arrays
     into a new params and leaves its layers argument as it was.
+
+    == is identity. Two maps of the same shape have equal parameters when
+    np.array_equal(a.params, b.params).
     """
 
     in_dim: int

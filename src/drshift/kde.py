@@ -17,9 +17,10 @@ from .features import identity_map
 from .robust import RobustClassifier, _nll_at, grad_source, predict_proba
 
 # Query rows x training points per block of the pairwise pass in
-# kde_log_density. Its (rows, n) buffers then hold 8192 floats (64 KiB) at
-# any d, which keeps the peak memory of plugin-sim flat.
-_BLOCK_PAIRS = 8192
+# kde_log_density. Its (rows, n) buffers then hold 32768 floats (256 KiB) at
+# any d, which keeps the peak memory of plugin-sim flat in n. Each row's sum
+# is its own, so the block size does not change the result's bits.
+_BLOCK_PAIRS = 32768
 
 # Stopping rule and backtracking budget of _train_frozen_feature_model.
 _FIT_RTOL = 1e-9

@@ -48,8 +48,16 @@ class Prediction:
     log_partition: float
 
 
-@dataclass
+@dataclass(eq=False)
 class RobustClassifier:
+    """Class weights theta over a feature map, with the class-regularization
+    strength r and the bounds its ratios must lie in.
+
+    == is identity. Two classifiers have equal parameters when
+    np.array_equal(a.theta, b.theta) and their feature maps' params are
+    array-equal.
+    """
+
     theta: np.ndarray  # (C, m) class weights
     feature_map: object
     r: float = 0.0
@@ -234,14 +242,16 @@ def dual_objective(clf, X, ratios, constraint):
     return float(logZ.mean() - np.sum(clf.theta * constraint))
 
 
-def grad_source(clf, batch, ratios, weights=None):
+def grad_source(clf, batch, ratios, weights=None, acts=None):
     """Source-measure gradient of the dual in theta and the feature parameters.
 
     batch is an (X, y) pair. Per sample, f is the train-mode prediction at
     label y_i, and grad theta_y = sum_i w_i (f_y(x_i) - 1{y_i=y}) phi(x_i);
     the per-sample feature upstream is u_i = sum_y (f_y(x_i) - 1{y_i=y})
     theta_y. Weights default to 1/n. For r = 0 these are exactly the
-    change-of-measure gradients of dual_objective.
+    change-of-measure gradients of dual_objective. acts, when given, holds
+    the activations of a forward pass over X at the current parameters (from
+    _forward_activations); otherwise the forward pass is run here.
     """
     X, y = np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=int)
     n = X.shape[0]
@@ -250,7 +260,8 @@ def grad_source(clf, batch, ratios, weights=None):
     ratios = _check_ratios(clf, ratios, n)
     w = _row_weights(weights, n)
 
-    acts = _forward_activations(clf.feature_map, X)
+    if acts is None:
+        acts = _forward_activations(clf.feature_map, X)
     probs, _ = _predict_from_scores(clf, acts[-1] @ clf.theta.T, ratios, y)
     diff = probs.copy()
     diff[np.arange(n), y] -= 1.0

@@ -39,7 +39,7 @@ def test_identity_forward():
     # identity_map is the map with no layers; its forward pass hands back
     # the input rows themselves.
     fmap = identity_map(2)
-    assert fmap == FeatureMap(2, 2)
+    assert (fmap.in_dim, fmap.out_dim, fmap.n_layers, fmap.params.size) == (2, 2, 0, 0)
     X = np.array([[0.3, -2.0], [1.5, 0.0]])
     assert feature_forward_batch(fmap, X) is X
 
@@ -189,6 +189,15 @@ def test_copy_shares_no_memory_with_the_original():
     arrays = [fmap.params, *layer_arrays(fmap)]
     for a in [twin.params, *layer_arrays(twin)]:
         assert not any(np.shares_memory(a, b) for b in arrays)
+
+
+def test_model_equality_is_identity_and_never_raises():
+    # Equal parameters are np.array_equal of the params; == never compares
+    # arrays, so it answers rather than raising on their truth value.
+    for model in (init_mlp(2, [2], 1), default_classifier(2, 2), default_domain_classifier(2)):
+        twin = model.copy()
+        assert model == model
+        assert model != twin
 
 
 def test_in_place_step_on_params_is_bitwise_the_per_layer_step():

@@ -105,8 +105,12 @@ class TestLogDensity:
 class TestMatrixQueries:
     # n points and m queries chosen against the block of _BLOCK_PAIRS pairs:
     # several blocks with a partial last one, and n above the block (one
-    # query per block).
+    # query per block). The first three shapes are fixed ones that fit in
+    # one block or a few.
     @pytest.mark.parametrize("n,m", [
+        (400, 47),
+        (2000, 13),
+        (8197, 3),
         (400, 2 * (_BLOCK_PAIRS // 400) + 7),
         (2000, 3 * (_BLOCK_PAIRS // 2000) + 1),
         (_BLOCK_PAIRS + 5, 3),

@@ -225,9 +225,9 @@ class TestRunDrssl:
             run_drssl(one_class, target, cfg, *default_models(one_class, cfg.base.seed))
 
 
-def test_drssl_step_runs_the_classifier_forward_twice(monkeypatch):
+def test_drssl_step_runs_the_classifier_forward_once(monkeypatch):
     # One batch, no domain net and an unlabeled target: the step's only
-    # forward passes are the labeled rows' and the shared weak/strong pass.
+    # forward pass is the one over its 12 labeled, 16 weak and 16 strong rows.
     labeled, target = small_setup(seed=5, n_target=16)
     unlabeled = dataset_from_arrays(target.X, None, "target", 2)
     cfg = SslConfig(augmentation=AugmentationSpec(seed=5), base=TrainConfig(epochs=1, seed=5))
@@ -243,4 +243,65 @@ def test_drssl_step_runs_the_classifier_forward_twice(monkeypatch):
     clf, _ = default_models(labeled, cfg.base.seed)
     _, _, hist = run_drssl(labeled, unlabeled, cfg, clf, None)
     assert len(hist) == 1
-    assert calls == [12, 32]
+    assert calls == [44]
+
+
+def test_strong_branch_runs_only_on_steps_with_a_confident_weak_row(monkeypatch):
+    labeled, target = small_setup(seed=6)
+    cfg = SslConfig(threshold=0.6, augmentation=AugmentationSpec(seed=6),
+                    base=TrainConfig(epochs=4, seed=6))
+    masked_steps, calls = [], []
+    original_unsup = drshift.semisup._unsup_gradient
+    original_predict = drshift.semisup._predict_from_scores
+
+    def recording_predict(clf, Z, ratios, labels=None):
+        out = original_predict(clf, Z, ratios, labels)
+        if labels is None:  # the weak branch's test-mode predictions
+            masked_steps.append(bool((out[0].max(axis=1) > cfg.threshold).any()))
+        return out
+
+    def counting_unsup(*args):
+        calls.append(1)
+        return original_unsup(*args)
+
+    monkeypatch.setattr(drshift.semisup, "_predict_from_scores", recording_predict)
+    monkeypatch.setattr(drshift.semisup, "_unsup_gradient", counting_unsup)
+    run_drssl(labeled, target, cfg, *default_models(labeled, cfg.base.seed))
+    assert len(masked_steps) == 4 * 3
+    assert 0 < sum(masked_steps) < len(masked_steps)
+    assert len(calls) == sum(masked_steps)
+
+
+def test_run_no_weak_row_can_pass_trains_the_zero_weight_model():
+    # The steps whose strong branch is skipped take exactly the supervised
+    # gradient, as every step of a run with loss_weight = 0 does.
+    labeled, target = small_setup(seed=7)
+    base = TrainConfig(epochs=3, seed=7)
+    aug = AugmentationSpec(seed=7)
+    unreachable = SslConfig(threshold=1.0 - 1e-12, augmentation=aug, base=base)
+    weightless = SslConfig(loss_weight=0.0, augmentation=aug, base=base)
+    clf_a, dom_a, hist = run_drssl(labeled, target, unreachable,
+                                   *default_models(labeled, base.seed))
+    clf_b, dom_b, _ = run_drssl(labeled, target, weightless, *default_models(labeled, base.seed))
+    assert all(h["mask_rate"] == 0.0 and h["unsup_loss"] == 0.0 for h in hist)
+    assert clf_a.theta.tobytes() == clf_b.theta.tobytes()
+    assert clf_a.feature_map.params.tobytes() == clf_b.feature_map.params.tobytes()
+    assert dom_a.net.params.tobytes() == dom_b.net.params.tobytes()
+
+
+def test_out_of_bounds_strong_ratio_rejected(monkeypatch):
+    # The strong rows' ratios are checked before the weak branch, so a
+    # step that skips the strong branch still checks them.
+    labeled, target = small_setup(seed=8, n_target=16)
+    cfg = SslConfig(augmentation=AugmentationSpec(seed=8), base=TrainConfig(epochs=1, seed=8))
+    clf, dom = default_models(labeled, cfg.base.seed)
+    original = drshift.semisup._ratios
+
+    def bad_last_row(dom, X, epoch=None):
+        ratios = original(dom, X, epoch)
+        ratios[-1] = 10 * clf.ratio_bounds[1]  # the last strong row
+        return ratios
+
+    monkeypatch.setattr(drshift.semisup, "_ratios", bad_last_row)
+    with pytest.raises(ContractError, match="ratio outside bounds"):
+        run_drssl(labeled, target, cfg, clf, dom)
