@@ -34,7 +34,8 @@ class FeatureMap:
 
     def __post_init__(self):
         # arrays in params order, and each layer's (W start, b start, b end,
-        # W shape) in params, so split slices without recomputing sizes.
+        # W shape) in params, so split and feature_backward_batch slice
+        # without recomputing sizes.
         arrays, self._spans, fan_in, end = [], [], self.in_dim, 0
         for i, (W, b) in enumerate(self.layers):
             W = np.asarray(W, dtype=float)
@@ -163,11 +164,10 @@ def feature_backward_batch(fmap, X, U, weights=None, acts=None):
     # The map is linear in upstream, so the weights fold into the first delta.
     delta = U * w[:, None]
     grad = np.empty_like(fmap.params)
-    grads = fmap.split(grad)
     for i in range(fmap.n_layers - 1, -1, -1):
-        dW, db = grads[i]
-        np.matmul(delta.T, acts[i], out=dW)
-        delta.sum(axis=0, out=db)
+        lo, mid, hi, shape = fmap._spans[i]
+        np.matmul(delta.T, acts[i], out=grad[lo:mid].reshape(shape))
+        delta.sum(axis=0, out=grad[mid:hi])
         if i > 0:
             # tanh' written in terms of the activation a = tanh(z): 1 - a^2.
             delta = (delta @ fmap.layers[i][0]) * (1.0 - acts[i] * acts[i])

@@ -360,19 +360,32 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
     """The update rule every trainer shares, run on copies of clf and dom;
     returns (clf, dom, history).
 
-    Each epoch, plan(rng) yields the batches (Xs_rest, Xb_s, yb_s, tb_s,
-    Xb_t), with rng seeded by cfg.seed: the source-side inputs Xs_rest of
-    this batch and of the epoch's batches after it, in the order the plan
-    serves them, the batch's own source-side inputs Xb_s (the first rows of
-    Xs_rest), labels yb_s and domain tags tb_s, which the domain step reads,
-    and the target-side inputs Xb_t. Every domain_update_period-th batch,
-    unless dom is None, the domain net takes one SGD step on
-    _domain_gradient. Every batch theta and the feature parameters take one
-    momentum-SGD step on the (grad theta, feature gradient) pair of
-    model_gradient(clf, dom, step, Xs_rest, Xb_s, yb_s, Xb_t, epoch), where
-    step counts the batches before this one over all epochs, after which a
-    non-finite theta raises DivergenceError. epoch_record(clf, dom, epoch)
-    gives the epoch's history record.
+    Each epoch, plan(rng) yields the steps (X_rest, Xb, yb, tb_s, Xb_t), with
+    rng seeded by cfg.seed: the rows Xb whose ratios the step trains on, the
+    same number every step; X_rest, which holds Xb and then the rows of the
+    epoch's later steps, in the order the plan serves them; the labels yb;
+    and the domain step's inputs, the source tags tb_s of its source rows
+    Xb[:len(tb_s)] and its target rows Xb_t. Every domain_update_period-th
+    step, unless dom is None, the domain net takes one SGD step on
+    _domain_gradient.
+
+    The loop owns the ratio read (ones when dom is None). After each domain
+    step, and at the start of each epoch, one domain-net pass reads the
+    ratios of the rows of the steps up to the next domain step or the end
+    of the epoch, at most domain_update_period steps, and checks them once
+    against clf.ratio_bounds. Each step takes its slice of that read, so an
+    epoch reads each row it trains on once. A row's ratio depends on that
+    row alone, so the values are those of a read per step. The bits are too
+    only if the domain net's matmuls give a row the same result whatever
+    the number of rows in the pass; the golden tests of tests/test_core.py
+    check that on the numpy and BLAS they run with.
+
+    Every step theta and the feature parameters then take one momentum-SGD
+    step on the grad_theta and feature_grad of
+    model_gradient(clf, (Xb, yb), ratios), ratios being the step's slice, as
+    grad_source takes them; a non-finite theta after it raises
+    DivergenceError. epoch_record(clf, dom, epoch) gives the epoch's history
+    record.
 
     The optimizer steps update theta and the flat params of these copies
     in place; the caller's clf and dom are never written.
@@ -381,13 +394,21 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
     dom = dom.copy() if dom is not None else None
     rng = np.random.default_rng(cfg.seed)
     opt = _Momentum(clf, cfg.lr_model, cfg.momentum)
+    period = cfg.domain_update_period
     history = []
     step = 0
     for epoch in range(cfg.epochs):
-        for Xs_rest, Xb_s, yb_s, tb_s, Xb_t in plan(rng):
-            if dom is not None and step % cfg.domain_update_period == 0:
-                dom.net.params -= cfg.lr_domain * _domain_gradient(clf, dom, Xb_s, tb_s, Xb_t)
-            opt.step(*model_gradient(clf, dom, step, Xs_rest, Xb_s, yb_s, Xb_t, epoch))
+        for b, (X_rest, Xb, yb, tb_s, Xb_t) in enumerate(plan(rng)):
+            k, n = step % period, len(Xb)
+            if k == 0 and dom is not None:
+                dom.net.params -= cfg.lr_domain * _domain_gradient(
+                    clf, dom, Xb[:len(tb_s)], tb_s, Xb_t)
+            if k == 0 or b == 0:
+                read = _ratios(dom, X_rest[:(period - k) * n], epoch)
+                ratios, used = _check_ratios(clf, read, len(read)), 0
+            g = model_gradient(clf, (Xb, yb), ratios[used:used + n])
+            used += n
+            opt.step(g.grad_theta, g.feature_grad)
             _require_finite(clf.theta, "theta", epoch)
             step += 1
         history.append(epoch_record(clf, dom, epoch))
@@ -397,8 +418,9 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
 def _batch_plan(source, target, batch_size):
     """plan for _train_loop: each epoch one permutation of the source and,
     unless target is None, one of the target, gathered once and cut into
-    equal batches (views of the gathered rows). A batch's Xs_rest runs
-    from its first source row to the last row of the epoch's last batch."""
+    equal batches (views of the gathered rows). A batch's ratio rows are its
+    source rows, and its X_rest runs from its first source row to the last
+    row of the epoch's last batch."""
     Xs, ys, ts = source.X, source.y, source.is_source
     Xt = None if target is None else target.X
     n_s = len(source)
@@ -464,17 +486,9 @@ def _train_pass(source, target, clf, dom, cfg, record=None):
     """The training of train_end_to_end with record as the epoch_record of
     _train_loop; returns (clf, dom, history).
 
-    The model gradient is grad_source at the domain net's ratios (ones when
-    dom is None). One domain-net pass reads the ratios of the source rows
-    of the batches from a domain step, or from the start of an epoch, up
-    to the next domain step or the end of the epoch: at most
-    domain_update_period batches. Each batch takes its slice of that read,
-    so each epoch reads every source row it trains on once, as a read per
-    batch would. A row's ratio depends on that row alone, so the values
-    are those of a read per batch. The bits are too only if the domain
-    net's matmuls give a row the same result whatever the number of rows
-    in the pass; the golden tests of tests/test_core.py check that on the
-    numpy and BLAS they run with.
+    The model gradient is grad_source itself, at the ratios of the loop's
+    read (ones when dom is None): each batch's source rows, read in one
+    domain-net pass per domain period.
 
     The default record keeps no history (None per epoch) and evaluates only
     the check a diverged model trips: the dual objective over the target,
@@ -492,20 +506,8 @@ def _train_pass(source, target, clf, dom, cfg, record=None):
                 raise DivergenceError(f"non-finite training state at epoch {epoch}",
                                       state={"epoch": epoch, "dual": dual})
 
-    ratios, used, ratios_epoch = None, 0, None
-
-    def model_gradient(clf, dom, step, Xs_rest, Xb_s, yb_s, Xb_t, epoch):
-        nonlocal ratios, used, ratios_epoch
-        n, k = len(Xb_s), step % cfg.domain_update_period
-        if k == 0 or epoch != ratios_epoch:
-            ratios = _ratios(dom, Xs_rest[:(cfg.domain_update_period - k) * n], epoch)
-            used, ratios_epoch = 0, epoch
-        g = grad_source(clf, (Xb_s, yb_s), ratios[used:used + n])
-        used += n
-        return g.grad_theta, g.feature_grad
-
     plan = _batch_plan(source, target, cfg.batch_size)
-    return _train_loop(clf, dom, cfg, plan, model_gradient, record)
+    return _train_loop(clf, dom, cfg, plan, grad_source, record)
 
 
 def train_erm(source, cfg, clf=None):

@@ -14,10 +14,8 @@ from .errors import ConfigError, ContractError, DivergenceError
 from .features import _forward_activations
 from .robust import (
     TrainConfig,
-    _check_ratios,
     _nll_at,
     _predict_from_scores,
-    _ratios,
     _score_gradient,
     _train_loop,
     grad_source,
@@ -76,12 +74,22 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
     are 1 and there is no domain step, which is the plain
     softmax-confidence baseline.
 
-    Each step runs one classifier forward pass over its labeled, weak and
-    strong rows. A step with no weak prediction above the threshold takes
-    the supervised gradient alone, since the strong-branch loss and
-    gradient are then exactly zero. At the drssl recipe of drshift.cli
-    that is the median share 0.77 of steps over seeds 0-19 (range
-    0.15-1.00).
+    The plan draws each epoch's batches up front, in the order of a
+    step-by-step draw: the labeled permutations (redrawn when one runs out)
+    from the loop's rng, then each batch's weak and strong augmentations
+    from the augmentation seed's generator. It stacks them into one epoch
+    array of [labeled; weak; strong] step rows, bs_l + 2M per step, whose
+    ratios the loop reads once per domain period. At seed 5 of the drssl
+    recipe of drshift.cli a traced run makes 321 domain_ratios calls (one
+    per domain step, one per mid-period epoch start, and the target
+    predictions of the 40 epoch records and the CLI's final evaluation),
+    not one per step (1,281), over the same 80,020 rows.
+
+    Each step runs one classifier forward pass over its rows. A step with
+    no weak prediction above the threshold takes the supervised gradient
+    alone, since the strong-branch loss and gradient are then exactly zero.
+    At the drssl recipe that is the median share 0.77 of steps over seeds
+    0-19 (range 0.15-1.00).
 
     History records per epoch: sup_loss, unsup_loss (already weighted by
     loss_weight), mask_rate, and target_acc when the unlabeled set carries
@@ -92,18 +100,23 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
     if (counts == 0).any():
         raise ContractError("every class needs at least one labeled sample")
 
-    rng_aug = np.random.default_rng(cfg.augmentation.seed)
+    aug = cfg.augmentation
+    rng_aug = np.random.default_rng(aug.seed)
     Xl, yl, Xu = labeled.X, labeled.y, unlabeled.X
-    n_l, n_u = len(labeled), len(unlabeled)
+    n_l, n_u, d = len(labeled), len(unlabeled), labeled.dim
     M = min(cfg.unlabeled_batch, n_u)
     bs_l = min(cfg.base.batch_size, n_l)
     tags = np.ones(bs_l)  # the domain step counts every labeled row as source
     n_batches = max(1, n_u // M)
+    width = bs_l + 2 * M  # rows per step: labeled, weak, strong
     sums = [0.0, 0.0, 0]  # this epoch's sup_loss, unsup_loss and masked count
 
     def plan(rng):
         perm_u = rng.permutation(n_u)
         perm_l = rng.permutation(n_l)
+        Xb_u = Xu[perm_u[: n_batches * M]].reshape(n_batches, M, d)
+        X_ep = np.empty((n_batches, width, d))
+        y_ep = np.empty((n_batches, bs_l), dtype=yl.dtype)
         li = 0
         for b in range(n_batches):
             if li + bs_l > n_l:
@@ -111,37 +124,35 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
                 li = 0
             rows = perm_l[li : li + bs_l]
             li += bs_l
-            Xb_l = Xl[rows]
-            yield Xb_l, Xb_l, yl[rows], tags, Xu[perm_u[b * M : (b + 1) * M]]
+            X_ep[b, :bs_l], y_ep[b] = Xl[rows], yl[rows]
+            X_ep[b, bs_l : bs_l + M] = augment_batch(Xb_u[b], aug, "weak", rng_aug)
+            X_ep[b, bs_l + M :] = augment_batch(Xb_u[b], aug, "strong", rng_aug)
+        X_ep = X_ep.reshape(n_batches * width, d)
+        for b in range(n_batches):
+            yield X_ep[b * width :], X_ep[b * width : (b + 1) * width], y_ep[b], tags, Xb_u[b]
 
-    # The weak and strong rows are drawn anew each step, so each step reads
-    # the ratios of the labeled, weak and strong rows in one domain-net pass
-    # and runs one classifier forward pass over the same rows; the plan
-    # yields no rows past the batch, and step goes unread.
-    def model_gradient(clf, dom, step, Xl_rest, Xb_l, yb_l, Xb_u, epoch):
-        Xw = augment_batch(Xb_u, cfg.augmentation, "weak", rng_aug)
-        Xst = augment_batch(Xb_u, cfg.augmentation, "strong", rng_aug)
-        X_all = np.vstack([Xb_l, Xw, Xst])
-        ratios = _ratios(dom, X_all, epoch)
-        ratios_u = _check_ratios(clf, ratios[bs_l:], 2 * M)
-        acts = _forward_activations(clf.feature_map, X_all)
-
-        g_sup = grad_source(clf, (Xb_l, yb_l), ratios[:bs_l], acts=[a[:bs_l] for a in acts])
-        sums[0] += float(_nll_at(g_sup.probs, yb_l).mean())
+    # The loop has read and checked the ratios of all the step's rows.
+    def model_gradient(clf, batch, ratios):
+        Xb, yb_l = batch
+        acts = _forward_activations(clf.feature_map, Xb)
+        g = grad_source(clf, (Xb[:bs_l], yb_l), ratios[:bs_l], acts=[a[:bs_l] for a in acts])
+        sums[0] += float(_nll_at(g.probs, yb_l).mean())
 
         Zw = acts[-1][bs_l:bs_l + M] @ clf.theta.T
-        Pw, _ = _predict_from_scores(clf, Zw, ratios_u[:M])
+        Pw, _ = _predict_from_scores(clf, Zw, ratios[bs_l:bs_l + M])
         mask = Pw.max(axis=1) > cfg.threshold
         if not mask.any():
             # The strong-branch loss and gradient are exactly zero.
-            return g_sup.grad_theta, g_sup.feature_grad
+            return g
         sums[2] += int(mask.sum())
         loss_u, g_theta_u, g_feat_u = _unsup_gradient(
-            clf, [a[bs_l + M:] for a in acts], ratios_u[M:], Pw.argmax(axis=1), mask,
+            clf, [a[bs_l + M:] for a in acts], ratios[bs_l + M:], Pw.argmax(axis=1), mask,
             cfg.loss_weight,
         )
         sums[1] += loss_u
-        return g_sup.grad_theta + g_theta_u, g_sup.feature_grad + g_feat_u
+        g.grad_theta += g_theta_u
+        g.feature_grad += g_feat_u
+        return g
 
     def record(clf, dom, epoch):
         sup_sum, unsup_sum, masked = sums

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import softmax
 
+import drshift.robust
 from drshift import (
+    AugmentationSpec,
     ConfigError,
     ContractError,
     RobustClassifier,
@@ -389,6 +393,34 @@ class TestTrainEndToEnd:
         _, _, h2 = train_end_to_end(source, target, clf, dom, cfg)
         assert h1 == h2
 
+    def test_out_of_bounds_source_ratio_from_the_period_read_rejected(self, monkeypatch):
+        # The training loop checks its ratio read before any step slices it,
+        # so one bad source row fails the run even though grad_source, which
+        # checks its own slice, is never reached with it.
+        source, target, clf, dom, cfg = tiny_training_problem()
+        original = drshift.robust._ratios
+        reads = []
+
+        def bad_last_row(dom, X, epoch=None):
+            ratios = original(dom, X, epoch)
+            ratios[-1] = 0.5 * clf.ratio_bounds[0]
+            reads.append(len(ratios))
+            return ratios
+
+        checked = []
+        original_grad = drshift.robust.grad_source
+
+        def recording_grad(clf, batch, ratios, *args, **kwargs):
+            checked.append(len(ratios))
+            return original_grad(clf, batch, ratios, *args, **kwargs)
+
+        monkeypatch.setattr(drshift.robust, "_ratios", bad_last_row)
+        monkeypatch.setattr(drshift.robust, "grad_source", recording_grad)
+        with pytest.raises(ContractError, match="ratio outside bounds"):
+            train_end_to_end(source, target, clf, dom, cfg)
+        # The first read covers a domain period of two 4-row batches.
+        assert reads == [8] and checked == []
+
     def test_without_domain_net_ratios_are_one(self):
         spec = default_shift_spec(seed=3, n_source=64, n_target=64)
         source, target, _ = generate_gaussian_shift(spec)
@@ -545,9 +577,9 @@ def model_reprs(clf, dom):
 
 class TestTrainerGoldenValues:
     """Tiny runs of the three trainers, captured by repr before the momentum
-    step moved to one flat parameter vector and the source ratios to one
-    read per domain period: neither may move a bit. Three batches per epoch
-    against a domain period of 2 make the second epoch start mid-period."""
+    step moved to one flat parameter vector and the ratios to one read per
+    domain period: neither may move a bit. Three batches per epoch against a
+    domain period of 2 make the second epoch start mid-period."""
 
     def test_train_end_to_end(self):
         source, target, clf0, dom0, cfg = tiny_training_problem()
@@ -638,6 +670,48 @@ class TestTrainerGoldenValues:
             " 'target_acc': 0.4166666666666667}, {'epoch': 1,"
             " 'sup_loss': 0.8886185921136829, 'unsup_loss': 0.7355701600915764,"
             " 'mask_rate': 0.8333333333333334, 'target_acc': 0.4166666666666667}]"
+        )
+
+    def test_run_drssl_with_epochs_starting_mid_period(self):
+        # Captured before DRSSL drew each epoch's batches up front and read
+        # their ratios once per domain period. Four batches per epoch against
+        # a domain period of 3 start epochs 1 and 2 mid-period, the 14
+        # labeled rows run out and are redrawn at each epoch's fourth batch,
+        # and the strong augmentation masks one of the two coordinates of
+        # every row, so both generators' streams are pinned.
+        source, target, clf0, dom0, cfg = tiny_training_problem()
+        cfg = replace(cfg, domain_update_period=3, epochs=3)
+        scfg = SslConfig(threshold=0.3345, unlabeled_batch=3, base=cfg,
+                         augmentation=AugmentationSpec(strong_mask_fraction=0.25, seed=9))
+        clf, dom, history = run_drssl(source, target, scfg, clf0, dom0)
+        theta, layers, dom_layers = model_reprs(clf, dom)
+        assert theta == (
+            "[[-0.08722151048235754, 0.18020540182400188], [0.16451820448642132,"
+            " -0.1444487876362762], [0.0029571444409791023, -0.10449300363015206]]"
+        )
+        assert layers == (
+            "[[[[-0.588458122959536, -0.40175075090557305], [0.4301961833402393,"
+            " 0.1172987917688311], [-0.5773852380687078, -0.10159394634853156]],"
+            " [-0.019583026304675, 0.012214676120984742, -0.01139792617826898]],"
+            " [[[-0.006741333141943446, -0.4014135169583686, 0.2807385451533686],"
+            " [-0.4814512206622635, -0.11142387315101206, 0.005683071765769716]],"
+            " [-0.05389908016177755, 0.062306154705492375]]]"
+        )
+        assert dom_layers == (
+            "[[[[0.6270729164461015, 0.0004562386438477673], [0.6775129491985723,"
+            " -0.5799891519499686], [0.14890271041217895, -0.19737471361757783]],"
+            " [0.00210955808990709, -0.001308149142091422, -8.173356280107783e-05]],"
+            " [[[0.34629264289020156, -0.3538856061441937, 0.43825550920104517]],"
+            " [-0.0005112026173023207]]]"
+        )
+        assert repr(history) == (
+            "[{'epoch': 0, 'sup_loss': 0.8898328573941948,"
+            " 'unsup_loss': 0.1476596604225256, 'mask_rate': 0.16666666666666666,"
+            " 'target_acc': 0.4166666666666667}, {'epoch': 1,"
+            " 'sup_loss': 0.888852865524993, 'unsup_loss': 0.6629878754486163,"
+            " 'mask_rate': 0.75, 'target_acc': 0.4166666666666667}, {'epoch': 2,"
+            " 'sup_loss': 0.8900197059906443, 'unsup_loss': 0.7936235391897543,"
+            " 'mask_rate': 0.9166666666666666, 'target_acc': 0.4166666666666667}]"
         )
 
 

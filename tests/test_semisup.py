@@ -290,18 +290,44 @@ def test_run_no_weak_row_can_pass_trains_the_zero_weight_model():
 
 
 def test_out_of_bounds_strong_ratio_rejected(monkeypatch):
-    # The strong rows' ratios are checked before the weak branch, so a
-    # step that skips the strong branch still checks them.
+    # The training loop checks every row of its ratio read, the strong rows
+    # among them, so a step that skips the strong branch still checks them.
     labeled, target = small_setup(seed=8, n_target=16)
     cfg = SslConfig(augmentation=AugmentationSpec(seed=8), base=TrainConfig(epochs=1, seed=8))
     clf, dom = default_models(labeled, cfg.base.seed)
-    original = drshift.semisup._ratios
+    original = drshift.robust._ratios
 
     def bad_last_row(dom, X, epoch=None):
         ratios = original(dom, X, epoch)
         ratios[-1] = 10 * clf.ratio_bounds[1]  # the last strong row
         return ratios
 
-    monkeypatch.setattr(drshift.semisup, "_ratios", bad_last_row)
+    monkeypatch.setattr(drshift.robust, "_ratios", bad_last_row)
     with pytest.raises(ContractError, match="ratio outside bounds"):
         run_drssl(labeled, target, cfg, clf, dom)
+
+
+def test_drssl_reads_the_ratios_once_per_domain_period(monkeypatch):
+    # 3 batches per epoch against a domain period of 2: a read after each
+    # domain step, one at each epoch start that falls mid-period, and the
+    # record's target read per epoch. The steps' reads cover each of their
+    # 12 labeled, 16 weak and 16 strong rows once.
+    labeled, target = small_setup(seed=9)
+    epochs, period = 3, 2
+    cfg = SslConfig(augmentation=AugmentationSpec(seed=9),
+                    base=TrainConfig(epochs=epochs, domain_update_period=period, seed=9))
+    rows = []
+    original = drshift.robust.domain_ratios
+
+    def counting(dom, X):
+        rows.append(X.shape[0])
+        return original(dom, X)
+
+    monkeypatch.setattr(drshift.robust, "domain_ratios", counting)
+    run_drssl(labeled, target, cfg, *default_models(labeled, cfg.base.seed))
+    n_batches, width = 3, 12 + 2 * 16
+    steps = epochs * n_batches
+    domain_steps = -(-steps // period)
+    mid_period_starts = sum((e * n_batches) % period != 0 for e in range(epochs))
+    assert len(rows) == domain_steps + mid_period_starts + epochs == 9
+    assert sum(rows) == steps * width + epochs * len(target)
