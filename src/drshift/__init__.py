@@ -35,9 +35,8 @@ from .features import (
     identity_map,
     init_mlp,
 )
-from .kde import KdeModel, fit_kde, kde_log_density, plugin_ratio, run_plugin_simulation
+from .kde import KdeModel, kde_log_density, plugin_ratio, run_plugin_simulation
 from .robust import (
-    Prediction,
     RobustClassifier,
     SourceGradient,
     TrainConfig,
@@ -48,7 +47,6 @@ from .robust import (
     dual_objective,
     feature_constraint,
     grad_source,
-    predict,
     predict_proba,
     target_predictions,
     train_end_to_end,

@@ -3,7 +3,8 @@ entropy, and a temperature-scaling baseline fitted by NLL minimization.
 
 All logarithms are natural. Confidence means the maximum predicted
 probability; predicted class is the argmax with ties going to the lowest
-class index.
+class index. Labels come one per row, each in [0, C) for C columns; any
+other labels are a ContractError.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _class_labels
 
 
 @dataclass
@@ -33,16 +34,15 @@ class CalibrationReport:
     bins: list
 
 
-def _as_probs(probs):
-    return np.atleast_2d(np.asarray(probs, dtype=float))
+def _as_rows(values):
+    """values as a float array of rows: a single row is a one-row batch."""
+    return np.atleast_2d(np.asarray(values, dtype=float))
 
 
 def brier(probs, labels):
     """Mean over samples of the summed squared gap to the one-hot label."""
-    P = _as_probs(probs)
-    y = np.asarray(labels, dtype=int)
-    if P.shape[0] != y.shape[0]:
-        raise ContractError("probs and labels must have equal length")
+    P = _as_rows(probs)
+    y = _class_labels(labels, *P.shape)
     if P.shape[0] == 0:
         raise ContractError("brier needs at least one sample")
     onehot = np.zeros_like(P)
@@ -59,10 +59,8 @@ def ece(probs, labels, n_bins=5):
     """
     if n_bins < 1:
         raise ContractError("n_bins must be >= 1")
-    P = _as_probs(probs)
-    y = np.asarray(labels, dtype=int)
-    if P.shape[0] != y.shape[0]:
-        raise ContractError("probs and labels must have equal length")
+    P = _as_rows(probs)
+    y = _class_labels(labels, *P.shape)
     n = P.shape[0]
     conf = P.max(axis=1)
     correct = (P.argmax(axis=1) == y).astype(float)
@@ -90,8 +88,8 @@ def miscls_entropy(probs, labels):
     Returns (entropy, all_correct); entropy is 0 when nothing was
     misclassified.
     """
-    P = _as_probs(probs)
-    y = np.asarray(labels, dtype=int)
+    P = _as_rows(probs)
+    y = _class_labels(labels, *P.shape)
     wrong = P.argmax(axis=1) != y
     if not wrong.any():
         return 0.0, True
@@ -146,8 +144,8 @@ def _mean_nll(L, L_label, temperature, L_max=None):
 
 def nll(logits, labels, temperature=1.0):
     """Mean negative log-likelihood of softmax(logits / T)."""
-    L = np.asarray(logits, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    L = _as_rows(logits)
+    y = _class_labels(labels, *L.shape)
     return _mean_nll(L, L[np.arange(L.shape[0]), y], temperature)
 
 
@@ -159,10 +157,10 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
     every NLL evaluation divides both by its T, which gives nll's values
     bitwise.
     """
-    L = np.asarray(logits, dtype=float)
+    L = _as_rows(logits)
     if L.shape[0] == 0:
         raise ContractError("fit_temperature needs at least one sample")
-    L_label = L[np.arange(L.shape[0]), np.asarray(labels, dtype=int)]
+    L_label = L[np.arange(L.shape[0]), _class_labels(labels, *L.shape)]
     L_max = _row_reduce(np.maximum, L)
 
     def f(log_t):
@@ -190,9 +188,10 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
 
 def calibration_report(probs, labels, n_bins=5):
     """Accuracy, Brier, ECE (with bins), and misclassification entropy."""
-    P = _as_probs(probs)
-    y = np.asarray(labels, dtype=int)
+    P = _as_rows(probs)
+    y = _class_labels(labels, *P.shape)
+    b = brier(P, y)  # first, so zero rows raise before any mean is taken
     acc = float((P.argmax(axis=1) == y).mean())
     e, bins = ece(P, y, n_bins)
     ent, _ = miscls_entropy(P, y)
-    return CalibrationReport(acc, brier(P, y), e, ent, bins)
+    return CalibrationReport(acc, b, e, ent, bins)

@@ -161,7 +161,7 @@ def load_config(path, seed_override=None, out_override=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
@@ -621,7 +621,7 @@ def cmd_compare(report_paths):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"malformed report {path}: {exc}") from exc
         models = doc.get("models") if isinstance(doc, dict) else None
         if not isinstance(models, list) or not all(isinstance(m, dict) for m in models):
@@ -629,6 +629,8 @@ def cmd_compare(report_paths):
         if not models:
             raise ConfigError(f"malformed report {path}: no evaluated models")
         for block in models:
+            if not isinstance(block.get("class_count"), (int, type(None))):
+                raise ConfigError(f"malformed report {path}: class_count must be an integer or null")
             rows.append((path, block))
             class_counts.append(block.get("class_count"))
     mismatch = len(set(class_counts)) > 1

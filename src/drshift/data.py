@@ -264,8 +264,11 @@ def load_csv(path, has_label, domain=SOURCE):
     comments=None keeps its default "#" from cutting a cell such as "1.0#c",
     which float() rejects. When numpy raises, the lines go to _parse_cells.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     stripped = [line.strip() for line in lines]
     linenos = [lineno for lineno, line in enumerate(stripped, 1) if line]
     rows = [line for line in stripped if line]

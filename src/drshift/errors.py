@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and its one per-row count check."""
+"""Exception types shared across the package, and its per-row checks."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -15,6 +17,17 @@ def _one_per_row(values, n, what):
     if values.shape != (n,):
         raise ContractError(f"expected one {what} per row: {values.size} {what}s for {n} rows")
     return values
+
+
+def _class_labels(labels, n, class_count):
+    """labels as an int array, or ContractError unless it holds one label for
+    each of n rows, each in [0, class_count)."""
+    y = _one_per_row(np.asarray(labels, dtype=np.int64), n, "label")
+    # As unsigned, a negative label exceeds any class count: one max checks both ends.
+    if n and y.view(np.uint64).max() >= class_count:
+        bad = y[(y < 0) | (y >= class_count)][0]
+        raise ContractError(f"label {bad} outside [0, {class_count})")
+    return y
 
 
 class CsvParseError(ConfigError):

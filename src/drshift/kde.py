@@ -40,6 +40,7 @@ class KdeModel:
         if self.points.shape[1] == 0:
             raise ConfigError(f"KDE points need at least one column, got shape {self.points.shape}")
         check_bandwidth(self.bandwidth)
+        self.bandwidth = float(self.bandwidth)
         if not np.isfinite(self.points).all():
             raise ConfigError("KDE training points must be finite")
 
@@ -60,31 +61,24 @@ def check_bandwidth(h, name="bandwidth"):
                           f"finite, got {h}")
 
 
-def fit_kde(points, bandwidth):
-    return KdeModel(points, float(bandwidth))
+def kde_log_density(model, X):
+    """Log of the isotropic-Gaussian mixture density at each row of the
+    (m, d) matrix X, an (m,) array.
 
-
-def kde_log_density(model, x):
-    """Log of the isotropic-Gaussian mixture density at x.
-
-    A (d,) query returns a float and an (m, d) matrix returns an (m,) array;
-    both go through the same blocked pairwise pass, so row i of the matrix
-    result equals the single-query result for row i bitwise. Squared
-    distances are summed one input dimension at a time, in order, which for
-    d < 8 is the order of ((p - x) ** 2).sum() over the length-d axis (numpy
-    sums 8 or more elements pairwise, so at d >= 8 the two can differ in the
-    last bit). The per-point exponents of each query are sorted before the
-    log-sum-exp so the result is bitwise invariant to the order of the
-    training points.
+    Squared distances are summed one input dimension at a time, in order,
+    which for d < 8 is the order of ((p - x) ** 2).sum() over the length-d
+    axis (numpy sums 8 or more elements pairwise, so at d >= 8 the two can
+    differ in the last bit). The per-point exponents of each query are
+    sorted before the log-sum-exp so the result is bitwise invariant to the
+    order of the training points.
     """
     P = model.points
     n, d = P.shape
     if n == 0:
         raise ContractError("KDE model has no points")
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != d:
-        raise ContractError(f"query must have dim {d}, got shape {x.shape}")
-    queries = np.atleast_2d(x)
+    queries = np.asarray(X, dtype=float)
+    if queries.shape[1:] != (d,):
+        raise ContractError(f"queries must be an (m, {d}) matrix, got shape {queries.shape}")
     h2 = model.bandwidth**2
     lse = np.empty(queries.shape[0])
     # Differences, not the |x|^2 + |p|^2 - 2 x.p expansion: the expansion
@@ -98,18 +92,15 @@ def kde_log_density(model, x):
         sq /= -2.0 * h2  # the exponents -sq / (2 h^2), bitwise
         sq.sort(axis=1)
         lse[start:start + step] = _lse_parts(sq)[0]
-    out = lse - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * h2)
-    return float(out[0]) if x.ndim == 1 else out
+    return lse - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * h2)
 
 
-def plugin_ratio(kde_source, kde_target, x, bounds=DEFAULT_RATIO_BOUNDS):
-    """Clamped exp(log p_s(x) - log p_t(x)): a float for a (d,) query, an
-    (m,) array for an (m, d) matrix."""
+def plugin_ratio(kde_source, kde_target, X, bounds=DEFAULT_RATIO_BOUNDS):
+    """Clamped exp(log p_s(x) - log p_t(x)) at each row x of the (m, d)
+    matrix X, an (m,) array."""
     if kde_source.dim != kde_target.dim:
         raise ContractError("source and target KDE dims differ")
-    log_r = kde_log_density(kde_source, x) - kde_log_density(kde_target, x)
-    r, _ = clamp_ratio(log_r, bounds)
-    return float(r) if np.ndim(r) == 0 else r
+    return clamp_ratio(kde_log_density(kde_source, X) - kde_log_density(kde_target, X), bounds)[0]
 
 
 def _train_frozen_feature_model(Phi, ys, ratios, class_count):
@@ -198,8 +189,8 @@ def run_plugin_simulation(spec, bandwidths):
     n_s = len(Xs)
     rows = []
     for h in bandwidths:
-        log_s = kde_log_density(fit_kde(Xs[tr_s], h), X_all)
-        log_t = kde_log_density(fit_kde(Xt[tr_t], h), X_all)
+        log_s = kde_log_density(KdeModel(Xs[tr_s], h), X_all)
+        log_t = kde_log_density(KdeModel(Xt[tr_t], h), X_all)
         ratios, _ = clamp_ratio(log_s - log_t, DEFAULT_RATIO_BOUNDS)
         clf = _train_frozen_feature_model(Xs_b, ys, ratios[:n_s], source.class_count)
         probs, _ = predict_proba(clf, Xt_b, ratios[n_s:])

@@ -30,7 +30,7 @@ from .domain import (
     clamp_ratio,
     domain_ratios,
 )
-from .errors import ConfigError, ContractError, DivergenceError, _one_per_row
+from .errors import ConfigError, ContractError, DivergenceError, _class_labels, _one_per_row
 from .features import (
     _blocked_head,
     _feature_map_doc,
@@ -40,12 +40,6 @@ from .features import (
     feature_map_from_json,
     init_mlp,
 )
-
-
-@dataclass
-class Prediction:
-    probs: np.ndarray
-    log_partition: float
 
 
 @dataclass(eq=False)
@@ -165,28 +159,10 @@ def _softmax_lse(logits):
     return e / s, lse
 
 
-def predict(clf, x, ratio, train_label=None):
-    """Robust prediction for one input at a given density ratio: row 0 of
-    predict_proba on the one-row batch x.
-
-    In train mode (train_label = y*) the class logits are
-    (R z_y + r 1{y=y*}) / (r 1{y=y*} + 1) with z_y = theta_y . phi(x).
-    In test mode the indicator is all-ones, which collapses to
-    softmax(R z / (1 + r)); that form is used verbatim so the temperature
-    identity holds exactly. With r = 0 the two modes coincide.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (clf.feature_map.in_dim,):
-        raise ConfigError(f"expected input of dim {clf.feature_map.in_dim}, got shape {x.shape}")
-    if train_label is not None and not 0 <= train_label < clf.class_count:
-        raise ContractError(f"train label {train_label} outside [0, {clf.class_count})")
-    labels = None if train_label is None else [train_label]
-    probs, lse = predict_proba(clf, x[None, :], ratio, labels)
-    return Prediction(probs[0], float(lse[0]))
-
-
 def predict_proba(clf, X, ratios, labels=None):
-    """Vectorized prediction; returns (probs (n, C), log-partition (n,))."""
+    """Robust predictions for the rows of X at their density ratios, in test
+    mode or, given one label in [0, C) per row, in train mode (see _logits);
+    returns (probs (n, C), log-partition (n,))."""
     Z = class_scores(clf, X)
     return _predict_from_scores(clf, Z, _check_ratios(clf, ratios, Z.shape[0]), labels)
 
@@ -198,13 +174,14 @@ def _nll_at(probs, labels):
 
 def _logits(clf, Z, ratios, labels=None):
     """Ratio-scaled logits of raw class scores Z (n, C): test mode
-    R z / (1 + r) when labels is None, else train mode at the labels, where
-    only the label entries differ from R z: they are (R z_y + r) / (r + 1)."""
+    R z / (1 + r), verbatim so the temperature identity is exact, when labels
+    is None, else train mode, where only the label entries differ from R z:
+    they are (R z_y + r) / (r + 1). At r = 0 the two modes coincide."""
     if labels is None:
         return ratios[:, None] * Z / (1.0 + clf.r)
     L = ratios[:, None] * Z
-    n = Z.shape[0]
-    at = (np.arange(n), _one_per_row(np.asarray(labels, dtype=int), n, "label"))
+    n, C = Z.shape
+    at = (np.arange(n), _class_labels(labels, n, C))
     L[at] = (L[at] + clf.r) / (clf.r + 1.0)
     return L
 
@@ -224,7 +201,7 @@ def _constraint_from_features(Phi, y, class_count, weights=None):
     n = Phi.shape[0]
     w = _row_weights(weights, n)
     c = np.zeros((class_count, Phi.shape[1]))
-    y = _one_per_row(np.asarray(y, dtype=int), n, "label")
+    y = _class_labels(y, n, class_count)
     for cls in range(class_count):
         mask = y == cls
         if mask.any():

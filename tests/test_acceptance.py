@@ -21,7 +21,7 @@ from drshift import (
     feature_constraint,
     grad_source,
     identity_map,
-    predict,
+    predict_proba,
     brier,
     ece,
     miscls_entropy,
@@ -70,14 +70,14 @@ def test_criterion_1_reduction_exactness():
         theta = rng.normal(size=(C, m))
         x = rng.normal(size=m)
         clf = RobustClassifier(theta, identity_map(m), 0.0)
-        p = predict(clf, x, 1.0)
-        max_gap = max(max_gap, np.abs(p.probs - softmax(theta @ x)).max())
+        probs, _ = predict_proba(clf, x[None], [1.0])
+        max_gap = max(max_gap, np.abs(probs[0] - softmax(theta @ x)).max())
 
         r = float(rng.uniform(0.0, 1.0))
         R = float(rng.uniform(0.01, 10.0))
         clf_r = RobustClassifier(theta, identity_map(m), r)
-        p_test = predict(clf_r, x, R)
-        if not np.array_equal(p_test.probs, softmax(R * (theta @ x) / (1.0 + r))):
+        p_test, _ = predict_proba(clf_r, x[None], [R])
+        if not np.array_equal(p_test[0], softmax(R * (theta @ x) / (1.0 + r))):
             temperature_ok = False
     elapsed = time.monotonic() - start
     report(
@@ -202,10 +202,10 @@ def test_criterion_4_conservativeness():
         clf = RobustClassifier(theta, identity_map(3), 0.0, (1e-3, 1e3))
         ents = []
         for R in grid:
-            p = predict(clf, x, R).probs
+            p = predict_proba(clf, x[None], [R])[0][0]
             ents.append(float(-(p * np.log(p)).sum()))
         ok = ok and all(a > b for a, b in zip(ents, ents[1:]))
-        p_small = predict(clf, x, 0.01).probs
+        p_small = predict_proba(clf, x[None], [0.01])[0][0]
         kl = float(np.log(C) + (p_small * np.log(p_small)).sum())
         kl_max = max(kl_max, kl)
     report(

@@ -285,3 +285,38 @@ def test_calibration_report_fields():
     assert 0.0 <= rep.brier <= 2.0
     assert 0.0 <= rep.miscls_entropy <= np.log(2) + 1e-12
     assert sum(b.count for b in rep.bins) == 40
+
+
+class TestLabels:
+    """Every metric takes one label per row, each in [0, C) for C columns."""
+
+    P = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
+    METRICS = {
+        "brier": lambda P, y: brier(P, y),
+        "ece": lambda P, y: ece(P, y),
+        "miscls_entropy": lambda P, y: miscls_entropy(P, y),
+        "nll": lambda P, y: nll(np.log(P), y),
+        "fit_temperature": lambda P, y: fit_temperature(np.log(P), y),
+        "calibration_report": lambda P, y: calibration_report(P, y),
+    }
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_a_label_count_other_than_the_row_count_is_rejected(self, metric):
+        with pytest.raises(ContractError, match="1 labels for 3 rows"):
+            self.METRICS[metric](self.P, [1])
+
+    @pytest.mark.parametrize("label", [-1, 2, 5])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_a_label_outside_the_classes_is_rejected(self, metric, label):
+        with pytest.raises(ContractError, match=f"label {label} outside"):
+            self.METRICS[metric](self.P, [0, label, 1])
+
+    def test_report_on_zero_rows_raises_before_any_mean(self):
+        # pytest turns the "Mean of empty slice" warning into an error.
+        with pytest.raises(ContractError, match="at least one sample"):
+            calibration_report(np.zeros((0, 2)), [])
+
+    def test_a_single_row_of_logits_is_a_one_row_batch(self):
+        L = np.log(self.P)
+        assert nll(L[0], [1]) == nll(L[:1], [1])
+        assert fit_temperature(L[0], [1]) == fit_temperature(L[:1], [1])

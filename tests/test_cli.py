@@ -413,8 +413,11 @@ class TestCompare:
     def test_malformed_report_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         r1, _ = self._two_reports(tmp_path)
-        for text in ["{not json", "[]", '{"models": [1]}', '{"models": "ab"}', "{}"]:
-            bad.write_text(text)
+        for text in [b"{not json", b"[]", b'{"models": [1]}', b'{"models": "ab"}', b"{}",
+                     b'{"models": [{"name": "\xff"}]}', b'{"models": [{"class_count": [2]}]}',
+                     b'{"models": [{"class_count": {"n": 2}}]}',
+                     b'{"models": [{"class_count": "2"}]}']:
+            bad.write_bytes(text)
             assert main(["compare", r1, str(bad)]) == 2, text
             assert "bad.json" in capsys.readouterr().err
 
@@ -574,6 +577,25 @@ def test_directory_as_data_path_is_config_error(tmp_path, capsys, field):
     cfg_path, _ = write_config(tmp_path, data=data)
     assert main(["train-drl", "--config", str(cfg_path)]) == 2
     assert f"data.{field}:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"seed": 0, "out_dir": "r\xffn"}')
+    assert main(["train-erm", "--config", str(path)]) == 2
+    assert "cfg.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["source_path", "target_path"])
+def test_non_utf8_csv_is_config_error(tmp_path, capsys, field):
+    (tmp_path / "s.csv").write_text("1.0,2.0,0\n3.0,4.0,1\n")
+    (tmp_path / "bad.csv").write_bytes(b"1.0,2.0,0\n3.0,\xff,1\n")
+    data = {"kind": "csv", "source_path": str(tmp_path / "s.csv"),
+            "target_path": str(tmp_path / "s.csv"), field: str(tmp_path / "bad.csv")}
+    cfg_path, _ = write_config(tmp_path, data=data)
+    assert main(["train-drl", "--config", str(cfg_path)]) == 2
+    assert "bad.csv" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

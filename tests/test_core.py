@@ -23,7 +23,6 @@ from drshift import (
     generate_gaussian_shift,
     grad_source,
     identity_map,
-    predict,
     train_end_to_end,
     train_erm,
 )
@@ -57,22 +56,24 @@ def kl_to_uniform(p):
 
 
 class TestPredict:
+    """A single input is a one-row batch of predict_proba."""
+
     def test_zero_scores_give_uniform(self):
         clf = RobustClassifier(np.zeros((2, 2)), identity_map(2))
-        p = predict(clf, np.zeros(2), 1.0)
-        np.testing.assert_allclose(p.probs, [0.5, 0.5], atol=1e-15)
+        probs, _ = predict_proba(clf, np.zeros((1, 2)), [1.0])
+        np.testing.assert_allclose(probs[0], [0.5, 0.5], atol=1e-15)
 
     def test_half_ratio_example(self):
         # scores (2, 0), R = 0.5 -> softmax(1, 0)
         clf = RobustClassifier(np.array([[1.0, 0.0], [0.0, 0.0]]), identity_map(2))
-        p = predict(clf, np.array([2.0, 9.0]), 0.5)
-        np.testing.assert_allclose(p.probs, softmax([1.0, 0.0]), atol=1e-12)
-        assert p.probs[0] == pytest.approx(0.7310585786, abs=1e-9)
+        probs, _ = predict_proba(clf, np.array([[2.0, 9.0]]), [0.5])
+        np.testing.assert_allclose(probs[0], softmax([1.0, 0.0]), atol=1e-12)
+        assert probs[0, 0] == pytest.approx(0.7310585786, abs=1e-9)
 
     def test_test_mode_equals_temperature_two(self):
         clf = RobustClassifier(np.array([[1.0, 0.0], [0.0, 0.0]]), identity_map(2), r=1.0)
-        p = predict(clf, np.array([2.0, 0.0]), 1.0)
-        np.testing.assert_allclose(p.probs, softmax([1.0, 0.0]), atol=1e-15)
+        probs, _ = predict_proba(clf, np.array([[2.0, 0.0]]), [1.0])
+        np.testing.assert_allclose(probs[0], softmax([1.0, 0.0]), atol=1e-15)
 
     def test_reduction_r0_unit_ratio_is_softmax(self):
         rng = np.random.default_rng(0)
@@ -80,8 +81,8 @@ class TestPredict:
             C, m = int(rng.integers(2, 5)), int(rng.integers(2, 6))
             clf = RobustClassifier(rng.normal(size=(C, m)), identity_map(m))
             x = rng.normal(size=m)
-            p = predict(clf, x, 1.0)
-            np.testing.assert_allclose(p.probs, softmax(clf.theta @ x), atol=1e-12)
+            probs, _ = predict_proba(clf, x[None], [1.0])
+            np.testing.assert_allclose(probs[0], softmax(clf.theta @ x), atol=1e-12)
 
     def test_temperature_identity_exact(self):
         rng = np.random.default_rng(1)
@@ -89,79 +90,73 @@ class TestPredict:
             clf = RobustClassifier(rng.normal(size=(3, 4)), identity_map(4), r=r)
             x = rng.normal(size=4)
             for R in [0.01, 0.5, 2.0]:
-                p = predict(clf, x, R)
+                probs, _ = predict_proba(clf, x[None], [R])
                 expected = softmax(R * (clf.theta @ x) / (1.0 + r))
-                assert np.array_equal(p.probs, expected)
+                assert np.array_equal(probs[0], expected)
 
     def test_train_and_test_modes_coincide_at_r0(self):
         rng = np.random.default_rng(2)
         clf = RobustClassifier(rng.normal(size=(3, 2)), identity_map(2), r=0.0)
-        x = rng.normal(size=2)
-        p_test = predict(clf, x, 0.7)
+        X = rng.normal(size=(1, 2))
+        p_test, _ = predict_proba(clf, X, [0.7])
         for y in range(3):
-            p_train = predict(clf, x, 0.7, train_label=y)
-            np.testing.assert_array_equal(p_train.probs, p_test.probs)
+            p_train, _ = predict_proba(clf, X, [0.7], [y])
+            np.testing.assert_array_equal(p_train, p_test)
 
     def test_entropy_strictly_decreasing_in_ratio(self):
         rng = np.random.default_rng(3)
         clf = RobustClassifier(rng.normal(size=(3, 3)), identity_map(3), ratio_bounds=(1e-3, 1e3))
-        x = rng.normal(size=3)
+        X = rng.normal(size=(1, 3))
         grid = [0.01, 0.1, 0.5, 1.0, 2.0, 10.0]
-        ents = [entropy(predict(clf, x, R).probs) for R in grid]
+        ents = [entropy(predict_proba(clf, X, [R])[0][0]) for R in grid]
         assert all(a > b for a, b in zip(ents, ents[1:]))
 
     def test_kl_to_uniform_vanishes_monotonically(self):
         rng = np.random.default_rng(4)
         clf = RobustClassifier(rng.normal(size=(4, 3)), identity_map(3), ratio_bounds=(1e-4, 1e3))
-        x = rng.normal(size=3)
+        X = rng.normal(size=(1, 3))
         grid = [1.0, 0.5, 0.1, 0.01, 0.001]
-        kls = [kl_to_uniform(predict(clf, x, R).probs) for R in grid]
+        kls = [kl_to_uniform(predict_proba(clf, X, [R])[0][0]) for R in grid]
         assert all(a > b for a, b in zip(kls, kls[1:]))
         assert kls[-1] < 1e-4
 
     def test_argmax_invariant_in_ratio(self):
         rng = np.random.default_rng(5)
         clf = RobustClassifier(rng.normal(size=(4, 3)), identity_map(3))
-        x = rng.normal(size=3)
-        picks = {int(np.argmax(predict(clf, x, R).probs)) for R in [0.01, 0.1, 1.0, 10.0, 100.0]}
+        X = rng.normal(size=(1, 3))
+        picks = {int(np.argmax(predict_proba(clf, X, [R])[0])) for R in [0.01, 0.1, 1.0, 10.0, 100.0]}
         assert len(picks) == 1
 
     def test_ratio_outside_bounds_rejected(self):
         clf = RobustClassifier(np.zeros((2, 2)), identity_map(2), ratio_bounds=(0.5, 2.0))
         with pytest.raises(ContractError):
-            predict(clf, np.zeros(2), 4.0)
-
-    @pytest.mark.parametrize("train_label", [None, 2])
-    def test_predict_is_row_zero_of_predict_proba(self, train_label):
-        rng = np.random.default_rng(7)
-        clf = default_classifier(3, 4, seed=7, r=0.5)
-        clf.theta = rng.normal(size=clf.theta.shape)
-        labels = None if train_label is None else [train_label]
-        for _ in range(20):
-            x, R = rng.normal(size=3), float(rng.uniform(0.1, 10.0))
-            p = predict(clf, x, R, train_label=train_label)
-            probs, log_z = predict_proba(clf, x[None, :], np.array([R]), labels)
-            assert np.array_equal(p.probs, probs[0]) and p.log_partition == log_z[0]
+            predict_proba(clf, np.zeros((1, 2)), [4.0])
 
     def test_input_of_the_wrong_dim_rejected(self):
         clf = RobustClassifier(np.zeros((2, 3)), identity_map(3))
-        for x in (np.zeros(2), np.zeros((1, 3))):
+        for X in (np.zeros((1, 2)), np.zeros(3)):
             with pytest.raises(ConfigError):
-                predict(clf, x, 1.0)
+                predict_proba(clf, X, [1.0])
+            with pytest.raises(ConfigError):
+                grad_source(clf, (X, np.zeros(len(X), int)), np.ones(len(X)))
 
     def test_train_label_outside_the_classes_rejected(self):
         clf = RobustClassifier(np.zeros((2, 2)), identity_map(2))
         for label in (-1, 2):
-            with pytest.raises(ContractError):
-                predict(clf, np.zeros(2), 1.0, train_label=label)
+            labels = [0, label, 1]
+            with pytest.raises(ContractError, match=f"label {label} outside"):
+                predict_proba(clf, np.zeros((3, 2)), np.ones(3), labels)
+            with pytest.raises(ContractError, match=f"label {label} outside"):
+                grad_source(clf, (np.zeros((3, 2)), labels), np.ones(3))
 
     def test_probs_on_simplex(self):
         rng = np.random.default_rng(6)
         clf = RobustClassifier(rng.normal(size=(5, 4)) * 3, identity_map(4))
         for _ in range(20):
-            p = predict(clf, rng.normal(size=4), float(rng.uniform(0.1, 10)), train_label=2)
-            assert p.probs.sum() == pytest.approx(1.0, abs=1e-10)
-            assert (p.probs > 0).all()
+            X, R = rng.normal(size=(1, 4)), float(rng.uniform(0.1, 10))
+            probs, _ = predict_proba(clf, X, [R], [2])
+            assert probs[0].sum() == pytest.approx(1.0, abs=1e-10)
+            assert (probs[0] > 0).all()
 
 
 class TestDualObjective:
@@ -322,6 +317,11 @@ class TestRowCount:
         for what, call in calls:
             with pytest.raises(ContractError, match=f"{count} {what} for 3 rows"):
                 call()
+
+    @pytest.mark.parametrize("label", [-1, 5])
+    def test_a_constraint_label_outside_the_classes_is_rejected(self, label):
+        with pytest.raises(ContractError, match=f"label {label} outside"):
+            feature_constraint(self.clf.feature_map, self.X, [0, label, 1], 2)
 
 
 class TestZeroRows:

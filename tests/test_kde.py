@@ -8,8 +8,8 @@ from scipy.special import logsumexp
 from drshift import (
     ConfigError,
     ContractError,
+    KdeModel,
     default_shift_spec,
-    fit_kde,
     kde,
     kde_log_density,
     plugin_ratio,
@@ -40,52 +40,52 @@ def per_query_log_density(model, x, lse=lse_parts_1d):
 
 class TestLogDensity:
     def test_single_point_at_itself(self):
-        model = fit_kde([[0.0]], 1.0)
-        val = kde_log_density(model, np.array([0.0]))
+        model = KdeModel([[0.0]], 1.0)
+        val = kde_log_density(model, np.array([[0.0]]))[0]
         assert val == pytest.approx(np.log(1 / np.sqrt(2 * np.pi)), abs=1e-12)
         assert val == pytest.approx(-0.9189385332, abs=1e-9)
 
     def test_bandwidth_scaling_at_peak(self):
-        model = fit_kde([[0.0]], 2.0)
-        val = kde_log_density(model, np.array([0.0]))
+        model = KdeModel([[0.0]], 2.0)
+        val = kde_log_density(model, np.array([[0.0]]))[0]
         assert val == pytest.approx(-0.9189385332 - np.log(2), abs=1e-9)
 
     def test_symmetric_pair_at_origin(self):
         a, h = 1.3, 0.7
-        model = fit_kde([[a], [-a]], h)
+        model = KdeModel([[a], [-a]], h)
         expected = -0.5 * (a / h) ** 2 - 0.5 * np.log(2 * np.pi * h * h)
-        assert kde_log_density(model, np.array([0.0])) == pytest.approx(expected, abs=1e-12)
+        assert kde_log_density(model, np.array([[0.0]]))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_one_dimensional_density_integrates_to_one(self):
         rng = np.random.default_rng(0)
-        model = fit_kde(rng.normal(size=(40, 1)), 0.4)
+        model = KdeModel(rng.normal(size=(40, 1)), 0.4)
         xs = np.linspace(-8, 8, 4001)
-        dens = np.exp([kde_log_density(model, np.array([x])) for x in xs])
+        dens = np.exp(kde_log_density(model, xs[:, None]))
         mass = trapezoid(dens, xs)
         assert mass == pytest.approx(1.0, abs=1e-3)
 
     def test_bitwise_permutation_invariance(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(25, 2))
-        x = rng.normal(size=2)
-        a = kde_log_density(fit_kde(pts, 0.5), x)
-        b = kde_log_density(fit_kde(pts[rng.permutation(25)], 0.5), x)
-        assert a == b
+        x = rng.normal(size=(1, 2))
+        a = kde_log_density(KdeModel(pts, 0.5), x)
+        b = kde_log_density(KdeModel(pts[rng.permutation(25)], 0.5), x)
+        assert a.tobytes() == b.tobytes()
 
     def test_dim_mismatch(self):
         with pytest.raises(ContractError):
-            kde_log_density(fit_kde(np.zeros((3, 2)), 1.0), np.zeros(3))
+            kde_log_density(KdeModel(np.zeros((3, 2)), 1.0), np.zeros((1, 3)))
 
     @pytest.mark.parametrize("points,shape", [
         ([0.0, 1.0, 2.0], "(3,)"), (1.0, "()"), (np.zeros((2, 3, 1)), "(2, 3, 1)"),
     ])
     def test_points_must_be_a_matrix(self, points, shape):
         with pytest.raises(ConfigError, match=rf"\(n, d\) matrix, got shape {re.escape(shape)}"):
-            fit_kde(points, 0.5)
+            KdeModel(points, 0.5)
 
     def test_points_need_a_column(self):
         with pytest.raises(ConfigError, match=r"at least one column, got shape \(3, 0\)"):
-            fit_kde(np.zeros((3, 0)), 0.5)
+            KdeModel(np.zeros((3, 0)), 0.5)
 
     # h^2 overflows at 1e300 and 2 pi h^2 at 5.4e153; h^2 is 0 at 1e-300
     # and subnormal at 1e-154.
@@ -94,11 +94,11 @@ class TestLogDensity:
     ])
     def test_bad_bandwidth_rejected(self, bandwidth):
         with pytest.raises(ConfigError, match="bandwidth"):
-            fit_kde(np.zeros((3, 2)), bandwidth)
+            KdeModel(np.zeros((3, 2)), bandwidth)
 
     @pytest.mark.parametrize("bandwidth", [5.3e153, 1e-150])
     def test_extreme_accepted_bandwidths_give_finite_densities(self, bandwidth):
-        model = fit_kde([[0.0, 0.0], [1.0, -1.0]], bandwidth)
+        model = KdeModel([[0.0, 0.0], [1.0, -1.0]], bandwidth)
         assert np.isfinite(kde_log_density(model, np.array([[0.5, 0.5], [0.0, 0.0]]))).all()
 
 
@@ -119,11 +119,11 @@ class TestMatrixQueries:
     def test_rows_equal_single_queries_bitwise(self, n, m, d):
         rng = np.random.default_rng(10 * d + n % 97)
         for h in (0.05, 0.7):
-            model = fit_kde(rng.normal(size=(n, d)), h)
+            model = KdeModel(rng.normal(size=(n, d)), h)
             Q = 2.0 * rng.normal(size=(m, d))
             out = kde_log_density(model, Q)
             assert out.shape == (m,)
-            single = np.array([kde_log_density(model, q) for q in Q])
+            single = np.array([kde_log_density(model, q[None])[0] for q in Q])
             formula = np.array([per_query_log_density(model, q) for q in Q])
             assert out.tobytes() == single.tobytes()
             if d < 8:
@@ -136,7 +136,7 @@ class TestMatrixQueries:
     @pytest.mark.parametrize("h", [0.01, 0.05, 0.7, 5.0])
     def test_matches_scipy_logsumexp(self, h):
         rng = np.random.default_rng(13)
-        model = fit_kde(rng.normal(size=(300, 2)), h)
+        model = KdeModel(rng.normal(size=(300, 2)), h)
         Q = 2.0 * rng.normal(size=(40, 2))
         scipy_form = np.array([per_query_log_density(model, q, logsumexp) for q in Q])
         np.testing.assert_allclose(kde_log_density(model, Q), scipy_form, rtol=1e-13, atol=0)
@@ -145,32 +145,43 @@ class TestMatrixQueries:
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(50, 2))
         Q = rng.normal(size=(30, 2))
-        a = kde_log_density(fit_kde(pts, 0.4), Q)
-        b = kde_log_density(fit_kde(pts[rng.permutation(50)], 0.4), Q)
+        a = kde_log_density(KdeModel(pts, 0.4), Q)
+        b = kde_log_density(KdeModel(pts[rng.permutation(50)], 0.4), Q)
         assert a.tobytes() == b.tobytes()
 
     def test_plugin_ratio_rows_equal_single_queries(self):
         rng = np.random.default_rng(12)
-        ks = fit_kde(rng.normal(size=(40, 1)), 0.1)
-        kt = fit_kde(rng.normal(size=(40, 1)) + 0.5, 0.1)
+        ks = KdeModel(rng.normal(size=(40, 1)), 0.1)
+        kt = KdeModel(rng.normal(size=(40, 1)) + 0.5, 0.1)
         bounds = (1e-2, 1e2)
         Q = np.concatenate([rng.normal(size=(20, 1)), [[-3.0], [4.0]]])
         out = plugin_ratio(ks, kt, Q, bounds)
-        single = np.array([plugin_ratio(ks, kt, q, bounds) for q in Q])
+        single = np.array([plugin_ratio(ks, kt, q[None], bounds)[0] for q in Q])
         assert out.tobytes() == single.tobytes()
         assert out.min() == bounds[0] and out.max() == bounds[1]
         assert ((out > bounds[0]) & (out < bounds[1])).any()
 
     @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2, 4, 2), ()])
     def test_wrong_shape_rejected(self, shape):
-        model = fit_kde(np.zeros((3, 2)), 1.0)
+        model = KdeModel(np.zeros((3, 2)), 1.0)
         with pytest.raises(ContractError):
             kde_log_density(model, np.zeros(shape))
         with pytest.raises(ContractError):
             plugin_ratio(model, model, np.zeros(shape))
 
+    @pytest.mark.parametrize("d,shape", [(1, (1,)), (1, (3,)), (2, (2,))])
+    def test_one_dimensional_query_rejected(self, d, shape):
+        # A vector of d values is one query, or for d = 1 as many queries:
+        # only an (m, d) matrix says which.
+        model = KdeModel(np.zeros((3, d)), 1.0)
+        match = rf"\(m, {d}\) matrix, got shape {re.escape(str(shape))}"
+        with pytest.raises(ContractError, match=match):
+            kde_log_density(model, np.zeros(shape))
+        with pytest.raises(ContractError, match=match):
+            plugin_ratio(model, model, np.zeros(shape))
+
     def test_empty_matrix_gives_empty_result(self):
-        model = fit_kde(np.ones((3, 2)), 1.0)
+        model = KdeModel(np.ones((3, 2)), 1.0)
         assert kde_log_density(model, np.zeros((0, 2))).shape == (0,)
         assert plugin_ratio(model, model, np.zeros((0, 2))).shape == (0,)
 
@@ -179,33 +190,32 @@ class TestPluginRatio:
     def test_identical_models_give_one(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(20, 2))
-        k = fit_kde(pts, 0.8)
-        for x in rng.normal(size=(5, 2)):
-            assert plugin_ratio(k, k, x) == pytest.approx(1.0, abs=1e-12)
+        k = KdeModel(pts, 0.8)
+        X = rng.normal(size=(5, 2))
+        assert plugin_ratio(k, k, X) == pytest.approx(np.ones(5), abs=1e-12)
 
     def test_large_sample_approaches_gaussian_quotient(self):
         rng = np.random.default_rng(3)
-        ks = fit_kde(rng.normal(size=(4000, 1)), 0.2)
-        kt = fit_kde(rng.normal(size=(4000, 1)) + 1.0, 0.2)
-        val = plugin_ratio(ks, kt, np.array([0.0]))
+        ks = KdeModel(rng.normal(size=(4000, 1)), 0.2)
+        kt = KdeModel(rng.normal(size=(4000, 1)) + 1.0, 0.2)
+        val = plugin_ratio(ks, kt, np.array([[0.0]]))[0]
         assert abs(val - np.exp(0.5)) < 0.3
 
     def test_far_query_clamps(self):
         rng = np.random.default_rng(4)
-        ks = fit_kde(rng.normal(size=(30, 1)), 0.1)
-        kt = fit_kde(rng.normal(size=(30, 1)) + 0.5, 0.1)
-        val = plugin_ratio(ks, kt, np.array([50.0]), bounds=(1e-3, 1e3))
+        ks = KdeModel(rng.normal(size=(30, 1)), 0.1)
+        kt = KdeModel(rng.normal(size=(30, 1)) + 0.5, 0.1)
+        val = plugin_ratio(ks, kt, np.array([[50.0]]), bounds=(1e-3, 1e3))[0]
         assert val in (1e-3, 1e3)
 
     def test_reciprocal_identity(self):
         rng = np.random.default_rng(5)
-        ka = fit_kde(rng.normal(size=(30, 2)), 0.6)
-        kb = fit_kde(rng.normal(size=(30, 2)) + 0.3, 0.6)
-        for x in rng.normal(size=(5, 2)):
-            wide = (1e-12, 1e12)
-            assert plugin_ratio(ka, kb, x, wide) * plugin_ratio(kb, ka, x, wide) == pytest.approx(
-                1.0, abs=1e-10
-            )
+        ka = KdeModel(rng.normal(size=(30, 2)), 0.6)
+        kb = KdeModel(rng.normal(size=(30, 2)) + 0.3, 0.6)
+        X, wide = rng.normal(size=(5, 2)), (1e-12, 1e12)
+        assert plugin_ratio(ka, kb, X, wide) * plugin_ratio(kb, ka, X, wide) == pytest.approx(
+            np.ones(5), abs=1e-10
+        )
 
 
 class TestSimulation:
@@ -264,7 +274,7 @@ class TestSimulation:
         tr_s, ho_s = split_indices(len(source), 0.8, rng)
         tr_t, ho_t = split_indices(len(target), 0.8, rng)
         for h, row in zip(DEFAULT_BANDWIDTHS, rows):
-            kde_s, kde_t = fit_kde(source.X[tr_s], h), fit_kde(target.X[tr_t], h)
+            kde_s, kde_t = KdeModel(source.X[tr_s], h), KdeModel(target.X[tr_t], h)
             assert row["ll_source"] == float(np.mean(kde_log_density(kde_s, source.X[ho_s])))
             assert row["ll_target"] == float(np.mean(kde_log_density(kde_t, target.X[ho_t])))
 
@@ -309,7 +319,7 @@ def canonical_fits():
         tr_t, _ = split_indices(len(target), 0.8, rng)
         Phi = with_bias(source.X)
         for h in DEFAULT_BANDWIDTHS:
-            ratios = plugin_ratio(fit_kde(source.X[tr_s], h), fit_kde(target.X[tr_t], h), source.X)
+            ratios = plugin_ratio(KdeModel(source.X[tr_s], h), KdeModel(target.X[tr_t], h), source.X)
             fits.append((Phi, source.y, ratios, _train_frozen_feature_model(Phi, source.y, ratios, 2)))
     return fits
 

@@ -302,9 +302,20 @@ def test_out_of_bounds_strong_ratio_rejected(monkeypatch):
         ratios[-1] = 10 * clf.ratio_bounds[1]  # the last strong row
         return ratios
 
+    steps = []
+    original_grad = drshift.semisup.grad_source
+
+    def recording_grad(*args, **kwargs):
+        steps.append(1)
+        return original_grad(*args, **kwargs)
+
     monkeypatch.setattr(drshift.robust, "_ratios", bad_last_row)
+    monkeypatch.setattr(drshift.semisup, "grad_source", recording_grad)
     with pytest.raises(ContractError, match="ratio outside bounds"):
         run_drssl(labeled, target, cfg, clf, dom)
+    # The read's check fails the run before its first step; the epoch
+    # record's target predictions, which raise the same error, come after.
+    assert steps == []
 
 
 def test_drssl_reads_the_ratios_once_per_domain_period(monkeypatch):
