@@ -146,6 +146,8 @@ def nll(logits, labels, temperature=1.0):
     """Mean negative log-likelihood of softmax(logits / T)."""
     L = _as_rows(logits)
     y = _class_labels(labels, *L.shape)
+    if L.shape[0] == 0:
+        raise ContractError("nll needs at least one sample")
     return _mean_nll(L, L[np.arange(L.shape[0]), y], temperature)
 
 

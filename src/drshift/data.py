@@ -7,6 +7,7 @@ conditional label distribution is identical across domains by construction.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,6 +250,12 @@ def augment_batch(X, spec, strength, rng):
 # CSV ingestion
 
 
+# str.splitlines() ends a line at each of these besides "\n" and "\r", while
+# np.loadtxt's reader takes them as whitespace inside a cell. The UTF-8 forms
+# of the eight characters; a file holding any of them goes to the line parse.
+_LINE_BREAKS = tuple(ch.encode() for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def load_csv(path, has_label, domain=SOURCE):
     """Read one sample per line of comma-separated floats.
 
@@ -258,12 +265,70 @@ def load_csv(path, has_label, domain=SOURCE):
     Parse errors, including non-finite cells and labels too large for
     int64, name the 1-based file line and column.
 
-    Blank lines are skipped. The stripped data lines are parsed by one
-    np.loadtxt call, whose C reader never accepts a cell that Python's
-    float() rejects and returns the same bits for the cells it accepts.
-    comments=None keeps its default "#" from cutting a cell such as "1.0#c",
-    which float() rejects. When numpy raises, the lines go to _parse_cells.
+    Lines end where str.splitlines() ends them, and blank lines are skipped.
+    The open file is streamed into one np.loadtxt call, whose C reader never
+    accepts a cell that Python's float() rejects and returns the same bits
+    for the cells it accepts. comments=None keeps its default "#" from
+    cutting a cell such as "1.0#c", which float() rejects. The file goes to
+    the line parse instead (_parse_lines), which reads the same rows and
+    names the line of the first fault, when it holds a character of
+    _LINE_BREAKS, when numpy raises, and when the stream's array has no rows
+    or a fault.
     """
+    M = _stream_rows(path, has_label)
+    if M is None:
+        M = _parse_lines(path, has_label)
+    if not has_label:
+        return Dataset(M, None, _is_source(domain), 0, name=str(path))
+    y = M[:, -1].astype(int)
+    return Dataset(M[:, :-1], y, _is_source(domain), int(y.max()) + 1, name=str(path))
+
+
+def _stream_rows(path, has_label):
+    """The file's rows from np.loadtxt reading the open file, or None when
+    only the line parse can tell its rows or its fault."""
+    if _has_line_break(path):
+        return None
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            skip, line = 0, fh.readline()
+            while line and not line.strip():
+                skip, line = skip + 1, fh.readline()
+            if not line:
+                return None
+            skip += _is_header(line.strip())
+            fh.seek(0)
+            with warnings.catch_warnings():
+                # A file without data rows warns; the line parse names its fault.
+                warnings.simplefilter("ignore", UserWarning)
+                M = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if not len(M) or _first_fault(M, has_label):
+        return None
+    return M
+
+
+def _is_header(line):
+    """Whether the first non-blank line, stripped, is a header: its first
+    cell is not a number."""
+    try:
+        float(line.split(",")[0])
+    except ValueError:
+        return True
+    return False
+
+
+def _has_line_break(path):
+    """Whether the file's bytes hold the UTF-8 form of a _LINE_BREAKS character."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return any(ch in raw for ch in _LINE_BREAKS)
+
+
+def _parse_lines(path, has_label):
+    """The rows of the file's stripped non-blank lines after the header, or
+    ConfigError or CsvParseError naming the first fault's line and column."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
@@ -272,11 +337,8 @@ def load_csv(path, has_label, domain=SOURCE):
     stripped = [line.strip() for line in lines]
     linenos = [lineno for lineno, line in enumerate(stripped, 1) if line]
     rows = [line for line in stripped if line]
-    if rows:
-        try:
-            float(rows[0].split(",")[0])
-        except ValueError:
-            del rows[0], linenos[0]
+    if rows and _is_header(rows[0]):
+        del rows[0], linenos[0]
     if not rows:
         raise ConfigError(f"{path}: no data rows")
 
@@ -284,24 +346,33 @@ def load_csv(path, has_label, domain=SOURCE):
         M = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         M = _parse_cells(path, rows, linenos)
-    width = M.shape[1]
+    fault = _first_fault(M, has_label)
+    if fault:
+        i, column, message = fault
+        raise CsvParseError(path, linenos[i], column, message)
+    return M
+
+
+def _first_fault(M, has_label):
+    """(row index, 1-based column, message) of the first fault in file
+    order of the parsed rows M, or None: a non-finite cell, then with
+    has_label a single column, then a label that is not an integer in
+    [0, 2**63)."""
     bad = np.argwhere(~np.isfinite(M))
     if bad.size:
         i, j = bad[0]
-        raise CsvParseError(path, linenos[i], j + 1, f"not a finite number: {float(M[i, j])!r}")
+        return i, j + 1, f"not a finite number: {float(M[i, j])!r}"
     if not has_label:
-        return Dataset(M, None, _is_source(domain), 0, name=str(path))
+        return None
+    width = M.shape[1]
     if width < 2:
-        raise CsvParseError(path, linenos[0], width, "need at least one feature and a label")
+        return 0, width, "need at least one feature and a label"
     labels = M[:, -1]
     bad = np.flatnonzero((labels != np.floor(labels)) | (labels < 0) | (labels >= 2.0**63))
     if bad.size:
         i = bad[0]
-        raise CsvParseError(
-            path, linenos[i], width, f"label must be an integer in [0, 2**63), got {float(labels[i])!r}"
-        )
-    y = labels.astype(int)
-    return Dataset(M[:, :-1], y, _is_source(domain), int(y.max()) + 1, name=str(path))
+        return i, width, f"label must be an integer in [0, 2**63), got {float(labels[i])!r}"
+    return None
 
 
 def _parse_cells(path, rows, linenos):

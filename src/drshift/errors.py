@@ -12,10 +12,12 @@ class ContractError(ValueError):
 
 
 def _one_per_row(values, n, what):
-    """The array values unchanged, or ContractError naming both counts
-    unless it has shape (n,): one what for each of n rows."""
+    """The array values unchanged, or ContractError naming both counts (or
+    the shape of values that are not 1-D) unless it has shape (n,): one
+    what for each of n rows."""
     if values.shape != (n,):
-        raise ContractError(f"expected one {what} per row: {values.size} {what}s for {n} rows")
+        got = f"{values.size} {what}s" if values.ndim == 1 else f"shape {values.shape}"
+        raise ContractError(f"expected one {what} per row: {got} for {n} rows")
     return values
 
 

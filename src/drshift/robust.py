@@ -123,7 +123,7 @@ def _check_ratios(clf, ratios, n):
     """ratios as a 1-D float array, or ContractError unless it holds one ratio
     within clf.ratio_bounds for each of the n rows."""
     lo, hi = clf.ratio_bounds
-    ratios = _one_per_row(np.atleast_1d(np.asarray(ratios, dtype=float)), n, "ratio")
+    ratios = _one_per_row(np.asarray(ratios, dtype=float), n, "ratio")
     # Written so that a NaN ratio fails too: every comparison with NaN is false.
     if n and not (lo <= ratios.min() and ratios.max() <= hi):
         raise ContractError(f"ratio outside bounds [{lo}, {hi}]")

@@ -316,6 +316,10 @@ class TestLabels:
         with pytest.raises(ContractError, match="at least one sample"):
             calibration_report(np.zeros((0, 2)), [])
 
+    def test_nll_on_zero_rows_raises_before_any_mean(self):
+        with pytest.raises(ContractError, match="nll needs at least one sample"):
+            nll(np.zeros((0, 2)), [])
+
     def test_a_single_row_of_logits_is_a_one_row_batch(self):
         L = np.log(self.P)
         assert nll(L[0], [1]) == nll(L[:1], [1])

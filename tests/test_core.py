@@ -290,6 +290,20 @@ class TestRatioCount:
             with pytest.raises(ContractError, match=f"{count} ratios for 3 rows"):
                 call()
 
+    # A scalar is not one ratio per row, not even for a one-row batch.
+    def test_a_scalar_ratio_is_rejected_by_predict_proba(self):
+        with pytest.raises(ContractError, match=r"shape \(\) for 1 rows"):
+            predict_proba(self.clf, self.X[:1], 1.0)
+
+    def test_a_scalar_ratio_is_rejected_by_grad_source(self):
+        with pytest.raises(ContractError, match=r"shape \(\) for 1 rows"):
+            grad_source(self.clf, (self.X[:1], self.y[:1]), 1.0)
+
+    def test_a_scalar_ratio_is_rejected_by_dual_objective(self):
+        cons = feature_constraint(self.clf.feature_map, self.X[:1], self.y[:1], 2)
+        with pytest.raises(ContractError, match=r"shape \(\) for 1 rows"):
+            dual_objective(self.clf, self.X[:1], 1.0, cons)
+
 
 class TestRowCount:
     """Labels, weights and domain tags, too, take exactly one value per row."""

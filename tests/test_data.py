@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -336,9 +338,10 @@ class TestCsv:
 
 def reference_parse(path):
     """The cell-by-cell parse load_csv had before its block parse, with the
-    header looked for on the first non-blank line: (rows, 1-based line
-    numbers), or the CsvParseError of the first bad line."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    header looked for on the first non-blank line after a dropped byte-order
+    mark: (rows, 1-based line numbers), or the CsvParseError of the first
+    bad line."""
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
     try:
         float(lines[start].split(",")[0])
@@ -420,6 +423,30 @@ class TestCsvBlockParse:
         assert str(err.value) == str(expected.value)
         assert err.value.row == min(bad)
 
+    def test_hundred_thousand_rows_match_reference_in_under_10_mb(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_rows(p, 100_000)
+        rows, _ = reference_parse(p)
+        tracemalloc.start()
+        try:
+            ds = load_csv(p, has_label=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.X.tobytes() == rows[:, :2].tobytes()
+        np.testing.assert_array_equal(ds.y, rows[:, 2].astype(int))
+        # Holding the file as 100,000 line strings would take about 20 MB.
+        assert peak < 10e6
+
+    def test_non_utf8_byte_late_in_file_is_config_error(self, tmp_path):
+        p = tmp_path / "d.csv"
+        lines = write_rows(p, 70_000)
+        text = "\n".join(lines[:60_002]) + "\n"
+        p.write_bytes(text.encode() + b"1.0,2.\xff0,0\n" + "\n".join(lines[60_002:]).encode() + b"\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text") as err:
+            load_csv(p, has_label=True)
+        assert str(p) in str(err.value)
+
     def test_blank_lines_and_header_keep_file_line_numbers(self, tmp_path):
         p = tmp_path / "d.csv"
         lines = write_rows(p, 10_000)
@@ -449,28 +476,54 @@ _FLOAT_ONLY = st.sampled_from(["1_0.5", "\u0661\u0662", "\t2.5\t", "\xa0-3.0", "
 _BAD = st.sampled_from(["abc", "", "1..2", "0x10", "1.0 2.0", "1.0#c", "0#", "#1"])
 
 
+# str.splitlines() ends a line at each of these, where np.loadtxt's reader
+# takes them as whitespace inside a cell.
+_LINE_BREAKS = st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+
+
+def _put_line_break(draw, line):
+    """line with a _LINE_BREAKS character at its start, at its end or after a comma."""
+    commas = [i + 1 for i, ch in enumerate(line) if ch == ","]
+    at = draw(st.sampled_from([0, len(line)] + commas))
+    return line[:at] + draw(_LINE_BREAKS) + line[at:]
+
+
 @st.composite
 def csv_lines(draw):
     """A header or none, then up to a few hundred data lines of a common
-    width, with up to three bad cells, blank lines or ragged lines put in."""
+    width, with up to three bad cells, blank lines, ragged lines or line
+    breaks other than "\n" put in; then CRLF or lone-CR endings and a
+    byte-order mark, or none. Zero data lines make a header-only or a
+    blank-only file. Joined by "\n", the lines are the file's text."""
     width = draw(st.integers(2, 4))
     float_only = draw(st.booleans())
     cells = _PLAIN | _FLOAT_ONLY if float_only else _PLAIN
     labels = st.sampled_from(["0", "1", "2"] + (["1_0", "\u0661", "\t1"] if float_only else []))
     lines = [draw(st.sampled_from(["", "x0,x1,label"]))] if draw(st.booleans()) else []
-    for _ in range(draw(st.integers(1, 200))):
+    for _ in range(draw(st.integers(0, 200))):
         lines.append(",".join([draw(cells) for _ in range(width - 1)] + [draw(labels)]))
     for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
         at = draw(st.integers(0, len(lines) - 1))
-        damage = draw(st.sampled_from(["bad", "blank", "ragged"]))
+        damage = draw(st.sampled_from(["bad", "blank", "ragged", "line break"]))
         if damage == "bad":
             row = lines[at].split(",")
             row[draw(st.integers(0, len(row) - 1))] = draw(_BAD)
             lines[at] = ",".join(row)
         elif damage == "blank":
             lines.insert(at, draw(st.sampled_from(["", "  "])))
-        else:
+        elif damage == "ragged":
             lines.insert(at, draw(st.sampled_from(["1.0", "1.0,2.0,3.0,4.0,0"])))
+        else:
+            lines[at] = _put_line_break(draw, lines[at])
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    if ending == "\r\n":
+        lines = [line + "\r" for line in lines]
+    elif ending == "\r":
+        lines = ["\r".join(lines)]
+    if lines and draw(st.booleans()):
+        lines[0] = "\ufeff" + lines[0]
     return lines
 
 
@@ -482,6 +535,11 @@ def csv_lines(draw):
 @example(["1_0.5,\u0661\u0662,1", "\xa0-3.0,4.0\t,0"])
 # The header is looked for on the first non-blank line.
 @example(["", "x0,x1,label", "1.0,2.0,0"])
+# numpy's reader would take the form feed as a cell's whitespace; the line is two lines.
+@example(["1.0,\x0c2.0,0", "1.0,2.0,1"])
+# Only a header, or only blank lines: no data rows.
+@example(["\ufeffx0,x1,label\r"])
+@example(["", "  "])
 def test_load_csv_matches_cell_by_cell_reference(tmp_path, lines):
     p = tmp_path / "d.csv"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
