@@ -55,13 +55,15 @@ def ece(probs, labels, n_bins=5):
 
     Bins partition [0, 1]; a confidence exactly on an interior edge falls in
     the upper bin and the last bin is closed at 1. Empty bins contribute
-    zero. Returns (ece, bins).
+    zero; zero rows are a ContractError. Returns (ece, bins).
     """
     if n_bins < 1:
         raise ContractError("n_bins must be >= 1")
     P = _as_rows(probs)
     y = _class_labels(labels, *P.shape)
     n = P.shape[0]
+    if n == 0:
+        raise ContractError("ece needs at least one sample")
     conf = P.max(axis=1)
     correct = (P.argmax(axis=1) == y).astype(float)
     idx = np.minimum((conf * n_bins).astype(int), n_bins - 1)
@@ -86,10 +88,12 @@ def miscls_entropy(probs, labels):
     """Mean Shannon entropy of the misclassified predictions.
 
     Returns (entropy, all_correct); entropy is 0 when nothing was
-    misclassified.
+    misclassified, and zero rows are a ContractError.
     """
     P = _as_rows(probs)
     y = _class_labels(labels, *P.shape)
+    if P.shape[0] == 0:
+        raise ContractError("miscls_entropy needs at least one sample")
     wrong = P.argmax(axis=1) != y
     if not wrong.any():
         return 0.0, True
@@ -129,7 +133,8 @@ def _lse_parts(L, m=None):
     """
     if m is None:
         m = _row_reduce(np.maximum, L)
-    e = np.exp(L - m)
+    e = L - m
+    np.exp(e, out=e)
     s = _row_reduce(np.add, e)
     return m[:, 0] + np.log(s[:, 0]), e, s
 

@@ -323,7 +323,10 @@ def _has_line_break(path):
     """Whether the file's bytes hold the UTF-8 form of a _LINE_BREAKS character."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return any(ch in raw for ch in _LINE_BREAKS)
+    # The multi-byte forms hold bytes above 0x7f, so ASCII bytes need only
+    # the single-byte scans.
+    ascii_only = raw.isascii()
+    return any(ch in raw for ch in _LINE_BREAKS if len(ch) == 1 or not ascii_only)
 
 
 def _parse_lines(path, has_label):

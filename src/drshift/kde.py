@@ -17,9 +17,10 @@ from .features import identity_map
 from .robust import RobustClassifier, _nll_at, grad_source, predict_proba
 
 # Query rows x training points per block of the pairwise pass in
-# kde_log_density. Its (rows, n) buffers then hold 32768 floats (256 KiB) at
-# any d, which keeps the peak memory of plugin-sim flat in n. Each row's sum
-# is its own, so the block size does not change the result's bits.
+# _log_densities. Each of its at most three live (rows, n) buffers then holds
+# 32768 floats (256 KiB) at any d, which keeps the pass's peak memory flat in
+# the number of query rows and in n. Each row's sum is its own, so the block
+# size does not change the result's bits.
 _BLOCK_PAIRS = 32768
 
 # Stopping rule and backtracking budget of _train_frozen_feature_model.
@@ -63,36 +64,54 @@ def check_bandwidth(h, name="bandwidth"):
 
 def kde_log_density(model, X):
     """Log of the isotropic-Gaussian mixture density at each row of the
-    (m, d) matrix X, an (m,) array.
+    (m, d) matrix X, an (m,) array."""
+    return _log_densities(model.points, X, [model.bandwidth])[0]
+
+
+def _log_densities(points, X, bandwidths):
+    """Log densities at each row of the (m, d) matrix X of the isotropic-
+    Gaussian mixtures on the (n, d) points, one per bandwidth: a (k, m)
+    array for k bandwidths. The points and bandwidths are taken as checked
+    by KdeModel.
 
     Squared distances are summed one input dimension at a time, in order,
     which for d < 8 is the order of ((p - x) ** 2).sum() over the length-d
     axis (numpy sums 8 or more elements pairwise, so at d >= 8 the two can
-    differ in the last bit). The per-point exponents of each query are
-    sorted before the log-sum-exp so the result is bitwise invariant to the
-    order of the training points.
+    differ in the last bit). Each block's distances are sorted once,
+    descending, for every bandwidth: dividing by -2 h^2 < 0 keeps their
+    order under IEEE rounding, so each bandwidth's exponents come out
+    sorted ascending, bitwise as a sort of the divided distances would give
+    them, and their row max is the last column. The sort makes the result
+    bitwise invariant to the order of the training points.
     """
-    P = model.points
-    n, d = P.shape
+    n, d = points.shape
     if n == 0:
         raise ContractError("KDE model has no points")
     queries = np.asarray(X, dtype=float)
     if queries.shape[1:] != (d,):
         raise ContractError(f"queries must be an (m, {d}) matrix, got shape {queries.shape}")
-    h2 = model.bandwidth**2
-    lse = np.empty(queries.shape[0])
+    h2s = [float(h) ** 2 for h in bandwidths]
+    out = np.empty((len(h2s), queries.shape[0]))
     # Differences, not the |x|^2 + |p|^2 - 2 x.p expansion: the expansion
     # cancels badly at small bandwidths and is not bitwise equal.
     step = max(1, _BLOCK_PAIRS // n)
     for start in range(0, queries.shape[0], step):
         q = queries[start:start + step]
-        sq = (P[:, 0] - q[:, :1]) ** 2
+        sq = (points[:, 0] - q[:, :1]) ** 2
         for j in range(1, d):
-            sq += (P[:, j] - q[:, j:j + 1]) ** 2
-        sq /= -2.0 * h2  # the exponents -sq / (2 h^2), bitwise
+            sq += (points[:, j] - q[:, j:j + 1]) ** 2
         sq.sort(axis=1)
-        lse[start:start + step] = _lse_parts(sq)[0]
-    return lse - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * h2)
+        for i, h2 in enumerate(h2s):
+            e = sq[:, ::-1] / (-2.0 * h2)
+            out[i, start:start + step] = _lse_parts(e, e[:, -1:])[0]
+            del e
+        # Freed here, not on rebinding: the pass then holds at most three
+        # (rows, n) buffers at a time.
+        del sq
+    for i, h2 in enumerate(h2s):
+        out[i] -= np.log(n)
+        out[i] -= 0.5 * d * np.log(2.0 * np.pi * h2)
+    return out
 
 
 def plugin_ratio(kde_source, kde_target, X, bounds=DEFAULT_RATIO_BOUNDS):
@@ -183,14 +202,19 @@ def run_plugin_simulation(spec, bandwidths):
     Xs, ys, Xt, yt = source.X, source.y, target.X, target.y
     Xs_b, Xt_b = (np.hstack([X, np.ones((len(X), 1))]) for X in (Xs, Xt))
 
-    # One density pass per KDE over every row: the held-out log-likelihoods
-    # and both domains' ratios are row subsets of it.
+    # One density pass per KDE over every row, for every bandwidth: the
+    # held-out log-likelihoods and both domains' ratios are row subsets of
+    # it. KdeModel checks each domain's points, check_bandwidth every h.
+    P_s = KdeModel(Xs[tr_s], bandwidths[0]).points
+    P_t = KdeModel(Xt[tr_t], bandwidths[0]).points
+    for h in bandwidths:
+        check_bandwidth(h)
     X_all = np.vstack([Xs, Xt])
+    log_s_all = _log_densities(P_s, X_all, bandwidths)
+    log_t_all = _log_densities(P_t, X_all, bandwidths)
     n_s = len(Xs)
     rows = []
-    for h in bandwidths:
-        log_s = kde_log_density(KdeModel(Xs[tr_s], h), X_all)
-        log_t = kde_log_density(KdeModel(Xt[tr_t], h), X_all)
+    for h, log_s, log_t in zip(bandwidths, log_s_all, log_t_all):
         ratios, _ = clamp_ratio(log_s - log_t, DEFAULT_RATIO_BOUNDS)
         clf = _train_frozen_feature_model(Xs_b, ys, ratios[:n_s], source.class_count)
         probs, _ = predict_proba(clf, Xt_b, ratios[n_s:])

@@ -320,6 +320,11 @@ class TestLabels:
         with pytest.raises(ContractError, match="nll needs at least one sample"):
             nll(np.zeros((0, 2)), [])
 
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_zero_rows_are_rejected(self, metric):
+        with pytest.raises(ContractError, match="needs at least one sample"):
+            self.METRICS[metric](np.zeros((0, 2)), [])
+
     def test_a_single_row_of_logits_is_a_one_row_batch(self):
         L = np.log(self.P)
         assert nll(L[0], [1]) == nll(L[:1], [1])

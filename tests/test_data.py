@@ -22,6 +22,7 @@ from drshift import (
     save_csv,
 )
 
+from drshift import data
 from drshift.data import split_indices
 
 from helpers import random_discrete_instance
@@ -437,6 +438,16 @@ class TestCsvBlockParse:
         np.testing.assert_array_equal(ds.y, rows[:, 2].astype(int))
         # Holding the file as 100,000 line strings would take about 20 MB.
         assert peak < 10e6
+
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"])
+    def test_multi_byte_line_break_takes_the_line_parse(self, tmp_path, brk):
+        # str.splitlines() ends line 3 at brk, so its last cell is empty;
+        # numpy's reader would take brk as whitespace and read the label 1.
+        p = tmp_path / "d.csv"
+        p.write_text(f"x0,x1,label\n1.0,2.0,0\n1.0,2.0,{brk}1\n", encoding="utf-8")
+        assert data._has_line_break(p)
+        with pytest.raises(CsvParseError, match="row 3, column 3: not a number: ''"):
+            load_csv(p, has_label=True)
 
     def test_non_utf8_byte_late_in_file_is_config_error(self, tmp_path):
         p = tmp_path / "d.csv"

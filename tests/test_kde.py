@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,12 @@ from drshift.calibration import _lse_parts
 from drshift.data import GaussianShiftSpec, generate_gaussian_shift, split_indices
 from drshift.domain import DEFAULT_RATIO_BOUNDS
 from drshift.features import identity_map
-from drshift.kde import _BLOCK_PAIRS, _train_frozen_feature_model, run_plugin_simulation
+from drshift.kde import (
+    _BLOCK_PAIRS,
+    _log_densities,
+    _train_frozen_feature_model,
+    run_plugin_simulation,
+)
 from drshift.robust import RobustClassifier, _Momentum, grad_source
 
 DEFAULT_BANDWIDTHS = (0.05, 0.2, 0.5, 1.0)
@@ -75,6 +81,10 @@ class TestLogDensity:
     def test_dim_mismatch(self):
         with pytest.raises(ContractError):
             kde_log_density(KdeModel(np.zeros((3, 2)), 1.0), np.zeros((1, 3)))
+
+    def test_model_without_points_rejected(self):
+        with pytest.raises(ContractError, match="no points"):
+            kde_log_density(KdeModel(np.zeros((0, 2)), 1.0), np.zeros((1, 2)))
 
     @pytest.mark.parametrize("points,shape", [
         ([0.0, 1.0, 2.0], "(3,)"), (1.0, "()"), (np.zeros((2, 3, 1)), "(2, 3, 1)"),
@@ -184,6 +194,101 @@ class TestMatrixQueries:
         model = KdeModel(np.ones((3, 2)), 1.0)
         assert kde_log_density(model, np.zeros((0, 2))).shape == (0,)
         assert plugin_ratio(model, model, np.zeros((0, 2))).shape == (0,)
+
+
+def one_bandwidth_pass(points, Q, h):
+    """One bandwidth's log densities as a pass of their own computes them:
+    the squared distances divided by -2 h^2, then sorted ascending, and a
+    log-sum-exp that takes its own row max. Rows are independent, so one
+    unblocked pass over every query gives the blocked pass's bits."""
+    n, d = points.shape
+    h2 = h**2
+    sq = (points[:, 0] - Q[:, :1]) ** 2
+    for j in range(1, d):
+        sq += (points[:, j] - Q[:, j:j + 1]) ** 2
+    sq /= -2.0 * h2
+    sq.sort(axis=1)
+    return _lse_parts(sq)[0] - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * h2)
+
+
+class TestSharedBandwidthPass:
+    """_log_densities sorts each block's distances once for every bandwidth."""
+
+    @pytest.mark.parametrize("n,m", [
+        (1, 5),
+        (400, 1),
+        (400, _BLOCK_PAIRS // 400),
+        (400, _BLOCK_PAIRS // 400 + 1),
+        (400, 3 * (_BLOCK_PAIRS // 400) - 1),
+        (2000, 2 * (_BLOCK_PAIRS // 2000) + 3),
+    ])
+    @pytest.mark.parametrize("d", [1, 2, 8, 32])
+    def test_equals_one_pass_per_bandwidth_bitwise(self, n, m, d):
+        rng = np.random.default_rng(100 * d + n % 89 + m)
+        P = rng.normal(size=(n, d))
+        Q = 2.0 * rng.normal(size=(m, d))
+        bandwidths = (0.01,) + DEFAULT_BANDWIDTHS + (3.0,)
+        out = _log_densities(P, Q, bandwidths)
+        assert out.shape == (len(bandwidths), m)
+        expected = np.array([one_bandwidth_pass(P, Q, h) for h in bandwidths])
+        assert out.tobytes() == expected.tobytes()
+        for h, row in zip(bandwidths, out):
+            assert kde_log_density(KdeModel(P, h), Q).tobytes() == row.tobytes()
+
+    def test_tied_distances_keep_the_bits(self):
+        # A grid gives each query many equal distances, so the sort has ties.
+        P = np.array([[i, j] for i in range(-5, 6) for j in range(-5, 6)], dtype=float)
+        Q = np.array([[0.0, 0.0], [0.5, 0.5], [0.25, -1.0], [5.0, 5.0]])
+        out = _log_densities(P, Q, DEFAULT_BANDWIDTHS)
+        expected = np.array([one_bandwidth_pass(P, Q, h) for h in DEFAULT_BANDWIDTHS])
+        assert out.tobytes() == expected.tobytes()
+
+    def test_non_finite_queries(self):
+        rng = np.random.default_rng(15)
+        P = rng.normal(size=(30, 2))
+        Q = rng.normal(size=(8, 2))
+        Q[1, 0], Q[3, 1], Q[4] = np.inf, -np.inf, (np.inf, -np.inf)
+        Q[6, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            out = _log_densities(P, Q, DEFAULT_BANDWIDTHS)
+            expected = np.array([one_bandwidth_pass(P, Q, h) for h in DEFAULT_BANDWIDTHS])
+        finite = [0, 2, 5, 7]
+        assert np.isfinite(out[:, finite]).all()
+        assert out[:, finite].tobytes() == expected[:, finite].tobytes()
+        # Equal, with NaN in the same places: an infinite query's distances
+        # are all inf, and its log-sum-exp is NaN in both forms.
+        np.testing.assert_array_equal(out, expected)
+        assert np.isnan(out[:, 6]).all()
+
+    def test_invariant_to_the_order_of_the_points(self):
+        rng = np.random.default_rng(16)
+        P = rng.normal(size=(300, 3))
+        Q = rng.normal(size=(200, 3))
+        a = _log_densities(P, Q, DEFAULT_BANDWIDTHS)
+        b = _log_densities(P[rng.permutation(300)], Q, DEFAULT_BANDWIDTHS)
+        assert a.tobytes() == b.tobytes()
+
+    def test_peak_memory_is_flat_in_the_query_rows(self):
+        # Beyond its (k, m) result the pass holds at most three block
+        # buffers of _BLOCK_PAIRS floats at a time: the sorted distances,
+        # one bandwidth's exponents and the log-sum-exp's shifted copy.
+        rng = np.random.default_rng(17)
+        P = rng.normal(size=(400, 2))
+        extra = []
+        for m in (1_000, 20_000):
+            Q = rng.normal(size=(m, 2))
+            tracemalloc.start()
+            try:
+                out = _log_densities(P, Q, DEFAULT_BANDWIDTHS)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - out.nbytes)
+        assert max(extra) < 4 * 8 * _BLOCK_PAIRS
+        assert abs(extra[1] - extra[0]) < 8 * _BLOCK_PAIRS // 4
+
+    def test_no_queries_give_an_empty_row_per_bandwidth(self):
+        assert _log_densities(np.ones((3, 2)), np.zeros((0, 2)), [0.5, 1.0]).shape == (2, 0)
 
 
 class TestPluginRatio:
