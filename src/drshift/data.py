@@ -250,10 +250,9 @@ def augment_batch(X, spec, strength, rng):
 # CSV ingestion
 
 
-# str.splitlines() ends a line at each of these besides "\n" and "\r", while
-# np.loadtxt's reader takes them as whitespace inside a cell. The UTF-8 forms
-# of the eight characters; a file holding any of them goes to the line parse.
-_LINE_BREAKS = tuple(ch.encode() for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# Characters of text _lines asks fh.readlines for at a time: a block of
+# whole lines, so only one block is held as strings at once.
+_READ_HINT = 1 << 16
 
 
 def load_csv(path, has_label, domain=SOURCE):
@@ -265,95 +264,48 @@ def load_csv(path, has_label, domain=SOURCE):
     Parse errors, including non-finite cells and labels too large for
     int64, name the 1-based file line and column.
 
-    Lines end where str.splitlines() ends them, and blank lines are skipped.
-    The open file is streamed into one np.loadtxt call, whose C reader never
+    Lines end where str.splitlines() ends them (_lines), and blank lines
+    are skipped. The lines go to one np.loadtxt call, whose C reader never
     accepts a cell that Python's float() rejects and returns the same bits
     for the cells it accepts. comments=None keeps its default "#" from
-    cutting a cell such as "1.0#c", which float() rejects. The file goes to
-    the line parse instead (_parse_lines), which reads the same rows and
-    names the line of the first fault, when it holds a character of
-    _LINE_BREAKS, when numpy raises, and when the stream's array has no rows
-    or a fault.
+    cutting a cell such as "1.0#c", which float() rejects. When numpy
+    raises, or its array has no rows or a fault, the lines are read again
+    by _parse_cells, which names the first fault's line.
     """
-    M = _stream_rows(path, has_label)
-    if M is None:
-        M = _parse_lines(path, has_label)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            # A file without data rows warns; _parse_cells names its fault.
+            warnings.simplefilter("ignore", UserWarning)
+            M = np.loadtxt(_lines(fh), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError included
+        M = None
+    if M is None or not len(M) or _first_fault(M, has_label):
+        M = _parse_cells(path, has_label)
     if not has_label:
         return Dataset(M, None, _is_source(domain), 0, name=str(path))
     y = M[:, -1].astype(int)
     return Dataset(M[:, :-1], y, _is_source(domain), int(y.max()) + 1, name=str(path))
 
 
-def _stream_rows(path, has_label):
-    """The file's rows from np.loadtxt reading the open file, or None when
-    only the line parse can tell its rows or its fault."""
-    if _has_line_break(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            skip, line = 0, fh.readline()
-            while line and not line.strip():
-                skip, line = skip + 1, fh.readline()
-            if not line:
-                return None
-            skip += _is_header(line.strip())
-            fh.seek(0)
-            with warnings.catch_warnings():
-                # A file without data rows warns; the line parse names its fault.
-                warnings.simplefilter("ignore", UserWarning)
-                M = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, skiprows=skip)
-    except ValueError:  # UnicodeDecodeError included
-        return None
-    if not len(M) or _first_fault(M, has_label):
-        return None
-    return M
-
-
-def _is_header(line):
-    """Whether the first non-blank line, stripped, is a header: its first
-    cell is not a number."""
-    try:
-        float(line.split(",")[0])
-    except ValueError:
-        return True
-    return False
-
-
-def _has_line_break(path):
-    """Whether the file's bytes hold the UTF-8 form of a _LINE_BREAKS character."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    # The multi-byte forms hold bytes above 0x7f, so ASCII bytes need only
-    # the single-byte scans.
-    ascii_only = raw.isascii()
-    return any(ch in raw for ch in _LINE_BREAKS if len(ch) == 1 or not ascii_only)
-
-
-def _parse_lines(path, has_label):
-    """The rows of the file's stripped non-blank lines after the header, or
-    ConfigError or CsvParseError naming the first fault's line and column."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    stripped = [line.strip() for line in lines]
-    linenos = [lineno for lineno, line in enumerate(stripped, 1) if line]
-    rows = [line for line in stripped if line]
-    if rows and _is_header(rows[0]):
-        del rows[0], linenos[0]
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-
-    try:
-        M = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        M = _parse_cells(path, rows, linenos)
-    fault = _first_fault(M, has_label)
-    if fault:
-        i, column, message = fault
-        raise CsvParseError(path, linenos[i], column, message)
-    return M
+def _lines(fh):
+    r"""The lines of the text file fh, stripped, with the header (the first
+    non-blank line whose first cell is not a number) made "": item k is file
+    line k + 1. Lines end where str.splitlines() ends them, as at "\x0c" or
+    "\u2028", which np.loadtxt's reader takes as whitespace inside a cell.
+    Each block from fh.readlines() ends at a "\n", to which text mode turns
+    "\r\n" and "\r", so splitting the blocks one by one splits the text."""
+    header = True
+    while block := fh.readlines(_READ_HINT):
+        lines = [line.strip() for line in "".join(block).splitlines()]
+        if header:
+            first = next((i for i, line in enumerate(lines) if line), None)
+            if first is not None:
+                header = False
+                try:
+                    float(lines[first].split(",")[0])
+                except ValueError:
+                    lines[first] = ""
+        yield from lines
 
 
 def _first_fault(M, has_label):
@@ -378,25 +330,40 @@ def _first_fault(M, has_label):
     return None
 
 
-def _parse_cells(path, rows, linenos):
-    """The cell-by-cell parse by float(), run when np.loadtxt raises: the
-    array when every cell is one float() takes, such as "1_0.5" or non-ASCII
-    digits that numpy rejects, else the CsvParseError of the first ragged
-    line or bad cell in file order."""
+def _parse_cells(path, has_label):
+    """The file's rows parsed cell by cell by float(), run when np.loadtxt
+    raises or its array has no rows or a fault: the array when every cell
+    is one float() takes, such as "1_0.5" or non-ASCII digits that numpy
+    rejects, else ConfigError or the CsvParseError of the first ragged
+    line, bad cell or _first_fault in file order."""
     width = None
-    values = []
-    for line, lineno in zip(rows, linenos):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise CsvParseError(path, lineno, len(cells), f"expected {width} columns, got {len(cells)}")
-        for col, cell in enumerate(cells):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise CsvParseError(path, lineno, col + 1, f"not a number: {cell!r}") from None
-    return np.array(values).reshape(len(rows), width)
+    values, linenos = [], []
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(_lines(fh), 1):
+                if not line:
+                    continue
+                cells = line.split(",")
+                if width is None:
+                    width = len(cells)
+                elif len(cells) != width:
+                    raise CsvParseError(path, lineno, len(cells), f"expected {width} columns, got {len(cells)}")
+                for col, cell in enumerate(cells):
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise CsvParseError(path, lineno, col + 1, f"not a number: {cell!r}") from None
+                linenos.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not linenos:
+        raise ConfigError(f"{path}: no data rows")
+    M = np.array(values).reshape(len(linenos), width)
+    fault = _first_fault(M, has_label)
+    if fault:
+        i, column, message = fault
+        raise CsvParseError(path, linenos[i], column, message)
+    return M
 
 
 def save_csv(path, dataset):

@@ -82,7 +82,9 @@ def _log_densities(points, X, bandwidths):
     order under IEEE rounding, so each bandwidth's exponents come out
     sorted ascending, bitwise as a sort of the divided distances would give
     them, and their row max is the last column. The sort makes the result
-    bitwise invariant to the order of the training points.
+    bitwise invariant to the order of the training points. A row of X with
+    a non-finite value is a ContractError; a finite row so far from every
+    point that each exponent overflows to -inf has log density -inf.
     """
     n, d = points.shape
     if n == 0:
@@ -90,24 +92,36 @@ def _log_densities(points, X, bandwidths):
     queries = np.asarray(X, dtype=float)
     if queries.shape[1:] != (d,):
         raise ContractError(f"queries must be an (m, {d}) matrix, got shape {queries.shape}")
+    finite = np.isfinite(queries).all(axis=1)
+    if not finite.all():
+        raise ContractError(f"query row {int(np.argmin(finite))} must be finite")
     h2s = [float(h) ** 2 for h in bandwidths]
     out = np.empty((len(h2s), queries.shape[0]))
     # Differences, not the |x|^2 + |p|^2 - 2 x.p expansion: the expansion
     # cancels badly at small bandwidths and is not bitwise equal.
     step = max(1, _BLOCK_PAIRS // n)
-    for start in range(0, queries.shape[0], step):
-        q = queries[start:start + step]
-        sq = (points[:, 0] - q[:, :1]) ** 2
-        for j in range(1, d):
-            sq += (points[:, j] - q[:, j:j + 1]) ** 2
-        sq.sort(axis=1)
-        for i, h2 in enumerate(h2s):
-            e = sq[:, ::-1] / (-2.0 * h2)
-            out[i, start:start + step] = _lse_parts(e, e[:, -1:])[0]
-            del e
-        # Freed here, not on rebinding: the pass then holds at most three
-        # (rows, n) buffers at a time.
-        del sq
+    # Far from every point a squared distance, or its exponent at a small
+    # bandwidth, overflows: the exponent is then -inf, which exp takes to 0.
+    with np.errstate(over="ignore"):
+        for start in range(0, queries.shape[0], step):
+            q = queries[start:start + step]
+            sq = (points[:, 0] - q[:, :1]) ** 2
+            for j in range(1, d):
+                sq += (points[:, j] - q[:, j:j + 1]) ** 2
+            sq.sort(axis=1)
+            for i, h2 in enumerate(h2s):
+                e = sq[:, ::-1] / (-2.0 * h2)
+                # A row whose greatest exponent is -inf has density 0; the
+                # log-sum-exp's shift by that max would take -inf - -inf.
+                zero = e[:, -1] == -np.inf
+                e[zero] = 0.0
+                lse = _lse_parts(e, e[:, -1:])[0]
+                lse[zero] = -np.inf
+                out[i, start:start + step] = lse
+                del e
+            # Freed here, not on rebinding: the pass then holds at most three
+            # (rows, n) buffers at a time.
+            del sq
     for i, h2 in enumerate(h2s):
         out[i] -= np.log(n)
         out[i] -= 0.5 * d * np.log(2.0 * np.pi * h2)
@@ -116,10 +130,15 @@ def _log_densities(points, X, bandwidths):
 
 def plugin_ratio(kde_source, kde_target, X, bounds=DEFAULT_RATIO_BOUNDS):
     """Clamped exp(log p_s(x) - log p_t(x)) at each row x of the (m, d)
-    matrix X, an (m,) array."""
+    matrix X, an (m,) array. A row where both densities are 0 has no ratio
+    and is a ContractError."""
     if kde_source.dim != kde_target.dim:
         raise ContractError("source and target KDE dims differ")
-    return clamp_ratio(kde_log_density(kde_source, X) - kde_log_density(kde_target, X), bounds)[0]
+    log_s, log_t = kde_log_density(kde_source, X), kde_log_density(kde_target, X)
+    both = np.flatnonzero((log_s == -np.inf) & (log_t == -np.inf))
+    if both.size:
+        raise ContractError(f"query row {both[0]} has density 0 under both KDEs: no ratio")
+    return clamp_ratio(log_s - log_t, bounds)[0]
 
 
 def _train_frozen_feature_model(Phi, ys, ratios, class_count):

@@ -439,13 +439,29 @@ class TestCsvBlockParse:
         # Holding the file as 100,000 line strings would take about 20 MB.
         assert peak < 10e6
 
+    def test_padded_blank_line_matches_reference_in_under_10_mb(self, tmp_path):
+        p = tmp_path / "d.csv"
+        lines = write_rows(p, 100_000)
+        # numpy's reader would take a whitespace-only line as a one-cell row.
+        lines.insert(2, "   ")
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows, _ = reference_parse(p)
+        tracemalloc.start()
+        try:
+            ds = load_csv(p, has_label=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.X.tobytes() == rows[:, :2].tobytes()
+        np.testing.assert_array_equal(ds.y, rows[:, 2].astype(int))
+        assert peak < 10e6
+
     @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"])
-    def test_multi_byte_line_break_takes_the_line_parse(self, tmp_path, brk):
+    def test_multi_byte_line_break_ends_the_line(self, tmp_path, brk):
         # str.splitlines() ends line 3 at brk, so its last cell is empty;
         # numpy's reader would take brk as whitespace and read the label 1.
         p = tmp_path / "d.csv"
         p.write_text(f"x0,x1,label\n1.0,2.0,0\n1.0,2.0,{brk}1\n", encoding="utf-8")
-        assert data._has_line_break(p)
         with pytest.raises(CsvParseError, match="row 3, column 3: not a number: ''"):
             load_csv(p, has_label=True)
 
@@ -477,6 +493,69 @@ class TestCsvBlockParse:
         rows, linenos = reference_parse(p)
         assert len(linenos) == 10_000 and linenos[-1] == len(lines)
         assert load_csv(p, has_label=True).X.tobytes() == rows[:, :2].tobytes()
+
+
+# At this _READ_HINT, a block of fh.readlines() closes on the line that takes
+# its length past 30 characters, so lines of 11 to 15 characters, counting
+# the "\n", come three to a block.
+_HINT = 30
+_ROW = "1.0,2.25,0"
+_PAD = " " * 10
+
+
+def _write_blocks(path, lines, ending):
+    """lines, each ended by ending, as the file's UTF-8 bytes; returns the
+    number of lines in each block of fh.readlines(_HINT)."""
+    path.write_bytes("".join(line + ending for line in lines).encode())
+    with path.open(encoding="utf-8-sig") as fh:
+        return [len(block) for block in iter(lambda: fh.readlines(_HINT), [])]
+
+
+class TestLineBlocks:
+    """load_csv across the edges of _lines' blocks, with the block size cut
+    to three lines, compared with the cell-by-cell reference."""
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    @pytest.mark.parametrize("lines", [
+        # The header after two blocks of blank lines: first, second or last
+        # line of the third block.
+        *([_PAD] * k + ["x0,x1,label"] + [_ROW] * 5 for k in (6, 7, 8)),
+        # Line breaks str.splitlines() adds, on the first and last line of a
+        # block and of the file.
+        ["\u2028" + _ROW, _ROW, _ROW + "\x0c", "\x0c" + _ROW, _ROW, _ROW + "\u2028",
+         _ROW, _ROW, _ROW + "\x0c"],
+    ])
+    def test_rows_match_reference(self, monkeypatch, tmp_path, lines, ending):
+        monkeypatch.setattr(data, "_READ_HINT", _HINT)
+        p = tmp_path / "d.csv"
+        assert set(_write_blocks(p, lines, ending)[:-1]) == {3}
+        rows, _ = reference_parse(p)
+        ds = load_csv(p, has_label=True)
+        assert ds.X.tobytes() == rows[:, :2].tobytes()
+        np.testing.assert_array_equal(ds.y, rows[:, 2].astype(int))
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    @pytest.mark.parametrize("bad", [
+        {6: "1.0,abcd,0"},
+        {6: "1.0,2.2500", 9: "1.0,abcd,0"},
+        # The form feed ends line 3 after "1.0,": a ragged line.
+        {3: "1.0,\x0c2.25,0", 6: "1.0,abcd,0"},
+    ])
+    def test_errors_on_a_blocks_last_line_match_reference(self, monkeypatch, tmp_path, bad, ending):
+        monkeypatch.setattr(data, "_READ_HINT", _HINT)
+        p = tmp_path / "d.csv"
+        lines = [_ROW] * 12
+        for lineno, text in bad.items():
+            lines[lineno - 1] = text
+        assert _write_blocks(p, lines, ending) == [3, 3, 3, 3]
+        with pytest.raises(CsvParseError) as expected:
+            reference_parse(p)
+        with pytest.raises(CsvParseError) as err:
+            load_csv(p, has_label=True)
+        assert (str(err.value), err.value.row, err.value.column) == (
+            str(expected.value), expected.value.row, expected.value.column
+        )
+        assert err.value.row == min(bad)
 
 
 # Cells of three kinds: plain decimals, cells that float() takes and numpy's

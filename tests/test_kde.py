@@ -243,22 +243,32 @@ class TestSharedBandwidthPass:
         expected = np.array([one_bandwidth_pass(P, Q, h) for h in DEFAULT_BANDWIDTHS])
         assert out.tobytes() == expected.tobytes()
 
-    def test_non_finite_queries(self):
+    def test_non_finite_query_rows_are_rejected(self):
         rng = np.random.default_rng(15)
         P = rng.normal(size=(30, 2))
-        Q = rng.normal(size=(8, 2))
-        Q[1, 0], Q[3, 1], Q[4] = np.inf, -np.inf, (np.inf, -np.inf)
-        Q[6, 0] = np.nan
-        with np.errstate(invalid="ignore"):
-            out = _log_densities(P, Q, DEFAULT_BANDWIDTHS)
-            expected = np.array([one_bandwidth_pass(P, Q, h) for h in DEFAULT_BANDWIDTHS])
-        finite = [0, 2, 5, 7]
-        assert np.isfinite(out[:, finite]).all()
-        assert out[:, finite].tobytes() == expected[:, finite].tobytes()
-        # Equal, with NaN in the same places: an infinite query's distances
-        # are all inf, and its log-sum-exp is NaN in both forms.
-        np.testing.assert_array_equal(out, expected)
-        assert np.isnan(out[:, 6]).all()
+        for bad in (np.inf, -np.inf, np.nan):
+            Q = rng.normal(size=(8, 2))
+            Q[3, 1] = Q[6, 0] = bad
+            with pytest.raises(ContractError, match="query row 3 must be finite"):
+                _log_densities(P, Q, DEFAULT_BANDWIDTHS)
+            with pytest.raises(ContractError, match="query row 3 must be finite"):
+                kde_log_density(KdeModel(P, 0.5), Q)
+
+    def test_far_query_rows_have_log_density_minus_inf(self):
+        # pyproject.toml makes RuntimeWarnings errors, so none is raised.
+        rng = np.random.default_rng(18)
+        P = rng.normal(size=(30, 2))
+        Q = rng.normal(size=(6, 2))
+        # Every squared distance of rows 1 and 4 overflows.
+        Q[1], Q[4] = (1e200, 0.0), (-1e170, 1e170)
+        out = _log_densities(P, Q, DEFAULT_BANDWIDTHS)
+        assert (out[:, [1, 4]] == -np.inf).all()
+        near = [0, 2, 3, 5]
+        expected = np.array([one_bandwidth_pass(P, Q[near], h) for h in DEFAULT_BANDWIDTHS])
+        assert out[:, near].tobytes() == expected.tobytes()
+        # At an accepted tiny bandwidth a modest distance's exponents overflow.
+        tiny = _log_densities(P, np.array([[1e10, 0.0], [P[0, 0], P[0, 1]]]), [1e-150])
+        assert tiny[0, 0] == -np.inf and np.isfinite(tiny[0, 1])
 
     def test_invariant_to_the_order_of_the_points(self):
         rng = np.random.default_rng(16)
@@ -312,6 +322,20 @@ class TestPluginRatio:
         kt = KdeModel(rng.normal(size=(30, 1)) + 0.5, 0.1)
         val = plugin_ratio(ks, kt, np.array([[50.0]]), bounds=(1e-3, 1e3))[0]
         assert val in (1e-3, 1e3)
+
+    def test_row_with_zero_density_under_both_kdes_is_rejected(self):
+        rng = np.random.default_rng(6)
+        ks = KdeModel(rng.normal(size=(30, 2)), 0.5)
+        kt = KdeModel(rng.normal(size=(30, 2)) + 0.5, 0.5)
+        with pytest.raises(ContractError, match="query row 1 has density 0 under both KDEs"):
+            plugin_ratio(ks, kt, np.array([[0.5, 0.5], [1e200, 0.0]]))
+
+    def test_zero_density_under_one_kde_clamps(self):
+        # At h = 1e-150 the source density at the target's points is 0.
+        ks = KdeModel(np.zeros((3, 1)), 1e-150)
+        kt = KdeModel(np.full((3, 1), 1e10), 1e-150)
+        X = np.array([[1e10], [0.0]])
+        assert plugin_ratio(ks, kt, X, bounds=(1e-3, 1e3)).tolist() == [1e-3, 1e3]
 
     def test_reciprocal_identity(self):
         rng = np.random.default_rng(5)
