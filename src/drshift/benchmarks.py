@@ -173,10 +173,12 @@ def calibration_trial(seed):
     clf, dom, _ = _train_pass(source, target, clf0, dom0, cfg)
     erm, _ = train_erm(source, cfg)
 
+    # train_erm sets r = 0, so these unit-ratio logits are also the ERM
+    # model's test-mode logits, bit for bit.
     logits = class_scores(erm, target.X)
     temperature, eval_idx = temperature_split(logits, target.y, seed, 0.5)
     probs_drl, _ = target_predictions(clf, dom, target)
-    probs_erm, _ = target_predictions(erm, None, target)
+    probs_erm, _ = _softmax_lse(logits)
     probs_ts, _ = _softmax_lse(logits[eval_idx] / temperature)
     y_eval = target.y[eval_idx]
     return {

@@ -7,6 +7,7 @@ conditional label distribution is identical across domains by construction.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -269,8 +270,9 @@ def load_csv(path, has_label, domain=SOURCE):
     accepts a cell that Python's float() rejects and returns the same bits
     for the cells it accepts. comments=None keeps its default "#" from
     cutting a cell such as "1.0#c", which float() rejects. When numpy
-    raises, or its array has no rows or a fault, the lines are read again
-    by _parse_cells, which names the first fault's line.
+    raises or returns no rows, the lines are read again by _parse_cells,
+    which names the first fault's line. When its array has a fault, the
+    fault's row is the array's row, and _data_line finds its file line.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
@@ -279,8 +281,11 @@ def load_csv(path, has_label, domain=SOURCE):
             M = np.loadtxt(_lines(fh), delimiter=",", comments=None, ndmin=2)
     except ValueError:  # UnicodeDecodeError included
         M = None
-    if M is None or not len(M) or _first_fault(M, has_label):
+    if M is None or not len(M):
         M = _parse_cells(path, has_label)
+    elif fault := _first_fault(M, has_label):
+        i, column, message = fault
+        raise CsvParseError(path, _data_line(path, i), column, message)
     if not has_label:
         return Dataset(M, None, _is_source(domain), 0, name=str(path))
     y = M[:, -1].astype(int)
@@ -330,12 +335,20 @@ def _first_fault(M, has_label):
     return None
 
 
+def _data_line(path, i):
+    """The 1-based file line of data row i, the (i + 1)-th non-empty item of
+    _lines, found without parsing a cell."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        rows = (lineno for lineno, line in enumerate(_lines(fh), 1) if line)
+        return next(itertools.islice(rows, i, None))
+
+
 def _parse_cells(path, has_label):
     """The file's rows parsed cell by cell by float(), run when np.loadtxt
-    raises or its array has no rows or a fault: the array when every cell
-    is one float() takes, such as "1_0.5" or non-ASCII digits that numpy
-    rejects, else ConfigError or the CsvParseError of the first ragged
-    line, bad cell or _first_fault in file order."""
+    raises or its array has no rows: the array when every cell is one
+    float() takes, such as "1_0.5" or non-ASCII digits that numpy rejects,
+    else ConfigError or the CsvParseError of the first ragged line, bad cell
+    or _first_fault in file order."""
     width = None
     values, linenos = [], []
     try:

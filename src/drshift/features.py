@@ -192,8 +192,8 @@ def _feature_map_doc(fmap):
             {
                 "rows": int(W.shape[0]),
                 "cols": int(W.shape[1]),
-                "weight": [float(v) for v in W.ravel(order="C")],
-                "bias": [float(v) for v in b],
+                "weight": W.ravel(order="C").tolist(),
+                "bias": b.tolist(),
             }
             for W, b in fmap.layers
         ],

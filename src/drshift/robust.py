@@ -337,32 +337,31 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
     """The update rule every trainer shares, run on copies of clf and dom;
     returns (clf, dom, history).
 
-    Each epoch, plan(rng) yields the steps (X_rest, Xb, yb, tb_s, Xb_t), with
-    rng seeded by cfg.seed: the rows Xb whose ratios the step trains on, the
-    same number every step; X_rest, which holds Xb and then the rows of the
-    epoch's later steps, in the order the plan serves them; the labels yb;
-    and the domain step's inputs, the source tags tb_s of its source rows
-    Xb[:len(tb_s)] and its target rows Xb_t. Every domain_update_period-th
-    step, unless dom is None, the domain net takes one SGD step on
-    _domain_gradient.
+    Each epoch, plan(rng), with rng seeded by cfg.seed, returns the epoch's
+    B steps stacked on a leading step axis as (X, y, tags, Xt): X (B, n, d)
+    holds each step's rows, whose ratios the step trains on; y (B, n_y) its
+    labels; tags (B, k) the source tags of the domain step's source rows
+    X[b, :k]; and Xt (B, m, d) the domain step's target rows, or None when
+    there is no target. Every domain_update_period-th step, unless dom is
+    None, the domain net takes one SGD step on _domain_gradient.
 
     The loop owns the ratio read (ones when dom is None). After each domain
     step, and at the start of each epoch, one domain-net pass reads the
-    ratios of the rows of the steps up to the next domain step or the end
-    of the epoch, at most domain_update_period steps, and checks them once
-    against clf.ratio_bounds. Each step takes its slice of that read, so an
-    epoch reads each row it trains on once. A row's ratio depends on that
-    row alone, so the values are those of a read per step. The bits are too
-    only if the domain net's matmuls give a row the same result whatever
-    the number of rows in the pass; the golden tests of tests/test_core.py
-    check that on the numpy and BLAS they run with.
+    ratios of the rows X[b:b + period - k] of the steps up to the next
+    domain step or the end of the epoch, checks them once against
+    clf.ratio_bounds and stacks them per step, so an epoch reads each row it
+    trains on once. A row's ratio depends on that row alone, so the values
+    are those of a read per step. The bits are too only if the domain net's
+    matmuls give a row the same result whatever the number of rows in the
+    pass; the golden tests of tests/test_core.py check that on the numpy and
+    BLAS they run with.
 
     Every step theta and the feature parameters then take one momentum-SGD
     step on the grad_theta and feature_grad of
-    model_gradient(clf, (Xb, yb), ratios), ratios being the step's slice, as
-    grad_source takes them; a non-finite theta after it raises
-    DivergenceError. epoch_record(clf, dom, epoch) gives the epoch's history
-    record.
+    model_gradient(clf, (X[b], y[b]), ratios), ratios being the step's row
+    of that read, as grad_source takes them; a non-finite theta after it
+    raises DivergenceError. epoch_record(clf, dom, epoch) gives the epoch's
+    history record.
 
     The optimizer steps update theta and the flat params of these copies
     in place; the caller's clf and dom are never written.
@@ -375,47 +374,22 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
     history = []
     step = 0
     for epoch in range(cfg.epochs):
-        for b, (X_rest, Xb, yb, tb_s, Xb_t) in enumerate(plan(rng)):
-            k, n = step % period, len(Xb)
+        X, y, tags, Xt = plan(rng)
+        for b in range(len(X)):
+            k = step % period
             if k == 0 and dom is not None:
                 dom.net.params -= cfg.lr_domain * _domain_gradient(
-                    clf, dom, Xb[:len(tb_s)], tb_s, Xb_t)
+                    clf, dom, X[b, :tags.shape[1]], tags[b], Xt[b])
             if k == 0 or b == 0:
-                read = _ratios(dom, X_rest[:(period - k) * n], epoch)
-                ratios, used = _check_ratios(clf, read, len(read)), 0
-            g = model_gradient(clf, (Xb, yb), ratios[used:used + n])
-            used += n
+                first, rows = b, X[b:b + period - k]
+                read = _ratios(dom, rows.reshape(-1, rows.shape[2]), epoch)
+                ratios = _check_ratios(clf, read, len(read)).reshape(len(rows), -1)
+            g = model_gradient(clf, (X[b], y[b]), ratios[b - first])
             opt.step(g.grad_theta, g.feature_grad)
             _require_finite(clf.theta, "theta", epoch)
             step += 1
         history.append(epoch_record(clf, dom, epoch))
     return clf, dom, history
-
-
-def _batch_plan(source, target, batch_size):
-    """plan for _train_loop: each epoch one permutation of the source and,
-    unless target is None, one of the target, gathered once and cut into
-    equal batches (views of the gathered rows). A batch's ratio rows are its
-    source rows, and its X_rest runs from its first source row to the last
-    row of the epoch's last batch."""
-    Xs, ys, ts = source.X, source.y, source.is_source
-    Xt = None if target is None else target.X
-    n_s = len(source)
-    n_t = n_s if Xt is None else len(Xt)
-    bs = min(batch_size, n_s, n_t)
-    n_batches = max(1, min(n_s, n_t) // bs)
-    end = n_batches * bs
-
-    def plan(rng):
-        perm_s = rng.permutation(n_s)
-        Xs_p, ys_p, ts_p = Xs[perm_s], ys[perm_s], ts[perm_s]
-        Xt_p = None if Xt is None else Xt[rng.permutation(n_t)]
-        for b in range(n_batches):
-            lo, hi = b * bs, (b + 1) * bs
-            yield (Xs_p[lo:end], Xs_p[lo:hi], ys_p[lo:hi], ts_p[lo:hi],
-                   None if Xt_p is None else Xt_p[lo:hi])
-
-    return plan
 
 
 def train_end_to_end(source, target, clf, dom, cfg):
@@ -436,15 +410,17 @@ def train_end_to_end(source, target, clf, dom, cfg):
     """
     Xs, ys, Xt = source.X, source.y, target.X
     n_s = Xs.shape[0]
+    X_st = np.vstack([Xs, Xt])
+    t_st = np.concatenate([source.is_source, np.zeros(Xt.shape[0])])
 
     def record(clf, dom, epoch):
         if dom is None:
             ratios_s, ratios_t, bce = np.ones(n_s), np.ones(Xt.shape[0]), float("nan")
         else:
-            ratios, _, z = domain_ratios(dom, np.vstack([Xs, Xt]))
+            ratios, _, z = domain_ratios(dom, X_st)
             ratios = _require_finite(ratios, "density ratios")
             ratios_s, ratios_t = ratios[:n_s], ratios[n_s:]
-            bce = _bce_from_logits(z, np.concatenate([source.is_source, np.zeros(Xt.shape[0])]))
+            bce = _bce_from_logits(z, t_st)
         Phi_s = feature_forward_batch(clf.feature_map, Xs)
         constraint = _constraint_from_features(Phi_s, ys, clf.class_count)
         dual = dual_objective(clf, Xt, ratios_t, constraint)
@@ -463,9 +439,11 @@ def _train_pass(source, target, clf, dom, cfg, record=None):
     """The training of train_end_to_end with record as the epoch_record of
     _train_loop; returns (clf, dom, history).
 
-    The model gradient is grad_source itself, at the ratios of the loop's
-    read (ones when dom is None): each batch's source rows, read in one
-    domain-net pass per domain period.
+    Each epoch the plan draws one permutation of the source, then one of
+    the target unless target is None, and stacks the first B * bs rows of
+    each as B batches of bs. The model gradient is grad_source itself, at
+    the ratios of the loop's read (ones when dom is None): each batch's
+    source rows, read in one domain-net pass per domain period.
 
     The default record keeps no history (None per epoch) and evaluates only
     the check a diverged model trips: the dual objective over the target,
@@ -483,7 +461,17 @@ def _train_pass(source, target, clf, dom, cfg, record=None):
                 raise DivergenceError(f"non-finite training state at epoch {epoch}",
                                       state={"epoch": epoch, "dual": dual})
 
-    plan = _batch_plan(source, target, cfg.batch_size)
+    Xs, ys, ts = source.X, source.y, source.is_source
+    n_s = len(source)
+    n_t = n_s if target is None else len(target)
+    bs = min(cfg.batch_size, n_s, n_t)
+    B = min(n_s, n_t) // bs
+
+    def plan(rng):
+        rows = rng.permutation(n_s)[:B * bs]
+        Xt = None if target is None else target.X[rng.permutation(n_t)[:B * bs]].reshape(B, bs, -1)
+        return Xs[rows].reshape(B, bs, -1), ys[rows].reshape(B, bs), ts[rows].reshape(B, bs), Xt
+
     return _train_loop(clf, dom, cfg, plan, grad_source, record)
 
 
@@ -512,7 +500,7 @@ def train_erm(source, cfg, clf=None):
 def checkpoint_to_json(clf, dom=None, config=None):
     """Bundle theta, feature map, domain net, r, and bounds into JSON text."""
     doc = {
-        "theta": [[float(v) for v in row] for row in clf.theta],
+        "theta": clf.theta.tolist(),
         "feature_map": _feature_map_doc(clf.feature_map),
         "r": float(clf.r),
         "ratio_bounds": [float(clf.ratio_bounds[0]), float(clf.ratio_bounds[1])],

@@ -77,13 +77,13 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
     The plan draws each epoch's batches up front, in the order of a
     step-by-step draw: the labeled permutations (redrawn when one runs out)
     from the loop's rng, then each batch's weak and strong augmentations
-    from the augmentation seed's generator. It stacks them into one epoch
-    array of [labeled; weak; strong] step rows, bs_l + 2M per step, whose
-    ratios the loop reads once per domain period. At seed 5 of the drssl
-    recipe of drshift.cli a traced run makes 321 domain_ratios calls (one
-    per domain step, one per mid-period epoch start, and the target
-    predictions of the 40 epoch records and the CLI's final evaluation),
-    not one per step (1,281), over the same 80,020 rows.
+    from the augmentation seed's generator. It returns them stacked per
+    step, the step's rows [labeled; weak; strong] (bs_l + 2M of them) in X
+    and the unaugmented target rows of its domain step in Xt; the loop reads
+    the ratios of X once per domain period. At seed 5 of the drssl recipe
+    of drshift.cli a traced run makes 321 domain_ratios calls: one per
+    domain step, one per mid-period epoch start, and the target predictions
+    of the 40 epoch records and the CLI's final evaluation.
 
     Each step runs one classifier forward pass over its rows. A step with
     no weak prediction above the threshold takes the supervised gradient
@@ -106,30 +106,26 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
     n_l, n_u, d = len(labeled), len(unlabeled), labeled.dim
     M = min(cfg.unlabeled_batch, n_u)
     bs_l = min(cfg.base.batch_size, n_l)
-    tags = np.ones(bs_l)  # the domain step counts every labeled row as source
     n_batches = max(1, n_u // M)
-    width = bs_l + 2 * M  # rows per step: labeled, weak, strong
+    tags = np.ones((n_batches, bs_l))  # the domain step counts every labeled row as source
     sums = [0.0, 0.0, 0]  # this epoch's sup_loss, unsup_loss and masked count
 
     def plan(rng):
         perm_u = rng.permutation(n_u)
         perm_l = rng.permutation(n_l)
-        Xb_u = Xu[perm_u[: n_batches * M]].reshape(n_batches, M, d)
-        X_ep = np.empty((n_batches, width, d))
-        y_ep = np.empty((n_batches, bs_l), dtype=yl.dtype)
+        Xt = Xu[perm_u[: n_batches * M]].reshape(n_batches, M, d)
+        X = np.empty((n_batches, bs_l + 2 * M, d))  # labeled, weak, strong
+        y = np.empty((n_batches, bs_l), dtype=yl.dtype)
         li = 0
         for b in range(n_batches):
             if li + bs_l > n_l:
-                perm_l = rng.permutation(n_l)
-                li = 0
+                perm_l, li = rng.permutation(n_l), 0
             rows = perm_l[li : li + bs_l]
             li += bs_l
-            X_ep[b, :bs_l], y_ep[b] = Xl[rows], yl[rows]
-            X_ep[b, bs_l : bs_l + M] = augment_batch(Xb_u[b], aug, "weak", rng_aug)
-            X_ep[b, bs_l + M :] = augment_batch(Xb_u[b], aug, "strong", rng_aug)
-        X_ep = X_ep.reshape(n_batches * width, d)
-        for b in range(n_batches):
-            yield X_ep[b * width :], X_ep[b * width : (b + 1) * width], y_ep[b], tags, Xb_u[b]
+            X[b, :bs_l], y[b] = Xl[rows], yl[rows]
+            X[b, bs_l : bs_l + M] = augment_batch(Xt[b], aug, "weak", rng_aug)
+            X[b, bs_l + M :] = augment_batch(Xt[b], aug, "strong", rng_aug)
+        return X, y, tags, Xt
 
     # The loop has read and checked the ratios of all the step's rows.
     def model_gradient(clf, batch, ratios):

@@ -435,6 +435,35 @@ class TestTrainEndToEnd:
         # The first read covers a domain period of two 4-row batches.
         assert reads == [8] and checked == []
 
+    def test_each_epoch_reads_each_trained_source_row_once(self, monkeypatch):
+        # 14 source rows in batches of 4 make 3 batches an epoch and leave 2
+        # rows out; a domain period of 2 starts the second epoch mid-period.
+        source, target, clf, dom, cfg = tiny_training_problem()
+        reads, batches = [], []
+        original = drshift.robust._ratios
+        original_grad = drshift.robust.grad_source
+
+        def recording(dom, X, epoch=None):
+            reads.append((epoch, X.copy()))
+            return original(dom, X, epoch)
+
+        def recording_grad(clf, batch, ratios, *args, **kwargs):
+            batches.append(batch[0].copy())
+            return original_grad(clf, batch, ratios, *args, **kwargs)
+
+        monkeypatch.setattr(drshift.robust, "_ratios", recording)
+        monkeypatch.setattr(drshift.robust, "grad_source", recording_grad)
+        train_end_to_end(source, target, clf, dom, cfg)
+        assert [len(X) for _, X in reads] == [8, 4, 4, 8]
+        rng = np.random.default_rng(cfg.seed)
+        for epoch in range(cfg.epochs):
+            perm_s = rng.permutation(len(source))
+            rng.permutation(len(target))
+            read = np.vstack([X for e, X in reads if e == epoch])
+            trained = np.vstack(batches[3 * epoch:3 * (epoch + 1)])
+            assert read.tobytes() == trained.tobytes()
+            assert read.tobytes() == source.X[perm_s[:12]].tobytes()
+
     def test_without_domain_net_ratios_are_one(self):
         spec = default_shift_spec(seed=3, n_source=64, n_target=64)
         source, target, _ = generate_gaussian_shift(spec)

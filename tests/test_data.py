@@ -456,7 +456,28 @@ class TestCsvBlockParse:
         np.testing.assert_array_equal(ds.y, rows[:, 2].astype(int))
         assert peak < 10e6
 
-    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"])
+    def test_non_finite_last_label_named_in_under_10_mb(self, tmp_path):
+        # numpy parses every cell; only the fault's file line is looked up
+        # again, after a blank line that shifts it past its row index.
+        p = tmp_path / "d.csv"
+        lines = write_rows(p, 100_000)
+        lines.insert(2, "")
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _, linenos = reference_parse(p)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CsvParseError) as err:
+                load_csv(p, has_label=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.row == linenos[-1] == 100_002
+        assert str(err.value).endswith("row 100002, column 3: not a finite number: nan")
+        # Parsing the file again cell by cell would peak near 18 MB.
+        assert peak < 10e6
+
+    @pytest.mark.parametrize("brk",["\x85", "\u2028", "\u2029"])
     def test_multi_byte_line_break_ends_the_line(self, tmp_path, brk):
         # str.splitlines() ends line 3 at brk, so its last cell is empty;
         # numpy's reader would take brk as whitespace and read the label 1.
