@@ -138,10 +138,13 @@ def initial_models(recipe, dim, class_count, seed):
 
 
 def temperature_split(logits, labels, seed, split):
-    """Temperature fitted on the head of split_indices at seed + 7, and the
-    remaining eval rows."""
+    """(temperature, eval_idx, probs_raw, probs_ts): the temperature fitted
+    on the head of split_indices at seed + 7, the remaining eval rows, and
+    the softmax of their logits before and after division by it."""
     fit_idx, eval_idx = split_indices(len(labels), split, np.random.default_rng(seed + 7))
-    return fit_temperature(logits[fit_idx], labels[fit_idx]), eval_idx
+    temperature = fit_temperature(logits[fit_idx], labels[fit_idx])
+    L_eval = logits[eval_idx]
+    return temperature, eval_idx, _softmax_lse(L_eval)[0], _softmax_lse(L_eval / temperature)[0]
 
 
 def class_balanced_subset(dataset, n_total, seed):
@@ -176,14 +179,12 @@ def calibration_trial(seed):
     # train_erm sets r = 0, so these unit-ratio logits are also the ERM
     # model's test-mode logits, bit for bit.
     logits = class_scores(erm, target.X)
-    temperature, eval_idx = temperature_split(logits, target.y, seed, 0.5)
+    _, eval_idx, probs_erm, probs_ts = temperature_split(logits, target.y, seed, 0.5)
     probs_drl, _ = target_predictions(clf, dom, target)
-    probs_erm, _ = _softmax_lse(logits)
-    probs_ts, _ = _softmax_lse(logits[eval_idx] / temperature)
     y_eval = target.y[eval_idx]
     return {
         "drl": calibration_report(probs_drl[eval_idx], y_eval),
-        "erm": calibration_report(probs_erm[eval_idx], y_eval),
+        "erm": calibration_report(probs_erm, y_eval),
         "ts": calibration_report(probs_ts, y_eval),
     }
 

@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import ContractError, _class_labels
 
+TEMPERATURE_RANGE = (0.05, 20.0)
+LOG_TEMPERATURE_TOL = 1e-4
+REPORT_BINS = 5
+
 
 @dataclass
 class ReliabilityBin:
@@ -50,7 +54,7 @@ def brier(probs, labels):
     return float(((P - onehot) ** 2).sum(axis=1).mean())
 
 
-def ece(probs, labels, n_bins=5):
+def ece(probs, labels, n_bins=REPORT_BINS):
     """Expected calibration error over equal-width confidence bins.
 
     Bins partition [0, 1]; a confidence exactly on an interior edge falls in
@@ -156,8 +160,9 @@ def nll(logits, labels, temperature=1.0):
     return _mean_nll(L, L[np.arange(L.shape[0]), y], temperature)
 
 
-def fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
-    """Golden-section search for the NLL-minimizing temperature on log T.
+def fit_temperature(logits, labels):
+    """Golden-section search for the NLL-minimizing temperature on log T in
+    TEMPERATURE_RANGE, to LOG_TEMPERATURE_TOL.
 
     The returned temperature never has higher NLL than T = 1 (ties resolve
     to 1). The label logits and the row max of the logits are taken once;
@@ -173,12 +178,12 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
     def f(log_t):
         return _mean_nll(L, L_label, np.exp(log_t), L_max)
 
-    a, b = np.log(lo), np.log(hi)
+    a, b = (np.log(t) for t in TEMPERATURE_RANGE)
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > LOG_TEMPERATURE_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -193,12 +198,12 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, tol=1e-4):
     return 1.0
 
 
-def calibration_report(probs, labels, n_bins=5):
-    """Accuracy, Brier, ECE (with bins), and misclassification entropy."""
+def calibration_report(probs, labels):
+    """Accuracy, Brier, ECE (with REPORT_BINS bins), and misclassification entropy."""
     P = _as_rows(probs)
     y = _class_labels(labels, *P.shape)
     b = brier(P, y)  # first, so zero rows raise before any mean is taken
     acc = float((P.argmax(axis=1) == y).mean())
-    e, bins = ece(P, y, n_bins)
+    e, bins = ece(P, y)
     ent, _ = miscls_entropy(P, y)
     return CalibrationReport(acc, b, e, ent, bins)

@@ -58,7 +58,6 @@ from .data import (
 from .errors import ConfigError, ContractError, DivergenceError
 from .kde import check_bandwidth, run_plugin_simulation
 from .robust import (
-    _softmax_lse,
     checkpoint_from_json,
     checkpoint_to_json,
     class_scores,
@@ -591,10 +590,9 @@ def cmd_calibrate(cfg):
     split = _num(cfg, "calibrate.split", 0.5, lo=0, hi=1)
     with RunDir(cfg["out_dir"]) as run:
         logits = class_scores(clf, target.X)
-        temperature, eval_idx = temperature_split(logits, target.y, int(cfg["seed"]), split)
+        temperature, eval_idx, probs_raw, probs_ts = temperature_split(
+            logits, target.y, int(cfg["seed"]), split)
         L_eval = logits[eval_idx]
-        probs_raw, _ = _softmax_lse(L_eval)
-        probs_ts, _ = _softmax_lse(L_eval / temperature)
         y_eval = target.y[eval_idx]
         rep_raw = calibration_report(probs_raw, y_eval)
         rep_ts = calibration_report(probs_ts, y_eval)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, ContractError, CsvParseError
+from .errors import ConfigError, ContractError, CsvParseError, _int_labels
 
 SOURCE = "source"
 TARGET = "target"
@@ -40,7 +40,7 @@ class Dataset:
         if not finite.all():
             raise ConfigError(f"sample {int(np.argmin(finite))} features must be finite")
         if y is not None:
-            y = np.array(y, dtype=int)
+            y = np.array(_int_labels(y, ConfigError))
             if y.shape != (n,):
                 raise ConfigError(f"expected {n} labels, got shape {y.shape}")
             bad = np.flatnonzero((y < 0) | (y >= class_count))
@@ -87,7 +87,7 @@ def _is_source(domain):
 def dataset_from_arrays(X, y=None, domain=SOURCE, class_count=None, name=""):
     """Dataset with one domain tag for every row; class_count defaults to max(y) + 1."""
     if y is not None and class_count is None:
-        y = np.asarray(y, dtype=int)
+        y = _int_labels(y, ConfigError)
         class_count = int(y.max()) + 1 if y.size else 0
     return Dataset(X, y, _is_source(domain), class_count or 0, name)
 
@@ -143,7 +143,7 @@ class GaussianShiftSpec:
                 np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
                 raise ConfigError(f"{name} is not positive definite") from None
-        if self.n_source < 1 or self.n_target < 1:
+        if not (self.n_source >= 1 and self.n_target >= 1):
             raise ConfigError("sample counts must be positive")
 
     @property
@@ -218,7 +218,7 @@ class AugmentationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.weak_noise_std < 0 or self.strong_noise_std < 0:
+        if not (self.weak_noise_std >= 0 and self.strong_noise_std >= 0):
             raise ConfigError("noise levels must be non-negative")
         if self.strong_noise_std < self.weak_noise_std:
             raise ConfigError("strong_noise_std must be >= weak_noise_std")
@@ -266,30 +266,38 @@ def load_csv(path, has_label, domain=SOURCE):
     int64, name the 1-based file line and column.
 
     Lines end where str.splitlines() ends them (_lines), and blank lines
-    are skipped. The lines go to one np.loadtxt call, whose C reader never
+    are skipped. np.loadtxt builds the array (_loadtxt); its C reader never
     accepts a cell that Python's float() rejects and returns the same bits
-    for the cells it accepts. comments=None keeps its default "#" from
-    cutting a cell such as "1.0#c", which float() rejects. When numpy
-    raises or returns no rows, the lines are read again by _parse_cells,
-    which names the first fault's line. When its array has a fault, the
-    fault's row is the array's row, and _data_line finds its file line.
+    for the cells it accepts. When it raises, _check_cells names the first
+    ragged line or cell float() rejects; if there is none, every cell is
+    one only float() takes, such as "1_0.5" or non-ASCII digits, and
+    np.loadtxt parses the lines again through float(). A fault in the
+    array names its row, whose file line _data_line finds.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
-            # A file without data rows warns; _parse_cells names its fault.
-            warnings.simplefilter("ignore", UserWarning)
-            M = np.loadtxt(_lines(fh), delimiter=",", comments=None, ndmin=2)
+        M = _loadtxt(path)
     except ValueError:  # UnicodeDecodeError included
-        M = None
-    if M is None or not len(M):
-        M = _parse_cells(path, has_label)
-    elif fault := _first_fault(M, has_label):
+        _check_cells(path)
+        M = _loadtxt(path, converters=float, encoding=None)
+    if not len(M):
+        raise ConfigError(f"{path}: no data rows")
+    if fault := _first_fault(M, has_label):
         i, column, message = fault
         raise CsvParseError(path, _data_line(path, i), column, message)
     if not has_label:
         return Dataset(M, None, _is_source(domain), 0, name=str(path))
     y = M[:, -1].astype(int)
     return Dataset(M[:, :-1], y, _is_source(domain), int(y.max()) + 1, name=str(path))
+
+
+def _loadtxt(path, **kwargs):
+    """np.loadtxt of the lines of the file at path (_lines), with kwargs.
+    comments=None keeps its default "#" from cutting a cell such as
+    "1.0#c", which float() rejects."""
+    with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        # A file without data rows warns; load_csv names its fault.
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(_lines(fh), delimiter=",", comments=None, ndmin=2, **kwargs)
 
 
 def _lines(fh):
@@ -343,14 +351,12 @@ def _data_line(path, i):
         return next(itertools.islice(rows, i, None))
 
 
-def _parse_cells(path, has_label):
-    """The file's rows parsed cell by cell by float(), run when np.loadtxt
-    raises or its array has no rows: the array when every cell is one
-    float() takes, such as "1_0.5" or non-ASCII digits that numpy rejects,
-    else ConfigError or the CsvParseError of the first ragged line, bad cell
-    or _first_fault in file order."""
+def _check_cells(path):
+    """Return only if every line of the file at path has the first data
+    line's width and every cell is one float() takes; else raise the
+    CsvParseError of the first line that does not, or ConfigError when the
+    file is not UTF-8 text. No value is kept."""
     width = None
-    values, linenos = [], []
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(_lines(fh), 1):
@@ -363,20 +369,11 @@ def _parse_cells(path, has_label):
                     raise CsvParseError(path, lineno, len(cells), f"expected {width} columns, got {len(cells)}")
                 for col, cell in enumerate(cells):
                     try:
-                        values.append(float(cell))
+                        float(cell)
                     except ValueError:
                         raise CsvParseError(path, lineno, col + 1, f"not a number: {cell!r}") from None
-                linenos.append(lineno)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not linenos:
-        raise ConfigError(f"{path}: no data rows")
-    M = np.array(values).reshape(len(linenos), width)
-    fault = _first_fault(M, has_label)
-    if fault:
-        i, column, message = fault
-        raise CsvParseError(path, linenos[i], column, message)
-    return M
 
 
 def save_csv(path, dataset):

@@ -21,10 +21,24 @@ def _one_per_row(values, n, what):
     return values
 
 
+def _int_labels(labels, error=ContractError):
+    """labels as an int64 array, or error naming the first label that is
+    not an integer: fractional, non-finite or outside int64. Integer arrays
+    are only cast; other labels are read as floats and checked."""
+    y = np.asarray(labels)
+    if y.dtype.kind in "biu":
+        return y.astype(np.int64, copy=False)
+    y = y.astype(float)
+    bad = ~((y == np.floor(y)) & (y >= -(2.0**63)) & (y < 2.0**63))
+    if bad.any():
+        raise error(f"label {float(y[bad][0])!r} is not an integer")
+    return y.astype(np.int64)
+
+
 def _class_labels(labels, n, class_count):
-    """labels as an int array, or ContractError unless it holds one label for
-    each of n rows, each in [0, class_count)."""
-    y = _one_per_row(np.asarray(labels, dtype=np.int64), n, "label")
+    """labels as an int array, or ContractError unless it holds one integer
+    label for each of n rows, each in [0, class_count)."""
+    y = _one_per_row(_int_labels(labels), n, "label")
     # As unsigned, a negative label exceeds any class count: one max checks both ends.
     if n and y.view(np.uint64).max() >= class_count:
         bad = y[(y < 0) | (y >= class_count)][0]

@@ -30,7 +30,7 @@ from .domain import (
     clamp_ratio,
     domain_ratios,
 )
-from .errors import ConfigError, ContractError, DivergenceError, _class_labels, _one_per_row
+from .errors import ConfigError, ContractError, DivergenceError, _class_labels, _int_labels, _one_per_row
 from .features import (
     _blocked_head,
     _feature_map_doc,
@@ -92,11 +92,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr_domain <= 0 or self.lr_model <= 0:
+        # Each check is written so that NaN fails it: every comparison with NaN is false.
+        if not (self.lr_domain > 0 and self.lr_model > 0):
             raise ConfigError("learning rates must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 0 or self.domain_update_period < 1:
+        if not (self.batch_size >= 1 and self.epochs >= 0 and self.domain_update_period >= 1):
             raise ConfigError("batch_size >= 1, epochs >= 0, domain_update_period >= 1 required")
 
 
@@ -230,7 +231,7 @@ def grad_source(clf, batch, ratios, weights=None, acts=None):
     the activations of a forward pass over X at the current parameters (from
     _forward_activations); otherwise the forward pass is run here.
     """
-    X, y = np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=int)
+    X, y = np.asarray(batch[0], dtype=float), _int_labels(batch[1])
     n = X.shape[0]
     if n == 0:
         raise ContractError("grad_source needs at least one source row")

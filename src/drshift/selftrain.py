@@ -26,9 +26,9 @@ class SelfTrainSchedule:
     def __post_init__(self):
         if not 0.0 <= self.p0 <= self.pmax <= 1.0:
             raise ConfigError("need 0 <= p0 <= pmax <= 1")
-        if self.dp < 0:
+        if not self.dp >= 0:
             raise ConfigError("dp must be >= 0")
-        if self.rounds < 0:
+        if not self.rounds >= 0:
             raise ConfigError("rounds must be >= 0")
 
     def portion(self, t):

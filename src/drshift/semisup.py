@@ -34,9 +34,9 @@ class SslConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
-        if self.unlabeled_batch < 1:
+        if not self.unlabeled_batch >= 1:
             raise ConfigError("unlabeled_batch must be >= 1")
-        if self.loss_weight < 0:
+        if not self.loss_weight >= 0:
             raise ConfigError("loss_weight must be >= 0")
 
 
@@ -106,7 +106,7 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
     n_l, n_u, d = len(labeled), len(unlabeled), labeled.dim
     M = min(cfg.unlabeled_batch, n_u)
     bs_l = min(cfg.base.batch_size, n_l)
-    n_batches = max(1, n_u // M)
+    n_batches = n_u // M
     tags = np.ones((n_batches, bs_l))  # the domain step counts every labeled row as source
     sums = [0.0, 0.0, 0]  # this epoch's sup_loss, unsup_loss and masked count
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,6 +312,18 @@ class TestLabels:
     def test_a_label_outside_the_classes_is_rejected(self, metric, label):
         with pytest.raises(ContractError, match=f"label {label} outside"):
             self.METRICS[metric](self.P, [0, label, 1])
+
+    @pytest.mark.parametrize("label", [0.9, 1.5, np.nan, np.inf, 1e20])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_a_label_that_is_not_an_integer_is_rejected(self, metric, label):
+        with pytest.raises(ContractError, match=re.escape(f"label {label!r} is not an integer")):
+            self.METRICS[metric](self.P, [0.0, label, 1.0])
+
+    def test_whole_float_labels_are_read_as_integers(self):
+        assert calibration_report(self.P, [0.0, 1.0, 1.0]) == calibration_report(self.P, [0, 1, 1])
+        # 1.9 would be cut to the right class 1 if labels were truncated.
+        with pytest.raises(ContractError, match="label 0.9 is not an integer"):
+            calibration_report(self.P[:2], [0.9, 1.9])
 
     def test_report_on_zero_rows_raises_before_any_mean(self):
         # pytest turns the "Mean of empty slice" warning into an error.

@@ -245,6 +245,14 @@ class TestGradSource:
         fd = fd_layers(dual, clf.feature_map, eps=1e-5)
         assert rel_err(flat(fd), g.feature_grad) <= 1e-4
 
+    def test_label_that_is_not_an_integer_is_rejected(self):
+        clf = RobustClassifier(np.eye(2), identity_map(2), 0.0, (1e-8, 1e8))
+        X = np.eye(2)
+        with pytest.raises(ContractError, match="label 1.5 is not an integer"):
+            grad_source(clf, (X, [0.0, 1.5]), np.ones(2))
+        whole = grad_source(clf, (X, [0.0, 1.0]), np.ones(2))
+        np.testing.assert_array_equal(whole.grad_theta, grad_source(clf, (X, [0, 1]), np.ones(2)).grad_theta)
+
 
 class TestNanRatio:
     """Every batch path rejects a NaN ratio instead of returning NaN results."""
@@ -756,6 +764,26 @@ class TestTrainerGoldenValues:
             " 'sup_loss': 0.8900197059906443, 'unsup_loss': 0.7936235391897543,"
             " 'mask_rate': 0.9166666666666666, 'target_acc': 0.4166666666666667}]"
         )
+
+
+@pytest.mark.parametrize("build, field", [
+    (TrainConfig, "lr_domain"),
+    (TrainConfig, "lr_model"),
+    (TrainConfig, "batch_size"),
+    (TrainConfig, "epochs"),
+    (TrainConfig, "domain_update_period"),
+    (SslConfig, "unlabeled_batch"),
+    (SslConfig, "loss_weight"),
+    (AugmentationSpec, "weak_noise_std"),
+    (AugmentationSpec, "strong_noise_std"),
+    (SelfTrainSchedule, "dp"),
+    (SelfTrainSchedule, "rounds"),
+    (lambda **kw: replace(default_shift_spec(), **kw), "n_source"),
+    (lambda **kw: replace(default_shift_spec(), **kw), "n_target"),
+])
+def test_config_range_checks_reject_nan(build, field):
+    with pytest.raises(ConfigError):
+        build(**{field: float("nan")})
 
 
 def test_checkpoint_roundtrip():

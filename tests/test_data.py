@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -385,8 +386,8 @@ _PARSE_BLOCK = 8_192
 
 
 class TestCsvBlockParse:
-    """Large files through load_csv's np.loadtxt parse and its cell-by-cell
-    fallback, compared with the cell-by-cell reference above."""
+    """Large files through load_csv's np.loadtxt parse, its cell check and
+    its parse through float(), compared with the cell-by-cell reference above."""
 
     def test_large_file_matches_cell_by_cell_parse_bitwise(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -475,6 +476,45 @@ class TestCsvBlockParse:
         assert err.value.row == linenos[-1] == 100_002
         assert str(err.value).endswith("row 100002, column 3: not a finite number: nan")
         # Parsing the file again cell by cell would peak near 18 MB.
+        assert peak < 10e6
+
+    def test_bad_last_label_named_in_under_10_mb(self, tmp_path):
+        # numpy raises on the last row; the cells are then only checked.
+        p = tmp_path / "d.csv"
+        lines = write_rows(p, 100_000)
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",abc"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError) as expected:
+            reference_parse(p)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CsvParseError) as err:
+                load_csv(p, has_label=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == str(expected.value)
+        assert str(err.value).endswith("row 100001, column 3: not a number: 'abc'")
+        # Keeping the earlier rows' cells as Python floats would peak near 14 MB.
+        assert peak < 10e6
+
+    def test_float_only_cell_in_last_row_matches_reference_in_under_10_mb(self, tmp_path):
+        # numpy raises on " 1_0.5 "; the file is parsed again through float().
+        p = tmp_path / "d.csv"
+        lines = write_rows(p, 100_000)
+        lines[-1] = " 1_0.5 ," + lines[-1].split(",", 1)[1]
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows, _ = reference_parse(p)
+        tracemalloc.start()
+        try:
+            ds = load_csv(p, has_label=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.X[-1, 0] == 10.5
+        assert ds.X.tobytes() == rows[:, :2].tobytes()
+        np.testing.assert_array_equal(ds.y, rows[:, 2].astype(int))
+        # Keeping every cell as a Python float would peak near 17 MB.
         assert peak < 10e6
 
     @pytest.mark.parametrize("brk",["\x85", "\u2028", "\u2029"])
@@ -651,6 +691,8 @@ def csv_lines(draw):
 # Only a header, or only blank lines: no data rows.
 @example(["\ufeffx0,x1,label\r"])
 @example(["", "  "])
+# A ragged line put in a header-only file is its one data row.
+@example(["1.0", ""])
 def test_load_csv_matches_cell_by_cell_reference(tmp_path, lines):
     p = tmp_path / "d.csv"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -667,6 +709,11 @@ def test_load_csv_matches_cell_by_cell_reference(tmp_path, lines):
         with pytest.raises(ConfigError, match="no data rows"):
             load_csv(p, has_label=True)
         return
+    if rows.shape[1] < 2:
+        # A lone column is a label without a feature.
+        with pytest.raises(CsvParseError, match=f"row {linenos[0]}, column 1: need at least one feature"):
+            load_csv(p, has_label=True)
+        return
     ds = load_csv(p, has_label=True)
     assert ds.X.tobytes() == rows[:, :-1].tobytes()
     np.testing.assert_array_equal(ds.y, rows[:, -1].astype(int))
@@ -680,6 +727,21 @@ class TestDataset:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             Dataset(np.zeros((1, 2)), [2], class_count=2)
+
+    @pytest.mark.parametrize("label", [0.5, 1.9, np.nan, -np.inf, 1e20])
+    @pytest.mark.parametrize("build", [
+        lambda y: Dataset(np.zeros((3, 2)), y, class_count=2),
+        lambda y: data.dataset_from_arrays(np.zeros((3, 2)), y),
+        lambda y: data.dataset_from_arrays(np.zeros((3, 2)), y, class_count=2),
+    ])
+    def test_label_that_is_not_an_integer_rejected(self, build, label):
+        with pytest.raises(ConfigError, match=re.escape(f"label {label!r} is not an integer")):
+            build([0.0, label, 1.0])
+
+    def test_whole_float_labels_are_read_as_integers(self):
+        ds = data.dataset_from_arrays(np.zeros((3, 2)), [0.0, 1.0, 0.0])
+        assert ds.y.dtype == np.int64 and ds.class_count == 2
+        np.testing.assert_array_equal(ds.y, [0, 1, 0])
 
     def test_empty_and_non_matrix_rejected(self):
         for X in [np.zeros((0, 2)), np.zeros(3), np.zeros((2, 2, 2))]:
