@@ -15,8 +15,6 @@ with the recipes as they are.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .calibration import calibration_report, fit_temperature
@@ -29,7 +27,7 @@ from .data import (
     split_indices,
 )
 from .domain import default_domain_classifier
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, _check_num
 from .robust import (
     TrainConfig,
     _softmax_lse,
@@ -85,56 +83,43 @@ def _pick(recipe, keys):
     return {key: recipe[key] for key in keys if key in recipe}
 
 
-@contextmanager
-def _in_section(section):
-    """Prefix a ConfigError raised inside the block with the config section."""
-    try:
-        yield
-    except ConfigError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
-
-
 def _train_config(recipe, seed):
     """TrainConfig of a recipe; batches shuffle at seed, and keys the recipe
     omits keep the TrainConfig defaults."""
     keys = ("lr_domain", "lr_model", "momentum", "batch_size", "epochs", "domain_update_period")
-    with _in_section("train"):
-        return TrainConfig(**_pick(recipe, keys), seed=seed)
+    return TrainConfig(**_pick(recipe, keys), seed=seed)
 
 
 def ssl_config(recipe, base):
     """SslConfig of a recipe over the TrainConfig base; its augmentation
     stream draws at base.seed + 60."""
-    with _in_section("ssl"):
-        return SslConfig(
-            threshold=recipe["threshold"],
-            unlabeled_batch=recipe["unlabeled_batch"],
-            loss_weight=recipe["loss_weight"],
-            augmentation=AugmentationSpec(
-                weak_noise_std=recipe["weak_noise_std"],
-                strong_noise_std=recipe["strong_noise_std"],
-                strong_mask_fraction=recipe["strong_mask_fraction"],
-                seed=base.seed + 60,
-            ),
-            base=base,
-        )
+    return SslConfig(
+        threshold=recipe["threshold"],
+        unlabeled_batch=recipe["unlabeled_batch"],
+        loss_weight=recipe["loss_weight"],
+        augmentation=AugmentationSpec(
+            weak_noise_std=recipe["weak_noise_std"],
+            strong_noise_std=recipe["strong_noise_std"],
+            strong_mask_fraction=recipe["strong_mask_fraction"],
+            seed=base.seed + 60,
+        ),
+        base=base,
+    )
 
 
 def self_train_schedule(recipe):
     """SelfTrainSchedule of a recipe; keys it omits keep the schedule defaults."""
-    with _in_section("schedule"):
-        return SelfTrainSchedule(**_pick(recipe, ("p0", "dp", "pmax", "rounds")))
+    return SelfTrainSchedule(**_pick(recipe, ("p0", "dp", "pmax", "rounds")))
 
 
 def initial_models(recipe, dim, class_count, seed):
     """Initial classifier (initialised at seed) and domain net (at seed + 1),
     both clamped to the recipe's ratio bounds."""
-    bounds = tuple(recipe["ratio_bounds"])
     clf = default_classifier(
-        dim, class_count, seed=seed, r=recipe["r"], ratio_bounds=bounds,
+        dim, class_count, seed=seed, r=recipe["r"], ratio_bounds=recipe["ratio_bounds"],
         **_pick(recipe, ("hidden", "feature_dim")),
     )
-    return clf, default_domain_classifier(dim, seed=seed + 1, ratio_bounds=bounds)
+    return clf, default_domain_classifier(dim, seed=seed + 1, ratio_bounds=clf.ratio_bounds)
 
 
 def temperature_split(logits, labels, seed, split):
@@ -147,18 +132,21 @@ def temperature_split(logits, labels, seed, split):
     return temperature, eval_idx, _softmax_lse(L_eval)[0], _softmax_lse(L_eval / temperature)[0]
 
 
-def class_balanced_subset(dataset, n_total, seed):
-    """Pick an equal number of samples per class, ordered by original index."""
+def class_balanced_subset(dataset, labeled_count, seed):
+    """Pick labeled_count samples, an equal number per class, ordered by
+    original index. ConfigError unless labeled_count is a positive multiple
+    of the class count that the smallest class can supply."""
+    classes = dataset.class_count
+    supply = int(np.bincount(dataset.y, minlength=classes).min())
+    count = _check_num(labeled_count, "labeled_count", integer=True)
+    if count < classes or count % classes or count // classes > supply:
+        raise ConfigError(f"labeled_count: must be a multiple of the {classes} classes "
+                          f"up to {classes * supply} (smallest class {supply} rows), got {count}")
     rng = np.random.default_rng(seed)
-    per = n_total // dataset.class_count
     idxs = []
-    for c in range(dataset.class_count):
+    for c in range(classes):
         pool = np.flatnonzero(dataset.y == c)
-        if pool.size < per:
-            raise ContractError(
-                f"class {c} has only {pool.size} samples, need {per} for the labeled subset"
-            )
-        idxs.extend(rng.choice(pool, size=per, replace=False).tolist())
+        idxs.extend(rng.choice(pool, size=count // classes, replace=False).tolist())
     idxs = sorted(idxs)
     return dataset_from_arrays(dataset.X[idxs], dataset.y[idxs], SOURCE, dataset.class_count)
 

@@ -11,9 +11,11 @@ partial ones. Each command checks its config and loads its data before it
 takes the output directory's lock, and trains only after that. A config key
 that no command reads is a config error.
 
-A training command lays the config fields it reads (_OVERLAY) over a
+A training command lays the config fields it reads (_FIELDS) over a
 canonical recipe and builds the run with the drshift.benchmarks builders
 the acceptance trials use; a field neither sets keeps the builder default.
+The library type that takes a field is its only range check, and
+_in_section puts the field's section in front of that type's error.
 
 All randomness derives from the single top-level seed by fixed offsets:
 data generation uses seed, classifier init seed+100 and domain-net init
@@ -29,9 +31,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -55,7 +59,7 @@ from .data import (
     load_csv,
     save_csv,
 )
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError, _check_num
 from .kde import check_bandwidth, run_plugin_simulation
 from .robust import (
     checkpoint_from_json,
@@ -119,41 +123,34 @@ def _file(cfg, path):
     return val
 
 
-def _num(cfg, path, default=None, **checks):
-    return _check_num(_lookup(cfg, path, default), path, **checks)
+# Each config section and the fields it holds. A recipe key is the name of
+# the field that overrides it, and no two sections share a field name.
+_FIELDS = {
+    "data": ("kind", "source_path", "target_path", "target_has_label", "source_mean",
+             "target_mean", "source_cov", "target_cov", "boundary_weights", "boundary_bias",
+             "n_source", "n_target"),
+    "train": ("lr_domain", "lr_model", "momentum", "batch_size", "epochs", "domain_update_period"),
+    "model": ("ratio_bounds", "r", "hidden", "feature_dim"),
+    "schedule": ("p0", "dp", "pmax", "rounds"),
+    "ssl": ("labeled_count", "threshold", "unlabeled_batch", "loss_weight"),
+    "ssl.augmentation": ("weak_noise_std", "strong_noise_std", "strong_mask_fraction"),
+    "plugin": ("bandwidths",),
+    "calibrate": ("checkpoint", "split"),
+}
 
 
-def _num_list(cfg, path, default=None, **checks):
-    """A list, or nested rectangular lists, of numbers that each pass the _num checks."""
-    val = _lookup(cfg, path, default)
-    if not isinstance(val, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list of numbers, got {val!r}")
-
-    def walk(v, where):
-        if isinstance(v, (list, tuple)):
-            return [walk(x, f"{where}[{i}]") for i, x in enumerate(v)]
-        return _check_num(v, where, **checks)
-
-    out = walk(val, path)
+@contextmanager
+def _in_section():
+    """Put the section of the field that a ConfigError raised inside the
+    block names, as in "epochs: ..." or "hidden[1]: ...", in front of it."""
     try:
-        np.array(out, dtype=float)
-    except ValueError:
-        raise ConfigError(f"{path}: nested lists must be rectangular, got {val!r}") from None
-    return out
-
-
-def _check_num(val, path, lo=None, hi=None, strict=False, integer=False):
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {val!r}")
-    if not abs(val) <= sys.float_info.max:  # NaN, infinities and ints too large for a float
-        raise ConfigError(f"{path}: must be finite, got {val}")
-    if integer and int(val) != val:
-        raise ConfigError(f"{path}: expected an integer, got {val!r}")
-    if lo is not None and (val <= lo if strict else val < lo):
-        raise ConfigError(f"{path}: must be {'>' if strict else '>='} {lo}, got {val}")
-    if hi is not None and val > hi:
-        raise ConfigError(f"{path}: must be <= {hi}, got {val}")
-    return int(val) if integer else float(val)
+        yield
+    except ConfigError as exc:
+        field = str(exc).partition(":")[0].partition("[")[0]
+        for section, keys in _FIELDS.items():
+            if field in keys:
+                raise ConfigError(f"{section}.{exc}") from None
+        raise
 
 
 def load_config(path, seed_override=None, out_override=None):
@@ -170,31 +167,32 @@ def load_config(path, seed_override=None, out_override=None):
         cfg["seed"] = seed_override
     if out_override is not None:
         cfg["out_dir"] = out_override
-    _num(cfg, "seed", lo=0, integer=True)
+    _check_num(_lookup(cfg, "seed", None), "seed", ge=0, integer=True)
     _path(cfg, "out_dir")
     _check_keys(cfg)
     return cfg
 
 
 def _check_keys(cfg):
-    """Reject a key, at the top level or inside a section, that no command reads."""
-    fields = {"seed", "out_dir"} | {path for path, _, _ in _OVERLAY.values()}
-    fields |= {f"{section}.{key}" for section, keys in _FIELDS.items() for key in keys}
-    sections = {path.rpartition(".")[0] for path in fields} - {""}
+    """Reject a key, at the top level or inside a section, that no command
+    reads; a dotted key such as "train.epochs" is not a path into a section."""
+    known = {"seed", "out_dir", *_FIELDS}
+    known |= {f"{section}.{key}" for section, keys in _FIELDS.items() for key in keys}
 
     def walk(node, prefix):
         for key in node:
             path = prefix + key
-            if path in sections:
-                walk(_section(cfg, path), path + ".")
-            elif path not in fields:
+            if "." in key or path not in known:
                 raise ConfigError(f"{path}: unknown config key")
+            if path in _FIELDS:
+                walk(_section(cfg, path), path + ".")
 
     walk(cfg, "")
 
 
 def _data_spec(cfg):
-    kind = _section(cfg, "data").get("kind", "gaussian")
+    data = _section(cfg, "data")
+    kind = data.get("kind", "gaussian")
     seed = int(cfg["seed"])
     if kind == "csv":
         paths = {key: _file(cfg, f"data.{key}") for key in ("source_path", "target_path")}
@@ -204,18 +202,10 @@ def _data_spec(cfg):
         return ("csv", {**paths, "target_has_label": has_label})
     if kind != "gaussian":
         raise ConfigError(f"data.kind: unknown kind {kind!r}")
-    base = default_shift_spec(seed=seed)
-    arrays = {
-        key: _num_list(cfg, f"data.{key}", getattr(base, key).tolist())
-        for key in ("source_mean", "target_mean", "source_cov", "target_cov", "boundary_weights")
-    }
-    spec = GaussianShiftSpec(
-        **arrays,
-        boundary_bias=_num(cfg, "data.boundary_bias", base.boundary_bias),
-        n_source=_num(cfg, "data.n_source", base.n_source, lo=1, integer=True),
-        n_target=_num(cfg, "data.n_target", base.n_target, lo=1, integer=True),
-        seed=seed,
-    )
+    spec_fields = {field.name for field in dataclasses.fields(GaussianShiftSpec)}
+    with _in_section():
+        spec = dataclasses.replace(default_shift_spec(seed=seed),
+                                   **{key: val for key, val in data.items() if key in spec_fields})
     return ("gaussian", spec)
 
 
@@ -233,56 +223,14 @@ def _load_datasets(cfg):
     return source, target
 
 
-# The fields of the sections that _OVERLAY does not cover.
-_FIELDS = {
-    "data": ("kind", "source_path", "target_path", "target_has_label", "source_mean",
-             "target_mean", "source_cov", "target_cov", "boundary_weights", "boundary_bias",
-             "n_source", "n_target"),
-    "plugin": ("bandwidths",),
-    "calibrate": ("checkpoint", "split"),
-}
-
-# Recipe key -> the config field that overrides it, its reader and checks.
-# A command reads only the fields of the sections it passes to _recipe.
-_OVERLAY = {
-    "lr_domain": ("train.lr_domain", _num, {"lo": 0, "strict": True}),
-    "lr_model": ("train.lr_model", _num, {"lo": 0, "strict": True}),
-    "momentum": ("train.momentum", _num, {"lo": 0}),
-    "batch_size": ("train.batch_size", _num, {"lo": 1, "integer": True}),
-    "epochs": ("train.epochs", _num, {"lo": 0, "integer": True}),
-    "domain_update_period": ("train.domain_update_period", _num, {"lo": 1, "integer": True}),
-    "ratio_bounds": ("model.ratio_bounds", _num_list, {}),
-    "r": ("model.r", _num, {"lo": 0, "hi": 1}),
-    "hidden": ("model.hidden", _num_list, {"lo": 1, "integer": True}),
-    "feature_dim": ("model.feature_dim", _num, {"lo": 1, "integer": True}),
-    "p0": ("schedule.p0", _num, {"lo": 0, "hi": 1}),
-    "dp": ("schedule.dp", _num, {"lo": 0}),
-    "pmax": ("schedule.pmax", _num, {"lo": 0, "hi": 1}),
-    "rounds": ("schedule.rounds", _num, {"lo": 0, "integer": True}),
-    "labeled_count": ("ssl.labeled_count", _num, {"lo": 1, "integer": True}),
-    "threshold": ("ssl.threshold", _num, {"lo": 0, "hi": 1}),
-    "unlabeled_batch": ("ssl.unlabeled_batch", _num, {"lo": 1, "integer": True}),
-    "loss_weight": ("ssl.loss_weight", _num, {"lo": 0}),
-    "weak_noise_std": ("ssl.augmentation.weak_noise_std", _num, {"lo": 0}),
-    "strong_noise_std": ("ssl.augmentation.strong_noise_std", _num, {"lo": 0}),
-    "strong_mask_fraction": ("ssl.augmentation.strong_mask_fraction", _num, {"lo": 0, "hi": 1}),
-}
-
-
 def _recipe(cfg, recipe, sections):
-    """The recipe with the config fields of the named top-level sections laid over it."""
+    """The recipe with the config fields of the named top-level sections laid
+    over it as the config gives them; the builders check each one."""
     out = dict(recipe)
-    for key, (path, read, checks) in _OVERLAY.items():
-        section, _, field = path.rpartition(".")
-        if section.split(".")[0] in sections and field in _section(cfg, section):
-            out[key] = read(cfg, path, **checks)
-    if np.shape(out["ratio_bounds"]) != (2,):
-        raise ConfigError("model.ratio_bounds: expected [min, max]")
-    if np.ndim(out.get("hidden", [])) != 1:
-        raise ConfigError(f"model.hidden: expected a flat list of widths, got {out['hidden']!r}")
-    lo, hi = out["ratio_bounds"]
-    if not 0 < lo < hi:
-        raise ConfigError(f"model.ratio_bounds: must satisfy 0 < min < max, got [{lo}, {hi}]")
+    for section, keys in _FIELDS.items():
+        if section.split(".")[0] in sections:
+            node = _section(cfg, section)
+            out.update((key, node[key]) for key in keys if key in node)
     return out
 
 
@@ -292,8 +240,9 @@ def _training_run(cfg, recipe, *sections):
     source, target = _load_datasets(cfg)
     _check_target_labels(target, source.class_count, "the source")
     recipe = _recipe(cfg, recipe, ("train", "model") + sections)
-    tcfg = _train_config(recipe, int(cfg["seed"]))
-    models = initial_models(recipe, source.dim, source.class_count, tcfg.seed + 100)
+    with _in_section():
+        tcfg = _train_config(recipe, int(cfg["seed"]))
+        models = initial_models(recipe, source.dim, source.class_count, tcfg.seed + 100)
     return source, target, recipe, tcfg, models
 
 
@@ -493,8 +442,8 @@ def cmd_train_drl(cfg):
 
 
 def cmd_train_erm(cfg):
-    source, target, recipe, tcfg, (clf0, _) = _training_run(cfg, CALIBRATION_RECIPE)
-    lo, hi = recipe["ratio_bounds"]
+    source, target, _, tcfg, (clf0, _) = _training_run(cfg, CALIBRATION_RECIPE)
+    lo, hi = clf0.ratio_bounds
     if not lo <= 1 <= hi:
         raise ConfigError(f"model.ratio_bounds: [{lo}, {hi}] must hold 1, the ratio ERM scores at")
     with RunDir(cfg["out_dir"]) as run:
@@ -505,7 +454,8 @@ def cmd_train_erm(cfg):
 
 def cmd_drst(cfg):
     source, target, recipe, tcfg, (clf0, dom0) = _training_run(cfg, SELF_TRAIN_RECIPE, "schedule")
-    schedule = self_train_schedule(recipe)
+    with _in_section():
+        schedule = self_train_schedule(recipe)
     with RunDir(cfg["out_dir"]) as run:
         clf, dom, history = run_drst(source, target, schedule, tcfg, clf0, dom0)
         _write_trained(run, "drst", cfg, history, clf, dom, target, "drst")
@@ -514,13 +464,9 @@ def cmd_drst(cfg):
 
 def cmd_drssl(cfg):
     source, target, recipe, tcfg, (clf0, dom0) = _training_run(cfg, SEMI_SUP_RECIPE, "ssl")
-    count, classes = recipe["labeled_count"], source.class_count
-    supply = np.bincount(source.y, minlength=classes).min()
-    if count < classes or count % classes or count // classes > supply:
-        raise ConfigError(f"ssl.labeled_count: must be a multiple of the {classes} classes "
-                          f"up to {classes * supply} (smallest class {supply} rows), got {count}")
-    labeled = class_balanced_subset(source, count, tcfg.seed + 50)
-    scfg = ssl_config(recipe, tcfg)
+    with _in_section():
+        labeled = class_balanced_subset(source, recipe["labeled_count"], tcfg.seed + 50)
+        scfg = ssl_config(recipe, tcfg)
     with RunDir(cfg["out_dir"]) as run:
         clf, dom, history = run_drssl(labeled, target, scfg, clf0, dom0)
         _write_trained(run, "drssl", cfg, history, clf, dom, target, "drssl")
@@ -531,11 +477,11 @@ def cmd_plugin_sim(cfg):
     kind, spec = _data_spec(cfg)
     if kind != "gaussian":
         raise ConfigError("plugin-sim requires gaussian data")
-    bandwidths = _num_list(cfg, "plugin.bandwidths", [0.05, 0.2, 0.5, 1.0], lo=0, strict=True)
-    if not bandwidths or np.ndim(bandwidths) != 1:
-        raise ConfigError(f"plugin.bandwidths: expected a non-empty flat list, got {bandwidths!r}")
-    for i, h in enumerate(bandwidths):
-        check_bandwidth(h, f"plugin.bandwidths[{i}]")
+    bandwidths = _lookup(cfg, "plugin.bandwidths", [0.05, 0.2, 0.5, 1.0])
+    if not isinstance(bandwidths, list) or not bandwidths:
+        raise ConfigError(f"plugin.bandwidths: expected a non-empty list, got {bandwidths!r}")
+    with _in_section():
+        bandwidths = [check_bandwidth(h, f"bandwidths[{i}]") for i, h in enumerate(bandwidths)]
     for field in ("n_source", "n_target"):
         if getattr(spec, field) < 2:
             raise ConfigError(f"data.{field}: plugin-sim holds out rows of each domain, so it "
@@ -587,7 +533,7 @@ def cmd_calibrate(cfg):
         ) from exc
     target = _calibration_target(cfg, clf.feature_map.in_dim)
     _check_target_labels(target, clf.class_count, "the checkpoint")
-    split = _num(cfg, "calibrate.split", 0.5, lo=0, hi=1)
+    split = _check_num(_lookup(cfg, "calibrate.split", 0.5), "calibrate.split", ge=0, le=1)
     with RunDir(cfg["out_dir"]) as run:
         logits = class_scores(clf, target.X)
         temperature, eval_idx, probs_raw, probs_ts = temperature_split(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, ContractError, CsvParseError, _int_labels
+from .errors import ConfigError, ContractError, CsvParseError, _check_num, _int_labels
 
 SOURCE = "source"
 TARGET = "target"
@@ -119,36 +119,38 @@ class GaussianShiftSpec:
     seed: int
 
     def __post_init__(self):
-        self.source_mean = np.asarray(self.source_mean, dtype=float)
-        self.target_mean = np.asarray(self.target_mean, dtype=float)
-        self.source_cov = np.asarray(self.source_cov, dtype=float)
-        self.target_cov = np.asarray(self.target_cov, dtype=float)
-        self.boundary_weights = np.asarray(self.boundary_weights, dtype=float)
+        self.source_mean = _float_array(self.source_mean, "source_mean")
         if self.source_mean.ndim != 1 or not self.source_mean.size:
             shape = self.source_mean.shape
-            raise ConfigError(f"source_mean must be a non-empty vector, got shape {shape}")
+            raise ConfigError(f"source_mean: must be a non-empty vector, got shape {shape}")
         d = self.source_mean.shape[0]
-        for name, arr, shape in [
-            ("target_mean", self.target_mean, (d,)),
-            ("source_cov", self.source_cov, (d, d)),
-            ("target_cov", self.target_cov, (d, d)),
-            ("boundary_weights", self.boundary_weights, (d,)),
-        ]:
+        for name, shape in [("target_mean", (d,)), ("source_cov", (d, d)),
+                            ("target_cov", (d, d)), ("boundary_weights", (d,))]:
+            arr = _float_array(getattr(self, name), name)
             if arr.shape != shape:
-                raise ConfigError(f"{name} must have shape {shape}, got {arr.shape}")
+                raise ConfigError(f"{name}: must have shape {shape}, got {arr.shape}")
+            setattr(self, name, arr)
         for name, cov in [("source_cov", self.source_cov), ("target_cov", self.target_cov)]:
             if not np.allclose(cov, cov.T, atol=1e-10):
-                raise ConfigError(f"{name} is not symmetric")
+                raise ConfigError(f"{name}: not symmetric")
             try:
                 np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
-                raise ConfigError(f"{name} is not positive definite") from None
-        if not (self.n_source >= 1 and self.n_target >= 1):
-            raise ConfigError("sample counts must be positive")
+                raise ConfigError(f"{name}: not positive definite") from None
+        self.boundary_bias = _check_num(self.boundary_bias, "boundary_bias")
+        self.n_source = _check_num(self.n_source, "n_source", ge=1, integer=True)
+        self.n_target = _check_num(self.n_target, "n_target", ge=1, integer=True)
 
     @property
     def dim(self):
         return self.source_mean.shape[0]
+
+
+def _float_array(value, name):
+    """value, a number or rectangular nested sequences of them, as a float
+    array; ConfigError names name at the first entry _check_num rejects."""
+    cells = np.array(value, dtype=object)  # ragged rows stay lists, which are not numbers
+    return np.array([_check_num(v, name) for v in cells.flat], dtype=float).reshape(cells.shape)
 
 
 def default_shift_spec(seed=0, n_source=500, n_target=500):
@@ -218,12 +220,11 @@ class AugmentationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.weak_noise_std >= 0 and self.strong_noise_std >= 0):
-            raise ConfigError("noise levels must be non-negative")
-        if self.strong_noise_std < self.weak_noise_std:
-            raise ConfigError("strong_noise_std must be >= weak_noise_std")
-        if not 0.0 <= self.strong_mask_fraction <= 1.0:
-            raise ConfigError("strong_mask_fraction must lie in [0, 1]")
+        self.weak_noise_std = _check_num(self.weak_noise_std, "weak_noise_std", ge=0)
+        self.strong_noise_std = _check_num(self.strong_noise_std, "strong_noise_std",
+                                           ge=self.weak_noise_std)
+        self.strong_mask_fraction = _check_num(self.strong_mask_fraction, "strong_mask_fraction",
+                                               ge=0, le=1)
 
 
 def augment_batch(X, spec, strength, rng):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, ContractError, _one_per_row
+from .errors import ConfigError, ContractError, _check_num, _one_per_row
 from .features import _blocked_head, _forward_activations, feature_backward_batch, init_mlp
 
 DEFAULT_RATIO_BOUNDS = (1e-3, 1e3)
@@ -36,12 +36,21 @@ class DomainClassifier:
     def __post_init__(self):
         if self.net.out_dim != 1:
             raise ConfigError("domain classifier network must output a single logit")
-        lo, hi = self.ratio_bounds
-        if not (0.0 < lo < hi):
-            raise ConfigError("ratio bounds must satisfy 0 < min < max")
+        self.ratio_bounds = _check_ratio_bounds(self.ratio_bounds)
 
     def copy(self):
-        return DomainClassifier(self.net.copy(), tuple(self.ratio_bounds))
+        return DomainClassifier(self.net.copy(), self.ratio_bounds)
+
+
+def _check_ratio_bounds(bounds):
+    """bounds as a (min, max) tuple of floats, or ConfigError unless it is a
+    pair of finite numbers with 0 < min < max."""
+    if not isinstance(bounds, (tuple, list, np.ndarray)) or len(bounds) != 2:
+        raise ConfigError(f"ratio_bounds: expected [min, max], got {bounds!r}")
+    lo, hi = (_check_num(b, "ratio_bounds") for b in bounds)
+    if not 0 < lo < hi:
+        raise ConfigError(f"ratio_bounds: must satisfy 0 < min < max, got [{lo}, {hi}]")
+    return lo, hi
 
 
 def default_domain_classifier(dim, seed=0, hidden=(16,), ratio_bounds=DEFAULT_RATIO_BOUNDS):

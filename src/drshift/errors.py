@@ -1,4 +1,9 @@
-"""Exception types shared across the package, and its per-row checks."""
+"""Exception types shared across the package, its config field check and
+its per-row checks."""
+
+import numbers
+import operator
+import sys
 
 import numpy as np
 
@@ -9,6 +14,25 @@ class ConfigError(ValueError):
 
 class ContractError(ValueError):
     """A caller violated a documented precondition."""
+
+
+def _check_num(val, name, *, gt=None, ge=None, lt=None, le=None, integer=False):
+    """val as a float (an int when integer), or ConfigError, its message
+    starting with name, unless val is a finite real number, not a bool,
+    that is integral when integer and lies within each bound given. numpy
+    scalars count as numbers."""
+    if isinstance(val, (bool, np.bool_)) or not isinstance(val, numbers.Real):
+        raise ConfigError(f"{name}: expected a number, got {val!r}")
+    if not abs(val) <= sys.float_info.max:  # NaN, infinities and ints too large for a float
+        raise ConfigError(f"{name}: must be finite, got {val}")
+    if integer and int(val) != val:
+        raise ConfigError(f"{name}: expected an integer, got {val}")
+    num = int(val) if integer else float(val)
+    for sign, bound, holds in ((">", gt, operator.gt), (">=", ge, operator.ge),
+                               ("<", lt, operator.lt), ("<=", le, operator.le)):
+        if bound is not None and not holds(num, bound):
+            raise ConfigError(f"{name}: must be {sign} {bound}, got {val}")
+    return num
 
 
 def _one_per_row(values, n, what):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_num
 
 
 @dataclass(eq=False)
@@ -68,9 +68,13 @@ class FeatureMap:
 
 
 def init_mlp(in_dim, hidden, out_dim, seed=0):
-    """Build a map with U(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
+    """Build a map with U(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases;
+    hidden lists the widths of the hidden layers."""
+    if not isinstance(hidden, (tuple, list, np.ndarray)):
+        raise ConfigError(f"hidden: expected a list of widths, got {hidden!r}")
+    hidden = [_check_num(w, f"hidden[{i}]", ge=1, integer=True) for i, w in enumerate(hidden)]
     rng = np.random.default_rng(seed)
-    widths = [in_dim] + list(hidden) + [out_dim]
+    widths = [in_dim] + hidden + [out_dim]
     layers = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)

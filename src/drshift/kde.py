@@ -12,7 +12,7 @@ import numpy as np
 from .calibration import _lse_parts
 from .data import generate_gaussian_shift, split_indices
 from .domain import DEFAULT_RATIO_BOUNDS, clamp_ratio
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, _check_num
 from .features import identity_map
 from .robust import RobustClassifier, _nll_at, grad_source, predict_proba
 
@@ -40,8 +40,7 @@ class KdeModel:
             raise ConfigError(f"KDE points must be an (n, d) matrix, got shape {self.points.shape}")
         if self.points.shape[1] == 0:
             raise ConfigError(f"KDE points need at least one column, got shape {self.points.shape}")
-        check_bandwidth(self.bandwidth)
-        self.bandwidth = float(self.bandwidth)
+        self.bandwidth = check_bandwidth(self.bandwidth)
         if not np.isfinite(self.points).all():
             raise ConfigError("KDE training points must be finite")
 
@@ -51,15 +50,16 @@ class KdeModel:
 
 
 def check_bandwidth(h, name="bandwidth"):
-    """Raise ConfigError, naming name, unless h > 0, h^2 is a normal float
-    and the normalizer's 2 pi h^2 is finite. Below that range h^2 loses
-    precision or is 0, so the exponents divide by 0; above it the log
-    density is -inf or NaN."""
-    h = float(h)
+    """h as a float, or ConfigError, naming name, unless h is a number > 0,
+    h^2 is a normal float and the normalizer's 2 pi h^2 is finite. Below
+    that range h^2 loses precision or is 0, so the exponents divide by 0;
+    above it the log density is -inf or NaN."""
+    h = _check_num(h, name, gt=0)
     h2 = h * h
-    if not (h > 0 and h2 >= np.finfo(float).tiny and 2.0 * np.pi * h2 <= np.finfo(float).max):
+    if not (h2 >= np.finfo(float).tiny and 2.0 * np.pi * h2 <= np.finfo(float).max):
         raise ConfigError(f"{name}: must be positive, with h^2 a normal float and 2 pi h^2 "
                           f"finite, got {h}")
+    return h
 
 
 def kde_log_density(model, X):
@@ -211,7 +211,7 @@ def run_plugin_simulation(spec, bandwidths):
     Returns one row per bandwidth:
     {h, ll_source, ll_target, target_logloss}.
     """
-    bandwidths = list(bandwidths)
+    bandwidths = [check_bandwidth(h) for h in bandwidths]
     if not bandwidths:
         raise ContractError("need at least one bandwidth")
     source, target, _ = generate_gaussian_shift(spec)
@@ -223,11 +223,9 @@ def run_plugin_simulation(spec, bandwidths):
 
     # One density pass per KDE over every row, for every bandwidth: the
     # held-out log-likelihoods and both domains' ratios are row subsets of
-    # it. KdeModel checks each domain's points, check_bandwidth every h.
+    # it. KdeModel checks each domain's points.
     P_s = KdeModel(Xs[tr_s], bandwidths[0]).points
     P_t = KdeModel(Xt[tr_t], bandwidths[0]).points
-    for h in bandwidths:
-        check_bandwidth(h)
     X_all = np.vstack([Xs, Xt])
     log_s_all = _log_densities(P_s, X_all, bandwidths)
     log_t_all = _log_densities(P_t, X_all, bandwidths)
@@ -238,7 +236,7 @@ def run_plugin_simulation(spec, bandwidths):
         clf = _train_frozen_feature_model(Xs_b, ys, ratios[:n_s], source.class_count)
         probs, _ = predict_proba(clf, Xt_b, ratios[n_s:])
         rows.append({
-            "h": float(h),
+            "h": h,
             "ll_source": float(np.mean(log_s[ho_s])),
             "ll_target": float(np.mean(log_t[n_s + ho_t])),
             "target_logloss": float(_nll_at(probs, yt).mean()),

@@ -25,12 +25,14 @@ from .domain import (
     DEFAULT_RATIO_BOUNDS,
     DomainClassifier,
     _bce_from_logits,
+    _check_ratio_bounds,
     _bce_logit_upstream,
     _density_logit_upstream,
     clamp_ratio,
     domain_ratios,
 )
-from .errors import ConfigError, ContractError, DivergenceError, _class_labels, _int_labels, _one_per_row
+from .errors import (ConfigError, ContractError, DivergenceError, _check_num, _class_labels,
+                     _int_labels, _one_per_row)
 from .features import (
     _blocked_head,
     _feature_map_doc,
@@ -68,8 +70,8 @@ class RobustClassifier:
                 f"theta has {self.theta.shape[1]} columns but the feature map outputs "
                 f"{self.feature_map.out_dim}"
             )
-        if not 0.0 <= self.r <= 1.0:
-            raise ConfigError("r must lie in [0, 1]")
+        self.r = _check_num(self.r, "r", ge=0, le=1)
+        self.ratio_bounds = _check_ratio_bounds(self.ratio_bounds)
 
     @property
     def class_count(self):
@@ -77,7 +79,7 @@ class RobustClassifier:
 
     def copy(self):
         return RobustClassifier(
-            self.theta.copy(), self.feature_map.copy(), self.r, tuple(self.ratio_bounds)
+            self.theta.copy(), self.feature_map.copy(), self.r, self.ratio_bounds
         )
 
 
@@ -92,13 +94,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Each check is written so that NaN fails it: every comparison with NaN is false.
-        if not (self.lr_domain > 0 and self.lr_model > 0):
-            raise ConfigError("learning rates must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if not (self.batch_size >= 1 and self.epochs >= 0 and self.domain_update_period >= 1):
-            raise ConfigError("batch_size >= 1, epochs >= 0, domain_update_period >= 1 required")
+        self.lr_domain = _check_num(self.lr_domain, "lr_domain", gt=0)
+        self.lr_model = _check_num(self.lr_model, "lr_model", gt=0)
+        self.momentum = _check_num(self.momentum, "momentum", ge=0, lt=1)
+        self.batch_size = _check_num(self.batch_size, "batch_size", ge=1, integer=True)
+        self.epochs = _check_num(self.epochs, "epochs", ge=0, integer=True)
+        self.domain_update_period = _check_num(self.domain_update_period, "domain_update_period",
+                                               ge=1, integer=True)
 
 
 @dataclass
@@ -110,6 +112,7 @@ class SourceGradient:
 
 def default_classifier(dim, class_count, seed=0, r=0.0, hidden=(16,), feature_dim=16,
                        ratio_bounds=DEFAULT_RATIO_BOUNDS):
+    feature_dim = _check_num(feature_dim, "feature_dim", ge=1, integer=True)
     fmap = init_mlp(dim, hidden, feature_dim, seed)
     return RobustClassifier(np.zeros((class_count, feature_dim)), fmap, r, ratio_bounds)
 
@@ -522,12 +525,12 @@ def checkpoint_from_json(text):
         np.array(doc["theta"], dtype=float),
         feature_map_from_json(doc["feature_map"]),
         doc["r"],
-        tuple(doc["ratio_bounds"]),
+        doc["ratio_bounds"],
     )
     dom = None
     if doc.get("domain") is not None:
         dom = DomainClassifier(
             feature_map_from_json(doc["domain"]["net"]),
-            tuple(doc["domain"]["ratio_bounds"]),
+            doc["domain"]["ratio_bounds"],
         )
     return clf, dom, doc.get("config")

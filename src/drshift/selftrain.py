@@ -12,7 +12,7 @@ import numpy as np
 
 from .calibration import calibration_report
 from .data import Dataset
-from .errors import ConfigError, ContractError
+from .errors import ContractError, _check_num
 from .robust import _train_pass, target_predictions
 
 
@@ -24,12 +24,10 @@ class SelfTrainSchedule:
     rounds: int = 5
 
     def __post_init__(self):
-        if not 0.0 <= self.p0 <= self.pmax <= 1.0:
-            raise ConfigError("need 0 <= p0 <= pmax <= 1")
-        if not self.dp >= 0:
-            raise ConfigError("dp must be >= 0")
-        if not self.rounds >= 0:
-            raise ConfigError("rounds must be >= 0")
+        self.p0 = _check_num(self.p0, "p0", ge=0, le=1)
+        self.dp = _check_num(self.dp, "dp", ge=0)
+        self.pmax = _check_num(self.pmax, "pmax", ge=self.p0, le=1)
+        self.rounds = _check_num(self.rounds, "rounds", ge=0, integer=True)
 
     def portion(self, t):
         return min(self.p0 + t * self.dp, self.pmax)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AugmentationSpec, augment_batch
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ContractError, DivergenceError, _check_num
 from .features import _forward_activations
 from .robust import (
     TrainConfig,
@@ -32,12 +32,9 @@ class SslConfig:
     base: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must lie in (0, 1)")
-        if not self.unlabeled_batch >= 1:
-            raise ConfigError("unlabeled_batch must be >= 1")
-        if not self.loss_weight >= 0:
-            raise ConfigError("loss_weight must be >= 0")
+        self.threshold = _check_num(self.threshold, "threshold", gt=0, lt=1)
+        self.unlabeled_batch = _check_num(self.unlabeled_batch, "unlabeled_batch", ge=1, integer=True)
+        self.loss_weight = _check_num(self.loss_weight, "loss_weight", ge=0)
 
 
 def _unsup_gradient(clf, acts, ratios, pseudo, mask, loss_weight):

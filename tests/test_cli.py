@@ -680,6 +680,9 @@ def test_ratio_bounds_excluding_one_rejected_only_for_erm(tmp_path, capsys, comm
     ("simulate", {"data": {"n_sources": 10}}, "data.n_sources"),
     ("plugin-sim", {"plugin": {"bandwidth": [0.5]}}, "plugin.bandwidth"),
     ("train-drl", {"schedule": {"p1": 0.1}}, "schedule.p1"),
+    # A dotted key is not a path into its sections.
+    ("train-drl", {"train.epochs": 1}, "train.epochs"),
+    ("drssl", {"ssl": {"augmentation.weak_noise_std": 0.1}}, "ssl.augmentation.weak_noise_std"),
 ])
 def test_unknown_config_key_is_config_error(tmp_path, capsys, command, overrides, path):
     cfg_path, _ = write_config(tmp_path, **overrides)
@@ -694,13 +697,18 @@ def test_section_the_command_does_not_read_is_allowed(tmp_path):
     assert main(["train-drl", "--config", str(cfg_path)]) == 0
 
 
+# Each field is range-checked by the library type that takes it; the CLI
+# puts the field's section in front of that type's message.
 @pytest.mark.parametrize("command,overrides,message", [
-    ("drssl", {"ssl": {"threshold": 0}}, "ssl: threshold must lie in (0, 1)"),
-    ("drssl", {"ssl": {"threshold": 1}}, "ssl: threshold must lie in (0, 1)"),
-    ("train-drl", {"train": {"momentum": 1}}, "train: momentum must lie in [0, 1)"),
-    ("drst", {"schedule": {"p0": 0.5, "pmax": 0.2}}, "schedule: need 0 <= p0 <= pmax <= 1"),
+    ("drssl", {"ssl": {"threshold": 0}}, "ssl.threshold: must be > 0, got 0"),
+    ("drssl", {"ssl": {"threshold": 1}}, "ssl.threshold: must be < 1, got 1"),
+    ("train-drl", {"train": {"momentum": 1}}, "train.momentum: must be < 1, got 1"),
+    ("drst", {"schedule": {"p0": 0.5, "pmax": 0.2}}, "schedule.pmax: must be >= 0.5, got 0.2"),
     ("drssl", {"ssl": {"augmentation": {"weak_noise_std": 0.5, "strong_noise_std": 0.1}}},
-     "ssl: strong_noise_std must be >= weak_noise_std"),
+     "ssl.augmentation.strong_noise_std: must be >= 0.5, got 0.1"),
+    ("train-drl", {"model": {"r": 1.5}}, "model.r: must be <= 1, got 1.5"),
+    ("train-drl", {"model": {"feature_dim": 0}}, "model.feature_dim: must be >= 1, got 0"),
+    ("simulate", {"data": {"n_source": 2.5}}, "data.n_source: expected an integer, got 2.5"),
 ])
 def test_builder_range_error_names_its_section(tmp_path, capsys, command, overrides, message):
     cfg_path, _ = write_config(tmp_path, **overrides)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -784,6 +785,55 @@ class TestTrainerGoldenValues:
 def test_config_range_checks_reject_nan(build, field):
     with pytest.raises(ConfigError):
         build(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("field, build", [
+    ("batch_size", lambda v: TrainConfig(batch_size=v)),
+    ("epochs", lambda v: TrainConfig(epochs=v)),
+    ("domain_update_period", lambda v: TrainConfig(domain_update_period=v)),
+    ("unlabeled_batch", lambda v: SslConfig(unlabeled_batch=v)),
+    ("rounds", lambda v: SelfTrainSchedule(rounds=v)),
+    ("n_source", lambda v: replace(default_shift_spec(), n_source=v)),
+    ("n_target", lambda v: replace(default_shift_spec(), n_target=v)),
+    ("feature_dim", lambda v: default_classifier(2, 2, feature_dim=v)),
+    ("hidden[0]", lambda v: default_classifier(2, 2, hidden=(v,))),
+    ("hidden[1]", lambda v: default_domain_classifier(2, hidden=(16, v))),
+])
+def test_integer_config_fields_reject_fractions(field, build):
+    with pytest.raises(ConfigError, match=re.escape(f"{field}: expected an integer, got 2.5")):
+        build(2.5)
+
+
+def test_config_fields_store_numpy_scalars_as_python_numbers():
+    cfg = TrainConfig(lr_model=np.float64(0.1), batch_size=np.int64(16), epochs=np.int64(3))
+    ssl = SslConfig(threshold=np.float64(0.9), unlabeled_batch=np.int64(16))
+    schedule = SelfTrainSchedule(p0=np.float64(0.1), rounds=np.int64(2))
+    spec = replace(default_shift_spec(), boundary_bias=np.float64(0.1), n_source=np.int64(16))
+    clf = default_classifier(2, 2, r=np.float64(0.1), hidden=(np.int64(16),),
+                             feature_dim=np.int64(16), ratio_bounds=np.array([0.1, 10.0]))
+    for value, kind in [(cfg.lr_model, float), (cfg.batch_size, int), (cfg.epochs, int),
+                        (ssl.threshold, float), (ssl.unlabeled_batch, int), (schedule.p0, float),
+                        (schedule.rounds, int), (spec.boundary_bias, float), (spec.n_source, int),
+                        (clf.r, float), (clf.ratio_bounds[0], float)]:
+        assert type(value) is kind
+    assert (cfg.lr_model, cfg.batch_size, spec.n_source, clf.ratio_bounds) == (0.1, 16, 16, (0.1, 10.0))
+    assert clf.theta.shape == (2, 16) and clf.feature_map.layers[0][0].shape == (16, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RobustClassifier(np.zeros((2, 2)), identity_map(2), ratio_bounds=(5, 1)),
+     "ratio_bounds: must satisfy 0 < min < max, got [5.0, 1.0]"),
+    (lambda: default_domain_classifier(2, ratio_bounds=(0, 1)),
+     "ratio_bounds: must satisfy 0 < min < max, got [0.0, 1.0]"),
+    (lambda: default_classifier(2, 2, ratio_bounds=(1,)), "ratio_bounds: expected [min, max]"),
+    (lambda: default_classifier(2, 2, feature_dim=0), "feature_dim: must be >= 1, got 0"),
+    (lambda: default_classifier(2, 2, hidden=(0,)), "hidden[0]: must be >= 1, got 0"),
+    (lambda: default_classifier(2, 2, hidden=16), "hidden: expected a list of widths, got 16"),
+    (lambda: default_classifier(2, 2, r=True), "r: expected a number, got True"),
+])
+def test_classifier_parameters_are_checked_at_construction(build, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
 
 
 def test_checkpoint_roundtrip():

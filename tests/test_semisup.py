@@ -8,6 +8,7 @@ import drshift.robust
 import drshift.semisup
 from drshift import (
     AugmentationSpec,
+    ConfigError,
     ContractError,
     SslConfig,
     TrainConfig,
@@ -16,6 +17,7 @@ from drshift import (
     dataset_from_arrays,
     generate_gaussian_shift,
 )
+from drshift.benchmarks import class_balanced_subset
 from drshift.features import _forward_activations
 from drshift.robust import _predict_from_scores, _score_gradient, class_scores
 from drshift.semisup import _unsup_gradient, run_drssl
@@ -342,3 +344,14 @@ def test_drssl_reads_the_ratios_once_per_domain_period(monkeypatch):
     mid_period_starts = sum((e * n_batches) % period != 0 for e in range(epochs))
     assert len(rows) == domain_steps + mid_period_starts + epochs == 9
     assert sum(rows) == steps * width + epochs * len(target)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 2.5, 42])
+def test_labeled_count_that_no_balanced_subset_has_is_config_error(count):
+    # Two classes of 20 rows each: the count must be a positive even
+    # integer of at most 40.
+    source = dataset_from_arrays(np.zeros((40, 2)), np.arange(40) % 2)
+    with pytest.raises(ConfigError, match="^labeled_count: "):
+        class_balanced_subset(source, count, seed=0)
+    subset = class_balanced_subset(source, 40, seed=0)
+    assert np.array_equal(subset.y, source.y)
