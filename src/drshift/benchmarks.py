@@ -158,7 +158,7 @@ def calibration_trial(seed):
     model is scored on the other half. Returns per-model CalibrationReports.
     """
     recipe = CALIBRATION_RECIPE
-    source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
+    source, target = generate_gaussian_shift(default_shift_spec(seed=seed))
     cfg = _train_config(recipe, seed)
     clf0, dom0 = initial_models(recipe, source.dim, source.class_count, seed + 100)
     clf, dom, _ = _train_pass(source, target, clf0, dom0, cfg)
@@ -180,7 +180,7 @@ def calibration_trial(seed):
 def erm_baseline(seed):
     """Source-only baseline trained with the calibration recipe, scored on
     the full target set."""
-    source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
+    source, target = generate_gaussian_shift(default_shift_spec(seed=seed))
     erm, _ = train_erm(source, _train_config(CALIBRATION_RECIPE, seed))
     probs, _ = target_predictions(erm, None, target)
     return {"report": calibration_report(probs, target.y)}
@@ -192,7 +192,7 @@ def self_training_trial(seed, variant="full"):
     recipe = SELF_TRAIN_RECIPE
     if variant == "no_reg":
         recipe = {**recipe, "r": 0.0}
-    source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
+    source, target = generate_gaussian_shift(default_shift_spec(seed=seed))
     clf0, dom0 = initial_models(recipe, source.dim, source.class_count, seed)
     dom0 = None if variant == "unit_ratio" else dom0
     cfg = _train_config(recipe, seed)
@@ -210,7 +210,7 @@ def semi_supervised_trial(seed, baseline=False):
     recipe = SEMI_SUP_RECIPE
     if baseline:
         recipe = {**recipe, "r": 0.0}
-    source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
+    source, target = generate_gaussian_shift(default_shift_spec(seed=seed))
     labeled = class_balanced_subset(source, recipe["labeled_count"], seed + 50)
     clf0, dom0 = initial_models(recipe, source.dim, source.class_count, seed)
     cfg = ssl_config(recipe, _train_config(recipe, seed))

@@ -9,6 +9,7 @@ other labels are a ContractError.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,11 @@ def ece(probs, labels, n_bins=REPORT_BINS):
 
     Bins partition [0, 1]; a confidence exactly on an interior edge falls in
     the upper bin and the last bin is closed at 1. Empty bins contribute
-    zero; zero rows are a ContractError. Returns (ece, bins).
+    zero; zero rows, and an n_bins that is not an int >= 1 (a bool is
+    not), are a ContractError. Returns (ece, bins).
     """
-    if n_bins < 1:
-        raise ContractError("n_bins must be >= 1")
+    if isinstance(n_bins, bool) or not isinstance(n_bins, numbers.Integral) or n_bins < 1:
+        raise ContractError(f"n_bins must be an integer >= 1, got {n_bins!r}")
     P = _as_rows(probs)
     y = _class_labels(labels, *P.shape)
     n = P.shape[0]

@@ -212,8 +212,7 @@ def _data_spec(cfg):
 def _load_datasets(cfg):
     kind, spec = _data_spec(cfg)
     if kind == "gaussian":
-        source, target, _ = generate_gaussian_shift(spec)
-        return source, target
+        return generate_gaussian_shift(spec)
     source = load_csv(spec["source_path"], has_label=True, domain="source")
     target = load_csv(spec["target_path"], has_label=spec["target_has_label"], domain="target")
     if source.dim != target.dim:
@@ -421,7 +420,7 @@ def cmd_simulate(cfg):
     kind, spec = _data_spec(cfg)
     if kind != "gaussian":
         raise ConfigError("simulate requires gaussian data")
-    source, target, _ = generate_gaussian_shift(spec)
+    source, target = generate_gaussian_shift(spec)
     with RunDir(cfg["out_dir"]) as run:
         save_csv(run.path("source.csv"), source)
         save_csv(run.path("target.csv"), target)
@@ -505,7 +504,7 @@ def _calibration_target(cfg, in_dim):
     exist but is never read."""
     kind, spec = _data_spec(cfg)
     if kind == "gaussian":
-        _, target, _ = generate_gaussian_shift(spec)
+        _, target = generate_gaussian_shift(spec)
         dim_field, rows_field = "data.target_mean", "data.n_target"
     else:
         target = load_csv(spec["target_path"], has_label=spec["target_has_label"], domain="target")

@@ -214,7 +214,7 @@ def run_plugin_simulation(spec, bandwidths):
     bandwidths = [check_bandwidth(h) for h in bandwidths]
     if not bandwidths:
         raise ContractError("need at least one bandwidth")
-    source, target, _ = generate_gaussian_shift(spec)
+    source, target = generate_gaussian_shift(spec)
     rng = np.random.default_rng(spec.seed + 1)
     tr_s, ho_s = split_indices(len(source), 0.8, rng)
     tr_t, ho_t = split_indices(len(target), 0.8, rng)

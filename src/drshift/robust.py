@@ -101,6 +101,7 @@ class TrainConfig:
         self.epochs = _check_num(self.epochs, "epochs", ge=0, integer=True)
         self.domain_update_period = _check_num(self.domain_update_period, "domain_update_period",
                                                ge=1, integer=True)
+        self.seed = _check_num(self.seed, "seed", ge=0, integer=True)
 
 
 @dataclass

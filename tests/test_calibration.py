@@ -70,6 +70,16 @@ class TestEce:
         _, bins = ece(P, y)
         assert sum(b.count for b in bins) == 33
 
+    @pytest.mark.parametrize("n_bins", [0, -1, 2.5, 5.0, True, np.bool_(True), "5", None])
+    def test_n_bins_must_be_a_positive_integer(self, n_bins):
+        message = f"n_bins must be an integer >= 1, got {n_bins!r}"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            ece([[0.8, 0.2]], [0], n_bins=n_bins)
+
+    def test_numpy_integer_n_bins_counts_as_its_int(self):
+        P, y = [[0.8, 0.2], [0.3, 0.7], [0.55, 0.45]], [0, 0, 1]
+        assert ece(P, y, n_bins=np.int64(3)) == ece(P, y, n_bins=3)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_permutation_invariance(self, seed):

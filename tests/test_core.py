@@ -373,7 +373,7 @@ def no_shift_spec(seed, n=400):
 
 class TestTrainEndToEnd:
     def test_zero_epochs_is_noop(self):
-        source, target, _ = generate_gaussian_shift(default_shift_spec(seed=0, n_source=30, n_target=30))
+        source, target = generate_gaussian_shift(default_shift_spec(seed=0, n_source=30, n_target=30))
         clf = default_classifier(2, 2, seed=1)
         dom = default_domain_classifier(2, seed=2)
         cfg = TrainConfig(epochs=0, seed=0)
@@ -386,7 +386,7 @@ class TestTrainEndToEnd:
     def test_inputs_not_mutated(self):
         # The optimizers step parameter arrays in place, so every trainer must
         # step copies that share no array with the caller's models.
-        source, target, _ = generate_gaussian_shift(default_shift_spec(seed=0, n_source=64, n_target=64))
+        source, target = generate_gaussian_shift(default_shift_spec(seed=0, n_source=64, n_target=64))
         clf = default_classifier(2, 2, seed=1, r=0.5)
         dom = default_domain_classifier(2, seed=2)
         cfg = TrainConfig(epochs=2, seed=0)
@@ -408,7 +408,7 @@ class TestTrainEndToEnd:
                 assert not any(np.shares_memory(a, o) for o in outputs), name
 
     def test_deterministic_histories(self):
-        source, target, _ = generate_gaussian_shift(default_shift_spec(seed=3, n_source=100, n_target=100))
+        source, target = generate_gaussian_shift(default_shift_spec(seed=3, n_source=100, n_target=100))
         clf = default_classifier(2, 2, seed=1)
         dom = default_domain_classifier(2, seed=2)
         cfg = TrainConfig(epochs=4, seed=9)
@@ -475,7 +475,7 @@ class TestTrainEndToEnd:
 
     def test_without_domain_net_ratios_are_one(self):
         spec = default_shift_spec(seed=3, n_source=64, n_target=64)
-        source, target, _ = generate_gaussian_shift(spec)
+        source, target = generate_gaussian_shift(spec)
         clf0 = default_classifier(2, 2, seed=1, r=0.5)
         cfg = TrainConfig(epochs=2, seed=0)
         clf, dom, history = train_end_to_end(source, target, clf0, None, cfg)
@@ -486,8 +486,8 @@ class TestTrainEndToEnd:
         np.testing.assert_array_equal(ratios, np.ones(len(target)))
 
     def test_no_shift_ratios_near_one_and_erm_parity(self):
-        source, target, _ = generate_gaussian_shift(no_shift_spec(seed=4))
-        heldout, _, _ = generate_gaussian_shift(no_shift_spec(seed=5))
+        source, target = generate_gaussian_shift(no_shift_spec(seed=4))
+        heldout, _ = generate_gaussian_shift(no_shift_spec(seed=5))
         cfg = TrainConfig(lr_domain=0.002, lr_model=0.05, batch_size=64, epochs=60, seed=4)
         clf0 = default_classifier(2, 2, seed=100, r=0.0)
         dom0 = default_domain_classifier(2, seed=101)
@@ -505,7 +505,7 @@ class TestTrainEndToEnd:
     def test_dual_objective_trend_over_seeds(self):
         gaps = []
         for seed in range(5):
-            source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
+            source, target = generate_gaussian_shift(default_shift_spec(seed=seed))
             cfg = TrainConfig(lr_domain=0.002, lr_model=0.05, batch_size=64, epochs=30, seed=seed)
             clf0 = default_classifier(2, 2, seed=seed + 100, r=0.0)
             dom0 = default_domain_classifier(2, seed=seed + 101)
@@ -773,14 +773,17 @@ class TestTrainerGoldenValues:
     (TrainConfig, "batch_size"),
     (TrainConfig, "epochs"),
     (TrainConfig, "domain_update_period"),
+    (TrainConfig, "seed"),
     (SslConfig, "unlabeled_batch"),
     (SslConfig, "loss_weight"),
     (AugmentationSpec, "weak_noise_std"),
     (AugmentationSpec, "strong_noise_std"),
+    (AugmentationSpec, "seed"),
     (SelfTrainSchedule, "dp"),
     (SelfTrainSchedule, "rounds"),
     (lambda **kw: replace(default_shift_spec(), **kw), "n_source"),
     (lambda **kw: replace(default_shift_spec(), **kw), "n_target"),
+    (lambda **kw: replace(default_shift_spec(), **kw), "seed"),
 ])
 def test_config_range_checks_reject_nan(build, field):
     with pytest.raises(ConfigError):
@@ -791,6 +794,9 @@ def test_config_range_checks_reject_nan(build, field):
     ("batch_size", lambda v: TrainConfig(batch_size=v)),
     ("epochs", lambda v: TrainConfig(epochs=v)),
     ("domain_update_period", lambda v: TrainConfig(domain_update_period=v)),
+    ("seed", lambda v: TrainConfig(seed=v)),
+    ("seed", lambda v: AugmentationSpec(seed=v)),
+    ("seed", lambda v: replace(default_shift_spec(), seed=v)),
     ("unlabeled_batch", lambda v: SslConfig(unlabeled_batch=v)),
     ("rounds", lambda v: SelfTrainSchedule(rounds=v)),
     ("n_source", lambda v: replace(default_shift_spec(), n_source=v)),
@@ -804,19 +810,38 @@ def test_integer_config_fields_reject_fractions(field, build):
         build(2.5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda v: TrainConfig(seed=v),
+    lambda v: AugmentationSpec(seed=v),
+    lambda v: replace(default_shift_spec(), seed=v),
+])
+def test_seeds_reject_negative_values(build):
+    with pytest.raises(ConfigError, match=re.escape("seed: must be >= 0, got -1")):
+        build(-1)
+
+
 def test_config_fields_store_numpy_scalars_as_python_numbers():
-    cfg = TrainConfig(lr_model=np.float64(0.1), batch_size=np.int64(16), epochs=np.int64(3))
+    cfg = TrainConfig(lr_model=np.float64(0.1), batch_size=np.int64(16), epochs=np.int64(3),
+                      seed=np.int64(3))
     ssl = SslConfig(threshold=np.float64(0.9), unlabeled_batch=np.int64(16))
+    aug = AugmentationSpec(seed=np.int64(3))
     schedule = SelfTrainSchedule(p0=np.float64(0.1), rounds=np.int64(2))
-    spec = replace(default_shift_spec(), boundary_bias=np.float64(0.1), n_source=np.int64(16))
+    spec = replace(default_shift_spec(), boundary_bias=np.float64(0.1), n_source=np.int64(16),
+                   seed=np.int64(3))
     clf = default_classifier(2, 2, r=np.float64(0.1), hidden=(np.int64(16),),
                              feature_dim=np.int64(16), ratio_bounds=np.array([0.1, 10.0]))
     for value, kind in [(cfg.lr_model, float), (cfg.batch_size, int), (cfg.epochs, int),
-                        (ssl.threshold, float), (ssl.unlabeled_batch, int), (schedule.p0, float),
-                        (schedule.rounds, int), (spec.boundary_bias, float), (spec.n_source, int),
+                        (cfg.seed, int), (ssl.threshold, float), (ssl.unlabeled_batch, int),
+                        (aug.seed, int), (schedule.p0, float), (schedule.rounds, int),
+                        (spec.boundary_bias, float), (spec.n_source, int), (spec.seed, int),
                         (clf.r, float), (clf.ratio_bounds[0], float)]:
         assert type(value) is kind
     assert (cfg.lr_model, cfg.batch_size, spec.n_source, clf.ratio_bounds) == (0.1, 16, 16, (0.1, 10.0))
+    # The seed reaches numpy as the same int, so the draws do not change.
+    drawn = generate_gaussian_shift(spec)
+    for a, b in zip(drawn, generate_gaussian_shift(replace(spec, seed=3))):
+        np.testing.assert_array_equal(a.X, b.X)
+        np.testing.assert_array_equal(a.y, b.y)
     assert clf.theta.shape == (2, 16) and clf.feature_map.layers[0][0].shape == (16, 2)
 
 

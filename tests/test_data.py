@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from drshift import (
 )
 
 from drshift import data
-from drshift.data import split_indices
+from drshift.data import split_indices, true_class_probs, true_log_ratio
 
 from helpers import random_discrete_instance
 from oracle import DiscreteDomainSpec, oracle_expectations
@@ -39,38 +40,44 @@ def one_d_spec(mu_s, mu_t, n=50, seed=0):
     )
 
 
+def random_spec(d, rng):
+    """A spec with random means and correlated covariances in d dimensions."""
+    covs = []
+    for _ in range(2):
+        A = rng.normal(size=(d, d))
+        covs.append(A @ A.T + 0.5 * np.eye(d))
+    means = rng.normal(scale=1.5, size=(2, d))
+    return GaussianShiftSpec(
+        source_mean=means[0], target_mean=means[1],
+        source_cov=covs[0], target_cov=covs[1],
+        boundary_weights=rng.normal(size=d), boundary_bias=0.0,
+        n_source=3, n_target=3, seed=0,
+    )
+
+
 class TestGaussianShift:
     def test_identical_specs_give_unit_ratio(self):
-        spec = one_d_spec(0.0, 0.0)
-        _, _, ratio = generate_gaussian_shift(spec)
-        for x in [-2.0, 0.0, 1.7]:
-            assert ratio(np.array([x])) == pytest.approx(1.0, abs=1e-12)
+        X = np.array([[-2.0], [0.0], [1.7]])
+        np.testing.assert_allclose(true_log_ratio(one_d_spec(0.0, 0.0), X), 0.0, atol=1e-12)
 
     def test_ratio_at_midpoint_of_means_is_one(self):
-        _, _, ratio = generate_gaussian_shift(one_d_spec(0.0, 1.0))
-        assert ratio(np.array([0.5])) == pytest.approx(1.0, abs=1e-12)
+        log_r = true_log_ratio(one_d_spec(0.0, 1.0), np.array([[0.5]]))
+        np.testing.assert_allclose(log_r, [0.0], atol=1e-12)
 
     def test_ratio_closed_form_value(self):
-        # N(0;0,1)/N(0;1,1) = exp(0.5), cross-checked against the direct
-        # density formula evaluated by hand.
-        _, _, ratio = generate_gaussian_shift(one_d_spec(0.0, 1.0))
-        direct = np.exp(-0.0 / 2) / np.exp(-1.0 / 2)
-        assert ratio(np.array([0.0])) == pytest.approx(direct, rel=1e-12)
-        assert ratio(np.array([0.0])) == pytest.approx(1.6487212707, rel=1e-9)
+        # log N(0;0,1) - log N(0;1,1) = -0/2 + 1/2, the direct density
+        # formula evaluated by hand.
+        log_r = true_log_ratio(one_d_spec(0.0, 1.0), np.array([[0.0]]))
+        assert log_r.shape == (1,)
+        assert log_r[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_swapped_spec_inverts_ratio(self):
         spec = default_shift_spec(seed=3)
-        swapped = GaussianShiftSpec(
-            source_mean=spec.target_mean, target_mean=spec.source_mean,
-            source_cov=spec.target_cov, target_cov=spec.source_cov,
-            boundary_weights=spec.boundary_weights, boundary_bias=spec.boundary_bias,
-            n_source=spec.n_source, n_target=spec.n_target, seed=spec.seed,
-        )
-        _, _, r1 = generate_gaussian_shift(spec)
-        _, _, r2 = generate_gaussian_shift(swapped)
-        rng = np.random.default_rng(0)
-        for x in rng.normal(size=(10, 2)):
-            assert r1(x) * r2(x) == pytest.approx(1.0, abs=1e-12)
+        swapped = replace(spec, source_mean=spec.target_mean, target_mean=spec.source_mean,
+                          source_cov=spec.target_cov, target_cov=spec.source_cov)
+        X = np.random.default_rng(0).normal(size=(10, 2))
+        total = true_log_ratio(spec, X) + true_log_ratio(swapped, X)
+        np.testing.assert_allclose(total, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_ratio_matches_scipy_on_correlated_covariances(self, d):
@@ -78,28 +85,46 @@ class TestGaussianShift:
 
         rng = np.random.default_rng(d)
         for _ in range(10):
-            covs = []
-            for _ in range(2):
-                A = rng.normal(size=(d, d))
-                covs.append(A @ A.T + 0.5 * np.eye(d))
-            means = rng.normal(scale=1.5, size=(2, d))
-            spec = GaussianShiftSpec(
-                source_mean=means[0], target_mean=means[1],
-                source_cov=covs[0], target_cov=covs[1],
-                boundary_weights=rng.normal(size=d), boundary_bias=0.0,
-                n_source=3, n_target=3, seed=0,
-            )
-            _, _, ratio = generate_gaussian_shift(spec)
-            for x in rng.normal(scale=2.0, size=(5, d)):
-                expected = np.exp(multivariate_normal(means[0], covs[0]).logpdf(x)
-                                  - multivariate_normal(means[1], covs[1]).logpdf(x))
-                value = ratio(x)
-                assert type(value) is float
-                assert value == pytest.approx(expected, rel=1e-10)
+            spec = random_spec(d, rng)
+            X = rng.normal(scale=2.0, size=(5, d))
+            expected = (multivariate_normal(spec.source_mean, spec.source_cov).logpdf(X)
+                        - multivariate_normal(spec.target_mean, spec.target_cov).logpdf(X))
+            log_r = true_log_ratio(spec, X)
+            assert log_r.dtype == float and log_r.shape == (5,)
+            np.testing.assert_allclose(log_r, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 32])
+    def test_log_ratio_of_a_batch_matches_one_row_calls(self, d):
+        # Far rows, at about 100 standard deviations, give log-ratios in the
+        # thousands, whose exp would overflow; the log stays finite, and the
+        # suite turns any RuntimeWarning into a failure.
+        rng = np.random.default_rng(d)
+        spec = random_spec(d, rng)
+        X = np.vstack([rng.normal(size=(20, d)), rng.normal(scale=100.0, size=(20, d))])
+        log_r = true_log_ratio(spec, X)
+        rows = np.concatenate([true_log_ratio(spec, X[i:i + 1]) for i in range(len(X))])
+        assert np.isfinite(log_r).all() and np.abs(log_r).max() > 1000
+        np.testing.assert_allclose(log_r, rows, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("truth", [true_log_ratio, true_class_probs])
+    @pytest.mark.parametrize("X", [np.zeros(2), np.zeros((3, 3)), np.zeros((3, 1)), 0.0])
+    def test_truth_functions_need_an_input_matrix_of_the_spec_width(self, truth, X):
+        with pytest.raises(ContractError, match=re.escape(f"got shape {np.shape(X)}")):
+            truth(default_shift_spec(), X)
+
+    def test_class_probs_are_the_labeling_posterior(self):
+        spec = default_shift_spec(seed=2)
+        source, target = generate_gaussian_shift(spec)
+        for X in (source.X, target.X):
+            P = true_class_probs(spec, X)
+            p1 = expit(X @ spec.boundary_weights + spec.boundary_bias)
+            assert P.shape == (len(X), 2)
+            np.testing.assert_array_equal(P[:, 1], p1)
+            np.testing.assert_array_equal(P[:, 0], 1.0 - p1)
 
     def test_label_frequency_matches_boundary(self):
         spec = default_shift_spec(seed=5, n_source=10000, n_target=1)
-        source, _, _ = generate_gaussian_shift(spec)
+        source, _ = generate_gaussian_shift(spec)
         p = expit(source.X @ spec.boundary_weights + spec.boundary_bias)
         freq = source.y.mean()
         tol = 4 * np.sqrt(p.mean() * (1 - p.mean()) / len(source))
@@ -115,7 +140,7 @@ class TestGaussianShift:
             )
 
     def test_datasets_are_labeled_and_tagged(self):
-        source, target, _ = generate_gaussian_shift(default_shift_spec(seed=1, n_source=20, n_target=30))
+        source, target = generate_gaussian_shift(default_shift_spec(seed=1, n_source=20, n_target=30))
         assert source.labeled and target.labeled
         assert len(source) == 20 and len(target) == 30
         assert source.is_source.all() and not target.is_source.any()
@@ -312,7 +337,7 @@ class TestCsv:
         assert err.value.row == 2 and err.value.column == 3
 
     def test_save_load_round_trip(self, tmp_path):
-        source, _, _ = generate_gaussian_shift(default_shift_spec(seed=2, n_source=30, n_target=5))
+        source, _ = generate_gaussian_shift(default_shift_spec(seed=2, n_source=30, n_target=5))
         p = tmp_path / "d.csv"
         save_csv(p, source)
         back = load_csv(p, has_label=True)

@@ -369,7 +369,7 @@ class TestSimulation:
         from drshift.kde import _train_frozen_feature_model
         from drshift.robust import predict_proba
 
-        source, target, _ = generate_gaussian_shift(spec)
+        source, target = generate_gaussian_shift(spec)
         clf = _train_frozen_feature_model(with_bias(source.X), source.y, np.ones(len(source)), 2)
         probs, _ = predict_proba(clf, with_bias(target.X), np.ones(len(target)))
         ref = float(-np.log(probs[np.arange(len(target)), target.y]).mean())
@@ -398,7 +398,7 @@ class TestSimulation:
     def test_held_out_likelihoods_are_means_of_single_passes(self, seed):
         spec = default_shift_spec(seed=seed, n_source=150, n_target=120)
         rows = run_plugin_simulation(spec, DEFAULT_BANDWIDTHS)
-        source, target, _ = generate_gaussian_shift(spec)
+        source, target = generate_gaussian_shift(spec)
         rng = np.random.default_rng(spec.seed + 1)
         tr_s, ho_s = split_indices(len(source), 0.8, rng)
         tr_t, ho_t = split_indices(len(target), 0.8, rng)
@@ -442,7 +442,7 @@ def canonical_fits():
     trains on, at seeds 0-4 and each default bandwidth."""
     fits = []
     for seed in range(5):
-        source, target, _ = generate_gaussian_shift(default_shift_spec(seed=seed))
+        source, target = generate_gaussian_shift(default_shift_spec(seed=seed))
         rng = np.random.default_rng(seed + 1)
         tr_s, _ = split_indices(len(source), 0.8, rng)
         tr_t, _ = split_indices(len(target), 0.8, rng)
@@ -492,7 +492,7 @@ class TestNewtonFit:
     @pytest.mark.parametrize("seed", range(5))
     def test_two_rows_per_domain_stop_within_the_cap(self, monkeypatch, seed):
         spec = default_shift_spec(seed=seed, n_source=2, n_target=2)
-        source, _, _ = generate_gaussian_shift(spec)
+        source, _ = generate_gaussian_shift(spec)
         drawn = np.exp(np.random.default_rng(seed).normal(size=2))
         for ratios in (np.ones(2), np.array([1e-3, 1e3]), drawn):
             clf, calls = counted_fit(monkeypatch, with_bias(source.X), source.y, ratios, 2)

@@ -101,7 +101,7 @@ class TestRunDrst:
         return generate_gaussian_shift(default_shift_spec(seed=seed, n_source=n, n_target=n))
 
     def test_zero_rounds_equals_plain_training(self):
-        source, target, _ = self._data()
+        source, target = self._data()
         cfg = TrainConfig(epochs=3, seed=1)
         clf0 = default_classifier(2, 2, seed=2, r=0.5)
         dom0 = default_domain_classifier(2, seed=3)
@@ -118,7 +118,7 @@ class TestRunDrst:
         # turns NaN at epoch 1 of round 0 while theta stays finite.
         import drshift.robust as robust
 
-        source, target, _ = self._data()
+        source, target = self._data()
         cfg = TrainConfig(epochs=3, seed=1)
         calls = []
         real = robust.dual_objective
@@ -134,7 +134,7 @@ class TestRunDrst:
         assert np.isfinite(calls[-1][0].theta).all()
 
     def test_history_records_per_round(self):
-        source, target, _ = self._data(seed=4)
+        source, target = self._data(seed=4)
         cfg = TrainConfig(epochs=2, seed=1)
         sched = SelfTrainSchedule(p0=0.1, dp=0.05, pmax=0.3, rounds=3)
         _, _, hist = run_drst(source, target, sched, cfg, *default_models(source, cfg.seed))
@@ -144,7 +144,7 @@ class TestRunDrst:
             assert {"round", "portion", "n_pseudo", "accuracy", "brier", "ece"} <= set(h)
 
     def test_pseudo_counts_grow_with_portion(self):
-        source, target, _ = self._data(seed=5, n=100)
+        source, target = self._data(seed=5, n=100)
         cfg = TrainConfig(epochs=2, seed=2)
         sched = SelfTrainSchedule(p0=0.1, dp=0.2, pmax=0.9, rounds=3)
         _, _, hist = run_drst(source, target, sched, cfg, *default_models(source, cfg.seed))
@@ -152,7 +152,7 @@ class TestRunDrst:
         assert counts[0] < counts[-1]
 
     def test_deterministic_given_seed(self):
-        source, target, _ = self._data(seed=6)
+        source, target = self._data(seed=6)
         cfg = TrainConfig(epochs=2, seed=3)
         sched = SelfTrainSchedule(rounds=2)
         _, _, h1 = run_drst(source, target, sched, cfg, *default_models(source, cfg.seed))
@@ -169,7 +169,7 @@ class TestRunDrst:
             return target_predictions(clf, dom, dataset)
 
         monkeypatch.setattr(selftrain, "target_predictions", counting)
-        source, target, _ = self._data(seed=7)
+        source, target = self._data(seed=7)
         cfg = TrainConfig(epochs=2, seed=4)
         sched = SelfTrainSchedule(rounds=3)
         clf, dom, hist = run_drst(source, target, sched, cfg, *default_models(source, cfg.seed))

@@ -172,7 +172,7 @@ class TestUnsupGradient:
 
 
 def small_setup(seed=0, n_labeled=12, n_target=48):
-    source, target, _ = generate_gaussian_shift(
+    source, target = generate_gaussian_shift(
         default_shift_spec(seed=seed, n_source=200, n_target=n_target)
     )
     rng = np.random.default_rng(seed + 1)
