@@ -113,13 +113,13 @@ def self_train_schedule(recipe):
 
 
 def initial_models(recipe, dim, class_count, seed):
-    """Initial classifier (initialised at seed) and domain net (at seed + 1),
-    both clamped to the recipe's ratio bounds."""
+    """Initial classifier (initialised at seed), whose ratio bounds are the
+    recipe's and clamp the domain net's ratios, and domain net (at seed + 1)."""
     clf = default_classifier(
         dim, class_count, seed=seed, r=recipe["r"], ratio_bounds=recipe["ratio_bounds"],
         **_pick(recipe, ("hidden", "feature_dim")),
     )
-    return clf, default_domain_classifier(dim, seed=seed + 1, ratio_bounds=clf.ratio_bounds)
+    return clf, default_domain_classifier(dim, seed=seed + 1)
 
 
 def temperature_split(logits, labels, seed, split):

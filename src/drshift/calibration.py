@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, _class_labels
+from .errors import ContractError, _check_num, _class_labels, _finite_rows
 
 TEMPERATURE_RANGE = (0.05, 20.0)
 LOG_TEMPERATURE_TOL = 1e-4
@@ -40,8 +40,9 @@ class CalibrationReport:
 
 
 def _as_rows(values):
-    """values as a float array of rows: a single row is a one-row batch."""
-    return np.atleast_2d(np.asarray(values, dtype=float))
+    """values as a float array of rows, a single row being a one-row batch,
+    or ContractError naming the first row with a non-finite value."""
+    return _finite_rows(np.atleast_2d(np.asarray(values, dtype=float)), "row")
 
 
 def brier(probs, labels):
@@ -154,7 +155,9 @@ def _mean_nll(L, L_label, temperature, L_max=None):
 
 
 def nll(logits, labels, temperature=1.0):
-    """Mean negative log-likelihood of softmax(logits / T)."""
+    """Mean negative log-likelihood of softmax(logits / T); a temperature
+    that is not a finite number > 0 (a bool is not) is a ContractError."""
+    temperature = _check_num(temperature, "temperature", gt=0, error=ContractError)
     L = _as_rows(logits)
     y = _class_labels(labels, *L.shape)
     if L.shape[0] == 0:

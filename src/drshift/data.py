@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, ContractError, CsvParseError, _check_num, _int_labels
+from .errors import ConfigError, ContractError, CsvParseError, _check_num, _finite_rows, _int_labels
 
 SOURCE = "source"
 TARGET = "target"
@@ -202,11 +202,12 @@ def true_class_probs(spec, X):
 
 
 def _spec_inputs(spec, X):
-    """X as a float (m, spec.dim) matrix, or ContractError naming its shape."""
+    """X as a finite float (m, spec.dim) matrix, or ContractError naming its
+    shape or its first non-finite row."""
     X = np.asarray(X, dtype=float)
     if X.shape[1:] != (spec.dim,):
         raise ContractError(f"expected an (m, {spec.dim}) input matrix, got shape {X.shape}")
-    return X
+    return _finite_rows(X, "input row")
 
 
 # ---------------------------------------------------------------------------

@@ -16,45 +16,31 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, ContractError, _check_num, _one_per_row
+from .errors import ConfigError, ContractError, _one_per_row
 from .features import _blocked_head, _forward_activations, feature_backward_batch, init_mlp
-
-DEFAULT_RATIO_BOUNDS = (1e-3, 1e3)
 
 
 @dataclass(eq=False)
 class DomainClassifier:
-    """A single-logit network whose clamped exp(logit) is the density ratio.
+    """A single-logit network whose exp(logit), clamped to the robust
+    classifier's bounds, is the density ratio.
 
     == is identity. Two domain classifiers have equal parameters when
     np.array_equal(a.net.params, b.net.params).
     """
 
     net: object  # FeatureMap with scalar output
-    ratio_bounds: tuple = DEFAULT_RATIO_BOUNDS
 
     def __post_init__(self):
         if self.net.out_dim != 1:
             raise ConfigError("domain classifier network must output a single logit")
-        self.ratio_bounds = _check_ratio_bounds(self.ratio_bounds)
 
     def copy(self):
-        return DomainClassifier(self.net.copy(), self.ratio_bounds)
+        return DomainClassifier(self.net.copy())
 
 
-def _check_ratio_bounds(bounds):
-    """bounds as a (min, max) tuple of floats, or ConfigError unless it is a
-    pair of finite numbers with 0 < min < max."""
-    if not isinstance(bounds, (tuple, list, np.ndarray)) or len(bounds) != 2:
-        raise ConfigError(f"ratio_bounds: expected [min, max], got {bounds!r}")
-    lo, hi = (_check_num(b, "ratio_bounds") for b in bounds)
-    if not 0 < lo < hi:
-        raise ConfigError(f"ratio_bounds: must satisfy 0 < min < max, got [{lo}, {hi}]")
-    return lo, hi
-
-
-def default_domain_classifier(dim, seed=0, hidden=(16,), ratio_bounds=DEFAULT_RATIO_BOUNDS):
-    return DomainClassifier(init_mlp(dim, hidden, 1, seed), ratio_bounds)
+def default_domain_classifier(dim, seed=0, hidden=(16,)):
+    return DomainClassifier(init_mlp(dim, hidden, 1, seed))
 
 
 def domain_logits(clf, X):
@@ -71,11 +57,11 @@ def clamp_ratio(log_r, bounds):
     return np.minimum(np.maximum(raw, lo), hi), (raw < lo) | (raw > hi)
 
 
-def domain_ratios(clf, X):
-    """Vectorized ratios for a batch: (ratio, clamped mask, logits). The
-    posterior tau_s is expit of the logits."""
-    z = domain_logits(clf, X)
-    return (*clamp_ratio(z, clf.ratio_bounds), z)
+def domain_ratios(dom, X, bounds):
+    """Vectorized ratios for a batch, clamped to bounds: (ratio, clamped
+    mask, logits). The posterior tau_s is expit of the logits."""
+    z = domain_logits(dom, X)
+    return (*clamp_ratio(z, bounds), z)
 
 
 def _bce_from_logits(z, is_source):

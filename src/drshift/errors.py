@@ -16,22 +16,23 @@ class ContractError(ValueError):
     """A caller violated a documented precondition."""
 
 
-def _check_num(val, name, *, gt=None, ge=None, lt=None, le=None, integer=False):
-    """val as a float (an int when integer), or ConfigError, its message
-    starting with name, unless val is a finite real number, not a bool,
-    that is integral when integer and lies within each bound given. numpy
-    scalars count as numbers."""
+def _check_num(val, name, *, gt=None, ge=None, lt=None, le=None, integer=False,
+               error=ConfigError):
+    """val as a float (an int when integer), or error, its message starting
+    with name, unless val is a finite real number, not a bool, that is
+    integral when integer and lies within each bound given. numpy scalars
+    count as numbers."""
     if isinstance(val, (bool, np.bool_)) or not isinstance(val, numbers.Real):
-        raise ConfigError(f"{name}: expected a number, got {val!r}")
+        raise error(f"{name}: expected a number, got {val!r}")
     if not abs(val) <= sys.float_info.max:  # NaN, infinities and ints too large for a float
-        raise ConfigError(f"{name}: must be finite, got {val}")
+        raise error(f"{name}: must be finite, got {val}")
     if integer and int(val) != val:
-        raise ConfigError(f"{name}: expected an integer, got {val}")
+        raise error(f"{name}: expected an integer, got {val}")
     num = int(val) if integer else float(val)
     for sign, bound, holds in ((">", gt, operator.gt), (">=", ge, operator.ge),
                                ("<", lt, operator.lt), ("<=", le, operator.le)):
         if bound is not None and not holds(num, bound):
-            raise ConfigError(f"{name}: must be {sign} {bound}, got {val}")
+            raise error(f"{name}: must be {sign} {bound}, got {val}")
     return num
 
 
@@ -43,6 +44,15 @@ def _one_per_row(values, n, what):
         got = f"{values.size} {what}s" if values.ndim == 1 else f"shape {values.shape}"
         raise ContractError(f"expected one {what} per row: {got} for {n} rows")
     return values
+
+
+def _finite_rows(A, what):
+    """The 2-D array A unchanged, or ContractError "{what} i must be finite"
+    naming its first row i that holds a non-finite value."""
+    finite = np.isfinite(A)
+    if not finite.all():
+        raise ContractError(f"{what} {int(np.argmin(finite.all(axis=1)))} must be finite")
+    return A
 
 
 def _int_labels(labels, error=ContractError):

@@ -11,10 +11,10 @@ import numpy as np
 
 from .calibration import _lse_parts
 from .data import generate_gaussian_shift, split_indices
-from .domain import DEFAULT_RATIO_BOUNDS, clamp_ratio
-from .errors import ConfigError, ContractError, _check_num
+from .domain import clamp_ratio
+from .errors import ConfigError, ContractError, _check_num, _finite_rows
 from .features import identity_map
-from .robust import RobustClassifier, _nll_at, grad_source, predict_proba
+from .robust import DEFAULT_RATIO_BOUNDS, RobustClassifier, _nll_at, grad_source, predict_proba
 
 # Query rows x training points per block of the pairwise pass in
 # _log_densities. Each of its at most three live (rows, n) buffers then holds
@@ -92,9 +92,7 @@ def _log_densities(points, X, bandwidths):
     queries = np.asarray(X, dtype=float)
     if queries.shape[1:] != (d,):
         raise ContractError(f"queries must be an (m, {d}) matrix, got shape {queries.shape}")
-    finite = np.isfinite(queries).all(axis=1)
-    if not finite.all():
-        raise ContractError(f"query row {int(np.argmin(finite))} must be finite")
+    _finite_rows(queries, "query row")
     h2s = [float(h) ** 2 for h in bandwidths]
     out = np.empty((len(h2s), queries.shape[0]))
     # Differences, not the |x|^2 + |p|^2 - 2 x.p expansion: the expansion

@@ -22,10 +22,8 @@ import numpy as np
 
 from .calibration import _lse_parts
 from .domain import (
-    DEFAULT_RATIO_BOUNDS,
     DomainClassifier,
     _bce_from_logits,
-    _check_ratio_bounds,
     _bce_logit_upstream,
     _density_logit_upstream,
     clamp_ratio,
@@ -43,11 +41,24 @@ from .features import (
     init_mlp,
 )
 
+DEFAULT_RATIO_BOUNDS = (1e-3, 1e3)
+
+
+def _check_ratio_bounds(bounds):
+    """bounds as a (min, max) tuple of floats, or ConfigError unless it is a
+    pair of finite numbers with 0 < min < max."""
+    if not isinstance(bounds, (tuple, list, np.ndarray)) or len(bounds) != 2:
+        raise ConfigError(f"ratio_bounds: expected [min, max], got {bounds!r}")
+    lo, hi = (_check_num(b, "ratio_bounds") for b in bounds)
+    if not 0 < lo < hi:
+        raise ConfigError(f"ratio_bounds: must satisfy 0 < min < max, got [{lo}, {hi}]")
+    return lo, hi
+
 
 @dataclass(eq=False)
 class RobustClassifier:
     """Class weights theta over a feature map, with the class-regularization
-    strength r and the bounds its ratios must lie in.
+    strength r and the bounds its ratios lie in, which clamp the domain net's.
 
     == is identity. Two classifiers have equal parameters when
     np.array_equal(a.theta, b.theta) and their feature maps' params are
@@ -259,18 +270,18 @@ def _score_gradient(clf, acts, G, w):
     return grad_theta, fgrad
 
 
-def _ratios(dom, X, epoch=None):
+def _ratios(clf, dom, X, epoch=None):
     """Ratios the trainers read for the rows of X: ones when dom is None,
-    else the domain net's clamped ratios, which must be finite."""
+    else the domain net's, clamped to clf.ratio_bounds and checked finite."""
     if dom is None:
         return np.ones(X.shape[0])
-    return _require_finite(domain_ratios(dom, X)[0], "density ratios", epoch)
+    return _require_finite(domain_ratios(dom, X, clf.ratio_bounds)[0], "density ratios", epoch)
 
 
 def target_predictions(clf, dom, dataset):
     """Test-mode probabilities and per-sample ratios over a whole dataset;
     dom=None means unit ratios."""
-    ratios = _ratios(dom, dataset.X)
+    ratios = _ratios(clf, dom, dataset.X)
     probs, _ = predict_proba(clf, dataset.X, ratios)
     return probs, ratios
 
@@ -309,8 +320,8 @@ def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
 
     It descends F_r = 1/2 mean_s BCE(a, t) + 1/2 mean_t BCE(a, 0)
     + (1 + r) mean_t log sum_y exp(R z_y / (1 + r)): a the domain logit, t
-    the source tags, z_y the class scores and R = exp(a) clamped to the
-    ratio bounds, constant (so zero density upstream) on clamped rows.
+    the source tags, z_y the class scores and R = exp(a) clamped to
+    clf.ratio_bounds, constant (so zero density upstream) on clamped rows.
     Acceptance criterion 2 differences F_r at every recipe's r and bounds.
 
     One forward pass over X_dom = [Xb_s; Xb_t] gives the BCE logits and the
@@ -325,8 +336,8 @@ def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
     X_dom = np.vstack([Xb_s, Xb_t])
     acts = _forward_activations(dom.net, X_dom)
     z = acts[-1][:, 0]
-    ratio_t, clamped_t = clamp_ratio(z[n_s:], dom.ratio_bounds)
-    ratio_t = _check_ratios(clf, _require_finite(ratio_t, "density ratios"), n_t)
+    ratio_t, clamped_t = clamp_ratio(z[n_s:], clf.ratio_bounds)
+    _require_finite(ratio_t, "density ratios")
     Z_t = class_scores(clf, Xb_t)
     probs_t, _ = _predict_from_scores(clf, Z_t, ratio_t)
     t_dom = np.concatenate([is_source_s, np.zeros(n_t)])
@@ -387,7 +398,7 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
                     clf, dom, X[b, :tags.shape[1]], tags[b], Xt[b])
             if k == 0 or b == 0:
                 first, rows = b, X[b:b + period - k]
-                read = _ratios(dom, rows.reshape(-1, rows.shape[2]), epoch)
+                read = _ratios(clf, dom, rows.reshape(-1, rows.shape[2]), epoch)
                 ratios = _check_ratios(clf, read, len(read)).reshape(len(rows), -1)
             g = model_gradient(clf, (X[b], y[b]), ratios[b - first])
             opt.step(g.grad_theta, g.feature_grad)
@@ -422,15 +433,14 @@ def train_end_to_end(source, target, clf, dom, cfg):
         if dom is None:
             ratios_s, ratios_t, bce = np.ones(n_s), np.ones(Xt.shape[0]), float("nan")
         else:
-            ratios, _, z = domain_ratios(dom, X_st)
+            ratios, _, z = domain_ratios(dom, X_st, clf.ratio_bounds)
             ratios = _require_finite(ratios, "density ratios")
             ratios_s, ratios_t = ratios[:n_s], ratios[n_s:]
             bce = _bce_from_logits(z, t_st)
         Phi_s = feature_forward_batch(clf.feature_map, Xs)
         constraint = _constraint_from_features(Phi_s, ys, clf.class_count)
         dual = dual_objective(clf, Xt, ratios_t, constraint)
-        probs_s, _ = _predict_from_scores(clf, Phi_s @ clf.theta.T,
-                                          _check_ratios(clf, ratios_s, n_s))
+        probs_s, _ = _predict_from_scores(clf, Phi_s @ clf.theta.T, ratios_s)
         acc = float((probs_s.argmax(axis=1) == ys).mean())
         if not np.isfinite(dual):
             raise DivergenceError(f"non-finite training state at epoch {epoch}",
@@ -461,7 +471,7 @@ def _train_pass(source, target, clf, dom, cfg, record=None):
     if record is None:
         def record(clf, dom, epoch):
             constraint = feature_constraint(clf.feature_map, source.X, source.y, clf.class_count)
-            dual = dual_objective(clf, target.X, _ratios(dom, target.X, epoch), constraint)
+            dual = dual_objective(clf, target.X, _ratios(clf, dom, target.X, epoch), constraint)
             if not np.isfinite(dual):
                 raise DivergenceError(f"non-finite training state at epoch {epoch}",
                                       state={"epoch": epoch, "dual": dual})
@@ -503,24 +513,23 @@ def train_erm(source, cfg, clf=None):
 
 
 def checkpoint_to_json(clf, dom=None, config=None):
-    """Bundle theta, feature map, domain net, r, and bounds into JSON text."""
+    """Bundle theta, feature map, domain net, r, and bounds (once per model) into JSON text."""
+    bounds = [float(b) for b in clf.ratio_bounds]
     doc = {
         "theta": clf.theta.tolist(),
         "feature_map": _feature_map_doc(clf.feature_map),
         "r": float(clf.r),
-        "ratio_bounds": [float(clf.ratio_bounds[0]), float(clf.ratio_bounds[1])],
+        "ratio_bounds": bounds,
         "domain": None,
         "config": config,
     }
     if dom is not None:
-        doc["domain"] = {
-            "net": _feature_map_doc(dom.net),
-            "ratio_bounds": [float(dom.ratio_bounds[0]), float(dom.ratio_bounds[1])],
-        }
+        doc["domain"] = {"net": _feature_map_doc(dom.net), "ratio_bounds": bounds}
     return json.dumps(doc)
 
 
 def checkpoint_from_json(text):
+    """(clf, dom, config) of a checkpoint; ConfigError if its two ratio_bounds differ."""
     doc = json.loads(text) if isinstance(text, str) else text
     clf = RobustClassifier(
         np.array(doc["theta"], dtype=float),
@@ -530,8 +539,9 @@ def checkpoint_from_json(text):
     )
     dom = None
     if doc.get("domain") is not None:
-        dom = DomainClassifier(
-            feature_map_from_json(doc["domain"]["net"]),
-            doc["domain"]["ratio_bounds"],
-        )
+        bounds = _check_ratio_bounds(doc["domain"]["ratio_bounds"])
+        if bounds != clf.ratio_bounds:
+            raise ConfigError(f"domain.ratio_bounds: {list(bounds)} differ from the "
+                              f"classifier's ratio_bounds {list(clf.ratio_bounds)}")
+        dom = DomainClassifier(feature_map_from_json(doc["domain"]["net"]))
     return clf, dom, doc.get("config")

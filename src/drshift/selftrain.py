@@ -12,7 +12,7 @@ import numpy as np
 
 from .calibration import calibration_report
 from .data import Dataset
-from .errors import ContractError, _check_num
+from .errors import ContractError, _check_num, _finite_rows
 from .robust import _train_pass, target_predictions
 
 
@@ -40,10 +40,14 @@ def select_pseudo(preds, portion):
     For every class c, the ceil(portion * N_c) highest-confidence targets
     whose argmax is c are selected (N_c = number of targets predicted as c),
     ties broken by lower target index. Each target appears at most once.
+    Predictions that are not a finite (n, C) matrix are a ContractError.
     """
     if not 0.0 <= portion <= 1.0:
         raise ContractError("portion must lie in [0, 1]")
     P = np.asarray(preds, dtype=float)
+    if P.ndim != 2 or P.shape[1] == 0:
+        raise ContractError(f"predictions must be an (n, C) matrix, got shape {P.shape}")
+    _finite_rows(P, "prediction row")
     if P.shape[0] == 0:
         return np.zeros(0, dtype=int)
     labels, conf = P.argmax(axis=1), P.max(axis=1)

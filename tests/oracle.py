@@ -76,7 +76,8 @@ def oracle_expectations(spec, model, domain=None):
 
     The dual is E_t[log Z_theta(x)] - sum_y theta_y . c_y with
     c_y = sum_x p_s(x) P(y|x) phi(x). Ratios come from the exact densities
-    when domain is None, otherwise from the given domain classifier. All
+    when domain is None, otherwise from the given domain classifier, clamped
+    to model.ratio_bounds. All
     softmax/log-partition arithmetic here is written out independently of
     the predictor module so this can serve as a cross-check oracle.
     """
@@ -97,7 +98,7 @@ def oracle_expectations(spec, model, domain=None):
         ratios = np.where(spec.p_target > 0, spec.p_source / np.where(spec.p_target > 0, spec.p_target, 1.0), 0.0)
         clamped = np.zeros(K, dtype=bool)
     else:
-        ratios, clamped, z = domain_ratios(domain, spec.points)
+        ratios, clamped, z = domain_ratios(domain, spec.points, model.ratio_bounds)
         tau_s = expit(z)
         tau_t = 1.0 - tau_s
 
@@ -142,14 +143,14 @@ def domain_step_objective(clf, dom, X_s, t_s, X_t):
     objective in the domain net's parameters.
 
     a is the domain logit, t the source rows' domain tags, R = exp(a)
-    clipped to dom.ratio_bounds and z_y = theta_y . phi(x) the class scores
+    clipped to clf.ratio_bounds and z_y = theta_y . phi(x) the class scores
     of the target rows.
     """
     a_s = feature_forward_batch(dom.net, X_s)[:, 0]
     a_t = feature_forward_batch(dom.net, X_t)[:, 0]
     bce_s = np.mean(np.logaddexp(0.0, a_s) - np.asarray(t_s, dtype=float) * a_s)
     bce_t = np.mean(np.logaddexp(0.0, a_t))
-    R = np.clip(np.exp(a_t), *dom.ratio_bounds)
+    R = np.clip(np.exp(a_t), *clf.ratio_bounds)
     Z = feature_forward_batch(clf.feature_map, X_t) @ np.asarray(clf.theta).T
     log_z = logsumexp(R[:, None] * Z / (1.0 + clf.r), axis=1)
     return float(0.5 * bce_s + 0.5 * bce_t + (1.0 + clf.r) * log_z.mean())

@@ -153,13 +153,13 @@ def test_criterion_2_gradient_correctness():
             rng = np.random.default_rng(seed)
             clf = default_classifier(2, 3, seed=seed, r=r, ratio_bounds=bounds)
             clf.theta = rng.normal(size=clf.theta.shape)
-            dom = default_domain_classifier(2, seed=seed + 1, ratio_bounds=bounds)
+            dom = default_domain_classifier(2, seed=seed + 1)
             Xb_s, Xb_t = rng.normal(size=(16, 2)), rng.normal(size=(24, 2))
             t_s = rng.permutation(np.repeat([1.0, 0.0], [12, 4]))
             g = _domain_gradient(clf, dom, Xb_s, t_s, Xb_t)
             fd = fd_layers(lambda: domain_step_objective(clf, dom, Xb_s, t_s, Xb_t), dom.net, 1e-6)
             worst = max(worst, rel_err(flat(fd), g))
-            clamped += int(domain_ratios(dom, Xb_t)[1].sum())
+            clamped += int(domain_ratios(dom, Xb_t, clf.ratio_bounds)[1].sum())
             target_rows += len(Xb_t)
     elapsed = time.monotonic() - start
     report(

@@ -344,6 +344,19 @@ class TestLabels:
         with pytest.raises(ContractError, match="nll needs at least one sample"):
             nll(np.zeros((0, 2)), [])
 
+    @pytest.mark.parametrize("row, bad", [(1, [np.nan, 0.5]), (2, [np.inf, 0.5])])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_a_row_with_a_non_finite_value_is_rejected(self, metric, row, bad):
+        P = self.P.copy()
+        P[row] = bad
+        with pytest.raises(ContractError, match=f"row {row} must be finite"):
+            self.METRICS[metric](P, [0, 1, 1])
+
+    @pytest.mark.parametrize("temperature", [-1.0, 0.0, np.nan, np.inf, True, "1"])
+    def test_nll_rejects_a_temperature_that_is_not_a_finite_positive_number(self, temperature):
+        with pytest.raises(ContractError, match="^temperature: "):
+            nll(np.log(self.P), [0, 1, 1], temperature)
+
     @pytest.mark.parametrize("metric", METRICS)
     def test_zero_rows_are_rejected(self, metric):
         with pytest.raises(ContractError, match="needs at least one sample"):

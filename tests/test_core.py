@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -424,8 +425,8 @@ class TestTrainEndToEnd:
         original = drshift.robust._ratios
         reads = []
 
-        def bad_last_row(dom, X, epoch=None):
-            ratios = original(dom, X, epoch)
+        def bad_last_row(clf, dom, X, epoch=None):
+            ratios = original(clf, dom, X, epoch)
             ratios[-1] = 0.5 * clf.ratio_bounds[0]
             reads.append(len(ratios))
             return ratios
@@ -452,9 +453,9 @@ class TestTrainEndToEnd:
         original = drshift.robust._ratios
         original_grad = drshift.robust.grad_source
 
-        def recording(dom, X, epoch=None):
+        def recording(clf, dom, X, epoch=None):
             reads.append((epoch, X.copy()))
-            return original(dom, X, epoch)
+            return original(clf, dom, X, epoch)
 
         def recording_grad(clf, batch, ratios, *args, **kwargs):
             batches.append(batch[0].copy())
@@ -485,6 +486,17 @@ class TestTrainEndToEnd:
         _, ratios = target_predictions(clf, None, target)
         np.testing.assert_array_equal(ratios, np.ones(len(target)))
 
+    def test_the_classifier_bounds_clamp_the_domain_net(self):
+        # The domain net holds no bounds of its own: a narrow classifier
+        # clamps every ratio it reads, in training and in prediction.
+        source, target = generate_gaussian_shift(default_shift_spec(seed=3, n_source=64,
+                                                                    n_target=64))
+        clf0 = default_classifier(2, 2, seed=100, r=1.0, ratio_bounds=(0.9, 1.11))
+        dom0 = default_domain_classifier(2, seed=101)
+        clf, dom, _ = train_end_to_end(source, target, clf0, dom0, TrainConfig(epochs=2, seed=0))
+        _, ratios = target_predictions(clf, dom, target)
+        assert ratios.min() >= 0.9 and ratios.max() <= 1.11
+
     def test_no_shift_ratios_near_one_and_erm_parity(self):
         source, target = generate_gaussian_shift(no_shift_spec(seed=4))
         heldout, _ = generate_gaussian_shift(no_shift_spec(seed=5))
@@ -492,7 +504,7 @@ class TestTrainEndToEnd:
         clf0 = default_classifier(2, 2, seed=100, r=0.0)
         dom0 = default_domain_classifier(2, seed=101)
         clf, dom, _ = train_end_to_end(source, target, clf0, dom0, cfg)
-        ratios, _, _ = domain_ratios(dom, target.X)
+        ratios, _, _ = domain_ratios(dom, target.X, clf.ratio_bounds)
         assert np.abs(ratios - 1.0).mean() < 0.2
 
         erm, _ = train_erm(source, cfg)
@@ -848,7 +860,7 @@ def test_config_fields_store_numpy_scalars_as_python_numbers():
 @pytest.mark.parametrize("build, message", [
     (lambda: RobustClassifier(np.zeros((2, 2)), identity_map(2), ratio_bounds=(5, 1)),
      "ratio_bounds: must satisfy 0 < min < max, got [5.0, 1.0]"),
-    (lambda: default_domain_classifier(2, ratio_bounds=(0, 1)),
+    (lambda: default_classifier(2, 2, ratio_bounds=(0, 1)),
      "ratio_bounds: must satisfy 0 < min < max, got [0.0, 1.0]"),
     (lambda: default_classifier(2, 2, ratio_bounds=(1,)), "ratio_bounds: expected [min, max]"),
     (lambda: default_classifier(2, 2, feature_dim=0), "feature_dim: must be >= 1, got 0"),
@@ -863,7 +875,7 @@ def test_classifier_parameters_are_checked_at_construction(build, message):
 
 def test_checkpoint_roundtrip():
     clf = default_classifier(2, 3, seed=5, r=0.4, ratio_bounds=(0.1, 10.0))
-    dom = default_domain_classifier(2, seed=6, ratio_bounds=(0.1, 10.0))
+    dom = default_domain_classifier(2, seed=6)
     clf.theta += 0.5
     text = checkpoint_to_json(clf, dom, config={"seed": 1})
     clf2, dom2, cfg = checkpoint_from_json(text)
@@ -871,7 +883,8 @@ def test_checkpoint_roundtrip():
     assert clf2.r == clf.r and tuple(clf2.ratio_bounds) == (0.1, 10.0)
     X = np.random.default_rng(0).normal(size=(4, 2))
     np.testing.assert_array_equal(class_scores(clf, X), class_scores(clf2, X))
-    np.testing.assert_array_equal(domain_ratios(dom, X)[0], domain_ratios(dom2, X)[0])
+    np.testing.assert_array_equal(domain_ratios(dom, X, clf.ratio_bounds)[0],
+                                  domain_ratios(dom2, X, clf2.ratio_bounds)[0])
 
 
 # A model.json text in the format the CLI writes, whose feature maps carry
@@ -892,6 +905,13 @@ SAVED_CHECKPOINT = (
 )
 SAVED_SCORES = [[0.27970000964580394, -0.2779088138486298],
                 [-0.16473334630061442, 0.3596648077621035]]
+
+
+def test_checkpoint_whose_domain_bounds_differ_is_config_error():
+    doc = json.loads(SAVED_CHECKPOINT)
+    doc["domain"]["ratio_bounds"] = [0.001, 1000.0]
+    with pytest.raises(ConfigError, match=re.escape("domain.ratio_bounds: [0.001, 1000.0]")):
+        checkpoint_from_json(json.dumps(doc))
 
 
 def test_saved_checkpoint_loads_scores_and_rewrites_unchanged():

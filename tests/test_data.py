@@ -112,6 +112,13 @@ class TestGaussianShift:
         with pytest.raises(ContractError, match=re.escape(f"got shape {np.shape(X)}")):
             truth(default_shift_spec(), X)
 
+    @pytest.mark.parametrize("truth", [true_log_ratio, true_class_probs])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_truth_functions_reject_non_finite_rows(self, truth, bad):
+        X = np.array([[0.0, 0.0], [bad, 0.0]])
+        with pytest.raises(ContractError, match="input row 1 must be finite"):
+            truth(default_shift_spec(), X)
+
     def test_class_probs_are_the_labeling_posterior(self):
         spec = default_shift_spec(seed=2)
         source, target = generate_gaussian_shift(spec)
@@ -199,10 +206,11 @@ class TestOracle:
 
         rng = np.random.default_rng(14)
         spec, clf = random_discrete_instance(rng)
-        dom = default_domain_classifier(2, seed=3, ratio_bounds=(0.5, 2.0))
+        clf = replace(clf, ratio_bounds=(0.5, 2.0))
+        dom = default_domain_classifier(2, seed=3)
         res = oracle_expectations(spec, clf, domain=dom)
         # independent evaluation with the classifier's clamped ratios
-        ratios, clamped, _ = domain_ratios(dom, spec.points)
+        ratios, clamped, _ = domain_ratios(dom, spec.points, clf.ratio_bounds)
         Phi = feature_forward_batch(clf.feature_map, spec.points)
         logZ = logsumexp(ratios[:, None] * (Phi @ clf.theta.T), axis=1)
         c_tilde = (spec.p_source[:, None] * spec.cond_label).T @ Phi

@@ -16,32 +16,33 @@ from drshift.domain import (
     domain_ratios,
 )
 from drshift.features import FeatureMap
-from drshift.robust import _domain_gradient, class_scores
+from drshift.robust import DEFAULT_RATIO_BOUNDS, _domain_gradient, class_scores
 
 from helpers import fd_layers, flat, rel_err
 from oracle import drl_density_gradient
 
 
-def zero_logit_classifier(dim=2, bounds=(1e-3, 1e3)):
+def zero_logit_classifier(dim=2):
     layers = [(np.zeros((1, dim)), np.zeros(1))]
-    return DomainClassifier(FeatureMap(dim, 1, layers), bounds)
+    return DomainClassifier(FeatureMap(dim, 1, layers))
 
 
-def linear_logit_classifier(w, b=0.0, bounds=(1e-3, 1e3)):
+def linear_logit_classifier(w, b=0.0):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     layers = [(w, np.array([float(b)]))]
-    return DomainClassifier(FeatureMap(w.shape[1], 1, layers), bounds)
+    return DomainClassifier(FeatureMap(w.shape[1], 1, layers))
 
 
 class TestForward:
     def test_zero_params_give_half_half(self):
-        ratio, _, z = domain_ratios(zero_logit_classifier(), np.array([[3.0, -1.0]]))
+        ratio, _, z = domain_ratios(zero_logit_classifier(), np.array([[3.0, -1.0]]),
+                                    DEFAULT_RATIO_BOUNDS)
         tau_s = expit(z)
         assert tau_s[0] == 0.5 and 1.0 - tau_s[0] == 0.5 and ratio[0] == 1.0
 
     def test_log3_logit(self):
         clf = linear_logit_classifier([0.0], b=np.log(3.0))
-        ratio, clamped, z = domain_ratios(clf, np.array([[0.0]]))
+        ratio, clamped, z = domain_ratios(clf, np.array([[0.0]]), DEFAULT_RATIO_BOUNDS)
         tau_s = expit(z)
         assert tau_s[0] == pytest.approx(0.75, abs=1e-12)
         assert 1.0 - tau_s[0] == pytest.approx(0.25, abs=1e-12)
@@ -49,14 +50,14 @@ class TestForward:
         assert not clamped[0]
 
     def test_huge_logit_clamps(self):
-        clf = linear_logit_classifier([0.0], b=50.0, bounds=(1e-3, 10.0))
-        ratio, clamped, _ = domain_ratios(clf, np.array([[0.0]]))
+        clf = linear_logit_classifier([0.0], b=50.0)
+        ratio, clamped, _ = domain_ratios(clf, np.array([[0.0]]), (1e-3, 10.0))
         assert ratio[0] == 10.0 and clamped[0]
 
     def test_taus_sum_to_one_exactly(self):
         rng = np.random.default_rng(0)
         clf = default_domain_classifier(3, seed=1)
-        tau_s = expit(domain_ratios(clf, rng.normal(size=(20, 3)))[2])
+        tau_s = expit(domain_ratios(clf, rng.normal(size=(20, 3)), DEFAULT_RATIO_BOUNDS)[2])
         assert np.all(tau_s + (1.0 - tau_s) == 1.0)
 
 
@@ -204,7 +205,7 @@ class TestDensityLogitUpstream:
         # while tau_t = 1 - sigmoid(20) ~ 2e-9: a form divided by tau_t and
         # guarded below 1e-8 would drop the density term of every row here.
         bounds = (1e-12, 1e12)
-        dom = linear_logit_classifier([0.0, 0.0], b=20.0, bounds=bounds)
+        dom = linear_logit_classifier([0.0, 0.0], b=20.0)
         clf = default_classifier(2, 2, seed=3, r=0.5, ratio_bounds=bounds)
         rng = np.random.default_rng(23)
         clf.theta = rng.normal(size=clf.theta.shape)

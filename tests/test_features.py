@@ -277,11 +277,11 @@ def test_blocked_scores_and_ratios_are_bitwise_the_unblocked_pass(n):
     X = scoring_inputs(n)
     Z = _forward_activations(clf.feature_map, X)[-1] @ clf.theta.T
     z = _forward_activations(dom.net, X)[-1][:, 0]
-    ratio, clamped = clamp_ratio(z, dom.ratio_bounds)
+    ratio, clamped = clamp_ratio(z, clf.ratio_bounds)
     assert Z.shape == (n, 3) and z.shape == (n,)
 
     np.testing.assert_array_equal(class_scores(clf, X), Z)
-    for got, want in zip(domain_ratios(dom, X), (ratio, clamped, z)):
+    for got, want in zip(domain_ratios(dom, X, clf.ratio_bounds), (ratio, clamped, z)):
         np.testing.assert_array_equal(got, want)
     for got, want in zip(predict_proba(clf, X, ratio), _softmax_lse(_logits(clf, Z, ratio))):
         np.testing.assert_array_equal(got, want)

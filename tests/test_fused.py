@@ -15,9 +15,9 @@ from drshift.robust import _domain_gradient, _softmax_lse, predict_proba
 
 def models(seed, ratio_bounds):
     rng = np.random.default_rng(seed)
-    clf = default_classifier(2, 3, seed=seed, r=0.5)
+    clf = default_classifier(2, 3, seed=seed, r=0.5, ratio_bounds=ratio_bounds)
     clf.theta = rng.normal(size=clf.theta.shape)
-    dom = default_domain_classifier(2, seed=seed + 1, ratio_bounds=ratio_bounds)
+    dom = default_domain_classifier(2, seed=seed + 1)
     return rng, clf, dom
 
 
@@ -27,7 +27,7 @@ def reference_gradient(clf, dom, Xb_s, t_s, Xb_t):
     g_bce_s = bce_gradient_arrays(dom, Xb_s, t_s)
     g_bce_t = bce_gradient_arrays(dom, Xb_t, np.zeros(len(Xb_t)))
     g_bce = 0.5 * (g_bce_s + g_bce_t)
-    ratio, clamped, _ = domain_ratios(dom, Xb_t)
+    ratio, clamped, _ = domain_ratios(dom, Xb_t, clf.ratio_bounds)
     probs, _ = predict_proba(clf, Xb_t, ratio)
     Phi = feature_forward_batch(clf.feature_map, Xb_t)
     g_den = density_chain_gradient(dom, Xb_t, clf.theta, Phi, probs, ratio, clamped)
@@ -49,7 +49,7 @@ def test_fused_domain_gradient_with_clamped_samples():
     rng, clf, dom = models(5, (0.9, 1.11))
     Xb_s = rng.normal(-1.0, 2.0, size=(16, 2))
     Xb_t = rng.normal(1.5, 2.0, size=(48, 2))
-    clamped = domain_ratios(dom, Xb_t)[1]
+    clamped = domain_ratios(dom, Xb_t, clf.ratio_bounds)[1]
     assert clamped.any() and not clamped.all()
     fused = _domain_gradient(clf, dom, Xb_s, np.ones(16), Xb_t)
     ref = reference_gradient(clf, dom, Xb_s, np.ones(16), Xb_t)
@@ -84,7 +84,7 @@ def test_unequal_halves_leave_the_ratio_unbiased(n_s, n_t):
         g = _domain_gradient(clf, dom, rng.normal(size=(n_s, 2)), np.ones(n_s),
                              rng.normal(size=(n_t, 2)))
         dom.net.params -= 0.1 * g
-    ratios = domain_ratios(dom, rng.normal(size=(1000, 2)))[0]
+    ratios = domain_ratios(dom, rng.normal(size=(1000, 2)), clf.ratio_bounds)[0]
     assert 0.9 <= np.median(ratios) <= 1.1
 
 

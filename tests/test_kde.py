@@ -17,7 +17,6 @@ from drshift import (
 )
 from drshift.calibration import _lse_parts
 from drshift.data import GaussianShiftSpec, generate_gaussian_shift, split_indices
-from drshift.domain import DEFAULT_RATIO_BOUNDS
 from drshift.features import identity_map
 from drshift.kde import (
     _BLOCK_PAIRS,
@@ -25,7 +24,7 @@ from drshift.kde import (
     _train_frozen_feature_model,
     run_plugin_simulation,
 )
-from drshift.robust import RobustClassifier, _Momentum, grad_source
+from drshift.robust import DEFAULT_RATIO_BOUNDS, RobustClassifier, _Momentum, grad_source
 
 DEFAULT_BANDWIDTHS = (0.05, 0.2, 0.5, 1.0)
 

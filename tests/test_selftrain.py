@@ -90,6 +90,16 @@ class TestSelectPseudo:
             if picked.size and rest.size:
                 assert picked.min() >= rest.max()
 
+    @pytest.mark.parametrize("preds, message", [
+        (np.array([0.9, 0.1]), r"an \(n, C\) matrix, got shape \(2,\)"),
+        (np.zeros((2, 0)), r"an \(n, C\) matrix, got shape \(2, 0\)"),
+        (np.array([[0.3, 0.7], [np.nan, 0.5]]), "prediction row 1 must be finite"),
+        (np.array([[np.inf, 0.5], [0.3, 0.7]]), "prediction row 0 must be finite"),
+    ])
+    def test_malformed_predictions_rejected(self, preds, message):
+        with pytest.raises(ContractError, match=message):
+            select_pseudo(preds, 0.5)
+
     def test_tie_breaks_by_lower_index(self):
         P = np.array([[0.8, 0.2], [0.8, 0.2]])
         chosen = select_pseudo(P, 0.5)

@@ -299,8 +299,8 @@ def test_out_of_bounds_strong_ratio_rejected(monkeypatch):
     clf, dom = default_models(labeled, cfg.base.seed)
     original = drshift.robust._ratios
 
-    def bad_last_row(dom, X, epoch=None):
-        ratios = original(dom, X, epoch)
+    def bad_last_row(clf, dom, X, epoch=None):
+        ratios = original(clf, dom, X, epoch)
         ratios[-1] = 10 * clf.ratio_bounds[1]  # the last strong row
         return ratios
 
@@ -332,9 +332,9 @@ def test_drssl_reads_the_ratios_once_per_domain_period(monkeypatch):
     rows = []
     original = drshift.robust.domain_ratios
 
-    def counting(dom, X):
+    def counting(dom, X, bounds):
         rows.append(X.shape[0])
-        return original(dom, X)
+        return original(dom, X, bounds)
 
     monkeypatch.setattr(drshift.robust, "domain_ratios", counting)
     run_drssl(labeled, target, cfg, *default_models(labeled, cfg.base.seed))
