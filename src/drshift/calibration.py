@@ -127,22 +127,31 @@ def _row_reduce(ufunc, A):
     return out
 
 
-def _lse_parts(L, m=None):
-    """Row-wise log-sum-exp of an (n, C) array, with the shifted exponentials.
+def _exp_parts(L, m=None):
+    """The shifted exponentials of an (n, C) array, as (m, e, s).
 
-    Returns (lse, e, s): e = exp(L - m) with m the (n, 1) row max, s the
-    (n, 1) row sums of e and lse = m + log s. Shifting by the max keeps exp in
-    range, and e / s is the softmax, so one exp serves both. A caller that
-    already holds the row max may pass it as m; it must equal
-    L.max(axis=1, keepdims=True) bitwise for the result to. The row max and
-    row sum go through _row_reduce, so at C < 8 classes they are column-wise
-    and at C >= 8 (such as the KDE's columns) numpy's axis reductions.
+    e = exp(L - m) with m the (n, 1) row max, and s holds the (n, 1) row
+    sums of e. Shifting by the max keeps exp in range, and e / s is the
+    softmax. A caller that already holds the row max may pass it as m; it
+    must equal L.max(axis=1, keepdims=True) bitwise for the result to. The
+    row max and row sum go through _row_reduce, so at C < 8 classes they are
+    column-wise and at C >= 8 (such as the KDE's columns) numpy's axis
+    reductions.
     """
     if m is None:
         m = _row_reduce(np.maximum, L)
     e = L - m
     np.exp(e, out=e)
-    s = _row_reduce(np.add, e)
+    return m, e, _row_reduce(np.add, e)
+
+
+def _lse_parts(L, m=None):
+    """Row-wise log-sum-exp of an (n, C) array, with the shifted exponentials.
+
+    Returns (lse, e, s), with e and s from _exp_parts(L, m) and
+    lse = m + log s, so one exp serves the log-sum-exp and the softmax.
+    """
+    m, e, s = _exp_parts(L, m)
     return m[:, 0] + np.log(s[:, 0]), e, s
 
 

@@ -36,12 +36,14 @@ def _check_num(val, name, *, gt=None, ge=None, lt=None, le=None, integer=False,
     return num
 
 
-def _one_per_row(values, n, what):
+def _one_per_row(values, n, what, width=None):
     """The array values unchanged, or ContractError naming both counts (or
-    the shape of values that are not 1-D) unless it has shape (n,): one
-    what for each of n rows."""
-    if values.shape != (n,):
-        got = f"{values.size} {what}s" if values.ndim == 1 else f"shape {values.shape}"
+    the shape of values of another shape per row) unless it has shape (n,),
+    or (n, width) when width is given: one what for each of n rows."""
+    want = (n,) if width is None else (n, width)
+    if values.shape != want:
+        same_rows = values.ndim == len(want) and values.shape[1:] == want[1:]
+        got = f"{values.shape[0]} {what}s" if same_rows else f"shape {values.shape}"
         raise ContractError(f"expected one {what} per row: {got} for {n} rows")
     return values
 
@@ -74,7 +76,7 @@ def _class_labels(labels, n, class_count):
     label for each of n rows, each in [0, class_count)."""
     y = _one_per_row(_int_labels(labels), n, "label")
     # As unsigned, a negative label exceeds any class count: one max checks both ends.
-    if n and y.view(np.uint64).max() >= class_count:
+    if n and np.maximum.reduce(y.view(np.uint64)) >= class_count:
         bad = y[(y < 0) | (y >= class_count)][0]
         raise ContractError(f"label {bad} outside [0, {class_count})")
     return y

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, _check_num
+from .errors import ConfigError, _check_num, _one_per_row
 
 
 @dataclass(eq=False)
@@ -134,7 +134,8 @@ def _forward_activations(fmap, X):
     """Forward pass keeping every layer's input: [X, a_1, ..., a_L, phi].
 
     Passing the list to feature_backward_batch as acts saves it a second
-    forward pass.
+    forward pass. Each layer adds its bias and applies tanh in place on its
+    own new product, so X, the caller's array, is never written.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != fmap.in_dim:
@@ -142,8 +143,11 @@ def _forward_activations(fmap, X):
     acts = [X]
     last = fmap.n_layers - 1
     for i, (W, b) in enumerate(fmap.layers):
-        Z = acts[-1] @ W.T + b
-        acts.append(Z if i == last else np.tanh(Z))
+        Z = acts[-1] @ W.T
+        Z += b
+        if i != last:
+            np.tanh(Z, out=Z)
+        acts.append(Z)
     return acts if fmap.layers else [X, X]
 
 
@@ -155,15 +159,20 @@ def feature_backward_batch(fmap, X, U, weights=None, acts=None):
     the default is w_i = 1/n, i.e. the batch mean. acts, when given, holds the
     activations of a forward pass over X at the current parameters (from
     _forward_activations); otherwise the forward pass is run here.
-    A map with no layers returns an empty gradient.
+    U must hold one upstream of out_dim values, and weights one weight, per
+    row of X; other counts are a ContractError. A map with no layers returns
+    an empty gradient.
     """
-    if not fmap.layers:
-        return np.zeros(0)
-    U = np.asarray(U, dtype=float)
     if acts is None:
         acts = _forward_activations(fmap, X)
-    n = U.shape[0]
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
+    n = acts[0].shape[0]
+    U = _one_per_row(np.asarray(U, dtype=float), n, "upstream", fmap.out_dim)
+    if weights is None:
+        w = np.full(n, 1.0 / n)
+    else:
+        w = _one_per_row(np.asarray(weights, dtype=float), n, "weight")
+    if not fmap.layers:
+        return np.zeros(0)
 
     # The map is linear in upstream, so the weights fold into the first delta.
     delta = U * w[:, None]
@@ -171,10 +180,13 @@ def feature_backward_batch(fmap, X, U, weights=None, acts=None):
     for i in range(fmap.n_layers - 1, -1, -1):
         lo, mid, hi, shape = fmap._spans[i]
         np.matmul(delta.T, acts[i], out=grad[lo:mid].reshape(shape))
-        delta.sum(axis=0, out=grad[mid:hi])
+        np.add.reduce(delta, axis=0, out=grad[mid:hi])
         if i > 0:
             # tanh' written in terms of the activation a = tanh(z): 1 - a^2.
-            delta = (delta @ fmap.layers[i][0]) * (1.0 - acts[i] * acts[i])
+            t = acts[i] * acts[i]
+            np.subtract(1.0, t, out=t)
+            delta = delta @ fmap.layers[i][0]
+            delta *= t
     return grad
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import _lse_parts
+from .calibration import _exp_parts, _lse_parts
 from .domain import (
     DomainClassifier,
     _bce_from_logits,
@@ -30,7 +30,7 @@ from .domain import (
     domain_ratios,
 )
 from .errors import (ConfigError, ContractError, DivergenceError, _check_num, _class_labels,
-                     _int_labels, _one_per_row)
+                     _finite_rows, _int_labels, _one_per_row)
 from .features import (
     _blocked_head,
     _feature_map_doc,
@@ -141,17 +141,19 @@ def _check_ratios(clf, ratios, n):
     lo, hi = clf.ratio_bounds
     ratios = _one_per_row(np.asarray(ratios, dtype=float), n, "ratio")
     # Written so that a NaN ratio fails too: every comparison with NaN is false.
-    if n and not (lo <= ratios.min() and ratios.max() <= hi):
+    if n and not (lo <= np.minimum.reduce(ratios) and np.maximum.reduce(ratios) <= hi):
         raise ContractError(f"ratio outside bounds [{lo}, {hi}]")
     return ratios
 
 
 def _row_weights(weights, n):
     """Per-row weights as a float array, 1/n each when weights is None, or
-    ContractError unless there is one weight for each of the n rows."""
+    ContractError unless there is one finite weight for each of the n rows."""
     if weights is None:
         return np.full(n, 1.0 / n)
-    return _one_per_row(np.asarray(weights, dtype=float), n, "weight")
+    w = _one_per_row(np.asarray(weights, dtype=float), n, "weight")
+    _finite_rows(w[:, None], "weight")
+    return w
 
 
 def _require_finite(values, what, epoch=None):
@@ -162,7 +164,7 @@ def _require_finite(values, what, epoch=None):
     a divergence at that step rather than as the ContractError that
     _check_ratios raises on a NaN ratio.
     """
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         where = "" if epoch is None else f" at epoch {epoch}"
         raise DivergenceError(f"non-finite {what}{where}", state={"epoch": epoch})
     return values
@@ -170,9 +172,18 @@ def _require_finite(values, what, epoch=None):
 
 def _softmax_lse(logits):
     """Row-wise softmax and log-sum-exp of an (n, C) array, from the one
-    shifted exp of calibration's log-sum-exp."""
+    shifted exp of calibration's log-sum-exp, divided in place."""
     lse, e, s = _lse_parts(logits)
-    return e / s, lse
+    e /= s
+    return e, lse
+
+
+def _softmax(logits):
+    """The probabilities of _softmax_lse, bitwise, for callers that would
+    discard its log-sum-exp."""
+    _, e, s = _exp_parts(logits)
+    e /= s
+    return e
 
 
 def predict_proba(clf, X, ratios, labels=None):
@@ -193,13 +204,20 @@ def _logits(clf, Z, ratios, labels=None):
     R z / (1 + r), verbatim so the temperature identity is exact, when labels
     is None, else train mode, where only the label entries differ from R z:
     they are (R z_y + r) / (r + 1). At r = 0 the two modes coincide."""
-    if labels is None:
-        return ratios[:, None] * Z / (1.0 + clf.r)
     L = ratios[:, None] * Z
+    if labels is None:
+        L /= 1.0 + clf.r
+        return L
     n, C = Z.shape
-    at = (np.arange(n), _class_labels(labels, n, C))
-    L[at] = (L[at] + clf.r) / (clf.r + 1.0)
+    at = _label_entries(_class_labels(labels, n, C), C)
+    L.put(at, (L.take(at) + clf.r) / (clf.r + 1.0))
     return L
+
+
+def _label_entries(y, C):
+    """Flat indices of the entries (i, y_i) of an (n, C) array, for take and
+    put, which cost less than the (rows, labels) index pair."""
+    return np.arange(0, y.shape[0] * C, C) + y
 
 
 def _predict_from_scores(clf, Z, ratios, labels=None):
@@ -210,18 +228,28 @@ def _predict_from_scores(clf, Z, ratios, labels=None):
 def feature_constraint(fmap, X, y, class_count, weights=None):
     """Empirical feature-matching constraint from labeled source data: the
     (C, m) matrix c_y = sum_i w_i 1{y_i=y} phi(x_i), weights defaulting to 1/n."""
-    return _constraint_from_features(feature_forward_batch(fmap, X), y, class_count, weights)
+    Phi = feature_forward_batch(fmap, X)
+    w = _row_weights(weights, Phi.shape[0])
+    return _constraint_from_features(Phi, w, _class_rows(y, Phi.shape[0], class_count))
 
 
-def _constraint_from_features(Phi, y, class_count, weights=None):
-    n = Phi.shape[0]
-    w = _row_weights(weights, n)
-    c = np.zeros((class_count, Phi.shape[1]))
+def _class_rows(y, n, class_count):
+    """Per class in [0, class_count), the ascending indices of its rows among
+    the n labels y, which are checked as _class_labels checks them."""
     y = _class_labels(y, n, class_count)
-    for cls in range(class_count):
-        mask = y == cls
-        if mask.any():
-            c[cls] = (w[mask][:, None] * Phi[mask]).sum(axis=0)
+    return [np.flatnonzero(y == cls) for cls in range(class_count)]
+
+
+def _constraint_from_features(Phi, w, class_rows):
+    """feature_constraint from the features Phi (n, m), the per-row weights w
+    and each class's rows (_class_rows). Each class's row sums its weighted
+    features in row order, as the masked sum over the class's rows does,
+    and a class with no rows gets zeros."""
+    c = np.empty((len(class_rows), Phi.shape[1]))
+    for cls, rows in enumerate(class_rows):
+        wPhi = Phi.take(rows, axis=0)
+        wPhi *= w.take(rows)[:, None]
+        np.add.reduce(wPhi, axis=0, out=c[cls])
     return c
 
 
@@ -231,7 +259,7 @@ def dual_objective(clf, X, ratios, constraint):
         raise ContractError("dual_objective needs at least one target input")
     ratios = _check_ratios(clf, ratios, len(X))
     Z = class_scores(clf, X)
-    _, logZ = _softmax_lse(ratios[:, None] * Z)
+    logZ = _lse_parts(ratios[:, None] * Z)[0]
     return float(logZ.mean() - np.sum(clf.theta * constraint))
 
 
@@ -255,9 +283,10 @@ def grad_source(clf, batch, ratios, weights=None, acts=None):
 
     if acts is None:
         acts = _forward_activations(clf.feature_map, X)
-    probs, _ = _predict_from_scores(clf, acts[-1] @ clf.theta.T, ratios, y)
+    probs = _softmax(_logits(clf, acts[-1] @ clf.theta.T, ratios, y))
     diff = probs.copy()
-    diff[np.arange(n), y] -= 1.0
+    at = _label_entries(y, clf.class_count)
+    diff.put(at, diff.take(at) - 1.0)
     return SourceGradient(*_score_gradient(clf, acts, diff, w), probs)
 
 
@@ -295,7 +324,7 @@ class _Momentum:
 
     step updates each of the two arrays in place with its own velocity,
     v <- mu v + g then p <- p - lr v, so the arrays clf holds are the ones
-    that move.
+    that move. lr v goes into a scratch array of each parameter's shape.
     """
 
     def __init__(self, clf, lr, momentum):
@@ -303,12 +332,15 @@ class _Momentum:
         self.mu = momentum
         self.params = (clf.theta, clf.feature_map.params)
         self.velocity = tuple(np.zeros_like(p) for p in self.params)
+        self.scratch = tuple(np.empty_like(p) for p in self.params)
 
     def step(self, grad_theta, grad_features):
-        for p, v, g in zip(self.params, self.velocity, (grad_theta, grad_features)):
+        for p, v, t, g in zip(self.params, self.velocity, self.scratch,
+                              (grad_theta, grad_features)):
             v *= self.mu
             v += g
-            p -= self.lr * v
+            np.multiply(self.lr, v, out=t)
+            p -= t
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +371,7 @@ def _domain_gradient(clf, dom, Xb_s, is_source_s, Xb_t):
     ratio_t, clamped_t = clamp_ratio(z[n_s:], clf.ratio_bounds)
     _require_finite(ratio_t, "density ratios")
     Z_t = class_scores(clf, Xb_t)
-    probs_t, _ = _predict_from_scores(clf, Z_t, ratio_t)
+    probs_t = _softmax(_logits(clf, Z_t, ratio_t))
     t_dom = np.concatenate([is_source_s, np.zeros(n_t)])
     dz = _bce_logit_upstream(z, t_dom)
     dz[:n_s] /= 2 * n_s
@@ -394,8 +426,9 @@ def _train_loop(clf, dom, cfg, plan, model_gradient, epoch_record):
         for b in range(len(X)):
             k = step % period
             if k == 0 and dom is not None:
-                dom.net.params -= cfg.lr_domain * _domain_gradient(
-                    clf, dom, X[b, :tags.shape[1]], tags[b], Xt[b])
+                g_dom = _domain_gradient(clf, dom, X[b, :tags.shape[1]], tags[b], Xt[b])
+                g_dom *= cfg.lr_domain
+                dom.net.params -= g_dom
             if k == 0 or b == 0:
                 first, rows = b, X[b:b + period - k]
                 read = _ratios(clf, dom, rows.reshape(-1, rows.shape[2]), epoch)
@@ -426,6 +459,7 @@ def train_end_to_end(source, target, clf, dom, cfg):
     """
     Xs, ys, Xt = source.X, source.y, target.X
     n_s = Xs.shape[0]
+    w_s, rows_s = _source_rows(source, clf.class_count)
     X_st = np.vstack([Xs, Xt])
     t_st = np.concatenate([source.is_source, np.zeros(Xt.shape[0])])
 
@@ -438,9 +472,9 @@ def train_end_to_end(source, target, clf, dom, cfg):
             ratios_s, ratios_t = ratios[:n_s], ratios[n_s:]
             bce = _bce_from_logits(z, t_st)
         Phi_s = feature_forward_batch(clf.feature_map, Xs)
-        constraint = _constraint_from_features(Phi_s, ys, clf.class_count)
+        constraint = _constraint_from_features(Phi_s, w_s, rows_s)
         dual = dual_objective(clf, Xt, ratios_t, constraint)
-        probs_s, _ = _predict_from_scores(clf, Phi_s @ clf.theta.T, ratios_s)
+        probs_s = _softmax(_logits(clf, Phi_s @ clf.theta.T, ratios_s))
         acc = float((probs_s.argmax(axis=1) == ys).mean())
         if not np.isfinite(dual):
             raise DivergenceError(f"non-finite training state at epoch {epoch}",
@@ -448,6 +482,15 @@ def train_end_to_end(source, target, clf, dom, cfg):
         return {"epoch": epoch, "dual": dual, "bce": bce, "source_accuracy": acc}
 
     return _train_pass(source, target, clf, dom, cfg, record)
+
+
+def _source_rows(source, class_count):
+    """(1/n weights, per-class rows) of a labeled source, as
+    _constraint_from_features takes them; ContractError unless it is labeled."""
+    if not source.labeled:
+        raise ContractError("source dataset must be labeled")
+    n = len(source)
+    return _row_weights(None, n), _class_rows(source.y, n, class_count)
 
 
 def _train_pass(source, target, clf, dom, cfg, record=None):
@@ -463,14 +506,19 @@ def _train_pass(source, target, clf, dom, cfg, record=None):
     The default record keeps no history (None per epoch) and evaluates only
     the check a diverged model trips: the dual objective over the target,
     at the domain net's target ratios and the constraint of this pass's
-    source, raising DivergenceError when it is not finite. Callers that
-    discard the history train with it.
+    source, raising DivergenceError when it is not finite. The source's
+    checked labels, 1/n weights and per-class rows are the same every
+    epoch, so it takes them once per pass. Callers that discard the history
+    train with it.
     """
     if not source.labeled:
         raise ContractError("source dataset must be labeled")
     if record is None:
+        w_s, rows_s = _source_rows(source, clf.class_count)
+
         def record(clf, dom, epoch):
-            constraint = feature_constraint(clf.feature_map, source.X, source.y, clf.class_count)
+            Phi_s = feature_forward_batch(clf.feature_map, source.X)
+            constraint = _constraint_from_features(Phi_s, w_s, rows_s)
             dual = dual_objective(clf, target.X, _ratios(clf, dom, target.X, epoch), constraint)
             if not np.isfinite(dual):
                 raise DivergenceError(f"non-finite training state at epoch {epoch}",

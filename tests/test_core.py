@@ -11,6 +11,7 @@ from drshift import (
     AugmentationSpec,
     ConfigError,
     ContractError,
+    DivergenceError,
     RobustClassifier,
     TrainConfig,
     bce_loss,
@@ -29,10 +30,14 @@ from drshift import (
     train_erm,
 )
 from drshift.data import GaussianShiftSpec
+from drshift.calibration import _lse_parts
 from drshift.domain import bce_gradient_arrays, domain_ratios
 from drshift.robust import (
+    _class_rows,
+    _constraint_from_features,
     _logits,
     _Momentum,
+    _softmax,
     _softmax_lse,
     class_scores,
     predict_proba,
@@ -342,6 +347,15 @@ class TestRowCount:
             with pytest.raises(ContractError, match=f"{count} {what} for 3 rows"):
                 call()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_weight_is_rejected_by_row(self, bad):
+        weights = [1.0, 0.5, bad, bad]
+        X, y = np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1])
+        with pytest.raises(ContractError, match="^weight 2 must be finite$"):
+            grad_source(self.clf, (X, y), np.ones(4), weights)
+        with pytest.raises(ContractError, match="^weight 2 must be finite$"):
+            feature_constraint(self.clf.feature_map, X, y, 2, weights=weights)
+
     @pytest.mark.parametrize("label", [-1, 5])
     def test_a_constraint_label_outside_the_classes_is_rejected(self, label):
         with pytest.raises(ContractError, match=f"label {label} outside"):
@@ -573,6 +587,44 @@ class TestStepReferences:
         for a, b in zip(_softmax_lse(got), _softmax_lse(expected)):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("C", [2, 3, 8])
+    def test_softmax_divides_in_place_to_the_out_of_place_quotient(self, C):
+        rng = np.random.default_rng(7 + C)
+        L = rng.normal(scale=5.0, size=(40, C))
+        L[0], L[1, :2] = 0.0, [-0.0, 0.0]
+        L_before = L.tobytes()
+        lse, e, s = _lse_parts(L)
+        probs, got_lse = _softmax_lse(L)
+        assert probs.tobytes() == (e / s).tobytes() and got_lse.tobytes() == lse.tobytes()
+        assert _softmax(L).tobytes() == probs.tobytes() and L.tobytes() == L_before
+
+    @staticmethod
+    def masked_constraint(Phi, y, class_count, w):
+        """The constraint as one masked weighted sum per class."""
+        c = np.zeros((class_count, Phi.shape[1]))
+        for cls in range(class_count):
+            mask = y == cls
+            if mask.any():
+                c[cls] = (w[mask][:, None] * Phi[mask]).sum(axis=0)
+        return c
+
+    @pytest.mark.parametrize("C", [2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_constraint_from_class_rows_is_bitwise_the_masked_sum(self, C, weighted):
+        rng = np.random.default_rng(20 + C)
+        n = 57
+        Phi = rng.normal(size=(n, 5))
+        Phi[3] = -0.0
+        # Class 1 has no rows: its constraint row is zeros.
+        y = rng.choice([k for k in range(C) if k != 1], size=n)
+        w = rng.uniform(0.1, 3.0, size=n) if weighted else np.full(n, 1.0 / n)
+        got = _constraint_from_features(Phi, w, _class_rows(y, n, C))
+        want = self.masked_constraint(Phi, y, C, w)
+        assert got.tobytes() == want.tobytes() and not got[1].any()
+        fmap = identity_map(5)
+        cons = feature_constraint(fmap, Phi, y, C, weights=w if weighted else None)
+        assert cons.tobytes() == want.tobytes()
+
 
 class TestTrainErm:
     def test_linearly_separable_reaches_high_accuracy(self):
@@ -637,6 +689,33 @@ def model_reprs(clf, dom):
     def layers(fmap):
         return repr([[W.tolist(), b.tolist()] for W, b in fmap.layers])
     return repr(clf.theta.tolist()), layers(clf.feature_map), layers(dom.net)
+
+
+class TestPoisonedFeatures:
+    """A NaN written into the feature parameters mid-run trips that epoch's
+    dual check, which takes the source's labels, weights and class rows once
+    per pass, with the epoch and the NaN dual in its message and state."""
+
+    @pytest.mark.parametrize("trainer", ["_train_pass", "train_end_to_end"])
+    def test_a_nan_feature_parameter_fails_that_epochs_check(self, trainer, monkeypatch):
+        source, target, clf, dom, cfg = tiny_training_problem()
+        cfg = replace(cfg, epochs=3)
+        steps = []
+        original_grad = drshift.robust.grad_source
+
+        def poisoning_grad(clf, batch, ratios, *args, **kwargs):
+            g = original_grad(clf, batch, ratios, *args, **kwargs)
+            steps.append(len(steps))
+            if len(steps) == 6:  # the last of epoch 1's three steps
+                clf.feature_map.params[-1] = np.nan
+            return g
+
+        monkeypatch.setattr(drshift.robust, "grad_source", poisoning_grad)
+        train = getattr(drshift.robust, trainer)
+        with pytest.raises(DivergenceError, match="^non-finite training state at epoch 1$") as exc:
+            train(source, target, clf, dom, cfg)
+        assert len(steps) == 6 and exc.value.state["epoch"] == 1
+        assert np.isnan(exc.value.state["dual"])
 
 
 class TestTrainerGoldenValues:

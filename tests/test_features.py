@@ -6,6 +6,7 @@ import pytest
 
 from drshift import (
     ConfigError,
+    ContractError,
     RobustClassifier,
     default_classifier,
     default_domain_classifier,
@@ -149,6 +150,93 @@ def test_backward_from_cached_activations_is_bitwise_equal_to_recomputing():
     np.testing.assert_array_equal(acts[-1], feature_forward_batch(fmap, X))
     g = feature_backward_batch(fmap, X, U, weights=w, acts=acts)
     np.testing.assert_array_equal(g, flat(reference_backward(fmap, X, U, w)))
+
+
+def out_of_place_forward(fmap, X):
+    """_forward_activations' list, each layer computed out of place."""
+    acts = [X]
+    for i, (W, b) in enumerate(fmap.layers):
+        Z = acts[-1] @ W.T + b
+        acts.append(Z if i == fmap.n_layers - 1 else np.tanh(Z))
+    return acts if fmap.layers else [X, X]
+
+
+def out_of_place_backward(fmap, acts, U, w):
+    """feature_backward_batch from cached activations, each step out of place."""
+    delta = U * w[:, None]
+    grads = [None] * fmap.n_layers
+    for i in range(fmap.n_layers - 1, -1, -1):
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ fmap.layers[i][0]) * (1.0 - acts[i] * acts[i])
+    return flat(grads)
+
+
+def map_with_layers(n_layers, seed=0):
+    """A 3-in, 4-out map with n_layers layers (0 is the identity on 4 inputs)
+    and nonzero biases, so every bias add changes bits."""
+    if n_layers == 0:
+        return identity_map(4)
+    fmap = init_mlp(3, [16, 8][:n_layers - 1], 4, seed=seed)
+    fmap.params += np.random.default_rng(seed).normal(scale=0.1, size=fmap.params.size)
+    return fmap
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+def test_in_place_forward_is_bitwise_the_out_of_place_one(n_layers):
+    fmap = map_with_layers(n_layers, seed=n_layers)
+    X = np.random.default_rng(30 + n_layers).normal(scale=2.0, size=(64, fmap.in_dim))
+    X[0] = 0.0
+    X_before = X.tobytes()
+    acts = _forward_activations(fmap, X)
+    # The caller's X is the list's first entry, and no layer writes it.
+    assert acts[0] is X and X.tobytes() == X_before
+    want = out_of_place_forward(fmap, X)
+    assert len(acts) == len(want) == fmap.n_layers + 1 + (fmap.n_layers == 0)
+    for got, ref in zip(acts, want):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_in_place_backward_is_bitwise_the_out_of_place_one(n_layers):
+    fmap = map_with_layers(n_layers, seed=10 + n_layers)
+    rng = np.random.default_rng(40 + n_layers)
+    X = rng.normal(scale=2.0, size=(64, 3))
+    U, w = rng.normal(size=(64, 4)), rng.uniform(size=64)
+    acts = _forward_activations(fmap, X)
+    before = [a.tobytes() for a in acts]
+    g = feature_backward_batch(fmap, X, U, weights=w, acts=acts)
+    assert g.tobytes() == out_of_place_backward(fmap, acts, U, w).tobytes()
+    # The backward pass writes none of the activations it was handed.
+    assert [a.tobytes() for a in acts] == before
+    default = feature_backward_batch(fmap, X, U)
+    assert default.tobytes() == out_of_place_backward(fmap, acts, U, np.full(64, 1 / 64)).tobytes()
+
+
+class TestBackwardRowCounts:
+    """feature_backward_batch takes one upstream and one weight per row of X,
+    on a map with layers and on the identity, which has no gradient."""
+
+    @pytest.fixture(autouse=True, params=["mlp", "identity"])
+    def fmap(self, request):
+        self.fmap = init_mlp(2, [3], 2, seed=1) if request.param == "mlp" else identity_map(2)
+        self.X = np.zeros((4, 2))
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_an_upstream_row_count_other_than_the_rows_of_x_is_rejected(self, rows, cached):
+        acts = _forward_activations(self.fmap, self.X) if cached else None
+        with pytest.raises(ContractError, match=f"{rows} upstreams for 4 rows"):
+            feature_backward_batch(self.fmap, self.X, np.ones((rows, 2)), acts=acts)
+
+    def test_an_upstream_of_another_width_is_rejected(self):
+        with pytest.raises(ContractError, match=r"shape \(4, 3\) for 4 rows"):
+            feature_backward_batch(self.fmap, self.X, np.ones((4, 3)))
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_a_weight_count_other_than_the_rows_of_x_is_rejected(self, count):
+        with pytest.raises(ContractError, match=f"{count} weights for 4 rows"):
+            feature_backward_batch(self.fmap, self.X, np.ones((4, 2)), weights=np.ones(count))
 
 
 def test_construction_copies_and_leaves_the_layers_argument_untouched():
