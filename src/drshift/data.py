@@ -240,6 +240,8 @@ def augment_batch(X, spec, strength, rng):
     if strength not in ("weak", "strong"):
         raise ContractError(f"unknown augmentation strength {strength!r}")
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ContractError(f"expected an (n, d) matrix of rows to augment, got shape {X.shape}")
     n, d = X.shape
     std = spec.weak_noise_std if strength == "weak" else spec.strong_noise_std
     out = X + std * rng.standard_normal((n, d))

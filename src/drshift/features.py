@@ -130,6 +130,15 @@ def _blocked_head(fmap, X, head):
     return out
 
 
+def _input_rows(fmap, X):
+    """X as a float array, or ConfigError naming its shape unless it is an
+    (n, in_dim) matrix of fmap's inputs."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != fmap.in_dim:
+        raise ConfigError(f"expected (n, {fmap.in_dim}) inputs, got shape {X.shape}")
+    return X
+
+
 def _forward_activations(fmap, X):
     """Forward pass keeping every layer's input: [X, a_1, ..., a_L, phi].
 
@@ -137,9 +146,7 @@ def _forward_activations(fmap, X):
     forward pass. Each layer adds its bias and applies tanh in place on its
     own new product, so X, the caller's array, is never written.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != fmap.in_dim:
-        raise ConfigError(f"expected (n, {fmap.in_dim}) inputs, got shape {X.shape}")
+    X = _input_rows(fmap, X)
     acts = [X]
     last = fmap.n_layers - 1
     for i, (W, b) in enumerate(fmap.layers):

@@ -30,11 +30,12 @@ from .domain import (
     domain_ratios,
 )
 from .errors import (ConfigError, ContractError, DivergenceError, _check_num, _class_labels,
-                     _finite_rows, _int_labels, _one_per_row)
+                     _finite_rows, _one_per_row)
 from .features import (
     _blocked_head,
     _feature_map_doc,
     _forward_activations,
+    _input_rows,
     feature_backward_batch,
     feature_forward_batch,
     feature_map_from_json,
@@ -195,21 +196,33 @@ def predict_proba(clf, X, ratios, labels=None):
 
 
 def _nll_at(probs, labels):
-    """Per-row negative log-probability of the given labels, clipped at 1e-300."""
-    return -np.log(np.maximum(probs[np.arange(probs.shape[0]), labels], 1e-300))
+    """Per-row negative log-probability of the given labels (_nll)."""
+    return _nll(probs[np.arange(probs.shape[0]), labels])
+
+
+def _nll(f):
+    """Negative log of each probability in f, clipped at 1e-300."""
+    return -np.log(np.maximum(f, 1e-300))
 
 
 def _logits(clf, Z, ratios, labels=None):
     """Ratio-scaled logits of raw class scores Z (n, C): test mode
     R z / (1 + r), verbatim so the temperature identity is exact, when labels
-    is None, else train mode, where only the label entries differ from R z:
-    they are (R z_y + r) / (r + 1). At r = 0 the two modes coincide."""
-    L = ratios[:, None] * Z
+    is None, else train mode (_train_logits) at the labels, which are checked
+    here as _class_labels checks them. At r = 0 the two modes coincide."""
     if labels is None:
+        L = ratios[:, None] * Z
         L /= 1.0 + clf.r
         return L
     n, C = Z.shape
-    at = _label_entries(_class_labels(labels, n, C), C)
+    return _train_logits(clf, Z, ratios, _label_entries(_class_labels(labels, n, C), C))
+
+
+def _train_logits(clf, Z, ratios, at):
+    """Train-mode logits of raw class scores Z (n, C) at the flat label
+    entries at (_label_entries of checked labels): only those entries differ
+    from R z; they are (R z_y + r) / (r + 1)."""
+    L = ratios[:, None] * Z
     L.put(at, (L.take(at) + clf.r) / (clf.r + 1.0))
     return L
 
@@ -273,19 +286,27 @@ def grad_source(clf, batch, ratios, weights=None, acts=None):
     change-of-measure gradients of dual_objective. acts, when given, holds
     the activations of a forward pass over X at the current parameters (from
     _forward_activations); otherwise the forward pass is run here.
+
+    X must be an (n, d) matrix of the feature map's inputs (ConfigError
+    otherwise) and acts must hold n rows. The labels are checked once, by
+    _class_labels, and their flat entries (_label_entries) serve both the
+    train-mode logits and the label terms of the gradient.
     """
-    X, y = np.asarray(batch[0], dtype=float), _int_labels(batch[1])
-    n = X.shape[0]
+    X = _input_rows(clf.feature_map, batch[0])
+    n, C = X.shape[0], clf.class_count
     if n == 0:
         raise ContractError("grad_source needs at least one source row")
+    at = _label_entries(_class_labels(batch[1], n, C), C)
     ratios = _check_ratios(clf, ratios, n)
     w = _row_weights(weights, n)
 
     if acts is None:
         acts = _forward_activations(clf.feature_map, X)
-    probs = _softmax(_logits(clf, acts[-1] @ clf.theta.T, ratios, y))
+    elif acts[-1].shape[0] != n:
+        raise ContractError(f"expected one activation row per row: {acts[-1].shape[0]} "
+                            f"activation rows for {n} rows")
+    probs = _softmax(_train_logits(clf, acts[-1] @ clf.theta.T, ratios, at))
     diff = probs.copy()
-    at = _label_entries(y, clf.class_count)
     diff.put(at, diff.take(at) - 1.0)
     return SourceGradient(*_score_gradient(clf, acts, diff, w), probs)
 

@@ -9,14 +9,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calibration import _row_reduce
 from .data import AugmentationSpec, augment_batch
 from .errors import ContractError, DivergenceError, _check_num
 from .features import _forward_activations
 from .robust import (
     TrainConfig,
-    _nll_at,
-    _predict_from_scores,
+    _label_entries,
+    _logits,
+    _nll,
     _score_gradient,
+    _softmax,
+    _train_logits,
     _train_loop,
     grad_source,
     target_predictions,
@@ -47,16 +51,27 @@ def _unsup_gradient(clf, acts, ratios, pseudo, mask, loss_weight):
     the train-mode form at the pseudo-label, whose logit derivative in the
     raw class scores is (f_y - 1{y=c}) * R / (r 1{y=c} + 1); the row
     weights mask * loss_weight / M carry the threshold, the weight and the mean.
+    pseudo holds one class index in [0, C) per row, the argmax of the weak
+    predictions, and is taken unchecked.
     """
     n = acts[0].shape[0]
-    probs, _ = _predict_from_scores(clf, acts[-1] @ clf.theta.T, ratios, pseudo)
-    loss = loss_weight * float(np.where(mask, _nll_at(probs, pseudo), 0.0).mean())
+    at = _label_entries(pseudo, clf.class_count)
+    probs = _softmax(_train_logits(clf, acts[-1] @ clf.theta.T, ratios, at))
+    f_at = probs.take(at)
+    loss = loss_weight * float(np.where(mask, _nll(f_at), 0.0).mean())
 
-    at = (np.arange(n), pseudo)
     G = probs * ratios[:, None]
-    G[at] = (probs[at] - 1.0) * (ratios / (clf.r + 1.0))
+    G.put(at, (f_at - 1.0) * (ratios / (clf.r + 1.0)))
     grad_theta, fgrad = _score_gradient(clf, acts, G, mask * loss_weight / n)
     return loss, grad_theta, fgrad
+
+
+def _weak_mask(clf, Z, ratios, threshold):
+    """Test-mode predictions (n, C) of the weak rows' raw class scores Z at
+    their ratios, and the mask of the rows whose top probability exceeds
+    threshold."""
+    P = _softmax(_logits(clf, Z, ratios))
+    return P, _row_reduce(np.maximum, P)[:, 0] > threshold
 
 
 def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
@@ -88,9 +103,15 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
     At the drssl recipe that is the median share 0.77 of steps over seeds
     0-19 (range 0.15-1.00).
 
+    The weak branch takes the softmax of the test-mode logits alone
+    (_weak_mask), since no log-sum-exp of it is used.
+
     History records per epoch: sup_loss, unsup_loss (already weighted by
     loss_weight), mask_rate, and target_acc when the unlabeled set carries
-    evaluation labels. A non-finite theta, loss or density ratio raises
+    evaluation labels. Each step keeps its train-mode predictions and
+    labels, and the record computes the epoch's per-step mean losses in one
+    pass and adds them in step order, which gives the bits of a running sum
+    kept step by step. A non-finite theta, loss or density ratio raises
     DivergenceError.
     """
     counts = np.bincount(labeled.y, minlength=labeled.class_count)
@@ -105,7 +126,8 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
     bs_l = min(cfg.base.batch_size, n_l)
     n_batches = n_u // M
     tags = np.ones((n_batches, bs_l))  # the domain step counts every labeled row as source
-    sums = [0.0, 0.0, 0]  # this epoch's sup_loss, unsup_loss and masked count
+    sums = [0.0, 0]  # this epoch's unsup_loss and masked count
+    sup_probs, sup_labels = [], []  # this epoch's train-mode predictions and their labels
 
     def plan(rng):
         perm_u = rng.permutation(n_u)
@@ -129,27 +151,36 @@ def run_drssl(labeled, unlabeled, cfg, clf, dom=None):
         Xb, yb_l = batch
         acts = _forward_activations(clf.feature_map, Xb)
         g = grad_source(clf, (Xb[:bs_l], yb_l), ratios[:bs_l], acts=[a[:bs_l] for a in acts])
-        sums[0] += float(_nll_at(g.probs, yb_l).mean())
+        sup_probs.append(g.probs)
+        sup_labels.append(yb_l)
 
         Zw = acts[-1][bs_l:bs_l + M] @ clf.theta.T
-        Pw, _ = _predict_from_scores(clf, Zw, ratios[bs_l:bs_l + M])
-        mask = Pw.max(axis=1) > cfg.threshold
-        if not mask.any():
+        Pw, mask = _weak_mask(clf, Zw, ratios[bs_l:bs_l + M], cfg.threshold)
+        masked = int(np.count_nonzero(mask))
+        if not masked:
             # The strong-branch loss and gradient are exactly zero.
             return g
-        sums[2] += int(mask.sum())
+        sums[1] += masked
         loss_u, g_theta_u, g_feat_u = _unsup_gradient(
             clf, [a[bs_l + M:] for a in acts], ratios[bs_l + M:], Pw.argmax(axis=1), mask,
             cfg.loss_weight,
         )
-        sums[1] += loss_u
+        sums[0] += loss_u
         g.grad_theta += g_theta_u
         g.feature_grad += g_feat_u
         return g
 
     def record(clf, dom, epoch):
-        sup_sum, unsup_sum, masked = sums
-        sums[:] = [0.0, 0.0, 0]
+        # Adding the step means in step order keeps the bits of a running sum.
+        P = np.stack(sup_probs)
+        at = _label_entries(np.stack(sup_labels).ravel(), P.shape[2])
+        sup_sum = 0.0
+        for step_loss in _nll(P.take(at)).reshape(P.shape[:2]).mean(axis=1).tolist():
+            sup_sum += step_loss
+        unsup_sum, masked = sums
+        sums[:] = [0.0, 0]
+        sup_probs.clear()
+        sup_labels.clear()
         rec = {
             "epoch": epoch,
             "sup_loss": sup_sum / n_batches,

@@ -362,6 +362,35 @@ class TestRowCount:
             feature_constraint(self.clf.feature_map, self.X, [0, label, 1], 2)
 
 
+class TestBadInputMessages:
+    """grad_source checks its labels once, and predict_proba's train mode
+    before its logits; each bad input gets a message that names it."""
+
+    def setup_method(self):
+        self.clf = default_classifier(2, 2, seed=1, hidden=(4,), feature_dim=4)
+        self.X = np.arange(8.0).reshape(4, 2)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1.5, 0, 1], "label 1.5 is not an integer"),
+        ([0, 2, 0, 1], r"label 2 outside \[0, 2\)"),
+        ([0, 1, 0], "expected one label per row: 3 labels for 4 rows"),
+    ])
+    def test_a_bad_label_gets_its_message(self, labels, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            grad_source(self.clf, (self.X, labels), np.ones(4))
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            predict_proba(self.clf, self.X, np.ones(4), labels)
+
+    def test_a_single_row_vector_is_rejected_by_its_shape(self):
+        with pytest.raises(ConfigError, match=r"^expected \(n, 2\) inputs, got shape \(2,\)$"):
+            grad_source(self.clf, (self.X[0], [0]), [1.0])
+
+    def test_activations_of_other_rows_are_rejected(self):
+        acts = drshift.robust._forward_activations(self.clf.feature_map, self.X[:3])
+        with pytest.raises(ContractError, match="3 activation rows for 4 rows$"):
+            grad_source(self.clf, (self.X, [0, 1, 0, 1]), np.ones(4), acts=acts)
+
+
 class TestZeroRows:
     def setup_method(self):
         self.clf = default_classifier(2, 3, seed=1)

@@ -260,6 +260,11 @@ class TestAugment:
         with pytest.raises(ContractError):
             augment_batch(np.zeros((1, 2)), AugmentationSpec(), "medium", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("strength", ["weak", "strong"])
+    def test_a_row_vector_is_rejected_by_its_shape(self, strength):
+        with pytest.raises(ContractError, match=r"got shape \(3,\)$"):
+            augment_batch(np.zeros(3), AugmentationSpec(), strength, np.random.default_rng(0))
+
     def test_strong_must_dominate_weak(self):
         with pytest.raises(ConfigError):
             AugmentationSpec(weak_noise_std=0.5, strong_noise_std=0.1)

@@ -19,7 +19,7 @@ from drshift import (
 )
 from drshift.benchmarks import class_balanced_subset
 from drshift.features import _forward_activations
-from drshift.robust import _predict_from_scores, _score_gradient, class_scores
+from drshift.robust import _nll_at, _predict_from_scores, _score_gradient, class_scores
 from drshift.semisup import _unsup_gradient, run_drssl
 
 from helpers import default_models, flat
@@ -254,24 +254,51 @@ def test_strong_branch_runs_only_on_steps_with_a_confident_weak_row(monkeypatch)
                     base=TrainConfig(epochs=4, seed=6))
     masked_steps, calls = [], []
     original_unsup = drshift.semisup._unsup_gradient
-    original_predict = drshift.semisup._predict_from_scores
+    original_weak = drshift.semisup._weak_mask
 
-    def recording_predict(clf, Z, ratios, labels=None):
-        out = original_predict(clf, Z, ratios, labels)
-        if labels is None:  # the weak branch's test-mode predictions
-            masked_steps.append(bool((out[0].max(axis=1) > cfg.threshold).any()))
-        return out
+    def recording_weak(clf, Z, ratios, threshold):
+        # The weak branch's test-mode predictions and their confidence mask.
+        probs, mask = original_weak(clf, Z, ratios, threshold)
+        assert threshold == cfg.threshold
+        np.testing.assert_array_equal(mask, probs.max(axis=1) > cfg.threshold)
+        masked_steps.append(bool(mask.any()))
+        return probs, mask
 
     def counting_unsup(*args):
         calls.append(1)
         return original_unsup(*args)
 
-    monkeypatch.setattr(drshift.semisup, "_predict_from_scores", recording_predict)
+    monkeypatch.setattr(drshift.semisup, "_weak_mask", recording_weak)
     monkeypatch.setattr(drshift.semisup, "_unsup_gradient", counting_unsup)
     run_drssl(labeled, target, cfg, *default_models(labeled, cfg.base.seed))
     assert len(masked_steps) == 4 * 3
     assert 0 < sum(masked_steps) < len(masked_steps)
     assert len(calls) == sum(masked_steps)
+
+
+def test_sup_loss_is_bitwise_the_running_sum_of_step_means(monkeypatch):
+    # The epoch record sums the per-step mean losses once per epoch; the
+    # reference adds each step's _nll_at(...).mean() as the step ends.
+    labeled, target = small_setup(seed=8, n_target=160)  # 10 steps an epoch
+    cfg = SslConfig(threshold=0.6, augmentation=AugmentationSpec(seed=8),
+                    base=TrainConfig(epochs=3, seed=8))
+    step_losses = []
+    original = drshift.semisup.grad_source
+
+    def recording(clf, batch, ratios, weights=None, acts=None):
+        g = original(clf, batch, ratios, weights, acts)
+        step_losses.append(float(_nll_at(g.probs, batch[1]).mean()))
+        return g
+
+    monkeypatch.setattr(drshift.semisup, "grad_source", recording)
+    _, _, hist = run_drssl(labeled, target, cfg, *default_models(labeled, cfg.base.seed))
+    n_batches = 10
+    assert len(hist) == 3 and len(step_losses) == 3 * n_batches
+    for epoch, rec in enumerate(hist):
+        total = 0.0
+        for loss in step_losses[epoch * n_batches:(epoch + 1) * n_batches]:
+            total += loss
+        assert rec["sup_loss"] == total / n_batches
 
 
 def test_run_no_weak_row_can_pass_trains_the_zero_weight_model():
